@@ -8,9 +8,6 @@ and CSV for sequences; nothing binary.
 
 Exit codes: 0 decided/success, 1 usage or config error, 2 Unknown
 classification (or demo expectation mismatch), 3 numeric failure.
-Thread count for sweeps comes from the environment variable
-``LEVYCRIT_THREADS`` only (default 1); output ordering is deterministic
-regardless of the value.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .config import (
@@ -54,22 +50,6 @@ EXIT_UNKNOWN = 2
 EXIT_NUMERIC = 3
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LEVYCRIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # input order preserved
-
-
 def _clean(value):
     """JSON-safe copy: infinities become the strings 'inf' / '-inf'."""
     if isinstance(value, dict):
@@ -88,7 +68,7 @@ def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
     from .criteria import CF_BOUNDARY_MARGIN, CF_GRID, CF_RESIDUAL_GATE
     from .discretize import BIN_QUAD_TOL, DRIFT_TOL
-    from .measures import PROBABILITY_TOL
+    from .measures import CHAR_EXPONENT_LATTICE_CUTOFF, LATTICE_SERIES_CUTOFF, PROBABILITY_TOL
     from .network import PROFILE_FLAT_TOL, PROFILE_GROWTH_RATIO
     from .simulate import GROWTH_FLAT, GROWTH_STEEP, TABLE_SIZE
 
@@ -97,8 +77,8 @@ def numeric_defaults() -> dict:
         "cf_exponent_grid": list(CF_GRID),
         "cf_residual_gate": CF_RESIDUAL_GATE,
         "cf_boundary_margin": CF_BOUNDARY_MARGIN,
-        "lattice_series_cutoff": 10 ** 6,
-        "char_exponent_lattice_cutoff": 10 ** 5,
+        "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
+        "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
         "bin_quadrature_tol": BIN_QUAD_TOL,
         "drift_tol": DRIFT_TOL,
         "profile_flat_tol": PROFILE_FLAT_TOL,
@@ -368,7 +348,7 @@ def _demo_stable_sweep(args):
             "ok": verdict.classification.value == expected and not verdict.conflict,
         }
 
-    rows = _parallel_map(one, STABLE_SWEEP_ALPHAS)
+    rows = [one(alpha) for alpha in STABLE_SWEEP_ALPHAS]
     lines = ["alpha   classification  expected    ok"]
     for r in rows:
         lines.append(

@@ -33,6 +33,7 @@ import numpy as np
 from scipy import integrate
 
 from .measures import (
+    LATTICE_SERIES_CUTOFF,
     DomainError,
     LevyTriplet,
     NumericError,
@@ -81,7 +82,7 @@ class UnsupportedComparisonError(DomainError):
 
 
 def inverse_cubic_lattice_criterion(
-    law: SymmetricJumpLaw, cutoff: int = 10 ** 6
+    law: SymmetricJumpLaw, cutoff: int = LATTICE_SERIES_CUTOFF
 ) -> ConvergenceVerdict:
     """Classify ``sum_{n>=1} 1 / (n^3 m(n))`` for a lattice law.
 
@@ -361,21 +362,15 @@ CF_RESIDUAL_GATE = 1e-3
 CF_BOUNDARY_MARGIN = 1e-3
 
 
-def chung_fuchs_criterion(
-    triplet: LevyTriplet,
-    a: float = 1.0,
-    *,
-    residual_gate: float = CF_RESIDUAL_GATE,
-    boundary_margin: float = CF_BOUNDARY_MARGIN,
-) -> ConvergenceVerdict:
+def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVerdict:
     """Classify ``int_{|xi|<a} d xi / psi(xi)`` from the small-xi exponent.
 
     The exponent e of psi near 0 is measured by least-squares regression of
     log psi on log xi over xi in [1e-6, 1e-2]. The quality score of the
     measured exponent is its standard error; only a fit with standard
-    error below ``residual_gate`` earns an analytic basis (the RMS residual
+    error below ``CF_RESIDUAL_GATE`` earns an analytic basis (the RMS residual
     is recorded alongside). The integral converges iff e < 1; exponents
-    within ``boundary_margin`` of 1 are classified as the divergent
+    within ``CF_BOUNDARY_MARGIN`` of 1 are classified as the divergent
     boundary case since the regression cannot distinguish them from 1.
     """
     if a <= 0:
@@ -405,7 +400,7 @@ def chung_fuchs_criterion(
     trunc = f"integral over {lo:g} <= |xi| <= {a:g}; exponent grid [{lo:g}, {hi:g}]"
     note = f"psi ~ C xi^e with e = {slope:.6f} (se {se_slope:.2e}, rms {rms:.2e})"
 
-    if se_slope >= residual_gate:
+    if se_slope >= CF_RESIDUAL_GATE:
         return ConvergenceVerdict(
             status=Status.INCONCLUSIVE,
             partial_value=partial,
@@ -414,10 +409,10 @@ def chung_fuchs_criterion(
             basis=Basis.NUMERIC_ONLY,
             note=note + "; exponent quality below gate",
         )
-    if slope < 1.0 - boundary_margin:
+    if slope < 1.0 - CF_BOUNDARY_MARGIN:
         # remainder over |xi| < eps bounded through the fitted model,
         # inflated by the fit uncertainty
-        e_hi = min(slope + 3.0 * se_slope, 1.0 - boundary_margin)
+        e_hi = min(slope + 3.0 * se_slope, 1.0 - CF_BOUNDARY_MARGIN)
         c_lo = math.exp(intercept - 3.0 * se_intercept - float(np.max(np.abs(resid))))
         tail_hi = 2.0 * lo ** (1.0 - e_hi) / (c_lo * (1.0 - e_hi))
         return ConvergenceVerdict(
@@ -435,7 +430,7 @@ def chung_fuchs_criterion(
         tail_bound=math.inf,
         truncation=trunc,
         basis=Basis.ANALYTIC_TAIL,
-        note=note + ("; boundary exponent" if abs(slope - 1.0) <= boundary_margin else ""),
+        note=note + ("; boundary exponent" if abs(slope - 1.0) <= CF_BOUNDARY_MARGIN else ""),
     )
 
 

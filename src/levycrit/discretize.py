@@ -414,7 +414,8 @@ def convergence_report(
 
     ``deltas`` must decrease strictly toward 0. The order estimate per test
     id is the least-squares slope of log error against log delta (midpoint
-    binning of a smooth density gives order 2).
+    binning of a smooth density gives order 2); it is NaN with fewer than
+    two deltas or a zero error.
     """
     deltas = tuple(float(d) for d in deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or not deltas:
@@ -458,7 +459,7 @@ def convergence_report(
     orders: dict[str, float] = {}
     for name in list(tests) + ["quad_variation"]:
         errs = np.array([r["abs_error"] for r in rows if r["test_id"] == name])
-        if np.all(errs > 0):
+        if len(deltas) >= 2 and np.all(errs > 0):
             slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
             orders[name] = float(slope)
         else:

@@ -10,9 +10,9 @@ The characteristic exponent of a symmetric triplet (0, c, nu) is
 
     psi(xi) = c xi^2 / 2 + int (1 - cos(xi y)) nu(dy),
 
-real, even and nonnegative. For the built-in lattice families the jump
-part is evaluated through an exact cosine transform (polylogarithms);
-piecewise-power densities use closed-form power integrals; generic
+real, even and nonnegative. For lattice laws the jump part is a
+truncated cosine sum plus an analytic correction for the tail beyond the
+cutoff; piecewise-power densities use closed-form power integrals; generic
 densities fall back to adaptive quadrature plus the declared tail model.
 """
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma
@@ -33,8 +32,10 @@ from .powerint import one_minus_cos_range, one_minus_cos_tail
 from .tails import PowerTailComponent, TailDescriptor, TailKind
 
 PROBABILITY_TOL = 1e-10
-
-_POLYLOG_DPS = 30
+#: last lag of truncated lattice series (tail masses, inverse-cubic sums)
+LATTICE_SERIES_CUTOFF = 10 ** 6
+#: lags summed exactly by the lattice characteristic exponent
+CHAR_EXPONENT_LATTICE_CUTOFF = 10 ** 5
 
 
 class Normalization(Enum):
@@ -68,7 +69,6 @@ class LatticeSupport:
     origin_mass: float = 0.0
     components: tuple[PowerTailComponent, ...] = ()
     max_lag: Optional[int] = None  # largest lag with mass, if the support is finite
-    cos_sum: Optional[Callable[[float], float]] = None  # exact sum m(n)(1-cos(n u))
 
     def __post_init__(self):
         if self.spacing <= 0:
@@ -214,7 +214,7 @@ class SymmetricJumpLaw:
             return (s, s)
         if not sup.components:
             # unknown tail: partial sum is only a lower bound
-            cutoff = max(n_from, 10 ** 6)
+            cutoff = max(n_from, LATTICE_SERIES_CUTOFF)
             lags = np.arange(n_from, cutoff + 1)
             s = float(np.sum(self.mass(lags))) if lags.size else 0.0
             return (s, math.inf)
@@ -305,39 +305,6 @@ def make_walk_triplet(law: SymmetricJumpLaw, label: str = "") -> LevyTriplet:
 # constructors
 
 
-def _polylog_cos_sum(terms: Sequence[tuple[float, float, int]]):
-    """Exact ``sum_{n>=1} m(n)(1 - cos(n u))`` for interleaved power masses.
-
-    ``terms`` lists (C, s, parity) with parity 0 = all lags, 2 = even lags,
-    1 = odd lags, each contributing C * n^-s on its class. Evaluated with
-    mpmath polylogarithms, so accurate down to u ~ 1e-12.
-    """
-
-    term_list = tuple(terms)
-
-    def cos_sum(u: float) -> float:
-        with mpmath.workdps(_POLYLOG_DPS):
-            u_mp = mpmath.mpf(abs(u))
-            z1 = mpmath.exp(1j * u_mp)
-            z2 = mpmath.exp(2j * u_mp)
-            total = mpmath.mpf(0)
-            for c_coef, s, parity in term_list:
-                if parity == 0:
-                    val = mpmath.zeta(s) - mpmath.re(mpmath.polylog(s, z1))
-                elif parity == 2:
-                    val = 2 ** (-s) * (mpmath.zeta(s) - mpmath.re(mpmath.polylog(s, z2)))
-                else:
-                    zsum = (1 - mpmath.mpf(2) ** (-s)) * mpmath.zeta(s)
-                    csum = mpmath.re(
-                        mpmath.polylog(s, z1) - mpmath.mpf(2) ** (-s) * mpmath.polylog(s, z2)
-                    )
-                    val = zsum - csum
-                total += c_coef * val
-            return float(max(total, 0))
-
-    return cos_sum
-
-
 def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJumpLaw:
     """Unit-spacing lattice law with masses ``C n^-(alpha+1)``.
 
@@ -359,7 +326,6 @@ def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJu
         mass_fn=mass_fn,
         origin_mass=0.0,
         components=(PowerTailComponent(constant=c_coef, exponent=s),),
-        cos_sum=_polylog_cos_sum([(c_coef, s, 0)]),
     )
     return SymmetricJumpLaw(
         support=support,
@@ -406,7 +372,6 @@ def make_multi_index_lattice(
             PowerTailComponent(constant=c_coef, exponent=s, stride=2, offset=0, start=2),
             PowerTailComponent(constant=c_coef, exponent=t, stride=2, offset=1, start=1),
         ),
-        cos_sum=_polylog_cos_sum([(c_coef, s, 2), (c_coef, t, 1)]),
     )
     rho_dom = min(s, t)
     return SymmetricJumpLaw(
@@ -670,12 +635,10 @@ def _mass_prefix(law: SymmetricJumpLaw, n_hi: int) -> np.ndarray:
 _mass_prefix.cache = {}
 
 
-def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: float, cutoff: int) -> float:
+def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
     sup = law.support
     u = sup.spacing * axi
-    if sup.cos_sum is not None and u <= 0.05:
-        return sup.cos_sum(u)
-    n_hi = sup.max_lag if sup.max_lag is not None else cutoff
+    n_hi = sup.max_lag if sup.max_lag is not None else CHAR_EXPONENT_LATTICE_CUTOFF
     lags = np.arange(1, n_hi + 1, dtype=float)
     partial = float(np.sum(_mass_prefix(law, n_hi) * 2.0 * np.sin(lags * (u / 2.0)) ** 2))
     if sup.max_lag is not None:
@@ -733,9 +696,7 @@ def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
     raise NumericError("cannot integrate against an unknown tail", partial=head)
 
 
-def char_exponent(
-    triplet: LevyTriplet, xi: float, *, lattice_cutoff: int = 100_000
-) -> float:
+def char_exponent(triplet: LevyTriplet, xi: float) -> float:
     """Characteristic exponent ``psi(xi) = c xi^2/2 + int (1-cos(xi y)) d nu``.
 
     Even and nonnegative by construction; psi(0) = 0 exactly.
@@ -746,7 +707,7 @@ def char_exponent(
     value = 0.5 * triplet.c * axi * axi
     if triplet.nu is not None:
         if triplet.nu.is_lattice:
-            value += 2.0 * _lattice_jump_exponent(triplet.nu, axi, lattice_cutoff)
+            value += 2.0 * _lattice_jump_exponent(triplet.nu, axi)
         else:
             value += 2.0 * _continuous_jump_exponent(triplet.nu, axi)
     return max(0.0, value)

@@ -144,7 +144,11 @@ class FlowReport:
         }
 
 
-def verify_flow(i_max: int, chunk: int = 512) -> FlowReport:
+#: side of the square vertex blocks checked at once by :func:`verify_flow`
+FLOW_CHUNK = 512
+
+
+def verify_flow(i_max: int) -> FlowReport:
     """Check the dyadic flow exactly on all vertices |u| < 2^i_max.
 
     In scaled-integer (exact dyadic) arithmetic: antisymmetry on every
@@ -168,13 +172,13 @@ def verify_flow(i_max: int, chunk: int = 512) -> FlowReport:
         source_divergence=Fraction(0),
     )
 
-    starts = list(range(0, n, chunk))
+    starts = list(range(0, n, FLOW_CHUNK))
     for a_idx, a0 in enumerate(starts):
-        a1 = min(a0 + chunk, n)
+        a1 = min(a0 + FLOW_CHUNK, n)
         bi = blocks[a0:a1][:, None]
         ui = verts[a0:a1][:, None]
         for b0 in starts[a_idx:]:
-            b1 = min(b0 + chunk, n)
+            b1 = min(b0 + FLOW_CHUNK, n)
             bj = blocks[b0:b1][None, :]
             vj = verts[b0:b1][None, :]
             t_ab = _flow_scaled(bi, bj, i_max)
@@ -470,13 +474,7 @@ PROFILE_FLAT_TOL = 0.05
 PROFILE_GROWTH_RATIO = 0.9
 
 
-def resistance_profile(
-    law: SymmetricJumpLaw,
-    radii: Sequence[int],
-    *,
-    flat_tol: float = PROFILE_FLAT_TOL,
-    growth_ratio: float = PROFILE_GROWTH_RATIO,
-) -> ResistanceProfile:
+def resistance_profile(law: SymmetricJumpLaw, radii: Sequence[int]) -> ResistanceProfile:
     """Solve R_eff at each radius and hint at the monotone limit.
 
     The hint is diagnostic only and never overrides analytic verdicts:
@@ -496,8 +494,8 @@ def resistance_profile(
     if len(values) >= 3:
         gaps = np.diff(values)
         ratio = gaps[-1] / gaps[-2] if gaps[-2] > 0 else 0.0
-        if ratio >= growth_ratio and gaps[-1] > 0:
+        if ratio >= PROFILE_GROWTH_RATIO and gaps[-1] > 0:
             hint = "recurrent-leaning"
-        elif gaps[-1] <= flat_tol * values[-1]:
+        elif gaps[-1] <= PROFILE_FLAT_TOL * values[-1]:
             hint = "transient-leaning"
     return ResistanceProfile(radii, tuple(values), tuple(bounds), hint)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import integrate
 from scipy.special import gamma, zeta
 
@@ -142,24 +141,3 @@ def strided_power_sum(rho: float, stride: int, offset: int, n_from: float):
         j0 = max(0, math.ceil((n0 - r) / stride))
     a = j0 + r / stride
     return float(stride ** -rho * zeta(rho, a))
-
-
-def strided_power_sum_array(rho: float, stride: int, offset: int, n_from: np.ndarray):
-    """Vectorized :func:`strided_power_sum` over an array of cutoffs."""
-    if rho <= 1.0:
-        return np.full(np.shape(n_from), math.inf)
-    r = offset % stride
-    n0 = np.ceil(np.asarray(n_from, dtype=float))
-    if r == 0:
-        j0 = np.maximum(1.0, np.ceil(n0 / stride))
-    else:
-        j0 = np.maximum(0.0, np.ceil((n0 - r) / stride))
-        j0 = np.where(stride * j0 + r < 1, j0 + 1, j0)
-    return stride ** -rho * zeta(rho, j0 + r / stride)
-
-
-def power_sum_upper_bound(constant: float, p: float, n_from: int) -> float:
-    """Integral bound ``sum_{n > n_from} K n^-p <= K n_from^{1-p} / (p-1)``."""
-    if p <= 1.0:
-        return math.inf
-    return constant * n_from ** (1.0 - p) / (p - 1.0)

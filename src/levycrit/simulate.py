@@ -13,7 +13,7 @@ sampler.
 Heavy tails are sampled exactly: magnitudes up to a table cutoff by
 binary search over cumulative masses, and beyond it by inverse-CDF
 bisection on Hurwitz-zeta tail sums per power component (the tail is
-never truncated).
+never truncated; only draws beyond the bisection cap are clamped).
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 TABLE_SIZE = 10 ** 6
-_J_CAP = float(1 << 52)  # tail bisection cap; P(beyond) is below 1e-12 per draw
+# tail bisection cap on the class index j; draws beyond it are clamped to it.
+# P(beyond) per draw is about 2 C 2^(-52 alpha) / alpha, i.e. 1e-8 at alpha=0.5
+_J_CAP = float(1 << 52)
 
 
 class SimulationCapError(RuntimeError):
@@ -67,7 +69,9 @@ class LatticeSampler:
     Magnitudes 1..table_size are drawn by binary search over the
     cumulative one-sided masses; the remaining tail is split across the
     law's power components and inverted by bisection on Hurwitz-zeta tail
-    sums, so no truncation bias enters. Signs are independent Rademacher
+    sums, so no truncation bias enters below the cap: a tail draw whose
+    class index j would exceed ``_J_CAP`` = 2^52 is clamped to it (about
+    1e-8 of the draws at alpha=0.5). Signs are independent Rademacher
     draws (the law is symmetric).
     """
 
@@ -123,11 +127,11 @@ class LatticeSampler:
             lo = np.full(target.shape, float(j_start))
             hi = np.full(target.shape, float(j_start))
             t_hi = _zeta(rho, hi + 1.0 + a0)
-            while np.any(t_hi > target):
-                hi = np.where(t_hi > target, np.minimum(hi * 4.0 + 4.0, _J_CAP), hi)
+            grow = (t_hi > target) & (hi < _J_CAP)
+            while np.any(grow):
+                hi = np.where(grow, np.minimum(hi * 4.0 + 4.0, _J_CAP), hi)
                 t_hi = _zeta(rho, hi + 1.0 + a0)
-                if np.all(hi >= _J_CAP):
-                    break
+                grow = (t_hi > target) & (hi < _J_CAP)
             for _ in range(64):
                 mid = np.floor((lo + hi) / 2.0)
                 gt = _zeta(rho, mid + 1.0 + a0) > target

@@ -123,9 +123,6 @@ class PowerTailComponent:
     def exact(self) -> bool:
         return self.lower_factor == 1.0 == self.upper_factor
 
-    def contains(self, n: int) -> bool:
-        return n >= self.start and n % self.stride == self.offset % self.stride
-
     def model(self, n):
         return self.constant * np.asarray(n, dtype=float) ** -self.exponent
 
@@ -140,12 +137,6 @@ class PowerTailComponent:
             return (math.inf, math.inf) if self.lower_factor > 0 else (0.0, math.inf)
         return (self.constant * self.lower_factor * base,
                 self.constant * self.upper_factor * base)
-
-    def mass_lower(self, n):
-        return self.lower_factor * self.model(n)
-
-    def mass_upper(self, n):
-        return self.upper_factor * self.model(n)
 
 
 def components_from_descriptor(tail: TailDescriptor) -> tuple[PowerTailComponent, ...]:

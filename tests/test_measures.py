@@ -118,14 +118,34 @@ class TestCharExponent:
             ratio = char_exponent(t, 2 * xi) / char_exponent(t, xi)
             assert ratio == pytest.approx(2 ** alpha, abs=1e-6)
 
-    def test_hook_and_sum_paths_agree_at_switchover(self, power_half_raw, multi_default):
-        # the exact cosine transform serves |xi| <= 0.05, the truncated sum
-        # with tail correction serves the rest; both must agree at the seam
-        for law in (power_half_raw, multi_default):
-            t = make_walk_triplet(law)
-            hook = char_exponent(t, 0.0499999)
-            summed = char_exponent(t, 0.0500001)
-            assert summed == pytest.approx(hook, rel=1e-5)
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(a, None) for a in (0.05, 0.5, 0.9995, 1.5, 1.99)] + [(0.5, 1.5), (1.5, 0.5)],
+    )
+    def test_lattice_small_xi_matches_polylog_oracle(self, alpha, beta):
+        # oracle: sum C n^-s (1 - cos(n u)) over all, even or odd lags n is
+        # a difference of polylogarithms, zeta(s) - Re Li_s(e^{iu}), at 30 digits
+        import mpmath as mp
+
+        def class_sum(s, lags, u):
+            even = 2 ** -s * (mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(2j * u))))
+            if lags == "even":
+                return even
+            every = mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(1j * u)))
+            return every if lags == "all" else every - even
+
+        if beta is None:
+            law = make_power_law_lattice(alpha, normalize=True)
+            parts = [(1.0 / (2.0 * zeta(alpha + 1.0)), alpha + 1.0, "all")]
+        else:
+            law = make_multi_index_lattice(alpha, beta)
+            parts = [(1.0, alpha + 1.0, "even"), (1.0, beta + 1.0, "odd")]
+        t = make_walk_triplet(law)
+        with mp.workdps(30):
+            for xi in np.geomspace(1e-6, 0.05, 40):
+                u = mp.mpf(float(xi))
+                oracle = 2.0 * float(sum(c * class_sum(s, lags, u) for c, s, lags in parts))
+                assert char_exponent(t, xi) == pytest.approx(oracle, rel=1e-5)
 
     def test_lattice_small_xi_matches_series_oracle(self, power_half_raw):
         # oracle: direct summation to 1e7 plus tail average of (1 - cos)

@@ -1,4 +1,5 @@
 import math
+import signal
 from itertools import product
 
 import numpy as np
@@ -82,6 +83,24 @@ class TestSampler:
         med_target = lo
         frac_below = np.count_nonzero(tail_lags <= med_target) / len(tail_lags)
         assert abs(frac_below - 0.5) <= 4.0 * math.sqrt(0.25 / len(tail_lags))
+
+    def test_tail_draw_beyond_cap_is_clamped(self, half_law_prob):
+        # this batch holds a draw beyond the 2^52 bisection cap next to draws
+        # below it; the alarm turns a regression into a failure, not a hang
+        smp = LatticeSampler(half_law_prob)
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(60)
+        try:
+            lags = smp.sample_lags(replica_rng(12345, 730), 20000)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.all(np.isfinite(lags))
+        assert np.max(np.abs(lags)) == 2.0 ** 52
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("tail bisection did not terminate")
 
 
 class TestSampleWalk:
