@@ -46,6 +46,7 @@ from .criteria import (
     inverse_cubic_density_criterion,
     inverse_cubic_lattice_criterion,
     sato_shepp_criterion,
+    tail_status,
 )
 from .network import (
     FlowReport,

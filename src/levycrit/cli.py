@@ -6,8 +6,9 @@ version; re-running a report's embedded config reproduces the report bit
 for bit apart from the timestamp. Output is JSON for structured reports
 and CSV for sequences; nothing binary.
 
-Exit codes: 0 decided/success, 1 usage or config error, 2 Unknown
-classification (or demo expectation mismatch), 3 numeric failure.
+Exit codes: 0 decided/success, 1 usage or config error (bad numbers
+included), 2 Unknown classification (or demo expectation mismatch), 3
+numeric failure or any other unexpected error, reported in one line.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _clean(value):
 
 def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
-    from .criteria import CF_BOUNDARY_MARGIN, CF_GRID, CF_RESIDUAL_GATE
+    from .criteria import CF_GRID
     from .discretize import BIN_QUAD_TOL, DRIFT_TOL
     from .measures import CHAR_EXPONENT_LATTICE_CUTOFF, LATTICE_SERIES_CUTOFF, PROBABILITY_TOL
     from .network import PROFILE_FLAT_TOL, PROFILE_GROWTH_RATIO
@@ -75,8 +76,6 @@ def numeric_defaults() -> dict:
     return {
         "probability_tol": PROBABILITY_TOL,
         "cf_exponent_grid": list(CF_GRID),
-        "cf_residual_gate": CF_RESIDUAL_GATE,
-        "cf_boundary_margin": CF_BOUNDARY_MARGIN,
         "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
         "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
         "bin_quadrature_tol": BIN_QUAD_TOL,
@@ -497,6 +496,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:  # CLI boundary: one line and exit 3, never a traceback
+        print(f"unexpected failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -9,10 +9,14 @@ Four routes, each producing a :class:`ConvergenceVerdict`:
   ``int_1^inf (int_0^y z nu(max(1,z), inf) dz)^-1 dy`` implies recurrence,
   and its convergence implies transience when the measure is unimodal;
 * the Chung-Fuchs criterion: ``int_{|xi|<a} d xi / psi(xi)`` converges iff
-  the process is transient, decided here from the measured small-xi
-  exponent of psi;
+  the process is transient; by the Tauberian relation
+  ``psi(xi) ~ xi^min(rho-1, 2)`` the declared tail decides it too;
 * a total-variation comparison transferring transience between laws whose
   difference has a finite second moment.
+
+Every Converges/Diverges decision on a declared tail comes from one rule,
+:func:`tail_status`; the criteria differ only in their truncated partials
+and the certified remainders they attach to a convergent verdict.
 
 ``classify`` runs every applicable route and folds the implications into a
 :class:`TransienceVerdict`; conflicting analytic evidence is never silently
@@ -41,7 +45,7 @@ from .measures import (
     char_exponent,
 )
 from .powerint import strided_power_sum
-from .tails import TailKind, components_from_descriptor
+from .tails import TailDescriptor, TailKind, components_from_descriptor
 from .verdicts import (
     Basis,
     Classification,
@@ -54,6 +58,7 @@ from .verdicts import (
 
 __all__ = [
     "HypothesisViolationError",
+    "tail_status",
     "UnsupportedComparisonError",
     "inverse_cubic_lattice_criterion",
     "inverse_cubic_density_criterion",
@@ -75,6 +80,41 @@ class HypothesisViolationError(DomainError):
 
 class UnsupportedComparisonError(DomainError):
     """The two measures cannot be compared on a common refinement."""
+
+
+# ---------------------------------------------------------------------------
+# the tail rule
+
+
+def tail_status(tail: TailDescriptor) -> tuple[Status, str]:
+    """The transience rule of a declared tail, with a note naming the clause.
+
+    A power tail of exponent rho < 2 makes every criterion converge (the
+    paper's ``int_1^inf dy/(y^3 f(y)) < inf``); rho >= 2, exponential and
+    compact tails make them diverge; an unknown tail decides nothing.
+    """
+    if tail.kind is TailKind.UNKNOWN:
+        return Status.INCONCLUSIVE, "unknown tail"
+    if tail.kind is TailKind.POWER_LAW:
+        rho = tail.exponent
+        if rho < 2.0:
+            return Status.CONVERGES, f"power tail rho={rho:.15g} < 2"
+        if rho <= 3.0:
+            return Status.DIVERGES, f"power tail rho={rho:.15g} >= 2"
+        return Status.DIVERGES, f"power tail rho={rho:.15g} > 3: finite second moment"
+    return Status.DIVERGES, f"{tail.kind.value.replace('_', ' ')} tail: finite second moment"
+
+
+def _undecided(status: Status, note: str, partial: float, truncation: str) -> ConvergenceVerdict:
+    """The verdict of a criterion whose tail rule does not converge."""
+    return ConvergenceVerdict(
+        status=status,
+        partial_value=partial,
+        tail_bound=math.inf,
+        truncation=truncation,
+        basis=Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL,
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +223,10 @@ def inverse_cubic_density_criterion(
     partial = float(partial)
     trunc = f"integral over [1, {y_top:g}]"
 
-    if tail.kind is TailKind.EXPONENTIAL:
-        return ConvergenceVerdict(
-            status=Status.DIVERGES,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            note="super-polynomial density decay; integrand explodes",
-        )
-    if tail.kind is TailKind.UNKNOWN:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc + "; unknown tail",
-            basis=Basis.NUMERIC_ONLY,
-        )
+    status, note = tail_status(tail)
+    if status is not Status.CONVERGES:
+        return _undecided(status, note, partial, trunc)
     rho = tail.exponent
-    if rho >= 2.0:
-        return ConvergenceVerdict(
-            status=Status.DIVERGES,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            note=f"integrand ~ y^({rho - 3.0:g})",
-        )
     # f(y) >= lower_factor * K * y^-rho beyond the cutoff
     denom_lo = tail.constant * tail.lower_factor
     denom_hi = tail.constant * tail.upper_factor
@@ -222,6 +239,7 @@ def inverse_cubic_density_criterion(
         truncation=trunc + "; analytic power tail beyond",
         basis=Basis.ANALYTIC_TAIL,
         estimate=partial + 0.5 * (tail_lo + tail_hi),
+        note=note,
     )
 
 
@@ -294,38 +312,10 @@ def sato_shepp_criterion(
     trunc = f"outer integral over [1, {cutoff:g}]"
 
     tail = law.tail
-    if tail.kind in (TailKind.EXPONENTIAL, TailKind.COMPACT_SUPPORT):
-        return ConvergenceVerdict(
-            status=Status.DIVERGES,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            note="finite second moment; inner integral is bounded",
-        )
-    if tail.kind is TailKind.UNKNOWN:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc + "; unknown tail",
-            basis=Basis.NUMERIC_ONLY,
-        )
+    status, note = tail_status(tail)
+    if status is not Status.CONVERGES:
+        return _undecided(status, note, partial, trunc)
     rho = tail.exponent
-    if rho >= 2.0:
-        note = (
-            "finite second moment; inner integral is bounded"
-            if rho > 3.0
-            else f"outer integrand ~ y^({min(rho, 3.0) - 3.0:g})"
-        )
-        return ConvergenceVerdict(
-            status=Status.DIVERGES,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            note=note,
-        )
     # certified lower bound on nbar for the outer tail: on the dominant class,
     # nbar(y) >= K lf (y + stride)^(1-rho) / (stride (rho-1)) >= B_lo y^(1-rho)
     if law.is_lattice:
@@ -357,80 +347,79 @@ def sato_shepp_criterion(
 # Chung-Fuchs criterion
 
 
-CF_GRID = (1e-6, 1e-2, 33)
-CF_RESIDUAL_GATE = 1e-3
-CF_BOUNDARY_MARGIN = 1e-3
+#: (eps, top of the reported exponent fit, points) of the Chung-Fuchs xi grid
+CF_GRID = (1e-6, 1e-2, 160)
+
+
+def _cf_lower_constant(nu: SymmetricJumpLaw) -> float:
+    """C with ``psi(xi) >= C xi^(rho-1)`` for 0 < xi <= ``CF_GRID[0]`` (rho < 2).
+
+    Only the dominant tail class counts, on lags with ``xi y <= pi`` where
+    ``1 - cos x >= 2 x^2 / pi^2``; as ``y^(2-rho)`` increases, a class sum
+    is at least its integral divided by the stride.
+    """
+    tail = nu.tail
+    rho, eps = tail.exponent, CF_GRID[0]
+    if nu.is_lattice:
+        comps = nu.components or components_from_descriptor(tail)
+        dom = min(comps, key=lambda c: c.exponent)
+        d, s = nu.spacing, dom.stride
+        c_lo = (
+            4.0 * dom.constant * dom.lower_factor * d ** (rho - 1.0)
+            / (math.pi ** 2 * s * (3.0 - rho))
+            * ((math.pi - s * eps * d) ** (3.0 - rho) - (dom.start * eps * d) ** (3.0 - rho))
+        )
+    else:
+        c_lo = (
+            4.0 * tail.constant * tail.lower_factor / (math.pi ** 2 * (3.0 - rho))
+            * (math.pi ** (3.0 - rho) - (tail.onset * eps) ** (3.0 - rho))
+        )
+    if not c_lo > 0.0:
+        raise NumericError("no certified lower constant for psi near 0")
+    return c_lo
 
 
 def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVerdict:
-    """Classify ``int_{|xi|<a} d xi / psi(xi)`` from the small-xi exponent.
+    """Classify ``int_{|xi|<a} d xi / psi(xi)`` from the declared tail.
 
-    The exponent e of psi near 0 is measured by least-squares regression of
-    log psi on log xi over xi in [1e-6, 1e-2]. The quality score of the
-    measured exponent is its standard error; only a fit with standard
-    error below ``CF_RESIDUAL_GATE`` earns an analytic basis (the RMS residual
-    is recorded alongside). The integral converges iff e < 1; exponents
-    within ``CF_BOUNDARY_MARGIN`` of 1 are classified as the divergent
-    boundary case since the regression cannot distinguish them from 1.
+    By the Tauberian relation ``psi(xi) ~ xi^min(rho-1, 2)`` the integral
+    converges iff the jump tail is a power tail with rho < 2, which is the
+    rule of :func:`tail_status`; a triplet without jumps counts as a compact
+    tail. The partial is the integral over ``eps <= |xi| <= a`` on the
+    ``CF_GRID`` points; a convergent verdict bounds the rest by
+    ``psi >= C xi^(rho-1)`` (:func:`_cf_lower_constant`). The slope of
+    log psi against log xi over ``xi <= CF_GRID[1]`` is reported in the
+    note and decides nothing.
     """
-    if a <= 0:
-        raise DomainError("a must be positive")
-    lo, hi, n_pts = CF_GRID
-    xi_fit = np.geomspace(lo, hi, n_pts)
-    psi_fit = np.array([char_exponent(triplet, x) for x in xi_fit])
-    if np.any(psi_fit < 1e-300):
-        raise NumericError("psi underflow near 0", partial=float(np.min(psi_fit)))
+    eps, fit_top, n_pts = CF_GRID
+    if a <= eps:
+        raise DomainError(f"a must exceed {eps:g}")
+    xi = np.geomspace(eps, a, n_pts)
+    psi = np.array([char_exponent(triplet, x) for x in xi])
+    if np.any(psi < 1e-300):
+        raise NumericError("psi underflow near 0", partial=float(np.min(psi)))
+    # 2 int_eps^a dxi / psi, integrated in log xi
+    partial = 2.0 * float(integrate.simpson(xi / psi, x=np.log(xi)))
+    fit = xi <= fit_top
+    slope = np.polyfit(np.log(xi[fit]), np.log(psi[fit]), 1)[0]
+    trunc = f"integral over {eps:g} <= |xi| <= {a:g}"
 
-    x = np.log(xi_fit)
-    y = np.log(psi_fit)
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ np.array([slope, intercept])
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    dof = len(x) - 2
-    s2 = float(np.sum(resid ** 2)) / dof
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    se_slope = math.sqrt(s2 / sxx)
-    se_intercept = math.sqrt(s2 * (1.0 / len(x) + x.mean() ** 2 / sxx))
-
-    # truncated integral 2 int_eps^a dxi / psi on a log grid
-    xi_all = np.geomspace(lo, a, 160)
-    psi_all = np.array([char_exponent(triplet, x) for x in xi_all])
-    partial = 2.0 * float(np.trapezoid(1.0 / psi_all, xi_all))
-    trunc = f"integral over {lo:g} <= |xi| <= {a:g}; exponent grid [{lo:g}, {hi:g}]"
-    note = f"psi ~ C xi^e with e = {slope:.6f} (se {se_slope:.2e}, rms {rms:.2e})"
-
-    if se_slope >= CF_RESIDUAL_GATE:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.NUMERIC_ONLY,
-            note=note + "; exponent quality below gate",
-        )
-    if slope < 1.0 - CF_BOUNDARY_MARGIN:
-        # remainder over |xi| < eps bounded through the fitted model,
-        # inflated by the fit uncertainty
-        e_hi = min(slope + 3.0 * se_slope, 1.0 - CF_BOUNDARY_MARGIN)
-        c_lo = math.exp(intercept - 3.0 * se_intercept - float(np.max(np.abs(resid))))
-        tail_hi = 2.0 * lo ** (1.0 - e_hi) / (c_lo * (1.0 - e_hi))
-        return ConvergenceVerdict(
-            status=Status.CONVERGES,
-            partial_value=partial,
-            tail_bound=tail_hi,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            estimate=partial + 0.5 * tail_hi,
-            note=note,
-        )
+    nu = triplet.nu
+    tail = nu.tail if nu is not None else TailDescriptor(TailKind.COMPACT_SUPPORT)
+    status, note = tail_status(tail)
+    note = f"{note}; fitted small-xi exponent {slope:.6f}"
+    if status is not Status.CONVERGES:
+        return _undecided(status, note, partial, trunc)
+    rho = tail.exponent
+    tail_hi = 2.0 * eps ** (2.0 - rho) / (_cf_lower_constant(nu) * (2.0 - rho))
     return ConvergenceVerdict(
-        status=Status.DIVERGES,
+        status=Status.CONVERGES,
         partial_value=partial,
-        tail_bound=math.inf,
-        truncation=trunc,
+        tail_bound=tail_hi,
+        truncation=trunc + "; analytic power tail below",
         basis=Basis.ANALYTIC_TAIL,
-        note=note + ("; boundary exponent" if abs(slope - 1.0) <= CF_BOUNDARY_MARGIN else ""),
+        estimate=partial + 0.5 * tail_hi,
+        note=note,
     )
 
 

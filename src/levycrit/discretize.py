@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate
 
+from .criteria import tail_status
 from .measures import (
     DomainError,
     LatticeSupport,
@@ -487,14 +488,6 @@ class JensenGap:
         }
 
 
-def _classify_power(status_rho: Optional[float], kind: TailKind):
-    if kind is TailKind.EXPONENTIAL:
-        return Status.DIVERGES
-    if kind is TailKind.POWER_LAW:
-        return Status.CONVERGES if status_rho < 2.0 else Status.DIVERGES
-    return Status.INCONCLUSIVE
-
-
 def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     """Evaluate ``sum 1/((n+1/2)^3 m(n))`` against ``int_{1/2}^inf dy/(y^3 f)``.
 
@@ -522,18 +515,6 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
             raise DomainError("no positive bin masses past 1")
     lhs_partial = float(np.sum(1.0 / ((lags + 0.5) ** 3 * masses)))
 
-    kind = law.tail.kind
-    rho = law.tail.exponent if kind is TailKind.POWER_LAW else None
-    lhs_status = _classify_power(rho, kind)
-    rhs_status = lhs_status
-
-    if lhs_status is Status.CONVERGES:
-        comp = binned.components[0]
-        base = strided_power_sum(3.0 - comp.exponent, 1, 0, max(n_top, comp.start - 1) + 1)
-        lhs_tail = base / (comp.constant * comp.lower_factor)
-    else:
-        lhs_tail = math.inf
-
     # rhs partial over [1/2, n_top + 1/2]
     y_hi = n_top + 0.5
     pieces = law.support.pieces
@@ -550,28 +531,34 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
             lambda y: 1.0 / (y ** 3 * float(law.density(y))), 0.5, y_hi, limit=400
         )
         rhs_partial = float(val)
-    if rhs_status is Status.CONVERGES:
+
+    status, note = tail_status(law.tail)
+    lhs_tail = rhs_tail = math.inf
+    if status is Status.CONVERGES:
+        comp = binned.components[0]
+        base = strided_power_sum(3.0 - comp.exponent, 1, 0, max(n_top, comp.start - 1) + 1)
+        lhs_tail = base / (comp.constant * comp.lower_factor)
         t = law.tail
         rhs_tail = y_hi ** (t.exponent - 2.0) / (
             t.constant * t.lower_factor * (2.0 - t.exponent)
         )
-    else:
-        rhs_tail = math.inf
 
-    basis = Basis.NUMERIC_ONLY if lhs_status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL
+    basis = Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL
     lhs = ConvergenceVerdict(
-        status=lhs_status,
+        status=status,
         partial_value=lhs_partial,
         tail_bound=lhs_tail,
         truncation=f"bins 1..{n_top}",
         basis=basis,
+        note=note,
     )
     rhs = ConvergenceVerdict(
-        status=rhs_status,
+        status=status,
         partial_value=rhs_partial,
         tail_bound=rhs_tail,
         truncation=f"integral over [1/2, {y_hi:g}]",
         basis=basis,
+        note=note,
     )
     holds = lhs_partial <= rhs_partial + 1e-12 * max(1.0, rhs_partial)
     return JensenGap(lhs=lhs, rhs=rhs, inequality_holds=holds)

@@ -29,7 +29,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import zeta as _zeta
 
 from .powerint import one_minus_cos_range, one_minus_cos_tail
-from .tails import PowerTailComponent, TailDescriptor, TailKind
+from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
 
 PROBABILITY_TOL = 1e-10
 #: last lag of truncated lattice series (tail masses, inverse-cubic sums)
@@ -42,10 +42,6 @@ class Normalization(Enum):
     PROBABILITY = "probability"
     FINITE = "finite_measure"
     SIGMA_FINITE = "sigma_finite"
-
-
-class DomainError(ValueError):
-    """Invalid parameter or unusable law/normalization for an operation."""
 
 
 class NumericError(RuntimeError):
@@ -71,10 +67,8 @@ class LatticeSupport:
     max_lag: Optional[int] = None  # largest lag with mass, if the support is finite
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise DomainError("lattice spacing must be positive")
-        if self.origin_mass < 0:
-            raise DomainError("origin mass must be nonnegative")
+        require_positive("lattice spacing", self.spacing)
+        require_positive("origin mass", self.origin_mass, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -90,9 +84,10 @@ class PowerPiece:
             raise DomainError("piece interval must satisfy 0 <= lo < hi")
         if not self.terms:
             raise DomainError("piece needs at least one term")
-        for k, _ in self.terms:
-            if k <= 0:
-                raise DomainError("piece coefficients must be positive")
+        for k, rho in self.terms:
+            require_positive("piece coefficient", k)
+            if not math.isfinite(rho):
+                raise DomainError(f"piece exponent must be finite, got {rho}")
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -280,8 +275,7 @@ class LevyTriplet:
     label: str = ""
 
     def __post_init__(self):
-        if self.c < 0:
-            raise DomainError("Gaussian coefficient must be nonnegative")
+        require_positive("Gaussian coefficient", self.c, allow_zero=True)
         if self.nu is not None and self.nu.normalization is Normalization.PROBABILITY:
             raise DomainError(
                 "triplet jump measure must be a finite or sigma-finite measure; "
@@ -311,8 +305,7 @@ def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJu
     Raw form has C = 1 (a finite symmetric measure); the normalized form is
     the probability law with C = 1 / (2 zeta(alpha+1)).
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    require_positive("alpha", alpha)
     s = alpha + 1.0
     zeta_s = float(_zeta(s, 1))
     c_coef = 1.0 / (2.0 * zeta_s) if normalize else 1.0
@@ -354,8 +347,8 @@ def make_multi_index_lattice(
     min(alpha, beta) + 1. Both the raw measure and the normalized
     probability form are available, and reports record which one was used.
     """
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("alpha and beta must be positive")
+    require_positive("alpha", alpha)
+    require_positive("beta", beta)
     s, t = alpha + 1.0, beta + 1.0
     raw_total = multi_index_total(alpha, beta)
     c_coef = 1.0 / raw_total if normalize else 1.0
@@ -403,8 +396,9 @@ def make_lattice_table(
         raise DomainError("mass table must not be empty")
     if any(k < 1 for k in masses):
         raise DomainError("table lags must be >= 1")
-    if any(v < 0 for v in masses.values()):
-        raise DomainError("masses must be nonnegative")
+    for k, v in masses.items():
+        require_positive(f"mass at lag {k}", v, allow_zero=True)
+    require_positive("lattice spacing", spacing)
     max_lag = max(masses)
     table = np.zeros(max_lag + 1)
     for k, v in masses.items():
@@ -576,8 +570,7 @@ def make_stable_triplet(
     """
     if not 0 < alpha <= 2:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if gamma_scale <= 0:
-        raise DomainError("gamma must be positive")
+    require_positive("gamma", gamma_scale)
     label = f"stable(alpha={alpha:g}, gamma={gamma_scale:g})"
     if alpha == 2:
         return LevyTriplet(c=2.0 * gamma_scale, nu=None, label=label)
@@ -592,8 +585,7 @@ def make_stable_triplet(
 
 def make_gaussian_density(sigma: float = 1.0) -> SymmetricJumpLaw:
     """Centered Gaussian probability density (continuous jump law)."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    require_positive("sigma", sigma)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
     def density_fn(y, _n=norm, _s=sigma):

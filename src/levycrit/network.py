@@ -146,6 +146,10 @@ class FlowReport:
 
 #: side of the square vertex blocks checked at once by :func:`verify_flow`
 FLOW_CHUNK = 512
+#: largest truncation level of :func:`verify_flow` (2^17 vertices, 2^34 pairs)
+VERIFY_FLOW_MAX_LEVEL = 16
+#: largest truncation level of :func:`flow_energy` (lag arrays of 2^22 entries)
+FLOW_ENERGY_MAX_LEVEL = 22
 
 
 def verify_flow(i_max: int) -> FlowReport:
@@ -157,8 +161,8 @@ def verify_flow(i_max: int) -> FlowReport:
     and zero Kirchhoff residual at every vertex whose flow support lies
     inside the truncation (block index below i_max).
     """
-    if i_max < 2:
-        raise DomainError("i_max must be at least 2")
+    if not 2 <= i_max <= VERIFY_FLOW_MAX_LEVEL:
+        raise DomainError(f"i_max must lie in [2, {VERIFY_FLOW_MAX_LEVEL}], got {i_max}")
     t0 = time.time()
     top = (1 << i_max) - 1
     verts = np.arange(-top, top + 1, dtype=np.int64)
@@ -271,8 +275,8 @@ def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     """
     if not law.is_lattice:
         raise DomainError("flow energy is defined for lattice laws")
-    if i_max < 2:
-        raise DomainError("i_max must be at least 2")
+    if not 2 <= i_max <= FLOW_ENERGY_MAX_LEVEL:
+        raise DomainError(f"i_max must lie in [2, {FLOW_ENERGY_MAX_LEVEL}], got {i_max}")
     m1 = float(law.mass(1))
     infinite = m1 == 0.0
     partial = 0.0 if infinite else 1.0 / (2.0 * m1)  # edges (0, 1), (0, -1)
@@ -391,11 +395,9 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     np.fill_diagonal(cond, 0.0)
 
     delta = law.spacing
-    tails = {}
-    for k in range(0, 2 * n):
-        tails[k] = law.one_sided_tail_mass((k + 0.5) * delta)  # lags > k
-    b_lo = np.array([tails[n - 1 - u][0] + tails[n - 1 + u][0] for u in idx])
-    b_hi = np.array([tails[n - 1 - u][1] + tails[n - 1 + u][1] for u in idx])
+    # row k: envelope of the mass of lags > k
+    tails = np.array([law.one_sided_tail_mass((k + 0.5) * delta) for k in range(2 * n)])
+    b_lo, b_hi = (tails[n - 1 - idx] + tails[n - 1 + idx]).T
     if not np.all(np.isfinite(b_hi)):
         raise DomainError("boundary conductances require a usable tail model")
     return NetworkSlice(
@@ -447,6 +449,8 @@ def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
     """
     slc = build_slice(law, radius)
     lo = _solve_slice(slc, slc.boundary_hi)
+    if np.array_equal(slc.boundary_lo, slc.boundary_hi):
+        return Interval(lo, lo)  # exact envelope: one solve serves both ends
     hi = _solve_slice(slc, slc.boundary_lo)
     return Interval(min(lo, hi), max(lo, hi))
 

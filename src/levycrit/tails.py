@@ -25,6 +25,21 @@ import numpy as np
 from .powerint import power_integral_tail, strided_power_sum
 
 
+class DomainError(ValueError):
+    """Invalid parameter or unusable law/normalization for an operation."""
+
+
+def require_positive(name: str, value: float, *, allow_zero: bool = False) -> None:
+    """Raise DomainError unless ``value`` is finite and positive.
+
+    With ``allow_zero`` the value may also be 0. NaN and infinities always
+    fail, so a bad number stops at the constructor that receives it.
+    """
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise DomainError(f"{name} must be finite and {kind}, got {value}")
+
+
 class TailKind(Enum):
     POWER_LAW = "power_law"
     EXPONENTIAL = "exponential"
@@ -50,15 +65,14 @@ class TailDescriptor:
     upper_factor: float = 1.0
 
     def __post_init__(self):
-        if self.onset <= 0:
-            raise ValueError("tail onset must be positive")
+        require_positive("tail onset", self.onset)
         if self.kind in (TailKind.POWER_LAW, TailKind.EXPONENTIAL):
-            if self.exponent <= 0:
-                raise ValueError("tail exponent/rate must be positive")
-            if self.constant <= 0:
-                raise ValueError("tail constant must be positive")
-            if not 0 < self.lower_factor <= 1 <= self.upper_factor:
-                raise ValueError("envelope factors must bracket 1")
+            require_positive("tail exponent/rate", self.exponent)
+            require_positive("tail constant", self.constant)
+            if not 0 < self.lower_factor <= 1 <= self.upper_factor < math.inf:
+                raise DomainError("envelope factors must be finite and bracket 1")
+            if self.kind is TailKind.POWER_LAW and self.exponent <= 1.0:
+                raise DomainError("power tail needs rho > 1: infinite mass away from 0")
 
     @property
     def exact(self) -> bool:
@@ -112,12 +126,13 @@ class PowerTailComponent:
     upper_factor: float = 1.0
 
     def __post_init__(self):
-        if self.constant <= 0 or self.exponent <= 0:
-            raise ValueError("component constant and exponent must be positive")
+        require_positive("component constant", self.constant)
+        if not 1.0 < self.exponent < math.inf:
+            raise DomainError(f"component exponent must be finite and above 1, got {self.exponent}")
         if self.stride < 1 or not 0 <= self.offset < self.stride:
-            raise ValueError("invalid stride/offset")
-        if not 0 < self.lower_factor <= 1 <= self.upper_factor:
-            raise ValueError("envelope factors must bracket 1")
+            raise DomainError("invalid stride/offset")
+        if not 0 < self.lower_factor <= 1 <= self.upper_factor < math.inf:
+            raise DomainError("envelope factors must be finite and bracket 1")
 
     @property
     def exact(self) -> bool:

@@ -95,6 +95,34 @@ class TestCliCommands:
     def test_missing_config_file_exits_one(self):
         assert main(["analyze", "--config", "/nonexistent.yaml"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, law",
+        [
+            (["--family", "power_lattice", "--alpha", "nan"], None),
+            (["--family", "power_lattice", "--alpha", "inf"], None),
+            (["--family", "stable", "--alpha", "0.5", "--gamma", "nan"], None),
+            (["--family", "gaussian", "--sigma", "nan"], None),
+            # a declared tail with infinite mass away from 0
+            ([], {"family": "table", "masses": {1: 0.25},
+                  "tail": {"exponent": 0.8, "constant": 1.0}}),
+        ],
+    )
+    def test_bad_numbers_exit_one(self, flags, law, tmp_path, capsys):
+        if law is not None:
+            cfg = tmp_path / "law.yaml"
+            cfg.write_text(yaml.safe_dump({"law": law}))
+            flags = ["--config", str(cfg)]
+        assert main(["analyze", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_flow_level_cap_exits_one(self, capsys):
+        # rejected before any array exists (level 40 would need 16 TiB)
+        assert main(["flow", "--family", "power_lattice", "--alpha", "0.5",
+                     "--i-max", "40"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_flow_command(self, capsys, tmp_path):
         code = main(
             ["flow", "--family", "power_lattice", "--alpha", "0.5",

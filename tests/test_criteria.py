@@ -9,18 +9,25 @@ from levycrit import (
     HypothesisViolationError,
     PowerPiece,
     Status,
+    TailDescriptor,
+    TailKind,
     UnsupportedComparisonError,
     chung_fuchs_criterion,
+    char_exponent,
     classify,
     compare_measures,
     inverse_cubic_density_criterion,
     inverse_cubic_lattice_criterion,
+    make_lattice_table,
+    make_multi_index_lattice,
     make_piecewise_power,
     make_power_law_lattice,
     make_stable_triplet,
     make_walk_triplet,
     sato_shepp_criterion,
+    tail_status,
 )
+from levycrit.criteria import CF_GRID, _cf_lower_constant
 from levycrit.measures import stable_levy_density_constant
 
 ZETA_15 = 2.612375348685488
@@ -158,6 +165,78 @@ class TestChungFuchs:
         with pytest.raises(DomainError):
             chung_fuchs_criterion(stable_half, a=0.0)
 
+    @pytest.mark.parametrize(
+        "triplet",
+        [
+            make_walk_triplet(make_power_law_lattice(0.05)),
+            make_walk_triplet(make_power_law_lattice(0.5)),
+            make_walk_triplet(make_power_law_lattice(0.9995)),
+            make_walk_triplet(make_multi_index_lattice(0.5, 1.5)),
+            make_walk_triplet(make_multi_index_lattice(1.5, 0.5)),
+            make_walk_triplet(make_multi_index_lattice(0.05, 1.95)),
+            make_stable_triplet(0.1, 1.0),
+            make_stable_triplet(0.9995, 1.0),
+            make_walk_triplet(make_lattice_table(
+                {1: 0.3, 2: 0.2, 3: 0.1},
+                tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.999, constant=1.0, onset=3.0),
+            )),
+        ],
+        ids=lambda t: t.label,
+    )
+    def test_lower_constant_holds_below_eps(self, triplet):
+        # psi >= C xi^(rho-1) on xi <= eps is what certifies the remainder
+        rho = triplet.nu.tail.exponent
+        c_lo = _cf_lower_constant(triplet.nu)
+        for xi in np.geomspace(1e-10, CF_GRID[0], 9):
+            assert char_exponent(triplet, xi) >= c_lo * xi ** (rho - 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_enclosure_contains_exact_value(self, alpha):
+        # psi = |xi|^alpha: int_{-1}^{1} |xi|^-alpha d xi = 2 / (1 - alpha)
+        lo, hi = chung_fuchs_criterion(make_stable_triplet(alpha, 1.0)).value_interval
+        assert lo <= 2.0 / (1.0 - alpha) <= hi
+
+    def test_boundary_stable_is_transient(self):
+        verdict = classify(make_stable_triplet(0.9995, 1.0))
+        assert verdict.classification is Classification.TRANSIENT
+        assert not verdict.conflict
+
+    @pytest.mark.parametrize(
+        "rho, expected",
+        [(1.999, Classification.TRANSIENT), (2.0, Classification.RECURRENT)],
+    )
+    def test_boundary_table_decided_by_tail(self, rho, expected):
+        law = make_lattice_table(
+            {1: 0.3, 2: 0.2, 3: 0.1},
+            tail=TailDescriptor(TailKind.POWER_LAW, exponent=rho, constant=1.0, onset=3.0),
+        )
+        verdict = classify(make_walk_triplet(law))
+        assert verdict.classification is expected
+        assert not verdict.conflict
+        by_name = {e.criterion: e for e in verdict.evidence}
+        assert by_name["chung_fuchs"].implication == expected.value
+
+
+class TestTailStatus:
+    @pytest.mark.parametrize(
+        "tail, status",
+        [
+            (TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1.0), Status.CONVERGES),
+            (TailDescriptor(TailKind.POWER_LAW, exponent=2.0, constant=1.0), Status.DIVERGES),
+            (TailDescriptor(TailKind.POWER_LAW, exponent=3.5, constant=1.0), Status.DIVERGES),
+            (TailDescriptor(TailKind.EXPONENTIAL, exponent=1.0, constant=1.0), Status.DIVERGES),
+            (TailDescriptor(TailKind.COMPACT_SUPPORT), Status.DIVERGES),
+            (TailDescriptor(TailKind.UNKNOWN), Status.INCONCLUSIVE),
+        ],
+    )
+    def test_rule(self, tail, status):
+        assert tail_status(tail)[0] is status
+
+    def test_no_jumps_is_a_compact_tail(self):
+        v = chung_fuchs_criterion(make_stable_triplet(2.0, 1.0))
+        assert v.status is Status.DIVERGES
+        assert "compact support tail" in v.note
+
 
 class TestCompareMeasures:
     def test_identity_is_zero(self, stable_half):
@@ -277,9 +356,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("alpha", [1.5, 1.75])
     def test_high_exponent_lattice_recurrent(self, alpha):
-        # near the Gaussian edge the lattice exponent regression loses its
-        # quality gate (strong xi^2 curvature), and the classification must
-        # then come from the second-moment-rate route
+        # near the Gaussian edge psi bends towards xi^2, but the decision is
+        # the declared tail's: rho = alpha + 1 >= 2 makes Chung-Fuchs and the
+        # second-moment-rate route both say recurrent
         from levycrit import make_power_law_lattice as mk
 
         verdict = classify(make_walk_triplet(mk(alpha, normalize=True)))

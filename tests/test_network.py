@@ -105,6 +105,16 @@ class TestVerifyFlow:
         with pytest.raises(DomainError):
             verify_flow(1)
 
+    def test_level_cap_checked_before_allocating(self):
+        # 2^41 vertices would need terabytes; the cap rejects the level first
+        from levycrit import DomainError
+        from levycrit.network import VERIFY_FLOW_MAX_LEVEL
+
+        with pytest.raises(DomainError):
+            verify_flow(VERIFY_FLOW_MAX_LEVEL + 1)
+        with pytest.raises(DomainError):
+            verify_flow(40)
+
 
 class TestFlowEnergy:
     def test_direct_enumeration_oracle(self, power_half_raw):
@@ -140,6 +150,13 @@ class TestFlowEnergy:
     def test_missing_conductance_is_infinite(self, nearest_neighbor):
         e = flow_energy(nearest_neighbor, 8)
         assert e.infinite
+
+    def test_level_cap(self, power_half_raw):
+        from levycrit import DomainError
+        from levycrit.network import FLOW_ENERGY_MAX_LEVEL
+
+        with pytest.raises(DomainError):
+            flow_energy(power_half_raw, FLOW_ENERGY_MAX_LEVEL + 1)
 
 
 class TestDyadicEnergyBound:
@@ -268,6 +285,24 @@ class TestEffectiveResistance:
         b = effective_resistance_bounds(power_half_raw, 16)
         r = effective_resistance(power_half_raw, 16)
         assert b.lo - 1e-12 <= r <= b.hi + 1e-12
+
+    def test_exact_envelope_bounds_collapse(self, power_half_raw):
+        b = effective_resistance_bounds(power_half_raw, 16)
+        assert b.lo == b.hi == effective_resistance(power_half_raw, 16)
+
+    def test_inexact_envelope_bounds_open(self):
+        from levycrit import TailDescriptor, TailKind
+
+        law = make_lattice_table(
+            {1: 0.2, 2: 0.1},
+            tail=TailDescriptor(
+                TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=2.0,
+                lower_factor=0.5, upper_factor=2.0,
+            ),
+        )
+        b = effective_resistance_bounds(law, 16)
+        assert b.lo < b.hi
+        assert b.lo <= effective_resistance(law, 16) <= b.hi
 
     def test_radius_validation(self, power_half_raw):
         from levycrit import DomainError
