@@ -67,15 +67,24 @@ def _clean(value):
 
 def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
-    from .criteria import CF_GRID
+    from .criteria import CF_GRID, SATO_SHEPP_POINTS
     from .discretize import BIN_QUAD_TOL, DRIFT_TOL
-    from .measures import CHAR_EXPONENT_LATTICE_CUTOFF, LATTICE_SERIES_CUTOFF, PROBABILITY_TOL
+    from .measures import (
+        CHAR_EXPONENT_LATTICE_CUTOFF,
+        LATTICE_SERIES_CUTOFF,
+        PANEL_LOG_STEP,
+        PANEL_REL_TOL,
+        PROBABILITY_TOL,
+    )
     from .network import PROFILE_FLAT_TOL, PROFILE_GROWTH_RATIO
     from .simulate import GROWTH_FLAT, GROWTH_STEEP, TABLE_SIZE
 
     return {
         "probability_tol": PROBABILITY_TOL,
         "cf_exponent_grid": list(CF_GRID),
+        "sato_shepp_points": SATO_SHEPP_POINTS,
+        "panel_rel_tol": PANEL_REL_TOL,
+        "panel_log_step": PANEL_LOG_STEP,
         "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
         "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
         "bin_quadrature_tol": BIN_QUAD_TOL,

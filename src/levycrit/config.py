@@ -55,13 +55,21 @@ def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
 
 
+def _cast(value: Any, key: str, caster):
+    try:
+        return caster(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for '{key}': {exc}") from None
+
+
 def _require(cfg: dict, key: str, caster):
     if key not in cfg:
         raise ConfigError(f"missing required key '{key}'")
-    try:
-        return caster(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for '{key}': {exc}")
+    return _cast(cfg[key], key, caster)
+
+
+def _optional(cfg: dict, key: str, caster, default):
+    return _cast(cfg.get(key, default), key, caster)
 
 
 def _tail_config(cfg: Optional[dict]) -> Optional[dict]:
@@ -73,7 +81,7 @@ def _tail_config(cfg: Optional[dict]) -> Optional[dict]:
     out = {"kind": kind}
     for key in ("exponent", "constant", "onset", "lower_factor", "upper_factor"):
         if key in cfg:
-            out[key] = float(cfg[key])
+            out[key] = _cast(cfg[key], f"tail.{key}", float)
     return out
 
 
@@ -104,16 +112,16 @@ def resolve_law_config(cfg: Any) -> dict:
             "normalize": bool(cfg.get("normalize", False)),
         }
     if family == "gaussian":
-        return {"family": "gaussian", "sigma": float(cfg.get("sigma", 1.0))}
+        return {"family": "gaussian", "sigma": _optional(cfg, "sigma", float, 1.0)}
     if family == "table":
         masses_in = _require(cfg, "masses", dict)
         masses = {}
         for k, v in masses_in.items():
-            masses[int(k)] = float(v)
+            masses[_cast(k, "masses", int)] = _cast(v, f"masses[{k}]", float)
         out = {
             "family": "table",
-            "spacing": float(cfg.get("spacing", 1.0)),
-            "origin_mass": float(cfg.get("origin_mass", 0.0)),
+            "spacing": _optional(cfg, "spacing", float, 1.0),
+            "origin_mass": _optional(cfg, "origin_mass", float, 0.0),
             "masses": dict(sorted(masses.items())),
             "tail": _tail_config(cfg.get("tail")),
         }
@@ -125,11 +133,12 @@ def resolve_law_config(cfg: Any) -> dict:
         pieces = []
         for p in pieces_in:
             hi = p.get("hi", "inf")
-            hi = math.inf if hi in ("inf", ".inf", math.inf, None) else float(hi)
+            hi = math.inf if hi in ("inf", ".inf", math.inf, None) else _cast(hi, "hi", float)
             terms = [
-                {"k": float(t["k"]), "rho": float(t["rho"])} for t in p["terms"]
+                {"k": _require(t, "k", float), "rho": _require(t, "rho", float)}
+                for t in _require(p, "terms", list)
             ]
-            pieces.append({"lo": float(p.get("lo", 0.0)), "hi": hi, "terms": terms})
+            pieces.append({"lo": _optional(p, "lo", float, 0.0), "hi": hi, "terms": terms})
         return {
             "family": "piecewise_power",
             "pieces": pieces,
@@ -180,11 +189,13 @@ def resolve_triplet_config(cfg: Any) -> dict:
         return {
             "family": "stable",
             "alpha": _require(cfg, "alpha", float),
-            "gamma": float(cfg.get("gamma", 1.0)),
+            "gamma": _optional(cfg, "gamma", float, 1.0),
             "unimodal": bool(cfg.get("unimodal", True)),
         }
     if "law" in cfg or "gaussian_coefficient" in cfg:
-        out = {"gaussian_coefficient": float(cfg.get("gaussian_coefficient", 0.0))}
+        out = {
+            "gaussian_coefficient": _optional(cfg, "gaussian_coefficient", float, 0.0)
+        }
         if cfg.get("law") is not None:
             out["law"] = resolve_law_config(cfg["law"])
         else:

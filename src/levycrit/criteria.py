@@ -43,6 +43,7 @@ from .measures import (
     NumericError,
     SymmetricJumpLaw,
     char_exponent,
+    panel_integrals,
 )
 from .powerint import strided_power_sum
 from .tails import TailDescriptor, TailKind, components_from_descriptor
@@ -247,12 +248,22 @@ def inverse_cubic_density_criterion(
 # Sato-Shepp criterion
 
 
+#: points of the log-uniform Sato-Shepp grid on [1, cutoff]
+SATO_SHEPP_POINTS = 1600
+
+
 def _inner_integral_grid(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
     """``I(y) = int_0^y z nu(max(1,z), inf) dz`` at the grid points.
 
     By Fubini, ``I(y) = nu((1,inf))/2 + sum/integral over 1 < |pts| <= y of
     (pt^2 - 1)/2 masses + (y^2 - 1)/2 nu((y, inf))``; tail masses use the
-    midpoint of the law's envelope.
+    midpoint of the law's envelope. Lattice laws take prefix sums of the
+    masses and piecewise-power densities closed-form piece integrals. A
+    generic density takes one pass of Gauss-Kronrod panels
+    (:func:`panel_integrals`) on the grid with 1 and the tail onset added as
+    breakpoints: prefix sums of ``int z^2 f`` give the second moment, and
+    suffix sums of ``int f`` up to the onset plus the tail model give
+    ``nu((y, inf))``.
     """
 
     def nbar(x: float) -> float:
@@ -272,16 +283,20 @@ def _inner_integral_grid(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
         for i, y in enumerate(ys):
             k = int(math.floor(y / delta))
             out[i] = nbar1 / 2.0 + prefix[k] + (y * y - 1.0) / 2.0 * nbar(y)
-    else:
-        pieces = law.support.pieces
+    elif law.support.pieces is not None:
         for i, y in enumerate(ys):
-            if pieces is not None:
-                m2 = sum(p.weighted_integral(1.0, y, 2.0) for p in pieces)
-            else:
-                m2, _ = integrate.quad(
-                    lambda z: z * z * float(law.density(z)), 1.0, y, limit=200
-                )
+            m2 = sum(p.weighted_integral(1.0, y, 2.0) for p in law.support.pieces)
             out[i] = 0.5 * (y * y * nbar(y) + m2)
+    else:
+        onset = law.tail.onset
+        edges = np.union1d([1.0, max(onset, 1.0)], ys)
+        at = np.searchsorted(edges, ys)
+        m2 = np.concatenate([[0.0], np.cumsum(panel_integrals(law, edges, 2)[0])])[at]
+        n_head = int(np.searchsorted(edges, onset))  # panels below the onset
+        mass, _ = panel_integrals(law, edges[: n_head + 1], 0)
+        head = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])[np.minimum(at, n_head)]
+        tail = np.array([nbar(max(y, onset)) for y in ys])  # tail model, no quadrature
+        out = 0.5 * (ys * ys * (head + tail) + m2)
     return out
 
 
@@ -295,7 +310,9 @@ def sato_shepp_criterion(
     lattice laws never can). With a dominant power tail of exponent rho the
     outer integrand behaves like ``y^(rho-3)``, so the integral converges
     iff rho < 2; any law with finite second moment makes I(y) bounded and
-    the integral divergent.
+    the integral divergent. The partial is the trapezoid rule in log y on
+    ``SATO_SHEPP_POINTS`` points over [1, cutoff], with I(y) from one
+    cumulative pass over that grid (:func:`_inner_integral_grid`).
     """
     t_lo, t_hi = law.one_sided_tail_mass(1.0)
     if not math.isfinite(t_hi):
@@ -303,7 +320,7 @@ def sato_shepp_criterion(
 
     # integrate dy / I(y) in log space: smooth integrand y / I(y) on a
     # uniform grid in t = log y
-    ts = np.linspace(0.0, math.log(cutoff), 1600)
+    ts = np.linspace(0.0, math.log(cutoff), SATO_SHEPP_POINTS)
     ys = np.exp(ts)
     inner = _inner_integral_grid(law, ys)
     if np.any(inner <= 0):

@@ -14,6 +14,9 @@ real, even and nonnegative. For lattice laws the jump part is a
 truncated cosine sum plus an analytic correction for the tail beyond the
 cutoff; piecewise-power densities use closed-form power integrals; generic
 densities fall back to adaptive quadrature plus the declared tail model.
+Cumulative integrals of a generic density (moments, the Sato-Shepp inner
+integral) use :func:`panel_integrals`: one fixed 15-point Gauss-Kronrod rule
+on every panel of a grid, with a single array call to the density.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ PROBABILITY_TOL = 1e-10
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: lags summed exactly by the lattice characteristic exponent
 CHAR_EXPONENT_LATTICE_CUTOFF = 10 ** 5
+#: largest summed |K15 - G7| estimate of a panel pass, relative to its total
+PANEL_REL_TOL = 1e-10
+#: widest panel, in log y, of a generic-density moment; no wider than the
+#: 1600-point Sato-Shepp grid on [1, 1e4] (0.00576)
+PANEL_LOG_STEP = 0.005
 
 
 class Normalization(Enum):
@@ -706,6 +714,66 @@ def char_exponent(triplet: LevyTriplet, xi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# panel quadrature for generic densities
+
+# QUADPACK's 15-point Kronrod rule and its embedded 7-point Gauss rule on
+# [-1, 1]: the positive nodes from the outer end inward, then the centre;
+# the Gauss rule uses every second node and has zero weight on the others
+_GK_NODES = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_GK_KRONROD = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GK_GAUSS = (
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+)
+
+
+def _mirror(half, sign: float = 1.0) -> np.ndarray:
+    return np.concatenate([sign * np.array(half[:-1]), half[::-1]])
+
+
+GK15_NODES = _mirror(_GK_NODES, -1.0)
+GK15_KRONROD = _mirror(_GK_KRONROD)
+GK15_GAUSS = _mirror(_GK_GAUSS)
+
+
+def panel_integrals(
+    law: SymmetricJumpLaw, edges: np.ndarray, k: float
+) -> tuple[np.ndarray, float]:
+    """``int y^k f(y) dy`` over each panel ``[edges[i], edges[i+1]]``.
+
+    One 15-point Gauss-Kronrod rule per panel, all panels in one array call
+    to ``law.density``. Returns the panel integrals and the summed
+    ``|K15 - G7|`` error estimate; raises :class:`NumericError` when that
+    estimate exceeds ``PANEL_REL_TOL`` times the total, so the grid is too
+    coarse for the density.
+    """
+    edges = np.asarray(edges, dtype=float)
+    center = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+    ys = center + half[:, None] * GK15_NODES
+    values = ys ** k * law.density(ys)
+    kronrod = half * (values @ GK15_KRONROD)
+    err = float(np.sum(np.abs(kronrod - half * (values @ GK15_GAUSS))))
+    total = float(np.sum(kronrod))
+    if err > PANEL_REL_TOL * abs(total):
+        raise NumericError(
+            f"panel quadrature error {err:.3g} exceeds {PANEL_REL_TOL:g} of {total:.6g}",
+            partial=total,
+        )
+    return kronrod, err
+
+
+# ---------------------------------------------------------------------------
 # moments
 
 
@@ -721,8 +789,8 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
 
     if k not in (0, 1, 2, 3):
         raise DomainError("moment order k must be in {0, 1, 2, 3}")
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
+    if not 1.0 <= cutoff < math.inf:
+        raise DomainError("cutoff must be finite and >= 1")
 
     converges = law.tail.weighted_tail_converges(float(k))
     if law.is_lattice:
@@ -754,10 +822,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
             )
             tail_lo = tail_hi = tail_mid
         else:
-            val, _ = integrate.quad(
-                lambda y: 2.0 * y ** k * float(law.density(y)), 1.0, cutoff, limit=400
-            )
-            partial = val
+            n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
+            panels, _ = panel_integrals(law, np.geomspace(1.0, cutoff, n_panels + 1), k)
+            partial = 2.0 * float(np.sum(panels))
             tail_hi = 2.0 * law.tail.weighted_tail_upper(float(k), cutoff)
             tail_lo = 0.0
         truncation = f"integral over 1 < |y| <= {cutoff:g}"

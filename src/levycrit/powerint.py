@@ -27,14 +27,15 @@ def one_minus_cos_integral(rho: float) -> float:
     return math.pi / (2.0 * gamma(rho) * math.sin(math.pi * (rho - 1.0) / 2.0))
 
 
-def _one_minus_cos_series(rho: float, s: float, max_terms: int = 80) -> float:
-    # int_0^s (1-cos u) u^-rho du = sum_j (-1)^{j+1} s^{2j+1-rho} / ((2j)! (2j+1-rho))
+def _one_minus_cos_series(rho: float, lo: float, hi: float, max_terms: int = 80) -> float:
+    # int_lo^hi (1-cos u) u^-rho du = sum_j (-1)^{j+1} int_lo^hi u^(2j-rho) du / (2j)!,
+    # integrated term by term (lo = 0 needs rho < 3)
     total = 0.0
     sign = 1.0
     fact = 1.0
     for j in range(1, max_terms + 1):
         fact *= (2 * j - 1) * (2 * j)
-        term = sign * s ** (2 * j + 1 - rho) / (fact * (2 * j + 1 - rho))
+        term = sign * _power_range(rho - 2 * j, lo, hi) / fact
         total += term
         if abs(term) < 1e-18 * max(1.0, abs(total)):
             break
@@ -45,10 +46,12 @@ def _one_minus_cos_series(rho: float, s: float, max_terms: int = 80) -> float:
 def one_minus_cos_tail(rho: float, s: float) -> float:
     """``int_s^inf (1 - cos u) u^-rho du`` for rho > 1 (s > 0 when rho >= 3).
 
-    Regimes: alternating series near the origin (rho < 3 only, where the
-    full integral converges), cosine-weighted adaptive quadrature for
-    moderate s, and an integration-by-parts expansion beyond s = 200
-    (relative error below 1e-5 there).
+    Regimes: the cosine series integrated term by term below s = 6 (from
+    the origin when rho < 3, where the full integral converges; on [s, 6]
+    otherwise, so small s never subtracts two near-equal large numbers),
+    cosine-weighted adaptive quadrature for moderate s, and an
+    integration-by-parts expansion beyond s = 200 (relative error below
+    1e-5 there).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -64,6 +67,8 @@ def one_minus_cos_tail(rho: float, s: float) -> float:
     if rho >= 3.0:
         if s == 0.0:
             return math.inf  # divergent at the origin
+        if s < 6.0:
+            return _one_minus_cos_series(rho, s, 6.0) + one_minus_cos_tail(rho, 6.0)
         plain = s ** (1.0 - rho) / (rho - 1.0)
         oscillatory, _ = integrate.quad(
             lambda u: u ** -rho, s, math.inf, weight="cos", wvar=1.0
@@ -73,8 +78,8 @@ def one_minus_cos_tail(rho: float, s: float) -> float:
     if s == 0.0:
         return k
     if s <= 6.0:
-        return max(0.0, k - _one_minus_cos_series(rho, s))
-    head = _one_minus_cos_series(rho, 6.0)
+        return max(0.0, k - _one_minus_cos_series(rho, 0.0, s))
+    head = _one_minus_cos_series(rho, 0.0, 6.0)
     plain = (6.0 ** (1.0 - rho) - s ** (1.0 - rho)) / (rho - 1.0)
     oscillatory, _ = integrate.quad(
         lambda u: u ** -rho, 6.0, s, weight="cos", wvar=1.0, limit=400
@@ -83,9 +88,14 @@ def one_minus_cos_tail(rho: float, s: float) -> float:
 
 
 def _power_range(rho: float, a: float, b: float) -> float:
-    if rho == 1.0:
-        return math.log(b / a)
-    return (b ** (1.0 - rho) - a ** (1.0 - rho)) / (1.0 - rho)
+    """``int_a^b u^-rho du`` for 0 <= a < b; a = 0 needs rho < 1."""
+    q = 1.0 - rho
+    if a == 0.0:
+        return b ** q / q
+    log_ratio = math.log(b / a)
+    if abs(q * log_ratio) < 1.0:  # b^q - a^q would cancel; expm1 keeps the digits
+        return log_ratio if q == 0.0 else a ** q * math.expm1(q * log_ratio) / q
+    return (b ** q - a ** q) / q
 
 
 def one_minus_cos_partial(rho: float, s: float) -> float:
@@ -93,10 +103,10 @@ def one_minus_cos_partial(rho: float, s: float) -> float:
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s <= 6.0:
-        return _one_minus_cos_series(rho, s) if s > 0 else 0.0
+        return _one_minus_cos_series(rho, 0.0, s) if s > 0 else 0.0
     if 1.0 < rho and s > 200.0:
         return max(0.0, one_minus_cos_integral(rho) - one_minus_cos_tail(rho, s))
-    head = _one_minus_cos_series(rho, 6.0)
+    head = _one_minus_cos_series(rho, 0.0, 6.0)
     plain = _power_range(rho, 6.0, s)
     oscillatory, _ = integrate.quad(
         lambda u: u ** -rho, 6.0, s, weight="cos", wvar=1.0, limit=400

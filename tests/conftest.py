@@ -53,3 +53,23 @@ def flat_core_heavy():
 @pytest.fixture(scope="session")
 def gaussian_law():
     return make_gaussian_density()
+
+
+@pytest.fixture(scope="session")
+def gaussian_upper_moment():
+    """``int_a^b z^k f(z) dz`` of the N(0, sigma^2) density, k in {0, 2}.
+
+    Written with the upper tail Q = erfc(x / sqrt 2) / 2, so nothing
+    cancels when a / sigma is large.
+    """
+
+    def upper(x, k):
+        q = 0.5 * math.erfc(x / math.sqrt(2.0))
+        if k == 0:
+            return q
+        return q + x * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def moment(sigma, a, b, k):
+        return sigma ** k * (upper(a / sigma, k) - upper(b / sigma, k))
+
+    return moment

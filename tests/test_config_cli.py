@@ -105,6 +105,13 @@ class TestCliCommands:
             # a declared tail with infinite mass away from 0
             ([], {"family": "table", "masses": {1: 0.25},
                   "tail": {"exponent": 0.8, "constant": 1.0}}),
+            # values that are not numbers at all
+            ([], {"family": "gaussian", "sigma": "abc"}),
+            ([], {"family": "table", "masses": {1: "x"}}),
+            ([], {"family": "piecewise_power",
+                  "pieces": [{"lo": 0.0, "hi": "inf", "terms": [{"k": "abc", "rho": 1.5}]}]}),
+            ([], {"family": "table", "masses": {1: 0.25},
+                  "tail": {"exponent": "abc", "constant": 1.0}}),
         ],
     )
     def test_bad_numbers_exit_one(self, flags, law, tmp_path, capsys):

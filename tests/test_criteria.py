@@ -27,8 +27,8 @@ from levycrit import (
     sato_shepp_criterion,
     tail_status,
 )
-from levycrit.criteria import CF_GRID, _cf_lower_constant
-from levycrit.measures import stable_levy_density_constant
+from levycrit.criteria import CF_GRID, SATO_SHEPP_POINTS, _cf_lower_constant
+from levycrit.measures import make_gaussian_density, stable_levy_density_constant
 
 ZETA_15 = 2.612375348685488
 
@@ -132,6 +132,24 @@ class TestSatoShepp:
         v = sato_shepp_criterion(law)
         assert v.status is Status.DIVERGES
         assert "second moment" in v.note
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.653341, 1.0, 1.253101, 2.0])
+    def test_gaussian_partial_matches_closed_form(self, sigma, gaussian_upper_moment):
+        # I(y) = (y^2 nu((y, inf)) + int_1^y z^2 f) / 2 in closed form, fed
+        # to the criterion's own trapezoid grid; the bump of the density sits
+        # at the left end of every [1, y]
+        def inner(y):
+            return 0.5 * (
+                y * y * gaussian_upper_moment(sigma, y, math.inf, 0)
+                + gaussian_upper_moment(sigma, 1.0, y, 2)
+            )
+
+        ts = np.linspace(0.0, math.log(1e4), SATO_SHEPP_POINTS)
+        ys = np.exp(ts)
+        oracle = float(np.trapezoid(ys / np.array([inner(y) for y in ys]), ts))
+        v = sato_shepp_criterion(make_gaussian_density(sigma))
+        assert v.status is Status.DIVERGES
+        assert v.partial_value == pytest.approx(oracle, rel=1e-9)
 
     def test_lattice_applicable_without_unimodality(self, multi_default):
         v = sato_shepp_criterion(multi_default)

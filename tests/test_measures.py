@@ -19,7 +19,16 @@ from levycrit import (
     make_walk_triplet,
     moment,
 )
-from levycrit.measures import check_probability, total_mass_interval
+from levycrit.measures import (
+    GK15_GAUSS,
+    GK15_KRONROD,
+    GK15_NODES,
+    NumericError,
+    check_probability,
+    make_gaussian_density,
+    panel_integrals,
+    total_mass_interval,
+)
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
 
@@ -147,6 +156,27 @@ class TestCharExponent:
                 oracle = 2.0 * float(sum(c * class_sum(s, lags, u) for c, s, lags in parts))
                 assert char_exponent(t, xi) == pytest.approx(oracle, rel=1e-5)
 
+    @pytest.mark.parametrize("xi", [1e-6, 1e-5, 1e-4])
+    def test_steep_tail_small_xi_matches_mpmath(self, xi):
+        # flat core c on [0, 1), c y^-3.5 beyond: psi = 2c [(1 - sin xi / xi)
+        # + xi^2.5 int_xi^inf (1 - cos u) u^-3.5 du], about m2 xi^2 / 2
+        import mpmath as mp
+
+        c = 2.5 / 7.0
+        law = make_piecewise_power(
+            [PowerPiece(0.0, 1.0, ((c, 0.0),)), PowerPiece(1.0, math.inf, ((c, 3.5),))]
+        )
+        with mp.workdps(30):
+            x = mp.mpf(xi)
+            head = mp.quad(lambda u: (1 - mp.cos(u)) * u ** -3.5, [x, 1, 2 * mp.pi])
+            tail = mp.quad(lambda u: u ** -3.5, [2 * mp.pi, mp.inf]) - mp.quadosc(
+                lambda u: mp.cos(u) * u ** -3.5, [2 * mp.pi, mp.inf], omega=1
+            )
+            oracle = float(2 * c * ((1 - mp.sin(x) / x) + x ** 2.5 * (head + tail)))
+        psi = char_exponent(make_walk_triplet(law), xi)
+        assert psi == pytest.approx(oracle, rel=1e-6)
+        assert psi == pytest.approx(5.0 / 3.0 * xi * xi / 2.0, rel=0.02)
+
     def test_lattice_small_xi_matches_series_oracle(self, power_half_raw):
         # oracle: direct summation to 1e7 plus tail average of (1 - cos)
         t = make_walk_triplet(power_half_raw)
@@ -178,6 +208,37 @@ class TestMoment:
     def test_bad_order_rejected(self, stable_half):
         with pytest.raises(DomainError):
             moment(stable_half.nu, 4)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_gaussian_partial_matches_erfc(self, sigma, k, gaussian_upper_moment):
+        # the partial is two-sided over 1 < |y| <= cutoff; the bump of the
+        # density sits at the left end of that range
+        v = moment(make_gaussian_density(sigma), k, cutoff=1e6)
+        exact = 2.0 * gaussian_upper_moment(sigma, 1.0, 1e6, k)
+        assert v.status.value == "converges"
+        assert v.partial_value == pytest.approx(exact, rel=1e-9)
+
+
+class TestPanelIntegrals:
+    def test_rules_integrate_polynomials_exactly(self):
+        # 15-point Kronrod: degree 22; embedded 7-point Gauss: degree 13
+        for d in range(0, 23, 2):
+            assert GK15_KRONROD @ GK15_NODES ** d == pytest.approx(2.0 / (d + 1), abs=1e-15)
+        for d in range(0, 14, 2):
+            assert GK15_GAUSS @ GK15_NODES ** d == pytest.approx(2.0 / (d + 1), abs=1e-15)
+
+    def test_panels_add_up(self, gaussian_upper_moment):
+        law = make_gaussian_density(1.0)
+        edges = np.geomspace(1.0, 40.0, 400)
+        panels, err = panel_integrals(law, edges, 2)
+        assert panels.shape == (399,)
+        assert err < 1e-14
+        assert np.sum(panels) == pytest.approx(gaussian_upper_moment(1.0, 1.0, 40.0, 2), rel=1e-13)
+
+    def test_coarse_grid_raises(self):
+        with pytest.raises(NumericError):
+            panel_integrals(make_gaussian_density(1.0), np.array([1.0, 20.0]), 2)
 
 
 class TestPiecewisePower:

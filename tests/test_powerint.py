@@ -84,6 +84,22 @@ def test_steep_exponent_tails(rho, s):
     assert fin == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("rho", [3.0, 3.5, 4.0, 5.0])
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 0.5, 5.9])
+def test_steep_exponent_small_s_matches_mpmath(rho, s):
+    # plain minus oscillatory parts of two near-equal large numbers lost
+    # every digit here; the oracle integrates at 30 digits
+    import mpmath as mp
+
+    with mp.workdps(30):
+        head = mp.quad(lambda u: (1 - mp.cos(u)) * u ** -rho, [s, min(1, s * 100), 2 * mp.pi])
+        tail = mp.quad(lambda u: u ** -rho, [2 * mp.pi, mp.inf]) - mp.quadosc(
+            lambda u: mp.cos(u) * u ** -rho, [2 * mp.pi, mp.inf], omega=1
+        )
+        oracle = float(head + tail)
+    assert one_minus_cos_tail(rho, s) == pytest.approx(oracle, rel=1e-6)
+
+
 def test_power_integral_tail():
     assert power_integral_tail(2.0, 3.0, 4.0) == pytest.approx(2.0 * 4.0 ** -2 / 2)
     assert power_integral_tail(1.0, 1.0, 4.0) == math.inf
