@@ -68,7 +68,14 @@ def _clean(value):
 def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
     from .criteria import CF_GRID, SATO_SHEPP_POINTS
-    from .discretize import BIN_QUAD_TOL, DRIFT_TOL
+    from .discretize import (
+        BIN_QUAD_TOL,
+        DRIFT_TOL,
+        MAX_BIN_QUADS,
+        MAX_EXPECTATION_LAGS,
+        POWER_TAIL_REACH_CAP,
+        REACH_MASS_BUDGET,
+    )
     from .measures import (
         CHAR_EXPONENT_LATTICE_CUTOFF,
         LATTICE_SERIES_CUTOFF,
@@ -77,7 +84,14 @@ def numeric_defaults() -> dict:
         PROBABILITY_TOL,
     )
     from .network import PROFILE_FLAT_TOL, PROFILE_GROWTH_RATIO
-    from .simulate import GROWTH_FLAT, GROWTH_STEEP, TABLE_SIZE
+    from .powerint import COS_TAIL_REL_TOL, COS_TAIL_SWITCH
+    from .simulate import (
+        GROWTH_FLAT,
+        GROWTH_STEEP,
+        MAX_SOJOURN_HORIZON,
+        MAX_SOJOURN_STEPS,
+        TABLE_SIZE,
+    )
 
     return {
         "probability_tol": PROBABILITY_TOL,
@@ -87,13 +101,21 @@ def numeric_defaults() -> dict:
         "panel_log_step": PANEL_LOG_STEP,
         "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
         "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
+        "cos_tail_switch": COS_TAIL_SWITCH,
+        "cos_tail_rel_tol": COS_TAIL_REL_TOL,
         "bin_quadrature_tol": BIN_QUAD_TOL,
+        "max_bin_quads": MAX_BIN_QUADS,
         "drift_tol": DRIFT_TOL,
+        "reach_mass_budget": REACH_MASS_BUDGET,
+        "power_tail_reach_cap": POWER_TAIL_REACH_CAP,
+        "max_expectation_lags": MAX_EXPECTATION_LAGS,
         "profile_flat_tol": PROFILE_FLAT_TOL,
         "profile_growth_ratio": PROFILE_GROWTH_RATIO,
         "sampler_table_size": TABLE_SIZE,
         "sojourn_growth_flat": GROWTH_FLAT,
         "sojourn_growth_steep": GROWTH_STEEP,
+        "max_sojourn_horizon": MAX_SOJOURN_HORIZON,
+        "max_sojourn_steps": MAX_SOJOURN_STEPS,
     }
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,10 @@ from .measures import (
     DomainError,
     LatticeSupport,
     Normalization,
+    PowerPiece,
     SymmetricJumpLaw,
 )
-from .powerint import strided_power_sum
+from .powerint import power_range, strided_power_sum
 from .tails import PowerTailComponent, TailDescriptor, TailKind
 from .verdicts import Basis, ConvergenceVerdict, Status
 
@@ -53,6 +54,14 @@ __all__ = [
 
 BIN_QUAD_TOL = 1e-13
 DRIFT_TOL = 1e-12
+#: tail mass a test integral may leave beyond its reach (|g| <= 1)
+REACH_MASS_BUDGET = 1e-11
+#: largest test-integral reach, in position units, of a power-tailed law
+POWER_TAIL_REACH_CAP = 256.0
+#: most per-bin quadratures :func:`bin_density` runs for a generic density
+MAX_BIN_QUADS = 10 ** 5
+#: most lags an expectation over a lattice law sums (one float64 array each)
+MAX_EXPECTATION_LAGS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ def default_test_functions() -> dict[str, Callable]:
 
 
 def _bin_cutoff_index(law: SymmetricJumpLaw, delta: float) -> int:
-    """Last bin index carrying numerically relevant mass for a callable law."""
+    """Last bin index carrying numerically relevant mass of a light-tailed law."""
     tail = law.tail
     if tail.kind is TailKind.EXPONENTIAL:
         reach = tail.onset + 45.0 / tail.exponent
@@ -105,14 +114,29 @@ def _bin_cutoff_index(law: SymmetricJumpLaw, delta: float) -> int:
     return max(1, math.ceil(reach / delta + 0.5))
 
 
+def _piece_bin_masses(pieces: tuple[PowerPiece, ...], delta: float, n) -> np.ndarray:
+    """Centered-bin integrals of a piecewise-power density at lags n >= 1."""
+    n = np.asarray(n, dtype=float)
+    lo, hi = delta * (n - 0.5), delta * (n + 0.5)
+    out = np.zeros(n.shape)
+    for piece in pieces:
+        a = np.clip(lo, piece.lo, piece.hi)
+        b = np.clip(hi, piece.lo, piece.hi)  # a == b off the piece, which adds 0
+        for k, rho in piece.terms:
+            out += k * power_range(rho, a, b)
+    return out
+
+
 def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
     """Discretize a continuous probability density onto delta*Z.
 
-    Masses are centered-bin integrals, computed in closed form for
-    piecewise-power densities and by adaptive per-bin quadrature otherwise;
-    only the positive side is computed, so symmetry is exact by
-    construction. Mass conservation holds analytically (the bins tile the
-    line), and numerically within the 1e-10 probability tolerance.
+    Masses are centered-bin integrals: one vectorized closed form at every
+    lag for piecewise-power densities, and one adaptive ``quad`` per bin up
+    to the last bin with numerically relevant mass otherwise (at most
+    ``MAX_BIN_QUADS`` of them, checked before the first). Only the positive
+    side is computed, so symmetry is exact by construction. Mass
+    conservation holds analytically (the bins tile the line), and
+    numerically within the 1e-10 probability tolerance.
     """
     if law.is_lattice:
         raise DomainError("bin_density expects a continuous law")
@@ -122,77 +146,39 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
         raise DomainError("delta must be positive")
 
     pieces = law.support.pieces
+    heavy = pieces is not None and law.tail.kind is TailKind.POWER_LAW
+    max_bin = None if heavy else _bin_cutoff_index(law, delta)
     if pieces is not None:
-
-        def bin_mass(n: int) -> float:
-            lo, hi = delta * (n - 0.5), delta * (n + 0.5)
-            return sum(p.weighted_integral(lo, hi, 0.0) for p in pieces)
-
         origin = 2.0 * sum(p.weighted_integral(0.0, delta / 2.0, 0.0) for p in pieces)
-        max_bin = None
-        eager = 4096
-        last_piece = pieces[-1]
-        # bins from n_far onward lie wholly inside the final piece, where the
-        # bin integral vectorizes in closed form
-        n_far = max(eager + 1, math.ceil(last_piece.lo / delta + 0.5) + 1)
-
-        def far_masses(arr):
-            lo = delta * (arr - 0.5)
-            hi = delta * (arr + 0.5)
-            if last_piece.hi != math.inf:
-                hi = np.minimum(hi, last_piece.hi)
-                lo = np.minimum(lo, last_piece.hi)
-            out = np.zeros(arr.shape, dtype=float)
-            for k, rho in last_piece.terms:
-                p = 1.0 - rho
-                if p == 0.0:
-                    out += k * np.log(hi / lo)
-                else:
-                    out += k * (hi ** p - lo ** p) / p
-            return out
-
+        mass_fn = partial(_piece_bin_masses, pieces, delta)
     else:
+        if max_bin > MAX_BIN_QUADS:
+            raise DomainError(
+                f"delta={delta:g} needs {max_bin} per-bin quadratures of this density; "
+                f"the cap is {MAX_BIN_QUADS}"
+            )
         density = law.density
 
-        @lru_cache(maxsize=None)
-        def bin_mass(n: int) -> float:
-            lo, hi = delta * (n - 0.5), delta * (n + 0.5)
+        def bin_integral(lo: float, hi: float) -> float:
             val, _ = integrate.quad(
                 lambda y: float(density(y)), lo, hi, epsabs=BIN_QUAD_TOL, limit=100
             )
-            return max(0.0, float(val))
+            return float(val)
 
-        val0, _ = integrate.quad(
-            lambda y: float(law.density(y)), 1e-300, delta / 2.0,
-            epsabs=BIN_QUAD_TOL, limit=100,
+        origin = 2.0 * bin_integral(1e-300, delta / 2.0)
+        # zero stands beyond the last bin; the law's support ends there
+        table = np.array(
+            [0.0]
+            + [max(0.0, bin_integral(delta * (n - 0.5), delta * (n + 0.5)))
+               for n in range(1, max_bin + 1)]
+            + [0.0]
         )
-        origin = 2.0 * float(val0)
-        max_bin = _bin_cutoff_index(law, delta)
-        eager = max_bin
 
-    cache = np.array([0.0] + [bin_mass(n) for n in range(1, eager + 1)])
-    vector_far = far_masses if pieces is not None else None
-    far_start = n_far if pieces is not None else None
-
-    def mass_fn(n, _cache=cache, _eager=eager, _mb=max_bin):
-        arr = np.asarray(n)
-        scalar = arr.shape == ()
-        arr = np.atleast_1d(arr)
-        out = np.empty(arr.shape, dtype=float)
-        small = arr <= _eager
-        out[small] = _cache[arr[small]]
-        rest = ~small
-        if vector_far is not None:
-            far = rest & (arr >= far_start)
-            if np.any(far):
-                out[far] = vector_far(arr[far])
-            rest &= ~far
-        for i in np.nonzero(rest)[0]:
-            out[i] = 0.0 if (_mb is not None and arr[i] > _mb) else bin_mass(int(arr[i]))
-        return out[0] if scalar else out
+        def mass_fn(n, _table=table, _top=max_bin + 1):
+            return _table[np.minimum(n, _top)]
 
     components: tuple[PowerTailComponent, ...] = ()
-    if pieces is not None and pieces[-1].hi == math.inf:
+    if heavy:
         last = pieces[-1]
         k_dom, rho_dom = min(last.terms, key=lambda t: t[1])
         n0 = max(2, math.ceil(last.lo / delta + 0.5) + 1)
@@ -219,7 +205,6 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
             upper_factor=max(upper, 1.0),
         )
         strictly_positive = True
-        max_lag_field = None
     else:
         src = law.tail
         if src.kind is TailKind.EXPONENTIAL:
@@ -230,16 +215,15 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
                 onset=max(1.0, math.ceil(src.onset / delta + 0.5)),
             )
         else:
-            tail = TailDescriptor(TailKind.COMPACT_SUPPORT, onset=float(max_bin or eager))
+            tail = TailDescriptor(TailKind.COMPACT_SUPPORT, onset=float(max_bin))
         strictly_positive = False  # numerically truncated beyond the cutoff bin
-        max_lag_field = max_bin
 
     support = LatticeSupport(
         spacing=delta,
         mass_fn=mass_fn,
         origin_mass=origin,
         components=components,
-        max_lag=max_lag_field,
+        max_lag=max_bin,
     )
     return SymmetricJumpLaw(
         support=support,
@@ -294,17 +278,24 @@ def truncation_function(h_radius: float) -> Callable:
 
 
 def _lattice_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) -> float:
-    """E[g(J)] = m0 g(0) + sum m(n) (g(dn) + g(-dn)) up to the given reach."""
+    """E[g(J)] = m0 g(0) + sum m(n) (g(dn) + g(-dn)) over the support, or up to the reach.
+
+    Up to the reach, the bins tile [0, reach] as the continuous integral
+    does: the bin that holds the reach counts with the share of it inside.
+    """
     delta = law.spacing
-    n_top = law.support.max_lag or math.ceil(reach / delta)
-    if law.support.max_lag is not None:
-        n_top = min(n_top, law.support.max_lag)
+    bounded = law.support.max_lag is not None
+    n_top = law.support.max_lag if bounded else max(1, math.ceil(reach / delta - 0.5))
+    if n_top > MAX_EXPECTATION_LAGS:
+        raise DomainError(
+            f"{n_top} lags at spacing {delta:g} exceed the cap of {MAX_EXPECTATION_LAGS}"
+        )
     lags = np.arange(1, n_top + 1)
     pos = lags * delta
-    masses = law.mass(lags)
-    total = law.support.origin_mass * float(np.asarray(g(0.0)))
-    total += float(np.sum(masses * (np.asarray(g(pos)) + np.asarray(g(-pos)))))
-    return total
+    terms = law.mass(lags) * (np.asarray(g(pos)) + np.asarray(g(-pos)))
+    if not bounded:
+        terms[-1] *= max(0.0, reach / delta - (n_top - 0.5))
+    return law.support.origin_mass * float(np.asarray(g(0.0))) + float(np.sum(terms))
 
 
 def _continuous_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) -> float:
@@ -319,26 +310,29 @@ def _continuous_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) ->
     return total
 
 
-def _expectation_reach(law: SymmetricJumpLaw, tol: float = 1e-11) -> float:
-    """Range beyond which the remaining mass is below tol (|g| <= 1 assumed).
+def _expectation_reach(law: SymmetricJumpLaw) -> float:
+    """Position beyond which the remaining mass is below ``REACH_MASS_BUDGET``.
 
-    Power tails cap the reach at 256: the truncated remainder is then at
-    most the tail mass beyond the cap (and far smaller for the oscillatory
-    and window-localized default test functions).
+    One rule for a density and its binned walks, so that both sides of a
+    convergence row share one reach: a lattice tail model counts lags, and
+    its reach in lags is scaled by the spacing. Power tails cap the reach
+    at ``POWER_TAIL_REACH_CAP``; the truncated remainder is then at most the
+    tail mass beyond the cap (|g| <= 1 assumed, and far smaller for the
+    oscillatory and window-localized default test functions).
     """
     tail = law.tail
+    scale = law.spacing if law.is_lattice else 1.0
     if tail.kind is TailKind.COMPACT_SUPPORT:
-        return tail.onset * (law.spacing if law.is_lattice else 1.0) + 1.0
+        return scale * tail.onset + 1.0
     if tail.kind is TailKind.EXPONENTIAL:
-        scale = law.spacing if law.is_lattice else 1.0
         return scale * tail.onset + 45.0 / tail.exponent * scale
     if tail.kind is TailKind.POWER_LAW:
         rho = tail.exponent
         k = tail.constant * tail.upper_factor
         if rho <= 1.0:
             raise DomainError("law has no finite mass; not a probability distribution")
-        reach = (2.0 * k / (tol * (rho - 1.0))) ** (1.0 / (rho - 1.0))
-        return min(reach, 256.0 if not law.is_lattice else 1e7)
+        lags = (2.0 * k / (REACH_MASS_BUDGET * (rho - 1.0))) ** (1.0 / (rho - 1.0))
+        return min(scale * lags, POWER_TAIL_REACH_CAP)
     raise DomainError("unknown tail: cannot budget the expectation truncation")
 
 
@@ -351,7 +345,11 @@ def characteristics(
 
     The drift E[h(J)] vanishes exactly for symmetric laws (odd integrand
     against a symmetric law); it is evaluated anyway and checked against a
-    1e-12 budget.
+    1e-12 budget. Test integrals run up to :func:`_expectation_reach`, one
+    position for a density and for its binned walks alike, so a
+    convergence row compares the two at matched truncation. A lattice law
+    sums at most ``MAX_EXPECTATION_LAGS`` lags, checked before any array
+    is built.
     """
     if law.normalization is not Normalization.PROBABILITY:
         raise DomainError("characteristics require a probability distribution")
@@ -515,22 +513,16 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
             raise DomainError("no positive bin masses past 1")
     lhs_partial = float(np.sum(1.0 / ((lags + 0.5) ** 3 * masses)))
 
-    # rhs partial over [1/2, n_top + 1/2]
+    # rhs partial over [1/2, n_top + 1/2], split at the density's breakpoints
     y_hi = n_top + 0.5
-    pieces = law.support.pieces
-    if pieces is not None:
-        edges = sorted({0.5, y_hi} | {p.lo for p in pieces if 0.5 < p.lo < y_hi})
-        rhs_partial = 0.0
-        for a, b in zip(edges, edges[1:]):
-            val, _ = integrate.quad(
-                lambda y: 1.0 / (y ** 3 * float(law.density(y))), a, b, limit=200
-            )
-            rhs_partial += float(val)
-    else:
+    breaks = {p.lo for p in law.support.pieces or ()}
+    edges = sorted({0.5, y_hi} | {b for b in breaks if 0.5 < b < y_hi})
+    rhs_partial = 0.0
+    for a, b in zip(edges, edges[1:]):
         val, _ = integrate.quad(
-            lambda y: 1.0 / (y ** 3 * float(law.density(y))), 0.5, y_hi, limit=400
+            lambda y: 1.0 / (y ** 3 * float(law.density(y))), a, b, limit=400
         )
-        rhs_partial = float(val)
+        rhs_partial += float(val)
 
     status, note = tail_status(law.tail)
     lhs_tail = rhs_tail = math.inf

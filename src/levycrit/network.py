@@ -86,23 +86,12 @@ def _block_index_array(u: np.ndarray) -> np.ndarray:
 
 def _flow_scaled(i: np.ndarray, j: np.ndarray, i_max: int) -> np.ndarray:
     """theta(u, v) * 4^i_max as int64, given the two block indices."""
-    scale_half = np.int64(1) << (2 * i_max - 1)
-    out = np.zeros(np.broadcast(i, j).shape, dtype=np.int64)
-    adjacent = np.abs(i - j) == 1
-    # origin edges
-    out = np.where(adjacent & (i == 0), scale_half, out)
-    out = np.where(adjacent & (j == 0), -scale_half, out)
-    # positive side: theta = 2^(-2i) from B_i to B_(i+1)
-    mag_pos_out = np.where((i > 0) & (i < i_max), np.int64(1) << (2 * (i_max - np.abs(i)).clip(0)), 0)
-    mag_pos_in = np.where((j > 0) & (j < i_max), np.int64(1) << (2 * (i_max - np.abs(j)).clip(0)), 0)
-    out = np.where(adjacent & (i > 0) & (j == i + 1), mag_pos_out, out)
-    out = np.where(adjacent & (j > 0) & (i == j + 1), -mag_pos_in, out)
-    # negative side mirrors outward
-    mag_neg_out = np.where((i < 0) & (i > -i_max), np.int64(1) << (2 * (i_max - np.abs(i)).clip(0)), 0)
-    mag_neg_in = np.where((j < 0) & (j > -i_max), np.int64(1) << (2 * (i_max - np.abs(j)).clip(0)), 0)
-    out = np.where(adjacent & (i < 0) & (j == i - 1), mag_neg_out, out)
-    out = np.where(adjacent & (j < 0) & (i == j - 1), -mag_neg_in, out)
-    return out
+    # outward between adjacent blocks, from B_k with k = min(|i|, |j|) < I:
+    # 1/2 out of the origin, 4^-k beyond it; |j| - |i| = +-1 gives the sign
+    a, b = np.abs(i), np.abs(j)
+    k = np.minimum(a, b)
+    mag = np.left_shift(1, (2 * (i_max - k) - (k == 0)).clip(0), dtype=np.int64)
+    return np.where((np.abs(i - j) == 1) & (k < i_max), (b - a) * mag, 0)
 
 
 @dataclass

@@ -10,8 +10,10 @@ energy bounds, boundary conductances) reduces to two primitives:
 
 from __future__ import annotations
 
+import cmath
 import math
 
+import numpy as np
 from scipy import integrate
 from scipy.special import gamma, zeta
 
@@ -43,48 +45,67 @@ def _one_minus_cos_series(rho: float, lo: float, hi: float, max_terms: int = 80)
     return total
 
 
+#: start of the asymptotic cosine tail; below it a finite-range
+#: cosine-weighted quadrature runs up to this point
+COS_TAIL_SWITCH = 200.0
+#: tolerance of that quadrature, relative to the plain power tail from s
+COS_TAIL_REL_TOL = 1e-10
+
+
+def _cos_tail_asymptotic(rho: float, s: float) -> float:
+    # int_s^inf cos(u) u^-rho du = Re[i e^{is} s^-rho sum_m (-i)^m (rho)_m s^-m]
+    # (integration by parts), summed until the terms drop below machine
+    # precision or start to grow
+    total = 0j
+    term = 1.0 + 0j
+    m = 0
+    while True:
+        total += term
+        nxt = term * (-1j) * (rho + m) / s
+        if abs(nxt) >= abs(term) or abs(nxt) <= 1e-17 * abs(total):
+            break
+        term = nxt
+        m += 1
+    return (1j * cmath.exp(1j * s) * total).real * s ** -rho
+
+
+def _cos_tail(rho: float, s: float, epsabs: float) -> float:
+    """``int_s^inf cos(u) u^-rho du`` for s > 0."""
+    if s >= COS_TAIL_SWITCH:
+        return _cos_tail_asymptotic(rho, s)
+    head, _ = integrate.quad(
+        lambda u: u ** -rho, s, COS_TAIL_SWITCH, weight="cos", wvar=1.0,
+        epsabs=epsabs, epsrel=COS_TAIL_REL_TOL, limit=400,
+    )
+    return head + _cos_tail_asymptotic(rho, COS_TAIL_SWITCH)
+
+
 def one_minus_cos_tail(rho: float, s: float) -> float:
     """``int_s^inf (1 - cos u) u^-rho du`` for rho > 1 (s > 0 when rho >= 3).
 
-    Regimes: the cosine series integrated term by term below s = 6 (from
-    the origin when rho < 3, where the full integral converges; on [s, 6]
-    otherwise, so small s never subtracts two near-equal large numbers),
-    cosine-weighted adaptive quadrature for moderate s, and an
-    integration-by-parts expansion beyond s = 200 (relative error below
-    1e-5 there).
+    From s = 6 on it is the plain power tail minus ``int_s^inf cos(u)
+    u^-rho du``, which is smaller by a factor of order s and comes from a
+    finite-range cosine-weighted quadrature up to 200 plus the
+    integration-by-parts expansion beyond. Below s = 6 the cosine series
+    is integrated term by term: from the origin when rho < 3, where the
+    full integral converges, and on [s, 6] otherwise, so small s never
+    subtracts two near-equal large numbers.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if rho <= 1.0:
         return math.inf
-    if s > 200.0:
-        # int_s^inf cos(u) u^-rho = -sin(s) s^-rho + rho cos(s) s^-(rho+1) + O(rho^2 s^-(rho+2))
-        return (
-            s ** (1.0 - rho) / (rho - 1.0)
-            + math.sin(s) * s ** -rho
-            - rho * math.cos(s) * s ** (-rho - 1.0)
-        )
+    if s >= 6.0:
+        plain = s ** (1.0 - rho) / (rho - 1.0)
+        return plain - _cos_tail(rho, s, COS_TAIL_REL_TOL * plain)
     if rho >= 3.0:
         if s == 0.0:
             return math.inf  # divergent at the origin
-        if s < 6.0:
-            return _one_minus_cos_series(rho, s, 6.0) + one_minus_cos_tail(rho, 6.0)
-        plain = s ** (1.0 - rho) / (rho - 1.0)
-        oscillatory, _ = integrate.quad(
-            lambda u: u ** -rho, s, math.inf, weight="cos", wvar=1.0
-        )
-        return max(0.0, plain - oscillatory)
+        return _one_minus_cos_series(rho, s, 6.0) + one_minus_cos_tail(rho, 6.0)
     k = one_minus_cos_integral(rho)
     if s == 0.0:
         return k
-    if s <= 6.0:
-        return max(0.0, k - _one_minus_cos_series(rho, 0.0, s))
-    head = _one_minus_cos_series(rho, 0.0, 6.0)
-    plain = (6.0 ** (1.0 - rho) - s ** (1.0 - rho)) / (rho - 1.0)
-    oscillatory, _ = integrate.quad(
-        lambda u: u ** -rho, 6.0, s, weight="cos", wvar=1.0, limit=400
-    )
-    return max(0.0, k - (head + plain - oscillatory))
+    return max(0.0, k - _one_minus_cos_series(rho, 0.0, s))
 
 
 def _power_range(rho: float, a: float, b: float) -> float:
@@ -98,13 +119,29 @@ def _power_range(rho: float, a: float, b: float) -> float:
     return (b ** q - a ** q) / q
 
 
+def power_range(rho: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``int_a^b u^-rho du`` elementwise, for 0 < a <= b < inf.
+
+    The array form of :func:`_power_range`, valid at every scale: it is
+    ``a^q expm1(q log1p((b - a) / a)) / q`` with q = 1 - rho. ``b - a`` is
+    exact for b <= 2a, so a narrow range [a, b] far out keeps every digit
+    where ``b^q - a^q`` would lose about log10(a / (b - a)) of them.
+    """
+    a = np.asarray(a, dtype=float)
+    log_ratio = np.log1p((np.asarray(b, dtype=float) - a) / a)
+    q = 1.0 - rho
+    if q == 0.0:
+        return log_ratio
+    return a ** q * np.expm1(q * log_ratio) / q
+
+
 def one_minus_cos_partial(rho: float, s: float) -> float:
     """``int_0^s (1 - cos u) u^-rho du`` for any rho < 3, s >= 0 finite."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s <= 6.0:
         return _one_minus_cos_series(rho, 0.0, s) if s > 0 else 0.0
-    if 1.0 < rho and s > 200.0:
+    if 1.0 < rho and s > COS_TAIL_SWITCH:
         return max(0.0, one_minus_cos_integral(rho) - one_minus_cos_tail(rho, s))
     head = _one_minus_cos_series(rho, 0.0, 6.0)
     plain = _power_range(rho, 6.0, s)

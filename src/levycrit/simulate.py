@@ -333,6 +333,10 @@ class TrajectoryStats:
 
 GROWTH_FLAT = 1.15
 GROWTH_STEEP = 1.3
+#: largest sojourn horizon (each replica holds a few arrays of 2 * horizon)
+MAX_SOJOURN_HORIZON = 10 ** 6
+#: largest horizon * replicas of one sojourn estimate
+MAX_SOJOURN_STEPS = 10 ** 7
 
 
 def sojourn_estimate(
@@ -355,6 +359,11 @@ def sojourn_estimate(
         raise DomainError("window must be positive")
     if horizon < 1 or replicas < 1:
         raise DomainError("horizon and replicas must be positive")
+    if horizon > MAX_SOJOURN_HORIZON or horizon * replicas > MAX_SOJOURN_STEPS:
+        raise DomainError(
+            f"horizon {horizon} x {replicas} replicas exceeds the caps: horizon <= "
+            f"{MAX_SOJOURN_HORIZON}, horizon * replicas <= {MAX_SOJOURN_STEPS}"
+        )
     smp = LatticeSampler(law)
     delta = law.spacing
     base = np.empty(replicas)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import signal
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levycrit.cli import main
@@ -129,6 +135,22 @@ class TestCliCommands:
         assert main(["flow", "--family", "power_lattice", "--alpha", "0.5",
                      "--i-max", "40"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discretize", "--family", "gaussian", "--deltas", "1,1e-6"],
+            ["simulate", "--family", "power_lattice", "--alpha", "0.5", "--normalize",
+             "--horizon", "1000000000000"],
+            ["simulate", "--family", "power_lattice", "--alpha", "0.5", "--normalize",
+             "--horizon", "100000", "--replicas", "1000"],
+        ],
+    )
+    def test_resource_caps_exit_one(self, argv, capsys):
+        # refused before the quadratures or the sampler table start
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err
 
     def test_flow_command(self, capsys, tmp_path):
         code = main(
@@ -266,3 +288,50 @@ class TestReproducibility:
         assert report["version"] == __version__
         assert report["seed"] == 0
         assert report["config"]["triplet"]["alpha"] == 1.5
+
+
+_FAMILY_KEYS = {
+    "power_lattice": ("alpha",),
+    "multi_index": ("alpha", "beta"),
+    "stable": ("alpha", "gamma"),
+    "gaussian": ("sigma",),
+}
+_EDGE_VALUES = st.sampled_from(
+    [1e-300, 1e300, math.nan, math.inf, -math.inf, 0.0, -1.0, "abc", "", "1e5x"]
+)
+_PLAIN_VALUES = st.floats(min_value=0.05, max_value=3.0)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("analyze did not finish")
+
+
+class TestCliBoundaryProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_analyze_config_ends_with_exit_code(self, data):
+        # random configs, sane or hostile values alike, end with a
+        # documented exit code and at most one line on stderr; the alarm
+        # turns a hang into a failure and is no timing gate
+        family = data.draw(st.sampled_from(sorted(_FAMILY_KEYS)))
+        cfg = {"family": family}
+        for key in _FAMILY_KEYS[family]:
+            cfg[key] = data.draw(st.one_of(_EDGE_VALUES, _PLAIN_VALUES), label=key)
+        doc = {"triplet": cfg} if family == "stable" else {"law": cfg}
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(120)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "run.yaml"
+                path.write_text(yaml.safe_dump(doc))
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["analyze", "--config", str(path)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) <= 1
+        if code == 0:
+            assert json.loads(out.getvalue())["results"]["classification"]

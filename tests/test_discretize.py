@@ -6,15 +6,18 @@ from scipy import integrate
 from scipy.special import erf
 
 from levycrit import (
+    Classification,
     DomainError,
     PowerPiece,
     Status,
     bin_density,
     characteristics,
+    classify,
     convergence_report,
     default_test_functions,
     jensen_gap,
     make_piecewise_power,
+    make_walk_triplet,
 )
 from levycrit.discretize import truncation_function
 
@@ -56,6 +59,64 @@ class TestBinDensity:
         with pytest.raises(DomainError):
             bin_density(binned, 0.5)
 
+    @pytest.mark.parametrize("delta", [1.0, 0.125])
+    def test_power_tail_masses_against_oracle(self, flat_core_heavy, delta):
+        # narrow bins far out: b^q - a^q would lose about log10(n) digits
+        import mpmath as mp
+
+        lags = np.array([10, 100, 4095, 4096, 4097, 10 ** 5, 10 ** 6, 10 ** 7])
+        got = bin_density(flat_core_heavy, delta).mass(lags)
+        with mp.workdps(40):
+            half = mp.mpf(1) / 2
+            exact = [
+                float(((delta * (n - half)) ** -half - (delta * (n + half)) ** -half) / 3)
+                for n in lags.tolist()
+            ]
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_piece_starting_far_out(self):
+        # flat to L = 4500.3, then a y^-1.5 tail: bin 4500 straddles the
+        # break, and the closed form must agree with the per-piece integrals
+        # on each lag around it
+        edge = 4500.3
+        c = 1.0 / (6.0 * edge)
+        pieces = [
+            PowerPiece(0.0, edge, ((c, 0.0),)),
+            PowerPiece(edge, math.inf, ((c * edge ** 1.5, 1.5),)),
+        ]
+        law = make_piecewise_power(pieces)
+        lags = np.arange(4095, 5002)
+        got = bin_density(law, 1.0).mass(lags)
+        ref = [sum(p.weighted_integral(n - 0.5, n + 0.5) for p in pieces) for n in lags.tolist()]
+        assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    def test_compact_piecewise_support_ends(self):
+        # uniform on [-1.3, 1.3]: bins past 1.3 / delta + 1/2 carry nothing,
+        # and a support that ends lets the exponent sum it exactly
+        law = make_piecewise_power([PowerPiece(0.0, 1.3, ((0.5 / 1.3, 0.0),))])
+        binned = bin_density(law, 0.25)
+        lags = np.arange(1, binned.support.max_lag + 1)
+        assert binned.mass(lags)[-1] == 0.0
+        total = binned.support.origin_mass + 2.0 * float(np.sum(binned.mass(lags)))
+        assert total == pytest.approx(1.0, abs=1e-12)
+        verdict = classify(make_walk_triplet(binned))
+        assert verdict.classification is Classification.RECURRENT
+
+    def test_quadrature_cap_checked_first(self, gaussian_law):
+        # a generic density needs one quad per bin; a width that would ask
+        # for more than the cap is refused before the density is evaluated
+        from dataclasses import replace
+
+        from levycrit.discretize import MAX_BIN_QUADS
+        from levycrit.measures import ContinuousSupport
+
+        def tripwire(y):
+            raise AssertionError("density evaluated before the cap was checked")
+
+        law = replace(gaussian_law, support=ContinuousSupport(density_fn=tripwire))
+        with pytest.raises(DomainError, match=str(MAX_BIN_QUADS)):
+            bin_density(law, 1e-6)
+
 
 class TestCharacteristics:
     def test_uniform_second_moment(self):
@@ -80,6 +141,26 @@ class TestCharacteristics:
         assert h(-0.5) == -0.5
         assert h(1.5) == pytest.approx(0.5)
         assert h(2.5) == 0.0
+
+    def test_binned_law_shares_the_reach(self):
+        # one truncation rule: a binned law's tail model counts lags, and
+        # its reach in lags times the spacing is the density's reach
+        from levycrit.discretize import _expectation_reach
+
+        steep = make_piecewise_power(
+            [PowerPiece(0.0, 1.0, ((0.4375, 0.0),)), PowerPiece(1.0, math.inf, ((0.4375, 8.0),))]
+        )
+        reach = _expectation_reach(steep)
+        assert 10.0 < reach < 256.0  # below the cap, so the rule itself decides
+        # the binned tail envelope is a little looser, never tighter
+        for delta in (1.0, 0.25, 0.125):
+            assert reach <= _expectation_reach(bin_density(steep, delta)) <= 1.25 * reach
+
+    def test_lag_cap_checked_before_allocating(self, flat_core_heavy):
+        # 2.6e32 lags could not be allocated at all; the cap refuses first
+        binned = bin_density(flat_core_heavy, 1e-30)
+        with pytest.raises(DomainError, match="lags"):
+            characteristics(binned)
 
     def test_rejects_non_probability(self):
         from levycrit import make_power_law_lattice
@@ -127,6 +208,19 @@ class TestConvergenceReport:
         lines = text.strip().splitlines()
         assert lines[0].startswith("delta,test_id,")
         assert len(lines) == 1 + len(report.rows)
+
+    def test_power_tail_rows_converge_at_order_two(self, flat_core_heavy):
+        # binned and continuous sides share one reach, so the error halves
+        # twice per halving of delta; with the binned side summed to 1e7
+        # while the density stopped at 256, cos fell by 4.20, 4.52 and 7.99
+        rep = convergence_report(flat_core_heavy, [1.0, 0.5, 0.25])
+        errs = rep.errors_for("cos")
+        assert all(3.9 <= a / b <= 4.1 for a, b in zip(errs, errs[1:]))
+        # past the coarse widths every default test function follows suit
+        rep = convergence_report(flat_core_heavy, [0.125, 0.0625, 0.03125])
+        for name in list(default_test_functions()) + ["quad_variation"]:
+            errs = rep.errors_for(name)
+            assert all(3.9 <= a / b <= 4.1 for a, b in zip(errs, errs[1:])), name
 
     def test_deltas_must_decrease(self, gaussian_law):
         with pytest.raises(DomainError):

@@ -99,6 +99,22 @@ class TestVerifyFlow:
                 s = sum(dyadic_flow(u, v) for v in range(-top, top + 1))
                 assert s == 0
 
+    @pytest.mark.parametrize("i_max", [2, 3, 4, 5, 6])
+    def test_scaled_flow_matches_fractions_exhaustively(self, i_max):
+        # every ordered pair |u|, |v| < 2^I: the int64 scan is theta * 4^I
+        from levycrit.network import _block_index_array, _flow_scaled
+
+        top = 2 ** i_max - 1
+        verts = np.arange(-top, top + 1, dtype=np.int64)
+        blocks = _block_index_array(verts)
+        scaled = _flow_scaled(blocks[:, None], blocks[None, :], i_max)
+        assert scaled.dtype == np.int64
+        exact = np.array(
+            [[int(dyadic_flow(u, v) * 4 ** i_max) for v in verts.tolist()] for u in verts.tolist()],
+            dtype=np.int64,
+        )
+        assert np.array_equal(scaled, exact)
+
     def test_rejects_tiny_level(self):
         from levycrit import DomainError
 

@@ -10,6 +10,7 @@ from levycrit.powerint import (
     one_minus_cos_range,
     one_minus_cos_tail,
     power_integral_tail,
+    power_range,
     strided_power_sum,
 )
 
@@ -98,6 +99,38 @@ def test_steep_exponent_small_s_matches_mpmath(rho, s):
         )
         oracle = float(head + tail)
     assert one_minus_cos_tail(rho, s) == pytest.approx(oracle, rel=1e-6)
+
+
+def _tail_oracle(rho, s):
+    # plain power tail minus the cosine tail, at 30 digits; the cosine tail
+    # is Re int_s^inf e^{iu} u^-rho du = Re s^(1-rho) E_rho(-i s)
+    import mpmath as mp
+
+    with mp.workdps(30):
+        cos_tail = mp.re(mp.mpf(s) ** (1 - rho) * mp.expint(rho, -1j * s))
+        return float(mp.mpf(s) ** (1 - rho) / (rho - 1) - cos_tail)
+
+
+@pytest.mark.parametrize("rho", [3.0, 3.5, 4.0, 5.0])
+@pytest.mark.parametrize("s", [6.0, 20.0, 50.0, 150.0, 200.0])
+def test_steep_exponent_moderate_s_matches_mpmath(rho, s):
+    # an infinite-range cosine quadrature honours only an absolute
+    # tolerance, which is most of the value once it falls near 1e-8
+    assert one_minus_cos_tail(rho, s) == pytest.approx(_tail_oracle(rho, s), rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.5, 1.0 + 2 ** -20, 3.5])
+def test_power_range_keeps_narrow_ranges(rho):
+    # unit-width ranges out to 1e7, against 40-digit closed forms
+    import mpmath as mp
+
+    a = np.array([0.5, 9.5, 4095.5, 1e7 - 0.5])
+    got = power_range(rho, a, a + 1.0)
+    with mp.workdps(40):
+        q = 1 - mp.mpf(rho)
+        exact = [float(((mp.mpf(x) + 1) ** q - mp.mpf(x) ** q) / q) for x in a]
+    assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert power_range(1.0, a, a + 1.0) == pytest.approx(np.log1p(1.0 / a), rel=1e-15, abs=0.0)
 
 
 def test_power_integral_tail():

@@ -222,6 +222,21 @@ class TestSojournEstimate:
         b = sojourn_estimate(half_law_prob, 5.0, 2000, 50, SEED)
         assert a == b
 
+    @pytest.mark.parametrize("horizon_extra, replicas", [(1, 1), (0, 11), (10 ** 9, 10 ** 6)])
+    def test_caps_checked_before_allocating(self, unit_step_law, monkeypatch,
+                                            horizon_extra, replicas):
+        # the sampler table is the first allocation; the caps reject the run
+        # before it, and the last case could not be allocated at all
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("sampler built before the caps were checked")
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        horizon = simulate.MAX_SOJOURN_HORIZON + horizon_extra
+        with pytest.raises(DomainError, match="caps"):
+            sojourn_estimate(unit_step_law, 5.0, horizon, replicas, SEED)
+
     def test_estimate_bounded_by_horizon(self, unit_step_law):
         stats = sojourn_estimate(unit_step_law, 3.0, 500, 20, SEED)
         assert stats.sojourn_estimate <= 500
