@@ -83,7 +83,13 @@ def numeric_defaults() -> dict:
         PANEL_REL_TOL,
         PROBABILITY_TOL,
     )
-    from .network import PROFILE_FLAT_TOL, PROFILE_GROWTH_RATIO
+    from .network import (
+        FLOW_ENERGY_MAX_LEVEL,
+        PROFILE_FLAT_TOL,
+        PROFILE_GROWTH_RATIO,
+        RESISTANCE_MAX_RADIUS,
+        VERIFY_FLOW_MAX_LEVEL,
+    )
     from .powerint import COS_TAIL_REL_TOL, COS_TAIL_SWITCH
     from .simulate import (
         GROWTH_FLAT,
@@ -111,6 +117,9 @@ def numeric_defaults() -> dict:
         "max_expectation_lags": MAX_EXPECTATION_LAGS,
         "profile_flat_tol": PROFILE_FLAT_TOL,
         "profile_growth_ratio": PROFILE_GROWTH_RATIO,
+        "resistance_max_radius": RESISTANCE_MAX_RADIUS,
+        "verify_flow_max_level": VERIFY_FLOW_MAX_LEVEL,
+        "flow_energy_max_level": FLOW_ENERGY_MAX_LEVEL,
         "sampler_table_size": TABLE_SIZE,
         "sojourn_growth_flat": GROWTH_FLAT,
         "sojourn_growth_steep": GROWTH_STEEP,

@@ -594,6 +594,8 @@ def make_stable_triplet(
 def make_gaussian_density(sigma: float = 1.0) -> SymmetricJumpLaw:
     """Centered Gaussian probability density (continuous jump law)."""
     require_positive("sigma", sigma)
+    if not 0.0 < sigma * sigma < math.inf:
+        raise DomainError(f"sigma^2 must be a finite positive float, got sigma={sigma}")
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
     def density_fn(y, _n=norm, _s=sigma):
@@ -648,6 +650,10 @@ def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
         for comp in sup.components:
             k_mid = comp.constant * 0.5 * (comp.lower_factor + comp.upper_factor)
             rho = comp.exponent
+            if float(n_hi) ** (1.0 - rho) == 0.0:
+                # the term is at most 2 k_mid n_hi^(1-rho) / (rho - 1), below
+                # every float; evaluated, it is u^(rho-1) ~ 0 times an overflow
+                continue
             correction += (
                 (k_mid / comp.stride) * u ** (rho - 1.0) * one_minus_cos_tail(rho, u * n_hi)
             )

@@ -10,8 +10,9 @@ The explicit flow routes through dyadic blocks B_0 = {0},
 B_i = {2^(i-1), ..., 2^i - 1} and mirrored negative blocks: each vertex
 splits its inflow equally over the next block, giving theta = 2^(-2i)
 between consecutive positive blocks (1/2 on (0, +-1)) and an exactly
-dyadic, exactly conserved flow. Flow checks run in integer arithmetic
-scaled by 4^I, i.e. exact dyadic rationals.
+dyadic, exactly conserved flow. Flow checks run once per block pair,
+where theta is constant, in integer arithmetic scaled by 4^I (exact
+dyadic rationals). Resistances come from the even-folded Dirichlet system.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg
 
 from .measures import DomainError, SymmetricJumpLaw
@@ -78,12 +80,6 @@ def dyadic_flow(u: int, v: int) -> Fraction:
     return Fraction(0)
 
 
-def _block_index_array(u: np.ndarray) -> np.ndarray:
-    a = np.abs(u)
-    _, exp = np.frexp(a.astype(np.float64))  # bit length of exact small ints
-    return np.where(u == 0, 0, np.sign(u) * exp).astype(np.int64)
-
-
 def _flow_scaled(i: np.ndarray, j: np.ndarray, i_max: int) -> np.ndarray:
     """theta(u, v) * 4^i_max as int64, given the two block indices."""
     # outward between adjacent blocks, from B_k with k = min(|i|, |j|) < I:
@@ -94,16 +90,30 @@ def _flow_scaled(i: np.ndarray, j: np.ndarray, i_max: int) -> np.ndarray:
     return np.where((np.abs(i - j) == 1) & (k < i_max), (b - a) * mag, 0)
 
 
+def _quadruple_pairs(a: int, b: int, c: int, d: int) -> int:
+    """Number of pairs (u, v) in [a, b] x [c, d] with v >= 4u, for a > 0."""
+    # u <= c // 4 sees all of [c, d]; c // 4 < u <= d // 4 sees [4u, d]
+    full = max(0, min(b, c // 4) - a + 1) * max(0, d - c + 1)
+    lo, hi = max(a, c // 4 + 1), min(b, d // 4)
+    k = max(0, hi - lo + 1)
+    return full + k * (d + 1) - 2 * (lo + hi) * k
+
+
 @dataclass
 class FlowReport:
-    """Exact verification record for the dyadic flow at truncation level I."""
+    """Exact verification record for the dyadic flow at truncation level I.
+
+    Counts are of ordered vertex pairs (u, v), |u|, |v| < 2^I, as the
+    (2I + 1)^2 checked block pairs represent them: ``pairs_checked`` is
+    (2^(I+1) - 1)^2, and a failing block pair adds its |B_i| |B_j| pairs.
+    """
 
     i_max: int
     vertices_checked: int
     pairs_checked: int
     source_divergence: Fraction
     kirchhoff_violations: list = field(default_factory=list)
-    antisymmetry_violations: int = 0
+    antisymmetry_violations: int = 0  # ordered pairs with theta(u,v) + theta(v,u) != 0
     support_violations: int = 0  # nonzero flow outside adjacent blocks
     vanishing_violations: int = 0  # theta(u, u+w) != 0 with u+w >= 4u > 0
     elapsed_s: float = 0.0
@@ -133,10 +143,10 @@ class FlowReport:
         }
 
 
-#: side of the square vertex blocks checked at once by :func:`verify_flow`
-FLOW_CHUNK = 512
-#: largest truncation level of :func:`verify_flow` (2^17 vertices, 2^34 pairs)
-VERIFY_FLOW_MAX_LEVEL = 16
+#: largest truncation level of :func:`verify_flow`: ``_flow_scaled`` shifts by
+#: up to 2I - 1 bits and antisymmetry adds two such values, exact in int64
+#: for 2I <= 62; the pair count (2^(I+1) - 1)^2 stays below 2^63 for I <= 30
+VERIFY_FLOW_MAX_LEVEL = 30
 #: largest truncation level of :func:`flow_energy` (lag arrays of 2^22 entries)
 FLOW_ENERGY_MAX_LEVEL = 22
 
@@ -144,62 +154,44 @@ FLOW_ENERGY_MAX_LEVEL = 22
 def verify_flow(i_max: int) -> FlowReport:
     """Check the dyadic flow exactly on all vertices |u| < 2^i_max.
 
-    In scaled-integer (exact dyadic) arithmetic: antisymmetry on every
-    ordered pair, zero flow outside adjacent blocks, the vanishing rule
-    theta(u, u+w) = 0 for u + w >= 4u > 0, unit divergence at the source,
-    and zero Kirchhoff residual at every vertex whose flow support lies
-    inside the truncation (block index below i_max).
+    In scaled-integer (exact dyadic) arithmetic, over the block pairs:
+    antisymmetry on every ordered pair, zero flow outside adjacent blocks,
+    the vanishing rule theta(u, u+w) = 0 for u + w >= 4u > 0, unit
+    divergence at the source, and zero Kirchhoff residual at every vertex
+    whose flow support lies inside the truncation (block index below
+    i_max). The residual of u is sum_J theta(block(u), J) |B_J|, the same
+    for every vertex of a block.
     """
     if not 2 <= i_max <= VERIFY_FLOW_MAX_LEVEL:
         raise DomainError(f"i_max must lie in [2, {VERIFY_FLOW_MAX_LEVEL}], got {i_max}")
     t0 = time.time()
-    top = (1 << i_max) - 1
-    verts = np.arange(-top, top + 1, dtype=np.int64)
-    blocks = _block_index_array(verts)
-    n = len(verts)
-    residual = np.zeros(n, dtype=np.int64)
-    report = FlowReport(
-        i_max=i_max,
-        vertices_checked=0,
-        pairs_checked=n * n,
-        source_divergence=Fraction(0),
-    )
+    blocks = range(-i_max, i_max + 1)
+    grid = np.array(blocks, dtype=np.int64)
+    theta = _flow_scaled(grid[:, None], grid[None, :], i_max).tolist()  # exact ints
+    positive = [(1 << (i - 1), (1 << i) - 1) for i in range(1, i_max + 1)]
+    bounds = [(-hi, -lo) for lo, hi in positive[::-1]] + [(0, 0)] + positive
+    sizes = [hi - lo + 1 for lo, hi in bounds]
+    report = FlowReport(i_max, 0, sum(sizes) ** 2, Fraction(0))
+    for a, i in enumerate(blocks):
+        for b, j in enumerate(blocks):
+            t = theta[a][b]
+            if t + theta[b][a] != 0:
+                report.antisymmetry_violations += sizes[a] * sizes[b]
+            if t == 0:
+                continue
+            if abs(i - j) != 1:
+                report.support_violations += sizes[a] * sizes[b]
+            if i > 0:
+                report.vanishing_violations += _quadruple_pairs(*bounds[a], *bounds[b])
 
-    starts = list(range(0, n, FLOW_CHUNK))
-    for a_idx, a0 in enumerate(starts):
-        a1 = min(a0 + FLOW_CHUNK, n)
-        bi = blocks[a0:a1][:, None]
-        ui = verts[a0:a1][:, None]
-        for b0 in starts[a_idx:]:
-            b1 = min(b0 + FLOW_CHUNK, n)
-            bj = blocks[b0:b1][None, :]
-            vj = verts[b0:b1][None, :]
-            t_ab = _flow_scaled(bi, bj, i_max)
-            t_ba = _flow_scaled(bj.T, bi.T, i_max)
-            report.antisymmetry_violations += int(np.count_nonzero(t_ab + t_ba.T))
-            # support rule: zero unless blocks are adjacent
-            nonadj = np.abs(bi - bj) != 1
-            report.support_violations += int(np.count_nonzero(t_ab[nonadj]))
-            if b0 != a0:
-                report.support_violations += int(np.count_nonzero(t_ba[nonadj.T]))
-            # vanishing rule: v >= 4u > 0
-            vanish = (ui > 0) & (vj >= 4 * ui)
-            report.vanishing_violations += int(np.count_nonzero(t_ab[vanish]))
-            if b0 != a0:
-                vanish_ba = (vj.T > 0) & (ui.T >= 4 * vj.T)
-                report.vanishing_violations += int(np.count_nonzero(t_ba[vanish_ba]))
-            residual[a0:a1] += t_ab.sum(axis=1)
-            if b0 != a0:
-                residual[b0:b1] += t_ba.sum(axis=1)
-
-    scale = 1 << (2 * i_max)
-    i0 = int(np.where(verts == 0)[0][0])
-    report.source_divergence = Fraction(int(residual[i0]), scale)
-    interior = np.abs(blocks) <= i_max - 1
-    interior &= verts != 0
-    report.vertices_checked = int(np.count_nonzero(interior))
-    bad = verts[interior & (residual != 0)]
-    report.kirchhoff_violations = [int(u) for u in bad[:100]]
+    residual = [sum(t * size for t, size in zip(row, sizes)) for row in theta]
+    report.source_divergence = Fraction(residual[i_max], 1 << (2 * i_max))
+    for a, i in enumerate(blocks):
+        if 0 < abs(i) < i_max:  # listed: the first 100 vertices of failing blocks
+            report.vertices_checked += sizes[a]
+            room = min(sizes[a], 100 - len(report.kirchhoff_violations))
+            if residual[a] != 0:
+                report.kirchhoff_violations += range(bounds[a][0], bounds[a][0] + room)
     report.elapsed_s = time.time() - t0
     return report
 
@@ -340,79 +332,91 @@ def dyadic_energy_bound(law: SymmetricJumpLaw, w_max: int = 10 ** 6) -> Interval
 # effective resistance on exterior-shorted truncations
 
 
+#: largest slice radius of the dense folded solve ((N-1)^2 float64 matrix)
+RESISTANCE_MAX_RADIUS = 4096
+
+
 @dataclass(frozen=True)
 class NetworkSlice:
     """Truncated network: vertices |u| < N plus one grounded exterior node.
 
     The exterior super-node absorbs every vertex with |v| >= N (shorting
     them together), so the nearest-neighbour unit-conductance chain has
-    R_eff(N) = N/2 exactly. ``boundary_lo/hi`` bracket the (infinitely
-    many) lag sums c(u, ext) = sum_{|v| >= N} m(|v - u|).
+    R_eff(N) = N/2 exactly. A conductance is fixed by its lag, so the lag
+    masses m(0..2N-2) in ``conductance`` hold every interior one.
+    ``boundary_lo/hi`` bracket the (infinitely many) lag sums
+    c(u, ext) = sum_{|v| >= N} m(|v - u|), u = -(N-1)..N-1.
     """
 
     radius: int
-    interior: np.ndarray  # vertex labels -(N-1) .. N-1
-    conductance: np.ndarray  # interior pair conductances, zero diagonal
+    conductance: np.ndarray  # m(0) = 0: self-loops carry no current
     boundary_lo: np.ndarray
     boundary_hi: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.interior)
-
 
 def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
-    """Assemble the dense Toeplitz conductance matrix of a slice.
+    """Lag masses and boundary envelopes of a slice, all of length O(N).
 
-    The origin mass would only add self-loops, which do not affect
-    effective resistance; it is omitted. Boundary conductances are lag-sum
-    tails ``T(N-1-u) + T(N-1+u)`` with T from the law's tail envelope.
+    Boundary conductances are lag-sum tails ``T(N-1-u) + T(N-1+u)`` with T
+    from the law's tail envelope.
     """
     if not law.is_lattice:
         raise DomainError("network slices are defined for lattice laws")
     n = radius
     if n < 1:
         raise DomainError("radius must be >= 1")
-    if n > 4096:
-        raise DomainError("radius capped at 4096 for the dense solver")
-    idx = np.arange(-(n - 1), n)
-    lag_values = np.zeros(2 * n - 1)
+    if n > RESISTANCE_MAX_RADIUS:
+        raise DomainError(f"radius capped at {RESISTANCE_MAX_RADIUS} for the dense solver")
+    lag_mass = np.zeros(2 * n - 1)
     if n >= 2:
-        lags = np.arange(1, 2 * n - 1)
-        lag_values[1:] = law.mass(lags)
-    cond = lag_values[np.abs(idx[:, None] - idx[None, :])]
-    np.fill_diagonal(cond, 0.0)
+        lag_mass[1:] = law.mass(np.arange(1, 2 * n - 1))
 
     delta = law.spacing
     # row k: envelope of the mass of lags > k
     tails = np.array([law.one_sided_tail_mass((k + 0.5) * delta) for k in range(2 * n)])
+    idx = np.arange(-(n - 1), n)
     b_lo, b_hi = (tails[n - 1 - idx] + tails[n - 1 + idx]).T
     if not np.all(np.isfinite(b_hi)):
         raise DomainError("boundary conductances require a usable tail model")
-    return NetworkSlice(
-        radius=n, interior=idx, conductance=cond, boundary_lo=b_lo, boundary_hi=b_hi
-    )
+    return NetworkSlice(radius=n, conductance=lag_mass, boundary_lo=b_lo, boundary_hi=b_hi)
+
+
+def _folded_system(slc: NetworkSlice, boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even-folded Dirichlet matrix and right-hand side on u, w = 1..N-1.
+
+    Folding V(-w) = V(w) onto w gives A[u, w] = -(m|u-w| + m(u+w)) and
+    A[u, u] = S(N-1-u) + S(N-1+u) - m(2u) + b(u), with S(k) = sum_{j<=k}
+    m(j), the lag sums of the degree; the source's neighbours give the
+    right-hand side m(u). A is a symmetric Z-matrix with row sums
+    m(u) + b(u) > 0, hence positive definite.
+    """
+    m = slc.conductance
+    k = slc.radius - 1
+    u = np.arange(1, k + 1)
+    # Toeplitz m|u-w| from the mirrored lag row, Hankel m(u+w) from lags 2..2k,
+    # both as strided views so the only (N-1)^2 array is A itself
+    mirrored = np.concatenate((m[k - 1:0:-1], m[:k]))  # m(|j|), j = -(k-1)..k-1
+    a_mat = np.add(sliding_window_view(mirrored, k)[::-1], sliding_window_view(m[2:], k))
+    np.negative(a_mat, out=a_mat)
+    prefix = np.cumsum(m)
+    a_mat[u - 1, u - 1] = prefix[k - u] + prefix[k + u] - m[2 * u] + boundary[k + u]
+    return a_mat, m[1:k + 1]
 
 
 def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
-    """Dirichlet solve: potential 1 at vertex 0, 0 at the super-node."""
-    idx = slc.interior
-    cond = slc.conductance
-    i0 = int(np.where(idx == 0)[0][0])
-    diag = cond.sum(axis=1) + boundary
-    lap = np.diag(diag) - cond
-    keep = np.ones(len(idx), dtype=bool)
-    keep[i0] = False
-    a_mat = lap[np.ix_(keep, keep)]
-    rhs = cond[keep, i0]
-    try:
-        pot = linalg.solve(a_mat, rhs, assume_a="pos")
-    except linalg.LinAlgError as exc:  # pragma: no cover - structural
-        raise DomainError(f"singular slice system (disconnected network): {exc}")
-    volt = np.empty(len(idx))
-    volt[keep] = pot
-    volt[i0] = 1.0
-    current = float(np.sum(cond[i0] * (1.0 - volt)) + boundary[i0])
+    """Dirichlet solve: potential 1 at vertex 0, 0 at the super-node.
+
+    The current out of the source is 2 sum_u m(u) (1 - V(u)) + b(0).
+    """
+    current = float(boundary[slc.radius - 1])
+    if slc.radius > 1:
+        a_mat, rhs = _folded_system(slc, boundary)
+        try:
+            # A is symmetric; A.T is the Fortran-order view LAPACK factors in place
+            pot = linalg.solve(a_mat.T, rhs, assume_a="pos", overwrite_a=True)
+        except linalg.LinAlgError as exc:  # pragma: no cover - structural
+            raise DomainError(f"singular slice system (disconnected network): {exc}")
+        current += 2.0 * float(np.sum(rhs * (1.0 - pot)))
     if current <= 0:
         raise DomainError("no current leaves the source; network disconnected")
     return 1.0 / current
@@ -421,20 +425,20 @@ def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
 def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
     """Effective resistance from 0 to the shorted exterior |v| >= radius.
 
-    Deterministic dense Cholesky solve of the grounded Dirichlet problem.
-    Uses the midpoint of the boundary-conductance envelope (exact for the
-    built-in families, whose lag tails are Hurwitz-zeta values).
+    The midpoint of :func:`effective_resistance_bounds`, the value that
+    :func:`resistance_profile` and the CLI report; exact for the built-in
+    families, whose lag tails are Hurwitz-zeta values.
     """
-    slc = build_slice(law, radius)
-    return _solve_slice(slc, 0.5 * (slc.boundary_lo + slc.boundary_hi))
+    return effective_resistance_bounds(law, radius).midpoint
 
 
 def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
     """Enclosure of R_eff from the boundary-conductance envelope.
 
-    By Rayleigh monotonicity, overstating conductance to ground can only
-    lower the resistance, so solving with the upper envelope gives the
-    lower end and vice versa.
+    Each end is a dense Cholesky solve of the even-folded Dirichlet
+    system (N - 1 unknowns V(1..N-1)). By Rayleigh monotonicity,
+    overstating conductance to ground can only lower the resistance, so
+    solving with the upper envelope gives the lower end and vice versa.
     """
     slc = build_slice(law, radius)
     lo = _solve_slice(slc, slc.boundary_hi)
@@ -477,12 +481,8 @@ def resistance_profile(law: SymmetricJumpLaw, radii: Sequence[int]) -> Resistanc
     radii = tuple(int(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
-    values = []
-    bounds = []
-    for r in radii:
-        bnd = effective_resistance_bounds(law, r)
-        values.append(bnd.midpoint)
-        bounds.append(bnd)
+    bounds = [effective_resistance_bounds(law, r) for r in radii]
+    values = [b.midpoint for b in bounds]
     hint = "inconclusive"
     if len(values) >= 3:
         gaps = np.diff(values)

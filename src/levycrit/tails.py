@@ -17,6 +17,7 @@ example bin-integrated densities) carry a certified envelope
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,6 +130,10 @@ class PowerTailComponent:
         require_positive("component constant", self.constant)
         if not 1.0 < self.exponent < math.inf:
             raise DomainError(f"component exponent must be finite and above 1, got {self.exponent}")
+        if 2.0 ** -self.exponent < sys.float_info.min:
+            raise DomainError(
+                f"component exponent {self.exponent} makes every mass past lag 1 underflow"
+            )
         if self.stride < 1 or not 0 <= self.offset < self.stride:
             raise DomainError("invalid stride/offset")
         if not 0 < self.lower_factor <= 1 <= self.upper_factor < math.inf:

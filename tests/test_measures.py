@@ -57,6 +57,21 @@ class TestPowerLawLattice:
         with pytest.raises(DomainError):
             make_power_law_lattice(-1.0)
 
+    def test_rejects_alpha_whose_masses_underflow(self):
+        # 2^-(alpha+1) is below the smallest normal float: no mass past lag 1
+        for make in (make_power_law_lattice, lambda a: make_multi_index_lattice(a, 0.5)):
+            with pytest.raises(DomainError):
+                make(1e300)
+            with pytest.raises(DomainError):
+                make(1022.0)
+
+    def test_steep_tail_exponent_stays_finite(self):
+        # u^(rho-1) underflows and the cosine tail from u * cutoff overflows;
+        # the correction is below every float, so psi is the plain lag sum
+        law = make_power_law_lattice(700.0)
+        psi = char_exponent(make_walk_triplet(law), 1e-6)
+        assert psi == pytest.approx(4.0 * math.sin(5e-7) ** 2, rel=1e-12)
+
 
 class TestMultiIndex:
     def test_interleaved_masses(self, multi_default):
@@ -280,6 +295,12 @@ class TestLawAndTripletValidation:
         t = make_walk_triplet(power_half_prob)
         assert t.nu.normalization is Normalization.FINITE
         assert t.b == 0.0
+
+    def test_gaussian_variance_must_be_a_positive_float(self):
+        with pytest.raises(DomainError):
+            make_gaussian_density(1e-300)  # sigma^2 underflows to 0
+        with pytest.raises(DomainError):
+            make_gaussian_density(1e300)  # sigma^2 overflows
 
     def test_negative_gaussian_coefficient(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from levycrit import (
+    TailDescriptor,
+    TailKind,
     block_index,
     build_slice,
     dyadic_energy_bound,
@@ -17,10 +21,13 @@ from levycrit import (
     flow_energy,
     inverse_cubic_lattice_criterion,
     make_lattice_table,
+    make_multi_index_lattice,
     make_power_law_lattice,
     resistance_profile,
     verify_flow,
 )
+from levycrit import network
+from levycrit.network import FlowReport
 from levycrit.verdicts import Status
 
 
@@ -101,19 +108,39 @@ class TestVerifyFlow:
 
     @pytest.mark.parametrize("i_max", [2, 3, 4, 5, 6])
     def test_scaled_flow_matches_fractions_exhaustively(self, i_max):
-        # every ordered pair |u|, |v| < 2^I: the int64 scan is theta * 4^I
-        from levycrit.network import _block_index_array, _flow_scaled
-
+        # every ordered pair |u|, |v| < 2^I: the int64 flow is theta * 4^I
         top = 2 ** i_max - 1
-        verts = np.arange(-top, top + 1, dtype=np.int64)
-        blocks = _block_index_array(verts)
-        scaled = _flow_scaled(blocks[:, None], blocks[None, :], i_max)
+        verts = range(-top, top + 1)
+        blocks = np.array([block_index(u) for u in verts], dtype=np.int64)
+        scaled = network._flow_scaled(blocks[:, None], blocks[None, :], i_max)
         assert scaled.dtype == np.int64
         exact = np.array(
-            [[int(dyadic_flow(u, v) * 4 ** i_max) for v in verts.tolist()] for u in verts.tolist()],
+            [[int(dyadic_flow(u, v) * 4 ** i_max) for v in verts] for u in verts],
             dtype=np.int64,
         )
         assert np.array_equal(scaled, exact)
+
+    @pytest.mark.parametrize("variant", [None, "skip_level", "diagonal", "one_way"])
+    def test_block_check_matches_vertex_scan(self, variant, monkeypatch):
+        # the block-level check must give the exhaustive vertex scan's report
+        # field for field, also on corrupted flows, so a check that stops
+        # checking fails here
+        if variant is not None:
+            monkeypatch.setattr(network, "_flow_scaled", _corrupted_flow(variant))
+        for i_max in range(2, 9):
+            oracle = _vertex_scan(i_max)
+            assert oracle.passed == (variant is None)
+            got = dataclasses.replace(verify_flow(i_max), elapsed_s=0.0)
+            assert got == oracle
+
+    def test_top_level_passes(self):
+        from levycrit.network import VERIFY_FLOW_MAX_LEVEL
+
+        i_max = VERIFY_FLOW_MAX_LEVEL
+        rep = verify_flow(i_max)
+        assert rep.passed
+        assert rep.vertices_checked == 2 * (2 ** (i_max - 1) - 1)
+        assert rep.pairs_checked == (2 ** (i_max + 1) - 1) ** 2
 
     def test_rejects_tiny_level(self):
         from levycrit import DomainError
@@ -122,7 +149,7 @@ class TestVerifyFlow:
             verify_flow(1)
 
     def test_level_cap_checked_before_allocating(self):
-        # 2^41 vertices would need terabytes; the cap rejects the level first
+        # past the cap the scaled flow or the pair count would leave int64
         from levycrit import DomainError
         from levycrit.network import VERIFY_FLOW_MAX_LEVEL
 
@@ -130,6 +157,42 @@ class TestVerifyFlow:
             verify_flow(VERIFY_FLOW_MAX_LEVEL + 1)
         with pytest.raises(DomainError):
             verify_flow(40)
+
+
+def _vertex_scan(i_max: int) -> FlowReport:
+    """Every check of :func:`verify_flow` on every ordered vertex pair."""
+    top = 2 ** i_max - 1
+    verts = np.arange(-top, top + 1, dtype=np.int64)
+    blocks = np.array([block_index(u) for u in verts.tolist()], dtype=np.int64)
+    theta = network._flow_scaled(blocks[:, None], blocks[None, :], i_max)
+    nonadjacent = np.abs(blocks[:, None] - blocks[None, :]) != 1
+    quadruple = (verts[:, None] > 0) & (verts[None, :] >= 4 * verts[:, None])
+    residual = theta.sum(axis=1)
+    interior = (np.abs(blocks) <= i_max - 1) & (verts != 0)
+    return FlowReport(
+        i_max=i_max,
+        vertices_checked=int(np.count_nonzero(interior)),
+        pairs_checked=len(verts) ** 2,
+        source_divergence=Fraction(int(residual[top]), 4 ** i_max),
+        kirchhoff_violations=[int(u) for u in verts[interior & (residual != 0)][:100]],
+        antisymmetry_violations=int(np.count_nonzero(theta + theta.T)),
+        support_violations=int(np.count_nonzero(theta[nonadjacent])),
+        vanishing_violations=int(np.count_nonzero(theta[quadruple])),
+    )
+
+
+def _corrupted_flow(variant: str):
+    exact = network._flow_scaled
+
+    def flow(i, j, i_max):
+        theta = exact(i, j, i_max)
+        if variant == "skip_level":  # antisymmetric flow between blocks two apart
+            return theta + np.where(np.abs(i - j) == 2, np.sign(j - i), 0)
+        if variant == "diagonal":  # flow inside a block, in both directions
+            return theta + (i == j)
+        return np.where(j > i, 2 * theta, theta)  # one_way: doubled one way only
+
+    return flow
 
 
 class TestFlowEnergy:
@@ -230,6 +293,39 @@ class TestEnergyBoundDerivation:
             assert flow_energy(power_half_raw, level).lo <= bound.hi
 
 
+def _inexact_table_law():
+    return make_lattice_table(
+        {1: 0.2, 2: 0.1},
+        tail=TailDescriptor(
+            TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=2.0,
+            lower_factor=0.5, upper_factor=2.0,
+        ),
+    )
+
+
+_FOLD_LAWS = {
+    **{f"power_lattice {a}": lambda a=a: make_power_law_lattice(a) for a in (0.3, 0.5, 1.5, 1.78)},
+    "multi_index 0.5 1.5": lambda: make_multi_index_lattice(0.5, 1.5),
+    "multi_index 1.5 1.2": lambda: make_multi_index_lattice(1.5, 1.2),
+    "nearest neighbour": lambda: make_lattice_table({1: 1.0}),
+    "inexact table": _inexact_table_law,
+}
+
+
+def _two_sided_resistance(slc, boundary) -> float:
+    """Dirichlet solve on the full (2N-1)^2 Laplacian of vertices |u| < N."""
+    n = slc.radius
+    idx = np.arange(-(n - 1), n)
+    cond = slc.conductance[np.abs(idx[:, None] - idx[None, :])]
+    lap = np.diag(cond.sum(axis=1) + boundary) - cond
+    keep = idx != 0
+    current = boundary[n - 1]
+    if n > 1:
+        volt = linalg.solve(lap[np.ix_(keep, keep)], cond[keep, n - 1], assume_a="pos")
+        current += float(np.sum(cond[n - 1, keep] * (1.0 - volt)))
+    return 1.0 / current
+
+
 class TestEffectiveResistance:
     def test_nearest_neighbor_halves(self, nearest_neighbor):
         for radius in (4, 8, 16):
@@ -307,18 +403,11 @@ class TestEffectiveResistance:
         assert b.lo == b.hi == effective_resistance(power_half_raw, 16)
 
     def test_inexact_envelope_bounds_open(self):
-        from levycrit import TailDescriptor, TailKind
-
-        law = make_lattice_table(
-            {1: 0.2, 2: 0.1},
-            tail=TailDescriptor(
-                TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=2.0,
-                lower_factor=0.5, upper_factor=2.0,
-            ),
-        )
+        law = _inexact_table_law()
         b = effective_resistance_bounds(law, 16)
         assert b.lo < b.hi
-        assert b.lo <= effective_resistance(law, 16) <= b.hi
+        # one source of truth: the point value is the reported midpoint
+        assert effective_resistance(law, 16) == b.midpoint
 
     def test_radius_validation(self, power_half_raw):
         from levycrit import DomainError
@@ -329,15 +418,47 @@ class TestEffectiveResistance:
             build_slice(power_half_raw, 5000)
 
     def test_slice_structure(self, power_half_raw):
+        from levycrit.network import _folded_system
+
         slc = build_slice(power_half_raw, 8)
-        assert slc.size == 15  # -7 .. 7
-        assert np.allclose(slc.conductance, slc.conductance.T)
-        assert np.all(np.diag(slc.conductance) == 0.0)
-        # mirror symmetry of boundary conductances
-        assert np.allclose(slc.boundary_lo, slc.boundary_lo[::-1])
-        # every one-sided degree is finite and positive
-        total = slc.conductance.sum(axis=1) + slc.boundary_hi
-        assert np.all(np.isfinite(total)) and np.all(total > 0)
+        assert len(slc.conductance) == 15  # lags 0 .. 14
+        a_mat, rhs = _folded_system(slc, slc.boundary_hi)
+        assert a_mat.shape == (7, 7)  # unknowns V(1) .. V(7)
+        coupling = -(a_mat - np.diag(np.diag(a_mat)))
+        assert np.array_equal(coupling, coupling.T)
+        assert np.all(coupling >= 0.0)
+        # mirror symmetry of boundary conductances over u = -7 .. 7
+        assert np.array_equal(slc.boundary_lo, slc.boundary_lo[::-1])
+        assert np.array_equal(slc.boundary_hi, slc.boundary_hi[::-1])
+        # row sums: the conductance to the source plus the one to ground
+        u = np.arange(1, 8)
+        assert np.allclose(a_mat.sum(axis=1), power_half_raw.mass(u) + slc.boundary_hi[7 + u],
+                           rtol=1e-13)
+        assert np.array_equal(rhs, power_half_raw.mass(u))
+        assert np.all(a_mat.sum(axis=1) > 0)
+
+    def test_largest_slice_holds_no_matrix(self, power_half_raw):
+        from levycrit.network import RESISTANCE_MAX_RADIUS
+
+        n = RESISTANCE_MAX_RADIUS
+        slc = build_slice(power_half_raw, n)
+        arrays = [v for v in vars(slc).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3
+        assert all(a.ndim == 1 and len(a) <= 2 * n for a in arrays)
+
+    @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
+    def test_fold_matches_two_sided_solve(self, law_name):
+        # the folded N-1 unknown system against the two-sided (2N-1)^2
+        # Laplacian solve, at both ends of the boundary envelope
+        from levycrit.network import _solve_slice
+
+        law = _FOLD_LAWS[law_name]()
+        for radius in (1, 2, 3, 8, 64, 256):
+            slc = build_slice(law, radius)
+            for boundary in (slc.boundary_lo, slc.boundary_hi):
+                assert _solve_slice(slc, boundary) == pytest.approx(
+                    _two_sided_resistance(slc, boundary), rel=1e-10
+                )
 
 
 class TestResistanceProfile:
