@@ -69,7 +69,6 @@ def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
     from .criteria import CF_GRID, SATO_SHEPP_POINTS
     from .discretize import (
-        BIN_QUAD_TOL,
         DRIFT_TOL,
         MAX_BIN_QUADS,
         MAX_EXPECTATION_LAGS,
@@ -80,7 +79,6 @@ def numeric_defaults() -> dict:
         CHAR_EXPONENT_LATTICE_CUTOFF,
         LATTICE_SERIES_CUTOFF,
         PANEL_LOG_STEP,
-        PANEL_REL_TOL,
         PROBABILITY_TOL,
     )
     from .network import (
@@ -90,7 +88,7 @@ def numeric_defaults() -> dict:
         RESISTANCE_MAX_RADIUS,
         VERIFY_FLOW_MAX_LEVEL,
     )
-    from .powerint import COS_TAIL_REL_TOL, COS_TAIL_SWITCH
+    from .powerint import COS_TAIL_SWITCH, PANEL_CAP, PANEL_REL_TOL
     from .simulate import (
         GROWTH_FLAT,
         GROWTH_STEEP,
@@ -104,12 +102,11 @@ def numeric_defaults() -> dict:
         "cf_exponent_grid": list(CF_GRID),
         "sato_shepp_points": SATO_SHEPP_POINTS,
         "panel_rel_tol": PANEL_REL_TOL,
+        "panel_cap": PANEL_CAP,
         "panel_log_step": PANEL_LOG_STEP,
         "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
         "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
         "cos_tail_switch": COS_TAIL_SWITCH,
-        "cos_tail_rel_tol": COS_TAIL_REL_TOL,
-        "bin_quadrature_tol": BIN_QUAD_TOL,
         "max_bin_quads": MAX_BIN_QUADS,
         "drift_tol": DRIFT_TOL,
         "reach_mass_budget": REACH_MASS_BUDGET,

@@ -34,18 +34,17 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .measures import (
     LATTICE_SERIES_CUTOFF,
+    PANEL_LOG_STEP,
     DomainError,
     LevyTriplet,
     NumericError,
     SymmetricJumpLaw,
     char_exponent,
-    panel_integrals,
 )
-from .powerint import strided_power_sum
+from .powerint import panel_integrals, strided_power_sum
 from .tails import TailDescriptor, TailKind, components_from_descriptor
 from .verdicts import (
     Basis,
@@ -218,10 +217,8 @@ def inverse_cubic_density_criterion(
         raise HypothesisViolationError("density must be strictly positive on [1, inf)")
 
     y_top = _density_floor_cutoff(law, cutoff)
-    partial, _ = integrate.quad(
-        lambda y: 1.0 / (y ** 3 * float(law.density(y))), 1.0, y_top, limit=400
-    )
-    partial = float(partial)
+    panels, _ = panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), [1.0, y_top])
+    partial = float(np.sum(panels))
     trunc = f"integral over [1, {y_top:g}]"
 
     status, note = tail_status(tail)
@@ -291,9 +288,10 @@ def _inner_integral_grid(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
         onset = law.tail.onset
         edges = np.union1d([1.0, max(onset, 1.0)], ys)
         at = np.searchsorted(edges, ys)
-        m2 = np.concatenate([[0.0], np.cumsum(panel_integrals(law, edges, 2)[0])])[at]
+        panels, _ = panel_integrals(lambda y: y ** 2 * law.density(y), edges)
+        m2 = np.concatenate([[0.0], np.cumsum(panels)])[at]
         n_head = int(np.searchsorted(edges, onset))  # panels below the onset
-        mass, _ = panel_integrals(law, edges[: n_head + 1], 0)
+        mass, _ = panel_integrals(law.density, edges[: n_head + 1])
         head = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])[np.minimum(at, n_head)]
         tail = np.array([nbar(max(y, onset)) for y in ys])  # tail model, no quadrature
         out = 0.5 * (ys * ys * (head + tail) + m2)
@@ -325,7 +323,8 @@ def sato_shepp_criterion(
     inner = _inner_integral_grid(law, ys)
     if np.any(inner <= 0):
         raise NumericError("inner integral vanished; law has no tail mass past 1")
-    partial = float(np.trapezoid(ys / inner, ts))
+    with np.errstate(over="ignore"):  # I(y) subnormal: the partial is an honest inf
+        partial = float(np.trapezoid(ys / inner, ts))
     trunc = f"outer integral over [1, {cutoff:g}]"
 
     tail = law.tail
@@ -414,9 +413,16 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     xi = np.geomspace(eps, a, n_pts)
     psi = np.array([char_exponent(triplet, x) for x in xi])
     if np.any(psi < 1e-300):
-        raise NumericError("psi underflow near 0", partial=float(np.min(psi)))
-    # 2 int_eps^a dxi / psi, integrated in log xi
-    partial = 2.0 * float(integrate.simpson(xi / psi, x=np.log(xi)))
+        raise NumericError("psi underflow near 0")
+    # 2 int_eps^a dxi / psi in log xi: Simpson's rule on the first n_pts - 2 (even)
+    # intervals, and on the last the parabola through the last three points
+    w = np.full(n_pts, 2.0)
+    w[1::2] = 4.0
+    w[[0, -2]] = 1.0
+    w[-1] = 0.0
+    w[-3:] += np.array([-1.0, 8.0, 5.0]) / 4.0
+    h = (math.log(a) - math.log(eps)) / (n_pts - 1)
+    partial = 2.0 * h / 3.0 * float(w @ (xi / psi))
     fit = xi <= fit_top
     slope = np.polyfit(np.log(xi[fit]), np.log(psi[fit]), 1)[0]
     trunc = f"integral over {eps:g} <= |xi| <= {a:g}"
@@ -497,31 +503,24 @@ def _net_terms(terms1, terms2):
 
 
 def _compare_continuous(nu1, nu2, cutoff):
+    def integrand(y):
+        return y * y * np.abs(nu1.density(y) - nu2.density(y))
+
     p1, p2 = nu1.support.pieces, nu2.support.pieces
     if p1 is None or p2 is None:
-        val, _ = integrate.quad(
-            lambda y: y * y * abs(float(nu1.density(y)) - float(nu2.density(y))),
-            0.0,
-            cutoff,
-            limit=400,
-        )
-        return float(val), None
+        # the moment grid, so a narrow density is seen by the nodes
+        n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
+        edges = np.union1d([0.0, cutoff], np.geomspace(1.0, cutoff, n_panels + 1))
+        panels, _ = panel_integrals(integrand, edges[edges <= cutoff])
+        return float(np.sum(panels)), None
     # beyond far_start each density is its final infinite-piece form (or zero)
     finite_edges = [p.hi for p in p1 + p2 if p.hi != math.inf]
     far_start = max([cutoff, p1[-1].lo, p2[-1].lo, *finite_edges])
     breaks = sorted(
         {p.lo for p in p1} | {p.lo for p in p2} | set(finite_edges) | {0.0, far_start}
     )
-    breaks = [b for b in breaks if b <= far_start]
-    partial = 0.0
-    for a, b in zip(breaks, breaks[1:]):
-        val, _ = integrate.quad(
-            lambda y: y * y * abs(float(nu1.density(y)) - float(nu2.density(y))),
-            a,
-            b,
-            limit=200,
-        )
-        partial += float(val)
+    panels, _ = panel_integrals(integrand, [b for b in breaks if b <= far_start])
+    partial = float(np.sum(panels))
     last1 = p1[-1] if p1[-1].hi == math.inf else None
     last2 = p2[-1] if p2[-1].hi == math.inf else None
     net = _net_terms(

@@ -27,7 +27,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .criteria import tail_status
 from .measures import (
@@ -37,7 +36,7 @@ from .measures import (
     PowerPiece,
     SymmetricJumpLaw,
 )
-from .powerint import power_range, strided_power_sum
+from .powerint import panel_integrals, power_range, strided_power_sum
 from .tails import PowerTailComponent, TailDescriptor, TailKind
 from .verdicts import Basis, ConvergenceVerdict, Status
 
@@ -52,13 +51,13 @@ __all__ = [
     "jensen_gap",
 ]
 
-BIN_QUAD_TOL = 1e-13
 DRIFT_TOL = 1e-12
 #: tail mass a test integral may leave beyond its reach (|g| <= 1)
 REACH_MASS_BUDGET = 1e-11
 #: largest test-integral reach, in position units, of a power-tailed law
 POWER_TAIL_REACH_CAP = 256.0
-#: most per-bin quadratures :func:`bin_density` runs for a generic density
+#: most Gauss-Kronrod panels of one pass over a generic density: bins of
+#: :func:`bin_density` (one panel per bin) or unit panels of a test integral
 MAX_BIN_QUADS = 10 ** 5
 #: most lags an expectation over a lattice law sums (one float64 array each)
 MAX_EXPECTATION_LAGS = 10 ** 6
@@ -131,11 +130,12 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
     """Discretize a continuous probability density onto delta*Z.
 
     Masses are centered-bin integrals: one vectorized closed form at every
-    lag for piecewise-power densities, and one adaptive ``quad`` per bin up
-    to the last bin with numerically relevant mass otherwise (at most
-    ``MAX_BIN_QUADS`` of them, checked before the first). Only the positive
-    side is computed, so symmetry is exact by construction. Mass
-    conservation holds analytically (the bins tile the line), and
+    lag for piecewise-power densities, and otherwise one Gauss-Kronrod pass
+    (:func:`levycrit.powerint.panel_integrals`) with one panel per bin, up
+    to the last bin with numerically relevant mass (at most
+    ``MAX_BIN_QUADS`` bins, checked before the density is evaluated). Only
+    the positive side is computed, so symmetry is exact by construction.
+    Mass conservation holds analytically (the bins tile the line), and
     numerically within the 1e-10 probability tolerance.
     """
     if law.is_lattice:
@@ -154,25 +154,22 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
     else:
         if max_bin > MAX_BIN_QUADS:
             raise DomainError(
-                f"delta={delta:g} needs {max_bin} per-bin quadratures of this density; "
+                f"delta={delta:g} needs {max_bin} bins of this density in one pass; "
                 f"the cap is {MAX_BIN_QUADS}"
             )
-        density = law.density
-
-        def bin_integral(lo: float, hi: float) -> float:
-            val, _ = integrate.quad(
-                lambda y: float(density(y)), lo, hi, epsabs=BIN_QUAD_TOL, limit=100
-            )
-            return float(val)
-
-        origin = 2.0 * bin_integral(1e-300, delta / 2.0)
-        # zero stands beyond the last bin; the law's support ends there
-        table = np.array(
-            [0.0]
-            + [max(0.0, bin_integral(delta * (n - 0.5), delta * (n + 0.5)))
-               for n in range(1, max_bin + 1)]
-            + [0.0]
+        # panel 0 is the origin's half-bin, panel n the bin of lag n; f is
+        # divided by its value at the panel's centre, so the tolerance holds
+        # for every mass relatively, down to the least (jensen_gap's 1/m(n))
+        edges = delta * np.concatenate([[0.0], np.arange(max_bin + 1) + 0.5])
+        scale = law.density(delta * np.concatenate([[0.25], np.arange(1, max_bin + 1)]))
+        scale = np.where(scale > 0.0, scale, 1.0)
+        bins, _ = panel_integrals(
+            lambda y: law.density(y) / scale[np.rint(y / delta).astype(int)], edges
         )
+        bins *= scale
+        origin = 2.0 * float(bins[0])
+        # zero stands beyond the last bin; the law's support ends there
+        table = np.concatenate([[0.0], bins[1:], [0.0]])
 
         def mass_fn(n, _table=table, _top=max_bin + 1):
             return _table[np.minimum(n, _top)]
@@ -299,15 +296,13 @@ def _lattice_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) -> fl
 
 
 def _continuous_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) -> float:
-    def integrand(y):
-        return float(law.density(y)) * float(np.asarray(g(y)) + np.asarray(g(-y)))
-
-    edges = [e for e in (1.0, 4.0, 16.0, 64.0) if e < reach]
-    total = 0.0
-    for a, b in zip([1e-300] + edges, edges + [reach]):
-        val, _ = integrate.quad(integrand, a, b, limit=300)
-        total += float(val)
-    return total
+    # unit panels resolve an oscillating g in one pass (wider past MAX_BIN_QUADS)
+    grid = np.linspace(0.0, reach, min(math.ceil(reach), MAX_BIN_QUADS) + 1)
+    edges = np.union1d(grid, [p.lo for p in law.support.pieces or () if p.lo < reach])
+    panels, _ = panel_integrals(
+        lambda y: law.density(y) * (np.asarray(g(y)) + np.asarray(g(-y))), edges
+    )
+    return float(np.sum(panels))
 
 
 def _expectation_reach(law: SymmetricJumpLaw) -> float:
@@ -517,12 +512,8 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     y_hi = n_top + 0.5
     breaks = {p.lo for p in law.support.pieces or ()}
     edges = sorted({0.5, y_hi} | {b for b in breaks if 0.5 < b < y_hi})
-    rhs_partial = 0.0
-    for a, b in zip(edges, edges[1:]):
-        val, _ = integrate.quad(
-            lambda y: 1.0 / (y ** 3 * float(law.density(y))), a, b, limit=400
-        )
-        rhs_partial += float(val)
+    panels, _ = panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), edges)
+    rhs_partial = float(np.sum(panels))
 
     status, note = tail_status(law.tail)
     lhs_tail = rhs_tail = math.inf

@@ -12,11 +12,12 @@ The characteristic exponent of a symmetric triplet (0, c, nu) is
 
 real, even and nonnegative. For lattice laws the jump part is a
 truncated cosine sum plus an analytic correction for the tail beyond the
-cutoff; piecewise-power densities use closed-form power integrals; generic
-densities fall back to adaptive quadrature plus the declared tail model.
-Cumulative integrals of a generic density (moments, the Sato-Shepp inner
-integral) use :func:`panel_integrals`: one fixed 15-point Gauss-Kronrod rule
-on every panel of a grid, with a single array call to the density.
+cutoff; piecewise-power densities use closed-form power integrals. Every
+integral of a generic density (the exponent's head, tail masses, moments,
+the Sato-Shepp inner integral) runs on
+:func:`levycrit.powerint.panel_integrals`: one fixed 15-point Gauss-Kronrod
+rule on every panel of a grid, with one array call to the density per
+pass, plus the declared tail model beyond the grid.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma
 from scipy.special import zeta as _zeta
 
-from .powerint import one_minus_cos_range, one_minus_cos_tail
+from .powerint import NumericError, one_minus_cos_range, one_minus_cos_tail, panel_integrals
 from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
 
 PROBABILITY_TOL = 1e-10
@@ -39,8 +39,6 @@ PROBABILITY_TOL = 1e-10
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: lags summed exactly by the lattice characteristic exponent
 CHAR_EXPONENT_LATTICE_CUTOFF = 10 ** 5
-#: largest summed |K15 - G7| estimate of a panel pass, relative to its total
-PANEL_REL_TOL = 1e-10
 #: widest panel, in log y, of a generic-density moment; no wider than the
 #: 1600-point Sato-Shepp grid on [1, 1e4] (0.00576)
 PANEL_LOG_STEP = 0.005
@@ -50,14 +48,6 @@ class Normalization(Enum):
     PROBABILITY = "probability"
     FINITE = "finite_measure"
     SIGMA_FINITE = "sigma_finite"
-
-
-class NumericError(RuntimeError):
-    """A numeric routine failed to reach its tolerance; carries a partial value."""
-
-    def __init__(self, message: str, partial: float = math.nan):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +235,7 @@ class SymmetricJumpLaw:
         onset = self.tail.onset
         head = 0.0
         if x < onset:
-            head, _ = integrate.quad(
-                lambda y: float(self.density(y)), x, onset, limit=200
-            )
+            head = float(np.sum(panel_integrals(self.density, [x, onset])[0]))
         y_from = max(x, onset)
         hi_tail = self.tail.weighted_tail_upper(0.0, y_from)
         lo_tail = 0.0
@@ -660,9 +648,7 @@ def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
     else:
         t_lo, t_hi = law.one_sided_tail_mass(n_hi * sup.spacing)
         if math.isinf(t_hi):
-            raise NumericError(
-                "lattice exponent truncated with unknown tail", partial=2.0 * partial
-            )
+            raise NumericError("lattice exponent truncated with unknown tail")
         correction = 0.5 * (t_lo + t_hi)
     return partial + correction
 
@@ -677,29 +663,22 @@ def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
                 hi_s = axi * piece.hi if piece.hi != math.inf else math.inf
                 total += k_coef * axi ** (rho - 1.0) * one_minus_cos_range(rho, lo_s, hi_s)
         return total
-    # generic density: quadrature head + declared tail
-    onset = law.tail.onset
-    head, _ = integrate.quad(
-        lambda y: 2.0 * math.sin(axi * y / 2.0) ** 2 * float(law.density(y)),
-        0.0,
-        onset,
-        limit=400,
+    # generic density: panels to the onset (and through an exponential decay) + tail
+    tail = law.tail
+    edges = [0.0, tail.onset]
+    if tail.kind is TailKind.EXPONENTIAL:
+        edges.append(tail.onset + 60.0 / tail.exponent)
+    panels, _ = panel_integrals(
+        lambda y: 2.0 * np.sin(axi * y / 2.0) ** 2 * law.density(y), edges
     )
-    if law.tail.kind is TailKind.COMPACT_SUPPORT:
+    head = float(np.sum(panels))
+    if tail.kind in (TailKind.COMPACT_SUPPORT, TailKind.EXPONENTIAL):
         return head
-    if law.tail.kind is TailKind.POWER_LAW:
-        rho = law.tail.exponent
-        k_mid = law.tail.constant * 0.5 * (law.tail.lower_factor + law.tail.upper_factor)
-        return head + k_mid * axi ** (rho - 1.0) * one_minus_cos_tail(rho, axi * onset)
-    if law.tail.kind is TailKind.EXPONENTIAL:
-        extra, _ = integrate.quad(
-            lambda y: 2.0 * math.sin(axi * y / 2.0) ** 2 * float(law.density(y)),
-            onset,
-            onset + 60.0 / law.tail.exponent,
-            limit=200,
-        )
-        return head + extra
-    raise NumericError("cannot integrate against an unknown tail", partial=head)
+    if tail.kind is TailKind.POWER_LAW:
+        rho = tail.exponent
+        k_mid = tail.constant * 0.5 * (tail.lower_factor + tail.upper_factor)
+        return head + k_mid * axi ** (rho - 1.0) * one_minus_cos_tail(rho, axi * tail.onset)
+    raise NumericError("cannot integrate against an unknown tail")
 
 
 def char_exponent(triplet: LevyTriplet, xi: float) -> float:
@@ -717,66 +696,6 @@ def char_exponent(triplet: LevyTriplet, xi: float) -> float:
         else:
             value += 2.0 * _continuous_jump_exponent(triplet.nu, axi)
     return max(0.0, value)
-
-
-# ---------------------------------------------------------------------------
-# panel quadrature for generic densities
-
-# QUADPACK's 15-point Kronrod rule and its embedded 7-point Gauss rule on
-# [-1, 1]: the positive nodes from the outer end inward, then the centre;
-# the Gauss rule uses every second node and has zero weight on the others
-_GK_NODES = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-)
-_GK_KRONROD = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-)
-_GK_GAUSS = (
-    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
-)
-
-
-def _mirror(half, sign: float = 1.0) -> np.ndarray:
-    return np.concatenate([sign * np.array(half[:-1]), half[::-1]])
-
-
-GK15_NODES = _mirror(_GK_NODES, -1.0)
-GK15_KRONROD = _mirror(_GK_KRONROD)
-GK15_GAUSS = _mirror(_GK_GAUSS)
-
-
-def panel_integrals(
-    law: SymmetricJumpLaw, edges: np.ndarray, k: float
-) -> tuple[np.ndarray, float]:
-    """``int y^k f(y) dy`` over each panel ``[edges[i], edges[i+1]]``.
-
-    One 15-point Gauss-Kronrod rule per panel, all panels in one array call
-    to ``law.density``. Returns the panel integrals and the summed
-    ``|K15 - G7|`` error estimate; raises :class:`NumericError` when that
-    estimate exceeds ``PANEL_REL_TOL`` times the total, so the grid is too
-    coarse for the density.
-    """
-    edges = np.asarray(edges, dtype=float)
-    center = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ys = center + half[:, None] * GK15_NODES
-    values = ys ** k * law.density(ys)
-    kronrod = half * (values @ GK15_KRONROD)
-    err = float(np.sum(np.abs(kronrod - half * (values @ GK15_GAUSS))))
-    total = float(np.sum(kronrod))
-    if err > PANEL_REL_TOL * abs(total):
-        raise NumericError(
-            f"panel quadrature error {err:.3g} exceeds {PANEL_REL_TOL:g} of {total:.6g}",
-            partial=total,
-        )
-    return kronrod, err
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +748,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
             tail_lo = tail_hi = tail_mid
         else:
             n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
-            panels, _ = panel_integrals(law, np.geomspace(1.0, cutoff, n_panels + 1), k)
+            panels, _ = panel_integrals(
+                lambda y: y ** k * law.density(y), np.geomspace(1.0, cutoff, n_panels + 1)
+            )
             partial = 2.0 * float(np.sum(panels))
             tail_hi = 2.0 * law.tail.weighted_tail_upper(float(k), cutoff)
             tail_lo = 0.0

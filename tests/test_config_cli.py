@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import levycrit
 from levycrit.cli import main
 from levycrit.config import (
     ConfigError,
@@ -84,6 +88,36 @@ class TestConfigRoundTrip:
             resolve_law_config({"family": "mystery"})
         with pytest.raises(ConfigError):
             resolve_triplet_config({"no": "keys"})
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's levycrit."""
+    src = str(Path(levycrit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestProcess:
+    """Checks that need a fresh interpreter: pytest's own warning filters
+    import scipy.integrate and would turn a RuntimeWarning into an error."""
+
+    def test_cli_import_leaves_out_quadpack_and_mpmath(self):
+        probe = "import sys, levycrit.cli; print({'scipy.integrate', 'mpmath'} & {*sys.modules})"
+        run = _run_python("-c", probe)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "set()"
+
+    def test_subnormal_sato_shepp_is_silent(self):
+        run = _run_python(
+            "-m", "levycrit.cli", "analyze", "--family", "power_lattice", "--alpha", "1015"
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+        report = json.loads(run.stdout)
+        assert report["results"]["classification"] == "recurrent"
 
 
 class TestCliCommands:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ class TestSatoShepp:
         assert v.status is Status.DIVERGES
         assert v.partial_value == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1005.0, 1015.0, 1021.0])
+    def test_subnormal_inner_integral_gives_inf_partial(self, alpha):
+        # I(y) is about 2^-(alpha+1) here, subnormal past alpha ~ 1010, so
+        # y / I(y) exceeds every float: the partial is inf, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in (
+                make_power_law_lattice(alpha),
+                make_multi_index_lattice(alpha, alpha),
+            ):
+                verdict = classify(make_walk_triplet(law))
+                assert verdict.classification is Classification.RECURRENT
+                assert not verdict.conflict
+                ss = {e.criterion: e.verdict for e in verdict.evidence}["sato_shepp"]
+                assert ss.status is Status.DIVERGES
+                assert ss.partial_value > 1e300
+
     def test_lattice_applicable_without_unimodality(self, multi_default):
         v = sato_shepp_criterion(multi_default)
         assert v.status is Status.CONVERGES  # dominant exponent 1.5 < 2
@@ -163,6 +181,18 @@ class TestChungFuchs:
         v = chung_fuchs_criterion(stable_half, a=1.0)
         assert v.status is Status.CONVERGES
         assert v.estimate == pytest.approx(4.0, abs=2e-2)
+
+    def test_partial_is_scipy_simpson(self, multi_default):
+        # the numpy weights reproduce scipy.integrate.simpson on the same grid
+        from scipy import integrate
+
+        triplet = make_walk_triplet(multi_default)
+        eps, _, n_pts = CF_GRID
+        xi = np.geomspace(eps, 1.0, n_pts)
+        psi = np.array([char_exponent(triplet, x) for x in xi])
+        oracle = 2.0 * integrate.simpson(xi / psi, x=np.log(xi))
+        got = chung_fuchs_criterion(triplet).partial_value
+        assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_cauchy_boundary_diverges(self):
         v = chung_fuchs_criterion(make_stable_triplet(1.0, 1.0))
@@ -294,6 +324,37 @@ class TestCompareMeasures:
         w = compare_measures(nu2, nu1)
         assert w.status == v.status
         assert w.partial_value == pytest.approx(v.partial_value, rel=1e-12)
+
+    def test_perturbed_core_matches_closed_form(self):
+        # the difference is 0.1 K y^-2.5 on [0, 1): weighted by y^2 it has a
+        # y^-1/2 singularity at 0, and its integral is 0.2 K
+        k_const = stable_levy_density_constant(1.5, 1.0)
+        nu1 = make_stable_triplet(1.5, 1.0).nu
+        nu2 = make_piecewise_power(
+            [
+                PowerPiece(0.0, 1.0, ((1.1 * k_const, 2.5),)),
+                PowerPiece(1.0, math.inf, ((k_const, 2.5),)),
+            ]
+        )
+        v = compare_measures(nu1, nu2)
+        assert v.status is Status.CONVERGES
+        assert v.tail_bound == 0.0
+        assert v.partial_value == pytest.approx(0.2 * k_const, rel=1e-10)
+
+    def test_gaussians_match_closed_form(self, gaussian_upper_moment):
+        # two generic densities: the integrand is a narrow bump near the
+        # origin of [0, 1e4]; the densities cross where y^2 = 2 ln(s) s^2/(s^2-1)
+        s = 1.1
+        cross = math.sqrt(2.0 * math.log(s) * s * s / (s * s - 1.0))
+        exact = (
+            gaussian_upper_moment(1.0, 0.0, cross, 2)
+            - gaussian_upper_moment(s, 0.0, cross, 2)
+            + gaussian_upper_moment(s, cross, 1e4, 2)
+            - gaussian_upper_moment(1.0, cross, 1e4, 2)
+        )
+        v = compare_measures(make_gaussian_density(1.0), make_gaussian_density(s))
+        assert v.status is Status.INCONCLUSIVE
+        assert v.partial_value == pytest.approx(exact, rel=1e-10)
 
     def test_mixed_supports_rejected(self, stable_half, power_half_raw):
         with pytest.raises(UnsupportedComparisonError):

@@ -16,6 +16,7 @@ from levycrit import (
     convergence_report,
     default_test_functions,
     jensen_gap,
+    make_gaussian_density,
     make_piecewise_power,
     make_walk_triplet,
 )
@@ -36,6 +37,19 @@ class TestBinDensity:
         lags = np.arange(1, binned.support.max_lag + 1)
         total = binned.support.origin_mass + 2.0 * float(np.sum(binned.mass(lags)))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sigma,delta", [(0.5, 1.0), (1.0, 1.0), (1.0, 0.25)])
+    def test_gaussian_masses_relatively_exact(self, sigma, delta, gaussian_upper_moment):
+        # jensen_gap divides by the smallest masses, below 1e-97 at the last
+        # bin for sigma = 0.5, so each mass must hold its own digits
+        binned = bin_density(make_gaussian_density(sigma), delta)
+        lags = np.arange(1, binned.support.max_lag + 1)
+        exact = [
+            gaussian_upper_moment(sigma, delta * (n - 0.5), delta * (n + 0.5), 0) for n in lags
+        ]
+        assert binned.mass(lags) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        origin = 2.0 * gaussian_upper_moment(sigma, 0.0, delta / 2.0, 0)
+        assert binned.support.origin_mass == pytest.approx(origin, rel=1e-14)
 
     def test_power_tail_bin_asymptotics(self, flat_core_heavy):
         # bins of (1/6) y^-1.5 behave like (1/6) n^-1.5; ratio within 1% at n = 1000

@@ -20,15 +20,12 @@ from levycrit import (
     moment,
 )
 from levycrit.measures import (
-    GK15_GAUSS,
-    GK15_KRONROD,
-    GK15_NODES,
     NumericError,
     check_probability,
     make_gaussian_density,
-    panel_integrals,
     total_mass_interval,
 )
+from levycrit.powerint import GK15_GAUSS, GK15_KRONROD, GK15_NODES, PANEL_CAP, panel_integrals
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
 
@@ -246,14 +243,50 @@ class TestPanelIntegrals:
     def test_panels_add_up(self, gaussian_upper_moment):
         law = make_gaussian_density(1.0)
         edges = np.geomspace(1.0, 40.0, 400)
-        panels, err = panel_integrals(law, edges, 2)
+        panels, err = panel_integrals(lambda y: y ** 2 * law.density(y), edges)
         assert panels.shape == (399,)
         assert err < 1e-14
         assert np.sum(panels) == pytest.approx(gaussian_upper_moment(1.0, 1.0, 40.0, 2), rel=1e-13)
 
-    def test_coarse_grid_raises(self):
-        with pytest.raises(NumericError):
-            panel_integrals(make_gaussian_density(1.0), np.array([1.0, 20.0]), 2)
+    def test_coarse_panel_is_refined(self, gaussian_upper_moment):
+        # one panel over the whole bump: bisection refines it, and the
+        # refined parts come back summed into that one panel
+        law = make_gaussian_density(1.0)
+        panels, err = panel_integrals(lambda y: y ** 2 * law.density(y), [1.0, 20.0])
+        exact = gaussian_upper_moment(1.0, 1.0, 20.0, 2)
+        assert panels.shape == (1,)
+        assert err <= 1e-10 * exact
+        assert panels[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_endpoint_singularity_converges(self):
+        # the nodes never touch 0, so bisection closes in on the singularity
+        panels, _ = panel_integrals(lambda y: y ** -0.5, [0.0, 1.0])
+        assert float(np.sum(panels)) == pytest.approx(2.0, rel=1e-10, abs=0.0)
+
+    def test_divergent_integral_raises_at_cap(self):
+        calls = []
+
+        def inverse(y):
+            calls.append(y.shape[0])
+            return 1.0 / y
+
+        with pytest.raises(NumericError, match=str(PANEL_CAP)):
+            panel_integrals(inverse, [0.0, 1.0])
+        assert sum(calls) - 1 <= PANEL_CAP  # panels added before the refusal
+
+    def test_signed_integrand_uses_absolute_tolerance(self):
+        # int_0^{2 pi} cos = 0: the tolerance is taken of int |cos| = 4, not
+        # of 0, so one bisection is enough
+        calls = []
+
+        def cosine(y):
+            calls.append(y.shape[0])
+            return np.cos(y)
+
+        panels, err = panel_integrals(cosine, [0.0, 2.0 * math.pi])
+        assert abs(float(panels[0])) < 1e-14
+        assert err <= 4e-10
+        assert calls == [1, 2]
 
 
 class TestPiecewisePower:
