@@ -126,9 +126,11 @@ def inverse_cubic_lattice_criterion(
 ) -> ConvergenceVerdict:
     """Classify ``sum_{n>=1} 1 / (n^3 m(n))`` for a lattice law.
 
-    Requires m(n) > 0 for every lag. With per-class power tails
-    ``m(n) ~ K n^-rho`` the summand behaves like ``n^(rho-3)/K`` on each
-    class, so the series converges iff every class has rho < 2.
+    Requires m(n) > 0 for every lag; a mass that underflows to 0 on a lag
+    its power component covers is still positive, and its summand is +inf.
+    With per-class power tails ``m(n) ~ K n^-rho`` the summand behaves like
+    ``n^(rho-3)/K`` on each class, so the series converges iff every class
+    has rho < 2.
     """
     if not law.is_lattice:
         raise DomainError("lattice criterion needs a lattice law")
@@ -154,10 +156,16 @@ def inverse_cubic_lattice_criterion(
 
     lags = np.arange(1, cutoff + 1)
     masses = law.mass(lags)
-    if np.any(masses <= 0):
-        bad = int(lags[np.argmax(masses <= 0)])
-        raise HypothesisViolationError(f"mass at lag {bad} is zero within truncation")
-    partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
+    vanished = masses <= 0
+    if np.any(vanished):
+        # a zero where a power component (K > 0) applies is K n^-rho underflowing
+        for c in law.components:
+            vanished &= (lags < c.start) | (lags % c.stride != c.offset)
+        if np.any(vanished):
+            bad = int(lags[np.argmax(vanished)])
+            raise HypothesisViolationError(f"mass at lag {bad} is zero within truncation")
+    with np.errstate(divide="ignore", over="ignore"):  # underflowed masses: honest inf
+        partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
 
     diverging = [c for c in law.components if c.exponent >= 2.0]
     if diverging:
@@ -402,16 +410,17 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     converges iff the jump tail is a power tail with rho < 2, which is the
     rule of :func:`tail_status`; a triplet without jumps counts as a compact
     tail. The partial is the integral over ``eps <= |xi| <= a`` on the
-    ``CF_GRID`` points; a convergent verdict bounds the rest by
-    ``psi >= C xi^(rho-1)`` (:func:`_cf_lower_constant`). The slope of
-    log psi against log xi over ``xi <= CF_GRID[1]`` is reported in the
-    note and decides nothing.
+    ``CF_GRID`` points, whose psi values come from one array call of
+    :func:`char_exponent` (one blocked pass for a lattice law); a convergent
+    verdict bounds the rest by ``psi >= C xi^(rho-1)``
+    (:func:`_cf_lower_constant`). The slope of log psi against log xi over
+    ``xi <= CF_GRID[1]`` is reported in the note and decides nothing.
     """
     eps, fit_top, n_pts = CF_GRID
     if a <= eps:
         raise DomainError(f"a must exceed {eps:g}")
     xi = np.geomspace(eps, a, n_pts)
-    psi = np.array([char_exponent(triplet, x) for x in xi])
+    psi = char_exponent(triplet, xi)
     if np.any(psi < 1e-300):
         raise NumericError("psi underflow near 0")
     # 2 int_eps^a dxi / psi in log xi: Simpson's rule on the first n_pts - 2 (even)

@@ -101,16 +101,37 @@ def default_test_functions() -> dict[str, Callable]:
 # binning
 
 
-def _bin_cutoff_index(law: SymmetricJumpLaw, delta: float) -> int:
-    """Last bin index carrying numerically relevant mass of a light-tailed law."""
+def _last_bin(law: SymmetricJumpLaw, delta: float) -> Optional[int]:
+    """Last bin of ``bin_density(law, delta)``; None for a power-tailed law.
+
+    The law must be a continuous probability density. A light tail ends at
+    the last bin with numerically relevant mass; a generic density needs one
+    panel per bin, at most ``MAX_BIN_QUADS``, refused before any density
+    evaluation.
+    """
+    if law.is_lattice:
+        raise DomainError("bin_density expects a continuous law")
+    if law.normalization is not Normalization.PROBABILITY:
+        raise DomainError("bin_density expects a probability density")
+    if delta <= 0:
+        raise DomainError("delta must be positive")
+    pieces = law.support.pieces
     tail = law.tail
+    if pieces is not None and tail.kind is TailKind.POWER_LAW:
+        return None
     if tail.kind is TailKind.EXPONENTIAL:
         reach = tail.onset + 45.0 / tail.exponent
     elif tail.kind is TailKind.COMPACT_SUPPORT:
         reach = tail.onset
     else:
         raise DomainError("callable densities need an exponential or compact tail model")
-    return max(1, math.ceil(reach / delta + 0.5))
+    max_bin = max(1, math.ceil(reach / delta + 0.5))
+    if pieces is None and max_bin > MAX_BIN_QUADS:
+        raise DomainError(
+            f"delta={delta:g} needs {max_bin} bins of this density in one pass; "
+            f"the cap is {MAX_BIN_QUADS}"
+        )
+    return max_bin
 
 
 def _piece_bin_masses(pieces: tuple[PowerPiece, ...], delta: float, n) -> np.ndarray:
@@ -138,25 +159,13 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
     Mass conservation holds analytically (the bins tile the line), and
     numerically within the 1e-10 probability tolerance.
     """
-    if law.is_lattice:
-        raise DomainError("bin_density expects a continuous law")
-    if law.normalization is not Normalization.PROBABILITY:
-        raise DomainError("bin_density expects a probability density")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-
+    max_bin = _last_bin(law, delta)
+    heavy = max_bin is None
     pieces = law.support.pieces
-    heavy = pieces is not None and law.tail.kind is TailKind.POWER_LAW
-    max_bin = None if heavy else _bin_cutoff_index(law, delta)
     if pieces is not None:
         origin = 2.0 * sum(p.weighted_integral(0.0, delta / 2.0, 0.0) for p in pieces)
         mass_fn = partial(_piece_bin_masses, pieces, delta)
     else:
-        if max_bin > MAX_BIN_QUADS:
-            raise DomainError(
-                f"delta={delta:g} needs {max_bin} bins of this density in one pass; "
-                f"the cap is {MAX_BIN_QUADS}"
-            )
         # panel 0 is the origin's half-bin, panel n the bin of lag n; f is
         # divided by its value at the panel's centre, so the tolerance holds
         # for every mass relatively, down to the least (jensen_gap's 1/m(n))
@@ -415,6 +424,7 @@ def convergence_report(
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or not deltas:
         raise DomainError("deltas must be strictly decreasing")
     tests = default_test_functions() if tests is None else tests
+    _last_bin(law, deltas[-1])  # the finest delta needs the most bins: refuse it first
     limit = characteristics(law, h_radius=h_radius, tests=tests)
 
     rows: list[dict] = []

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import linalg
 
 from .measures import DomainError, SymmetricJumpLaw
 
@@ -408,6 +407,8 @@ def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
 
     The current out of the source is 2 sum_u m(u) (1 - V(u)) + b(0).
     """
+    from scipy import linalg  # only solves pay its import
+
     current = float(boundary[slc.radius - 1])
     if slc.radius > 1:
         a_mat, rhs = _folded_system(slc, boundary)

@@ -105,7 +105,10 @@ class TestProcess:
     import scipy.integrate and would turn a RuntimeWarning into an error."""
 
     def test_cli_import_leaves_out_quadpack_and_mpmath(self):
-        probe = "import sys, levycrit.cli; print({'scipy.integrate', 'mpmath'} & {*sys.modules})"
+        probe = (
+            "import sys, levycrit.cli; "
+            "print({'scipy.integrate', 'scipy.linalg', 'mpmath'} & {*sys.modules})"
+        )
         run = _run_python("-c", probe)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "set()"
@@ -185,6 +188,13 @@ class TestCliCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cap" in err
+
+    def test_discretize_bin_cap_before_characteristics(self, capsys):
+        # the finest delta's bin count is refused before the density's own
+        # characteristics run, whatever sigma makes of those
+        assert main(["discretize", "--family", "gaussian", "--sigma", "1e5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta=0.125 needs") and "the cap is 100000" in err
 
     def test_flow_command(self, capsys, tmp_path):
         code = main(

@@ -29,7 +29,14 @@ from levycrit import (
     tail_status,
 )
 from levycrit.criteria import CF_GRID, SATO_SHEPP_POINTS, _cf_lower_constant
-from levycrit.measures import make_gaussian_density, stable_levy_density_constant
+from levycrit.measures import (
+    LatticeSupport,
+    Normalization,
+    SymmetricJumpLaw,
+    make_gaussian_density,
+    stable_levy_density_constant,
+)
+from levycrit.tails import PowerTailComponent
 
 ZETA_15 = 2.612375348685488
 
@@ -60,6 +67,41 @@ class TestInverseCubicLattice:
     def test_zero_mass_violates_hypothesis(self, nearest_neighbor):
         with pytest.raises(HypothesisViolationError):
             inverse_cubic_lattice_criterion(nearest_neighbor)
+
+    @pytest.mark.parametrize("alpha", [1005.0, 1015.0, 1021.0])
+    def test_underflowed_mass_gives_inf_partial(self, alpha):
+        # n^-(alpha+1) is 0 in float64 from lag 3 on; the masses are positive,
+        # so the summand is +inf, reported without a hypothesis error or warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in (
+                make_power_law_lattice(alpha),
+                make_multi_index_lattice(alpha, alpha),
+            ):
+                v = inverse_cubic_lattice_criterion(law)
+                assert v.status is Status.DIVERGES
+                assert v.partial_value == math.inf
+                ic = {e.criterion: e for e in classify(make_walk_triplet(law)).evidence}
+                assert ic["inverse_cubic"].verdict.status is Status.DIVERGES
+
+    def test_declared_zero_mass_violates_hypothesis(self):
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=4.0)
+        law = make_lattice_table({1: 0.2, 2: 0.0, 3: 0.05}, tail=tail)
+        with pytest.raises(HypothesisViolationError, match="lag 2"):
+            inverse_cubic_lattice_criterion(law)
+        # an even-lag power component says nothing about the empty odd lags past 1
+        even = PowerTailComponent(constant=1.0, exponent=1.5, stride=2, offset=0, start=2)
+        even_only = SymmetricJumpLaw(
+            support=LatticeSupport(
+                spacing=1.0,
+                mass_fn=lambda n: np.where(n % 2 == 0, n ** -1.5, np.where(n == 1, 0.5, 0.0)),
+                components=(even,),
+            ),
+            normalization=Normalization.FINITE,
+            tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1.0, onset=2.0),
+        )
+        with pytest.raises(HypothesisViolationError, match="lag 3 "):
+            inverse_cubic_lattice_criterion(even_only)
 
     def test_partial_monotone_in_cutoff(self, power_half_raw):
         cutoffs = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]

@@ -19,12 +19,17 @@ from levycrit import (
     make_walk_triplet,
     moment,
 )
+from levycrit.criteria import CF_GRID
+from levycrit.discretize import bin_density
 from levycrit.measures import (
+    CHAR_EXPONENT_LATTICE_CUTOFF,
     NumericError,
+    _lattice_cos_sum,
     check_probability,
     make_gaussian_density,
     total_mass_interval,
 )
+from levycrit.tails import TailDescriptor, TailKind
 from levycrit.powerint import GK15_GAUSS, GK15_KRONROD, GK15_NODES, PANEL_CAP, panel_integrals
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
@@ -199,6 +204,99 @@ class TestCharExponent:
         psi = char_exponent(t, xi)
         assert partial <= psi <= partial + 2 * tail_mid
         assert psi == pytest.approx(partial + tail_mid, rel=1e-4)
+
+
+def _direct_cos_sum(law, u):
+    """Oracle: the plain lag-by-lag ``sum_n m(n) 2 sin^2(n u / 2)`` to N."""
+    sup = law.support
+    n_hi = sup.max_lag if sup.max_lag is not None else CHAR_EXPONENT_LATTICE_CUTOFF
+    lags = np.arange(1, n_hi + 1, dtype=float)
+    masses = law.mass(np.arange(1, n_hi + 1))
+    return np.array([float(np.sum(masses * 2.0 * np.sin(lags * (x / 2.0)) ** 2)) for x in u])
+
+
+def _lattice_laws():
+    table_tail = TailDescriptor(
+        TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=4.0,
+        lower_factor=0.9, upper_factor=1.1,
+    )
+    flat_core = make_piecewise_power(
+        [PowerPiece(0.0, 1.0, ((1.0 / 6.0, 0.0),)), PowerPiece(1.0, math.inf, ((1.0 / 6.0, 1.5),))]
+    )
+    return {
+        **{f"power_lattice({a})": make_power_law_lattice(a) for a in (0.05, 0.9995, 1.55, 1.99)},
+        "multi_index": make_multi_index_lattice(0.5, 1.5),
+        "table_with_tail": make_lattice_table({1: 0.2, 2: 0.1, 3: 0.05}, tail=table_tail),
+        "table_max_lag_1": make_lattice_table({1: 0.5}),
+        "table_max_lag_6": make_lattice_table(
+            {1: 0.1, 2: 0.2, 3: 0.05, 4: 0.05, 5: 0.03, 6: 0.07}, spacing=0.5
+        ),
+        "binned_heavy_delta_0.5": bin_density(flat_core, 0.5),
+        "binned_gaussian_delta_0.25": bin_density(make_gaussian_density(1.0), 0.25),
+    }
+
+
+LATTICE_LAWS = _lattice_laws()
+
+
+class TestBlockedLatticeSum:
+    """The blocked angle-addition pass against the plain lag sum it replaced."""
+
+    @pytest.mark.parametrize("name", LATTICE_LAWS)
+    def test_chung_fuchs_grid_matches_direct_sum(self, name):
+        law = LATTICE_LAWS[name]
+        eps, _, n_pts = CF_GRID
+        u = law.spacing * np.geomspace(eps, 1.0, n_pts)
+        got, want = _lattice_cos_sum(law, u), _direct_cos_sum(law, u)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("name", LATTICE_LAWS)
+    def test_wide_xi_matches_direct_sum(self, name):
+        law = LATTICE_LAWS[name]
+        xi = np.random.default_rng(7).uniform(0.0, 50.0, 200)
+        period = 2.0 * math.pi / law.spacing
+        xi = xi[np.abs(xi - period * np.rint(xi / period)) > 1e-3]  # away from 2 pi k / delta
+        u = law.spacing * xi
+        got, want = _lattice_cos_sum(law, u), _direct_cos_sum(law, u)
+        err = np.abs(got - want)
+        assert np.all((err <= 1e-12 * want) | (err <= 1e-13 * law.total_mass))
+
+
+class TestCharExponentArray:
+    TRIPLETS = {
+        **{name: make_walk_triplet(law) for name, law in LATTICE_LAWS.items()},
+        "stable(0.5)": make_stable_triplet(0.5, 1.0),
+        "stable(2)": make_stable_triplet(2.0, 1.0),
+        "gaussian": make_walk_triplet(make_gaussian_density(1.0)),
+        "gauss_plus_jumps": LevyTriplet(c=0.3, nu=as_finite_measure(make_lattice_table({2: 0.5}))),
+    }
+    XI = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 9), [-3.0, 7.5, -41.0]])
+
+    @pytest.mark.parametrize("name", TRIPLETS)
+    def test_array_equals_scalar_calls(self, name):
+        t = self.TRIPLETS[name]
+        got = char_exponent(t, self.XI)
+        want = np.array([char_exponent(t, float(x)) for x in self.XI])
+        assert isinstance(got, np.ndarray) and got.shape == self.XI.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        if not (t.nu is not None and t.nu.is_lattice):
+            assert np.array_equal(got, want)  # continuous points are mapped one by one
+
+    @pytest.mark.parametrize("name", TRIPLETS)
+    def test_zero_and_evenness(self, name):
+        t = self.TRIPLETS[name]
+        got = char_exponent(t, self.XI)
+        assert got[0] == 0.0
+        assert np.array_equal(got, char_exponent(t, -self.XI))
+        assert isinstance(char_exponent(t, 0.5), float)
+
+    def test_shape_is_kept(self, multi_default):
+        t = make_walk_triplet(multi_default)
+        grid = np.array([[0.0, 0.1], [0.2, -0.1]])
+        got = char_exponent(t, grid)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0
+        assert got[0, 1] == pytest.approx(got[1, 1], rel=1e-14)
 
 
 class TestMoment:
