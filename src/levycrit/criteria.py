@@ -45,7 +45,7 @@ from .measures import (
     char_exponent,
 )
 from .powerint import panel_integrals, strided_power_sum
-from .tails import TailDescriptor, TailKind, components_from_descriptor
+from .tails import TailDescriptor, TailKind
 from .verdicts import (
     Basis,
     Classification,
@@ -134,25 +134,8 @@ def inverse_cubic_lattice_criterion(
     """
     if not law.is_lattice:
         raise DomainError("lattice criterion needs a lattice law")
-    sup = law.support
-    if sup.max_lag is not None or not law.components:
-        if sup.max_lag is not None:
-            raise HypothesisViolationError(
-                "masses vanish beyond the table; positivity hypothesis fails"
-            )
-        # infinite support, unknown tail: nothing analytic to say
-        lags = np.arange(1, min(cutoff, 10 ** 5) + 1)
-        masses = law.mass(lags)
-        if np.any(masses <= 0):
-            raise HypothesisViolationError("zero mass within truncation range")
-        partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=f"series to n={lags[-1]}; unknown tail",
-            basis=Basis.NUMERIC_ONLY,
-        )
+    if law.support.max_lag is not None:
+        raise HypothesisViolationError("masses vanish beyond the table; positivity hypothesis fails")
 
     lags = np.arange(1, cutoff + 1)
     masses = law.mass(lags)
@@ -261,49 +244,31 @@ def _inner_integral_grid(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
     """``I(y) = int_0^y z nu(max(1,z), inf) dz`` at the grid points.
 
     By Fubini, ``I(y) = nu((1,inf))/2 + sum/integral over 1 < |pts| <= y of
-    (pt^2 - 1)/2 masses + (y^2 - 1)/2 nu((y, inf))``; tail masses use the
-    midpoint of the law's envelope. Lattice laws take prefix sums of the
-    masses and piecewise-power densities closed-form piece integrals. A
-    generic density takes one pass of Gauss-Kronrod panels
+    (pt^2 - 1)/2 masses + (y^2 - 1)/2 nu((y, inf))``. The tail masses, at 1
+    and at every grid point, come from one array call of
+    :meth:`SymmetricJumpLaw.one_sided_tail_mass`, at the midpoint of the
+    law's envelope. Lattice laws take prefix sums of the masses and
+    piecewise-power densities closed-form piece integrals for the second
+    moment; a generic density takes one pass of Gauss-Kronrod panels
     (:func:`panel_integrals`) on the grid with 1 and the tail onset added as
-    breakpoints: prefix sums of ``int z^2 f`` give the second moment, and
-    suffix sums of ``int f`` up to the onset plus the tail model give
-    ``nu((y, inf))``.
+    breakpoints, and prefix sums of ``int z^2 f``.
     """
-
-    def nbar(x: float) -> float:
-        lo, hi = law.one_sided_tail_mass(x)
-        return 0.5 * (lo + hi)
-
-    out = np.empty(len(ys))
+    lo, hi = law.one_sided_tail_mass(np.append(1.0, ys))
+    nbar1, nbar = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1:] + hi[1:])
     if law.is_lattice:
         delta = law.spacing
-        n_top = int(math.floor(ys[-1] / delta))
-        lags = np.arange(1, n_top + 1)
-        masses = law.mass(lags) if n_top >= 1 else np.array([])
+        lags = np.arange(1, int(math.floor(ys[-1] / delta)) + 1)
         pos = lags * delta
-        contrib = np.where(pos > 1.0, masses * (pos ** 2 - 1.0) / 2.0, 0.0)
+        contrib = np.where(pos > 1.0, law.mass(lags) * (pos ** 2 - 1.0) / 2.0, 0.0)
         prefix = np.concatenate([[0.0], np.cumsum(contrib)])
-        nbar1 = nbar(1.0)
-        for i, y in enumerate(ys):
-            k = int(math.floor(y / delta))
-            out[i] = nbar1 / 2.0 + prefix[k] + (y * y - 1.0) / 2.0 * nbar(y)
-    elif law.support.pieces is not None:
-        for i, y in enumerate(ys):
-            m2 = sum(p.weighted_integral(1.0, y, 2.0) for p in law.support.pieces)
-            out[i] = 0.5 * (y * y * nbar(y) + m2)
+        return nbar1 / 2.0 + prefix[np.floor(ys / delta).astype(int)] + (ys * ys - 1.0) / 2.0 * nbar
+    if law.support.pieces is not None:
+        m2 = sum(p.weighted_integral(1.0, ys, 2.0) for p in law.support.pieces)
     else:
-        onset = law.tail.onset
-        edges = np.union1d([1.0, max(onset, 1.0)], ys)
-        at = np.searchsorted(edges, ys)
+        edges = np.union1d([1.0, max(law.tail.onset, 1.0)], ys)
         panels, _ = panel_integrals(lambda y: y ** 2 * law.density(y), edges)
-        m2 = np.concatenate([[0.0], np.cumsum(panels)])[at]
-        n_head = int(np.searchsorted(edges, onset))  # panels below the onset
-        mass, _ = panel_integrals(law.density, edges[: n_head + 1])
-        head = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])[np.minimum(at, n_head)]
-        tail = np.array([nbar(max(y, onset)) for y in ys])  # tail model, no quadrature
-        out = 0.5 * (ys * ys * (head + tail) + m2)
-    return out
+        m2 = np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(edges, ys)]
+    return 0.5 * (ys * ys * nbar + m2)
 
 
 def sato_shepp_criterion(
@@ -343,8 +308,7 @@ def sato_shepp_criterion(
     # certified lower bound on nbar for the outer tail: on the dominant class,
     # nbar(y) >= K lf (y + stride)^(1-rho) / (stride (rho-1)) >= B_lo y^(1-rho)
     if law.is_lattice:
-        comps = law.components or components_from_descriptor(tail)
-        dom = min(comps, key=lambda c: c.exponent)
+        dom = min(law.components, key=lambda c: c.exponent)
         b_lo = (
             dom.constant
             * dom.lower_factor
@@ -385,8 +349,7 @@ def _cf_lower_constant(nu: SymmetricJumpLaw) -> float:
     tail = nu.tail
     rho, eps = tail.exponent, CF_GRID[0]
     if nu.is_lattice:
-        comps = nu.components or components_from_descriptor(tail)
-        dom = min(comps, key=lambda c: c.exponent)
+        dom = min(nu.components, key=lambda c: c.exponent)
         d, s = nu.spacing, dom.stride
         c_lo = (
             4.0 * dom.constant * dom.lower_factor * d ** (rho - 1.0)

@@ -4,7 +4,11 @@ A symmetric jump law stores only its positive side: lattice masses m(n)
 for lags n >= 1 (plus an origin mass), or a density f(y) for y > 0, with
 the mass/density at -y structurally equal to that at +y. Laws carry an
 analytic tail model (see :mod:`levycrit.tails`) so that series/integral
-classification never rests on truncated numerics alone.
+classification never rests on truncated numerics alone. A lattice law is
+one of two shapes: finite (masses up to ``max_lag``, no power tail), or
+power-modelled (a power tail descriptor, which classifies, and power
+components past a short table, which decide every sum beyond it). Tail
+masses ``nu((x, inf))`` are taken over arrays of points in one call.
 
 The characteristic exponent of a symmetric triplet (0, c, nu) is
 
@@ -39,7 +43,7 @@ from .powerint import NumericError, one_minus_cos_range, one_minus_cos_tail, pan
 from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
 
 PROBABILITY_TOL = 1e-10
-#: last lag of truncated lattice series (tail masses, inverse-cubic sums)
+#: last lag of the truncated inverse-cubic lattice series
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: lags summed exactly by the lattice characteristic exponent (held as one
 #: cached block matrix of masses per law, about 0.8 MB)
@@ -73,6 +77,11 @@ class LatticeSupport:
         require_positive("lattice spacing", self.spacing)
         require_positive("origin mass", self.origin_mass, allow_zero=True)
 
+    @property
+    def top(self) -> int:
+        """Last lag whose mass is summed from the table, not from a component."""
+        return self.max_lag if self.max_lag is not None else max(c.start for c in self.components) - 1
+
 
 @dataclass(frozen=True)
 class PowerPiece:
@@ -99,26 +108,22 @@ class PowerPiece:
             out = out + k * y ** -rho
         return out
 
-    def weighted_integral(self, a: float, b: float, weight: float = 0.0) -> float:
-        """``int_a^b y^weight * density(y) dy`` over [a,b] clipped to the piece."""
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0
+    def weighted_integral(self, a, b, weight: float = 0.0):
+        """``int_a^b y^weight * density(y) dy`` over [a,b] clipped to the piece.
+
+        Elementwise for array bounds (a float for scalar ones): 0 where the
+        clipped range is empty, inf where the integral diverges.
+        """
+        a = np.maximum(a, self.lo)
+        b = np.minimum(b, self.hi)
         total = 0.0
-        for k, rho in self.terms:
-            p = weight - rho
-            if a == 0.0 and p <= -1.0:
-                return math.inf  # divergent at the origin
-            if b == math.inf:
-                if p >= -1.0:
-                    return math.inf
-                total += -k * a ** (p + 1.0) / (p + 1.0)
-            elif p == -1.0:
-                total += k * math.log(b / a)
-            else:
-                total += k * (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
-        return total
+        # an end at 0 or inf enters as an inf or 0 power: a divergence, or a vanishing term
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, rho in self.terms:
+                q = weight - rho + 1.0
+                total = total + (k * np.log(b / a) if q == 0.0 else k * (b ** q - a ** q) / q)
+            total = np.where(b > a, total, 0.0)
+        return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,14 @@ class SymmetricJumpLaw:
     def __post_init__(self):
         if self.unimodal and self.is_lattice:
             raise DomainError("discretely supported measures are never unimodal")
+        if self.is_lattice:
+            finite = self.support.max_lag is not None
+            power = self.tail.kind is TailKind.POWER_LAW
+            if finite == bool(self.support.components) or finite == power:
+                raise DomainError(
+                    "a lattice law is finite (max_lag, no components, no power tail) "
+                    "or power-modelled (components and a power tail, no max_lag)"
+                )
         if self.normalization is Normalization.PROBABILITY:
             if self.total_mass is None or abs(self.total_mass - 1.0) > PROBABILITY_TOL:
                 raise DomainError(
@@ -194,63 +207,52 @@ class SymmetricJumpLaw:
 
     # -- tail mass ---------------------------------------------------------
 
-    def one_sided_tail_mass(self, x: float) -> tuple[float, float]:
-        """Envelope (lo, hi) of ``nu((x, inf))`` for x >= 0 (one side only)."""
-        if self.is_lattice:
-            return self._lattice_tail_mass(x)
-        return self._continuous_tail_mass(x)
+    def one_sided_tail_mass(self, x):
+        """Envelope (lo, hi) of ``nu((x, inf))`` for x >= 0 (one side only).
 
-    def _lattice_tail_mass(self, x: float) -> tuple[float, float]:
+        Floats for a scalar ``x`` and arrays of ``x``'s shape for an array.
+        A lattice law takes suffix sums of its masses up to ``top`` (the last
+        tabulated lag, or the lag before its power components start) plus
+        each component's Hurwitz-zeta tail past max(n - 1, top), so every
+        point gets the value a scalar call gives. A piecewise-power density
+        integrates its pieces in closed form. A generic density takes one
+        Gauss-Kronrod pass on the points below the tail onset, summed from
+        the onset down, plus the tail model beyond.
+        """
+        arr = np.asarray(x, dtype=float)
+        flat = arr.reshape(-1)
+        lo, hi = (self._lattice_tail_mass if self.is_lattice else self._continuous_tail_mass)(flat)
+        if arr.ndim == 0:
+            return float(lo[0]), float(hi[0])
+        return lo.reshape(arr.shape), hi.reshape(arr.shape)
+
+    def _lattice_tail_mass(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sup = self.support
-        # lags with spacing*n > x
-        n_from = math.floor(x / sup.spacing) + 1
-        if sup.max_lag is not None and not sup.components:
-            if n_from > sup.max_lag:
-                return (0.0, 0.0)
-            lags = np.arange(n_from, sup.max_lag + 1)
-            s = float(np.sum(self.mass(lags)))
-            return (s, s)
-        if not sup.components:
-            # unknown tail: partial sum is only a lower bound
-            cutoff = max(n_from, LATTICE_SERIES_CUTOFF)
-            lags = np.arange(n_from, cutoff + 1)
-            s = float(np.sum(self.mass(lags))) if lags.size else 0.0
-            return (s, math.inf)
-        start = max(c.start for c in sup.components)
-        lo = hi = 0.0
-        if n_from < start:
-            lags = np.arange(n_from, start)
-            s = float(np.sum(self.mass(lags))) if lags.size else 0.0
-            lo += s
-            hi += s
-        base = max(n_from - 1, start - 1)
+        n_from = np.floor(x / sup.spacing).astype(np.int64) + 1  # lags with spacing*n > x
+        top = sup.top
+        first = int(n_from.min(initial=top + 1))
+        suffix = np.append(np.cumsum(self.mass(np.arange(first, top + 1))[::-1])[::-1], 0.0)
+        lo = hi = suffix[np.minimum(n_from, top + 1) - first]
         for c in sup.components:
-            c_lo, c_hi = c.weighted_tail_sum(0.0, base)
-            lo += c_lo
-            hi += c_hi
-        return (lo, hi)
+            c_lo, c_hi = c.weighted_tail_sum(0.0, np.maximum(n_from - 1, top))
+            lo, hi = lo + c_lo, hi + c_hi
+        return lo, hi
 
-    def _continuous_tail_mass(self, x: float) -> tuple[float, float]:
+    def _continuous_tail_mass(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sup = self.support
         if sup.pieces is not None:
-            total = 0.0
-            for piece in sup.pieces:
-                total += piece.weighted_integral(x, math.inf, 0.0)
-            return (total, total)
+            total = sum(piece.weighted_integral(x, math.inf, 0.0) for piece in sup.pieces)
+            return total, total
         onset = self.tail.onset
-        head = 0.0
-        if x < onset:
-            head = float(np.sum(panel_integrals(self.density, [x, onset])[0]))
-        y_from = max(x, onset)
-        hi_tail = self.tail.weighted_tail_upper(0.0, y_from)
+        edges = np.append(np.unique(x[x < onset]), onset)
+        mass, _ = panel_integrals(self.density, edges)
+        suffix = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+        head = suffix[np.searchsorted(edges, np.minimum(x, onset))]
+        hi_tail = self.tail.weighted_tail_upper(0.0, np.maximum(x, onset))
         lo_tail = 0.0
         if self.tail.kind is TailKind.POWER_LAW:
-            lo_tail = (
-                hi_tail * self.tail.lower_factor / self.tail.upper_factor
-                if math.isfinite(hi_tail)
-                else math.inf
-            )
-        return (head + lo_tail, head + hi_tail)
+            lo_tail = hi_tail * self.tail.lower_factor / self.tail.upper_factor
+        return head + lo_tail, head + hi_tail
 
     def with_normalization(self, normalization: Normalization) -> "SymmetricJumpLaw":
         return replace(self, normalization=normalization)
@@ -662,11 +664,6 @@ def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndarray
     if sup.max_lag is not None:
         return partial
     n_hi = CHAR_EXPONENT_LATTICE_CUTOFF
-    if not sup.components:
-        t_lo, t_hi = law.one_sided_tail_mass(n_hi * sup.spacing)
-        if math.isinf(t_hi):
-            raise NumericError("lattice exponent truncated with unknown tail")
-        return partial + 0.5 * (t_lo + t_hi)
     correction = np.zeros(len(u))
     for comp in sup.components:
         rho = comp.exponent
@@ -758,20 +755,18 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
         delta = law.spacing
         n_start = math.floor(1.0 / delta) + 1
         n_stop = math.floor(cutoff / delta)
-        partial = 0.0
-        if n_stop >= n_start:
-            lags = np.arange(n_start, n_stop + 1)
-            partial = 2.0 * float(np.sum((lags * delta) ** k * law.mass(lags)))
-        tail_lo = tail_hi = 0.0
-        if law.components:
-            for comp in law.components:
-                c_lo, c_hi = comp.weighted_tail_sum(float(k), max(n_stop, comp.start - 1))
-                tail_lo += delta ** k * 2.0 * c_lo
-                tail_hi += delta ** k * 2.0 * c_hi
-        elif law.support.max_lag is not None:
-            tail_lo = tail_hi = 0.0
-        else:
-            tail_hi = math.inf
+        top = law.support.top
+
+        def lag_sum(lags):
+            return 2.0 * float(np.sum((lags * delta) ** k * law.mass(lags)))
+
+        # tabulated lags past the cutoff are summed exactly, the components' tails beyond
+        partial = lag_sum(np.arange(n_start, n_stop + 1))
+        tail_lo = tail_hi = lag_sum(np.arange(n_stop + 1, top + 1))
+        for comp in law.components:
+            c_lo, c_hi = comp.weighted_tail_sum(float(k), max(n_stop, top))
+            tail_lo += delta ** k * 2.0 * c_lo
+            tail_hi += delta ** k * 2.0 * c_hi
         truncation = f"lattice sum over 1 < n*delta <= {cutoff:g}"
     else:
         if law.support.pieces is not None:

@@ -27,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import DomainError, SymmetricJumpLaw
+from .powerint import strided_power_sum
 
 __all__ = [
     "block_index",
@@ -310,17 +311,12 @@ def dyadic_energy_bound(law: SymmetricJumpLaw, w_max: int = 10 ** 6) -> Interval
     partial = head + series
 
     comps = law.components
-    if not comps:
-        if law.support.max_lag is not None and law.support.max_lag <= w_max:
-            return Interval(partial, partial)
-        return Interval(partial, math.inf)
-    if any(c.exponent >= 2.0 for c in comps):
+    # a finite support (m = 0 past max_lag) or a class with rho >= 2 diverges
+    if not comps or any(c.exponent >= 2.0 for c in comps):
         return Interval(partial, math.inf)
     # (w-3)^-3 <= w^-3 (1 - 3/(w_max+1))^-3 for w > w_max
     slack = (1.0 - 3.0 / (w_max + 1.0)) ** -3
     tail = 0.0
-    from .powerint import strided_power_sum
-
     for c in comps:
         base = strided_power_sum(3.0 - c.exponent, c.stride, c.offset, w_max + 1)
         tail += 288.0 * slack * base / (c.constant * c.lower_factor)
@@ -356,8 +352,9 @@ class NetworkSlice:
 def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     """Lag masses and boundary envelopes of a slice, all of length O(N).
 
-    Boundary conductances are lag-sum tails ``T(N-1-u) + T(N-1+u)`` with T
-    from the law's tail envelope.
+    Boundary conductances are lag-sum tails ``T(N-1-u) + T(N-1+u)``, with
+    T(k) the envelope of the mass of lags > k from one array call of the
+    law's tail mass at the points k + 1/2, k = 0..2N-2.
     """
     if not law.is_lattice:
         raise DomainError("network slices are defined for lattice laws")
@@ -370,11 +367,9 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     if n >= 2:
         lag_mass[1:] = law.mass(np.arange(1, 2 * n - 1))
 
-    delta = law.spacing
-    # row k: envelope of the mass of lags > k
-    tails = np.array([law.one_sided_tail_mass((k + 0.5) * delta) for k in range(2 * n)])
-    idx = np.arange(-(n - 1), n)
-    b_lo, b_hi = (tails[n - 1 - idx] + tails[n - 1 + idx]).T
+    t_lo, t_hi = law.one_sided_tail_mass((np.arange(2 * n - 1) + 0.5) * law.spacing)
+    # u = -(N-1)..N-1 takes T(N-1-u) from the reversed row and T(N-1+u) from the row
+    b_lo, b_hi = t_lo[::-1] + t_lo, t_hi[::-1] + t_hi
     if not np.all(np.isfinite(b_hi)):
         raise DomainError("boundary conductances require a usable tail model")
     return NetworkSlice(radius=n, conductance=lag_mass, boundary_lo=b_lo, boundary_hi=b_hi)

@@ -258,24 +258,25 @@ def power_integral_tail(constant: float, p: float, y_from: float) -> float:
     return constant * y_from ** (1.0 - p) / (p - 1.0)
 
 
-def strided_power_sum(rho: float, stride: int, offset: int, n_from: float):
+def strided_power_sum(rho: float, stride: int, offset: int, n_from):
     """``sum n^-rho`` over integers n >= n_from with n = offset (mod stride).
 
     Exact via the Hurwitz zeta function: with n = stride*j + r the sum is
     stride^-rho * zeta(rho, j0 + r/stride). Requires rho > 1. Accepts float
     ``n_from`` (the sum runs over lattice points strictly above n_from - 1,
-    i.e. n >= ceil(n_from)).
+    i.e. n >= ceil(n_from)), and an array of them elementwise; a float for
+    a scalar ``n_from``, and +inf when rho <= 1.
     """
     if rho <= 1.0:
         return math.inf
     if stride < 1:
         raise ValueError("stride must be a positive integer")
     r = offset % stride
-    n0 = math.ceil(n_from)
+    n0 = np.ceil(np.asarray(n_from, dtype=float))
     # smallest j with stride*j + r >= max(n0, 1); for r = 0 the progression starts at j = 1
     if r == 0:
-        j0 = max(1, math.ceil(n0 / stride))
+        j0 = np.maximum(1.0, np.ceil(n0 / stride))
     else:
-        j0 = max(0, math.ceil((n0 - r) / stride))
-    a = j0 + r / stride
-    return float(stride ** -rho * zeta(rho, a))
+        j0 = np.maximum(0.0, np.ceil((n0 - r) / stride))
+    out = stride ** -rho * zeta(rho, j0 + r / stride)
+    return float(out) if out.ndim == 0 else out

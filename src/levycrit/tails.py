@@ -2,11 +2,13 @@
 
 Convergence verdicts in this package are never pure numerics: every
 Converges/Diverges decision is taken from a declared tail model, and
-truncated sums carry tail bounds derived from the same model. A tail
-model is either a :class:`TailDescriptor` (the dominant behaviour, used
-for classification) or a tuple of :class:`PowerTailComponent` entries
-(per-residue-class models for lattice laws whose masses interleave
-several decay rates).
+truncated sums carry tail bounds derived from the same model. Every law
+declares a :class:`TailDescriptor`, its dominant behaviour, which
+classifies. A lattice law with a power tail also carries a tuple of
+:class:`PowerTailComponent` entries (per-residue-class models, for masses
+that interleave several decay rates), and the components decide every
+lattice sum past its table; a finite lattice law has no components and
+sums its table.
 
 A power model with ``lower_factor = upper_factor = 1`` is exact: the mass
 or density equals ``K y^-rho`` beyond the onset. Inexact models (for
@@ -90,9 +92,12 @@ class TailDescriptor:
             return True
         return None
 
-    def weighted_tail_upper(self, weight_power: float, y_from: float) -> float:
-        """Upper bound for ``int_{y_from}^inf y^weight_power * model``, y_from >= onset."""
-        y_from = max(y_from, self.onset)
+    def weighted_tail_upper(self, weight_power: float, y_from):
+        """Upper bound for ``int_{y_from}^inf y^weight_power * model``, y_from >= onset.
+
+        Elementwise for an array ``y_from``.
+        """
+        y_from = np.maximum(y_from, self.onset)
         if self.kind is TailKind.COMPACT_SUPPORT:
             return 0.0
         if self.kind is TailKind.POWER_LAW:
@@ -104,7 +109,7 @@ class TailDescriptor:
             # int y^k e^{-lam y} <= y_from^k e^{-lam y_from} (1 + k/(lam y_from)) / lam, crude
             # use the clean bound for k <= 3 via repeated integration by parts envelope
             k = weight_power
-            base = self.upper_factor * self.constant * math.exp(-lam * y_from) / lam
+            base = self.upper_factor * self.constant * np.exp(-lam * y_from) / lam
             poly = y_from ** k * (1.0 + max(k, 0.0) / (lam * y_from)) ** 3
             return base * poly
         return math.inf
@@ -146,31 +151,13 @@ class PowerTailComponent:
     def model(self, n):
         return self.constant * np.asarray(n, dtype=float) ** -self.exponent
 
-    def weighted_tail_sum(self, weight_power: float, n_from: float):
+    def weighted_tail_sum(self, weight_power: float, n_from):
         """Envelope of ``sum_{n > n_from} n^weight_power * m(n)`` on this class.
 
-        Returns (lo, hi); requires n_from >= start - 1 so the model applies.
+        Returns (lo, hi), elementwise for an array ``n_from``; requires
+        n_from >= start - 1 so the model applies.
         """
         p = self.exponent - weight_power
-        base = strided_power_sum(p, self.stride, self.offset, math.floor(n_from) + 1)
-        if math.isinf(base):
-            return (math.inf, math.inf) if self.lower_factor > 0 else (0.0, math.inf)
+        base = strided_power_sum(p, self.stride, self.offset, np.floor(n_from) + 1)
         return (self.constant * self.lower_factor * base,
                 self.constant * self.upper_factor * base)
-
-
-def components_from_descriptor(tail: TailDescriptor) -> tuple[PowerTailComponent, ...]:
-    """Single full-lattice component mirroring a power descriptor, else empty."""
-    if tail.kind is not TailKind.POWER_LAW:
-        return ()
-    return (
-        PowerTailComponent(
-            constant=tail.constant,
-            exponent=tail.exponent,
-            stride=1,
-            offset=0,
-            start=max(1, math.ceil(tail.onset)),
-            lower_factor=tail.lower_factor,
-            upper_factor=tail.upper_factor,
-        ),
-    )

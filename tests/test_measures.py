@@ -23,13 +23,15 @@ from levycrit.criteria import CF_GRID
 from levycrit.discretize import bin_density
 from levycrit.measures import (
     CHAR_EXPONENT_LATTICE_CUTOFF,
+    LatticeSupport,
     NumericError,
+    SymmetricJumpLaw,
     _lattice_cos_sum,
     check_probability,
     make_gaussian_density,
     total_mass_interval,
 )
-from levycrit.tails import TailDescriptor, TailKind
+from levycrit.tails import PowerTailComponent, TailDescriptor, TailKind
 from levycrit.powerint import GK15_GAUSS, GK15_KRONROD, GK15_NODES, PANEL_CAP, panel_integrals
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
@@ -299,6 +301,49 @@ class TestCharExponentArray:
         assert got[0, 1] == pytest.approx(got[1, 1], rel=1e-14)
 
 
+TAIL_MASS_LAWS = {
+    **LATTICE_LAWS,
+    "power_lattice(0.5, normalized)": make_power_law_lattice(0.5, normalize=True),
+    "table_exact_tail": make_lattice_table(
+        {1: 0.2, 2: 0.1, 3: 0.05},
+        tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=4.0),
+    ),
+    "stable(0.7)": make_stable_triplet(0.7, 1.0).nu,
+    "gaussian(1.3)": make_gaussian_density(1.3),
+    "piecewise": make_piecewise_power(
+        [PowerPiece(0.0, 1.0, ((1.0 / 6.0, 0.0),)), PowerPiece(1.0, math.inf, ((1.0 / 6.0, 1.5),))]
+    ),
+}
+
+
+class TestArrayTailMass:
+    """``one_sided_tail_mass`` over an array against one scalar call per point."""
+
+    POINTS = np.array([[0.0, 0.3, 1.0, 1.7], [2.5, 5.0, 9.75, 30.0], [1e3, 1e5, 4.0, 0.75]])
+
+    @pytest.mark.parametrize("name", TAIL_MASS_LAWS)
+    def test_array_call_equals_scalar_calls(self, name):
+        law = TAIL_MASS_LAWS[name]
+        lo, hi = law.one_sided_tail_mass(self.POINTS)
+        assert lo.shape == hi.shape == self.POINTS.shape
+        scalar = [law.one_sided_tail_mass(x) for x in self.POINTS.ravel().tolist()]
+        assert all(type(lo_x) is float and type(hi_x) is float for lo_x, hi_x in scalar)
+        want, got = np.array(scalar), np.stack([lo.ravel(), hi.ravel()], axis=1)
+        if law.is_lattice:
+            # suffix sums and zeta tails give every point its scalar value
+            assert np.array_equal(got, want)
+        else:
+            # a generic density's panels run between neighbouring points
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.all(lo <= hi)
+
+    def test_past_max_lag_is_zero(self):
+        law = LATTICE_LAWS["table_max_lag_6"]  # spacing 0.5: lag 6 sits at 3.0
+        assert law.one_sided_tail_mass(3.0) == (0.0, 0.0)
+        lo, hi = law.one_sided_tail_mass(np.array([2.9, 3.0, 1e4]))
+        assert lo.tolist() == hi.tolist() == [0.07, 0.0, 0.0]
+
+
 class TestMoment:
     def test_heavy_tail_diverges(self, stable_half):
         assert moment(stable_half.nu, 2).status.value == "diverges"
@@ -318,6 +363,22 @@ class TestMoment:
     def test_bad_order_rejected(self, stable_half):
         with pytest.raises(DomainError):
             moment(stable_half.nu, 4)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_table_past_the_cutoff(self, k):
+        # lag 20 sits at 2e6, past the cutoff 1e6: it belongs to the tail
+        finite = make_lattice_table({1: 0.2, 20: 0.3}, spacing=1e5)
+        direct = 2.0 * (0.2 * 1e5 ** k + 0.3 * 2e6 ** k)
+        v = moment(finite, k)
+        assert v.status.value == "converges"
+        assert v.partial_value == pytest.approx(2.0 * 0.2 * 1e5 ** k, rel=1e-15)
+        assert v.estimate == pytest.approx(direct, rel=1e-15)
+        assert v.value_interval[0] <= direct <= v.value_interval[1]
+        # with a power tail past the table, lag 20 is still summed exactly
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=5.5, constant=0.1, onset=21.0)
+        power = make_lattice_table({1: 0.2, 20: 0.3}, spacing=1e5, tail=tail)
+        beyond = 2.0 * 1e5 ** k * 0.1 * float(zeta(5.5 - k, 21))
+        assert moment(power, k).estimate == pytest.approx(direct + beyond, rel=1e-14)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", [0, 2])
@@ -419,6 +480,26 @@ class TestLawAndTripletValidation:
                 total_mass=2 * ZETA_15,
                 unimodal=True,
             )
+
+    @pytest.mark.parametrize(
+        "max_lag,components,tail",
+        [
+            (None, (), TailDescriptor(TailKind.COMPACT_SUPPORT)),  # infinite, no tail model
+            (None, (), TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1.0)),
+            (5, (), TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1.0)),
+            (5, (PowerTailComponent(1.0, 1.5),), TailDescriptor(TailKind.COMPACT_SUPPORT)),
+            (5, (PowerTailComponent(1.0, 1.5),),
+             TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1.0)),
+            (None, (PowerTailComponent(1.0, 1.5),), TailDescriptor(TailKind.UNKNOWN)),
+        ],
+    )
+    def test_lattice_support_is_finite_or_power_modelled(self, max_lag, components, tail):
+        support = LatticeSupport(
+            spacing=1.0, mass_fn=lambda n: np.asarray(n, float) ** -1.5,
+            components=components, max_lag=max_lag,
+        )
+        with pytest.raises(DomainError, match="finite .* or power-modelled"):
+            SymmetricJumpLaw(support=support, normalization=Normalization.FINITE, tail=tail)
 
     def test_triplet_rejects_probability_law(self, power_half_prob):
         with pytest.raises(DomainError):

@@ -151,6 +151,12 @@ def test_strided_sum_against_brute_force(stride, offset, n_from):
     # brute force misses the tail beyond 2e6; bound it by the integral
     tail_cap = (2_000_000.0) ** (1 - rho) / (rho - 1)
     assert brute <= exact <= brute + tail_cap
+    # an array n_from is taken elementwise, each point as its scalar call
+    starts = np.array([[n_from, n_from + 0.5], [n_from + 3, 2 * n_from]])
+    got = strided_power_sum(rho, stride, offset, starts)
+    assert got.shape == starts.shape
+    assert got.tolist() == [[strided_power_sum(rho, stride, offset, s) for s in row]
+                            for row in starts.tolist()]
 
 
 def test_strided_sum_divergent():
