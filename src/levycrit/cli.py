@@ -246,21 +246,16 @@ def cmd_flow(args) -> int:
     law = law_from_config(law_cfg)
     i_max = int(_opt(args, cfg, "i_max", 10))
     energy_level = int(_opt(args, cfg, "energy_level", 14))
-    w_max = int(_opt(args, cfg, "w_max", 10 ** 6))
     verification = verify_flow(i_max)
     energy = flow_energy(law, energy_level)
-    bound = dyadic_energy_bound(law, w_max)
+    bound = dyadic_energy_bound(law)
     chain_ok = (not math.isfinite(energy.hi)) or energy.hi <= bound.hi * (1 + 1e-12) + 1e-9
     seed = _seed(args, cfg)
     run_cfg = {
         "command": "flow",
         "seed": seed,
         "law": law_cfg,
-        "options": {
-            "i_max": i_max,
-            "energy_level": energy_level,
-            "w_max": w_max,
-        },
+        "options": {"i_max": i_max, "energy_level": energy_level},
     }
     results = {
         "verification": verification.to_dict(),
@@ -490,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--i-max", type=int, default=None, dest="i_max")
     p.add_argument("--energy-level", type=int, default=None, dest="energy_level")
-    p.add_argument("--w-max", type=int, default=None, dest="w_max")
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("resistance", help="effective-resistance profile")

@@ -44,7 +44,8 @@ from .measures import (
     SymmetricJumpLaw,
     char_exponent,
 )
-from .powerint import panel_integrals, strided_power_sum
+from .powerint import panel_integrals
+from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
 from .tails import TailDescriptor, TailKind
 from .verdicts import (
     Basis,
@@ -130,14 +131,15 @@ def inverse_cubic_lattice_criterion(
     its power component covers is still positive, and its summand is +inf.
     With per-class power tails ``m(n) ~ K n^-rho`` the summand behaves like
     ``n^(rho-3)/K`` on each class, so the series converges iff every class
-    has rho < 2.
+    has rho < 2; the remainder is :meth:`SymmetricJumpLaw.lag_tail_sum`'s.
     """
     if not law.is_lattice:
         raise DomainError("lattice criterion needs a lattice law")
     if law.support.max_lag is not None:
         raise HypothesisViolationError("masses vanish beyond the table; positivity hypothesis fails")
 
-    lags = np.arange(1, cutoff + 1)
+    # positivity is checked on every tabulated lag, past the cutoff too
+    lags = np.arange(1, max(cutoff, law.support.top) + 1)
     masses = law.mass(lags)
     vanished = masses <= 0
     if np.any(vanished):
@@ -148,11 +150,11 @@ def inverse_cubic_lattice_criterion(
             bad = int(lags[np.argmax(vanished)])
             raise HypothesisViolationError(f"mass at lag {bad} is zero within truncation")
     with np.errstate(divide="ignore", over="ignore"):  # underflowed masses: honest inf
-        partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
+        partial = float(np.sum(1.0 / (lags[:cutoff].astype(float) ** 3 * masses[:cutoff])))
 
-    diverging = [c for c in law.components if c.exponent >= 2.0]
-    if diverging:
-        worst = max(c.exponent for c in diverging)
+    tail_lo, tail_hi = law.lag_tail_sum(-3.0, cutoff, inverse=True)
+    if math.isinf(tail_hi):
+        worst = max(c.exponent for c in law.components)
         return ConvergenceVerdict(
             status=Status.DIVERGES,
             partial_value=partial,
@@ -161,11 +163,6 @@ def inverse_cubic_lattice_criterion(
             basis=Basis.ANALYTIC_TAIL,
             note=f"summand ~ n^({worst - 3.0:g}) on a residue class",
         )
-    tail_lo = tail_hi = 0.0
-    for c in law.components:
-        base = strided_power_sum(3.0 - c.exponent, c.stride, c.offset, max(cutoff, c.start - 1) + 1)
-        tail_lo += base / (c.constant * c.upper_factor)
-        tail_hi += base / (c.constant * c.lower_factor)
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
@@ -283,8 +280,12 @@ def sato_shepp_criterion(
     iff rho < 2; any law with finite second moment makes I(y) bounded and
     the integral divergent. The partial is the trapezoid rule in log y on
     ``SATO_SHEPP_POINTS`` points over [1, cutoff], with I(y) from one
-    cumulative pass over that grid (:func:`_inner_integral_grid`).
+    cumulative pass over that grid (:func:`_inner_integral_grid`); a lattice
+    law with more lags than ``LATTICE_SERIES_CUTOFF`` is refused first.
     """
+    n_lags = math.floor(cutoff / law.spacing) if law.is_lattice else 0
+    if n_lags > LATTICE_SERIES_CUTOFF:
+        raise DomainError(f"{n_lags} lags exceed the cap of {LATTICE_SERIES_CUTOFF}")
     t_lo, t_hi = law.one_sided_tail_mass(1.0)
     if not math.isfinite(t_hi):
         raise DomainError("tail mass nu((1, inf)) must be finite and computable")
@@ -423,10 +424,12 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
 
 
 def _compare_lattice(nu1, nu2, cutoff):
+    """Partial, tail info and last summed lag, max(cutoff, top) of either law."""
     if nu1.spacing != nu2.spacing:
         raise UnsupportedComparisonError("lattice laws must share a spacing")
     delta = nu1.spacing
-    n = np.arange(1, int(cutoff) + 1)
+    n_head = max(int(cutoff), nu1.support.top, nu2.support.top)
+    n = np.arange(1, n_head + 1)
     diff = np.abs(nu1.mass(n) - nu2.mass(n))
     partial = float(np.sum((n * delta) ** 2 * diff))
 
@@ -435,7 +438,7 @@ def _compare_lattice(nu1, nu2, cutoff):
 
     k1, k2 = keyed(nu1), keyed(nu2)
     if set(k1) != set(k2) or not k1:
-        return partial, None  # cannot match classes analytically
+        return partial, None, n_head  # cannot match classes analytically
     tail_hi = 0.0
     worst_rho = math.inf
     identical = True
@@ -451,14 +454,13 @@ def _compare_lattice(nu1, nu2, cutoff):
             continue
         identical = False
         worst_rho = min(worst_rho, c1.exponent, c2.exponent)
-        base = max(int(cutoff), c1.start - 1, c2.start - 1)
-        _, h1 = c1.weighted_tail_sum(2.0, base)
-        _, h2 = c2.weighted_tail_sum(2.0, base)
+        _, h1 = c1.weighted_tail_sum(2.0, n_head)
+        _, h2 = c2.weighted_tail_sum(2.0, n_head)
         tail_hi += (h1 + h2) * delta ** 2
     if identical:
-        return partial, (0.0, True)
+        return partial, (0.0, True), n_head
     converges = worst_rho > 3.0  # class difference ~ n^-rho, weighted by n^2
-    return partial, (tail_hi if converges else math.inf, converges)
+    return partial, (tail_hi if converges else math.inf, converges), n_head
 
 
 def _net_terms(terms1, terms2):
@@ -521,8 +523,8 @@ def compare_measures(
     if nu1.is_lattice != nu2.is_lattice:
         raise UnsupportedComparisonError("cannot compare lattice with continuous support")
     if nu1.is_lattice:
-        partial, tail_info = _compare_lattice(nu1, nu2, cutoff=min(cutoff, 1e6))
-        trunc = f"lattice sum to n={int(min(cutoff, 1e6))}"
+        partial, tail_info, n_head = _compare_lattice(nu1, nu2, cutoff=min(cutoff, 1e6))
+        trunc = f"lattice sum to n={n_head}"
     else:
         partial, tail_info = _compare_continuous(nu1, nu2, cutoff)
         trunc = f"integral over [0, {cutoff:g}]"

@@ -36,7 +36,8 @@ from .measures import (
     PowerPiece,
     SymmetricJumpLaw,
 )
-from .powerint import panel_integrals, power_range, strided_power_sum
+from .powerint import panel_integrals, power_range
+from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
 from .tails import PowerTailComponent, TailDescriptor, TailKind
 from .verdicts import Basis, ConvergenceVerdict, Status
 
@@ -528,9 +529,8 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     status, note = tail_status(law.tail)
     lhs_tail = rhs_tail = math.inf
     if status is Status.CONVERGES:
-        comp = binned.components[0]
-        base = strided_power_sum(3.0 - comp.exponent, 1, 0, max(n_top, comp.start - 1) + 1)
-        lhs_tail = base / (comp.constant * comp.lower_factor)
+        # (n + 1/2)^-3 < n^-3: the plain inverse-cubic remainder bounds the bins'
+        _, lhs_tail = binned.lag_tail_sum(-3.0, n_top, inverse=True)
         t = law.tail
         rhs_tail = y_hi ** (t.exponent - 2.0) / (
             t.constant * t.lower_factor * (2.0 - t.exponent)

@@ -66,7 +66,8 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
 class LatticeSampler:
     """Exact sampler for the magnitude/sign of lattice jumps.
 
-    Magnitudes 1..table_size are drawn by binary search over the
+    Magnitudes up to ``table_size``, or up to the law's last tabulated lag
+    when that lies further out, are drawn by binary search over the
     cumulative one-sided masses; the remaining tail is split across the
     law's power components and inverted by bisection on Hurwitz-zeta tail
     sums, so no truncation bias enters below the cap: a tail draw whose
@@ -82,7 +83,7 @@ class LatticeSampler:
             raise DomainError("sampler needs a probability law")
         self.law = law
         sup = law.support
-        n_top = table_size if sup.max_lag is None else min(table_size, sup.max_lag)
+        n_top = max(table_size, sup.top) if sup.components else sup.top
         self.n_top = n_top
         lags = np.arange(1, n_top + 1)
         one_sided = np.asarray(law.mass(lags), dtype=float)
@@ -90,15 +91,12 @@ class LatticeSampler:
         self.cum = self.origin_mass + 2.0 * np.cumsum(one_sided)
         self.tail_comps = []
         tail_total = 0.0
-        if sup.max_lag is None:
-            for c in sup.components:
-                if not c.exact:
-                    raise DomainError(
-                        "exact tail sampling needs exact power components"
-                    )
-                mass = 2.0 * c.weighted_tail_sum(0.0, n_top)[0]
-                self.tail_comps.append((c, mass))
-                tail_total += mass
+        for c in sup.components:
+            if not c.exact:
+                raise DomainError("exact tail sampling needs exact power components")
+            mass = 2.0 * c.weighted_tail_sum(0.0, n_top)[0]
+            self.tail_comps.append((c, mass))
+            tail_total += mass
         self.tail_total = tail_total
         total = self.cum[-1] + tail_total if n_top >= 1 else self.origin_mass + tail_total
         if abs(total - 1.0) > 1e-9:

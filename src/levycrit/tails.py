@@ -7,8 +7,9 @@ declares a :class:`TailDescriptor`, its dominant behaviour, which
 classifies. A lattice law with a power tail also carries a tuple of
 :class:`PowerTailComponent` entries (per-residue-class models, for masses
 that interleave several decay rates), and the components decide every
-lattice sum past its table; a finite lattice law has no components and
-sums its table.
+lattice sum past its table: :meth:`SymmetricJumpLaw.lag_tail_sum` sums the
+table exactly and adds each component's envelope past it, for every
+cutoff. A finite lattice law has no components and sums its table.
 
 A power model with ``lower_factor = upper_factor = 1`` is exact: the mass
 or density equals ``K y^-rho`` beyond the onset. Inexact models (for
@@ -151,13 +152,15 @@ class PowerTailComponent:
     def model(self, n):
         return self.constant * np.asarray(n, dtype=float) ** -self.exponent
 
-    def weighted_tail_sum(self, weight_power: float, n_from):
-        """Envelope of ``sum_{n > n_from} n^weight_power * m(n)`` on this class.
+    def weighted_tail_sum(self, weight_power: float, n_from, inverse: bool = False):
+        """Envelope of ``sum_{n > n_from} n^weight_power * m(n)^(+-1)`` on this class.
 
-        Returns (lo, hi), elementwise for an array ``n_from``; requires
-        n_from >= start - 1 so the model applies.
+        ``inverse`` sums ``n^weight_power / m(n)``, which the model brackets
+        by ``n^(weight_power + rho) / (K * factor)``. Returns (lo, hi),
+        elementwise for an array ``n_from``, and inf where the sum diverges;
+        requires n_from >= start - 1 so the model applies.
         """
-        p = self.exponent - weight_power
+        p = -self.exponent - weight_power if inverse else self.exponent - weight_power
         base = strided_power_sum(p, self.stride, self.offset, np.floor(n_from) + 1)
-        return (self.constant * self.lower_factor * base,
-                self.constant * self.upper_factor * base)
+        k_lo, k_hi = self.constant * self.lower_factor, self.constant * self.upper_factor
+        return (base / k_hi, base / k_lo) if inverse else (k_lo * base, k_hi * base)

@@ -172,6 +172,10 @@ class TestCliCommands:
         assert main(["flow", "--family", "power_lattice", "--alpha", "0.5",
                      "--i-max", "40"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        # the energy bound's series has one truncation; --w-max is gone
+        assert main(["flow", "--family", "power_lattice", "--alpha", "0.5",
+                     "--w-max", "1"]) == 1
+        assert "unrecognized arguments: --w-max" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -288,27 +292,24 @@ class TestCliCommands:
 
 class TestReproducibility:
     def test_rerun_from_embedded_config(self, tmp_path, capsys):
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        assert (
-            main(
-                ["simulate", "--family", "power_lattice", "--alpha", "0.5",
-                 "--normalize", "--horizon", "400", "--replicas", "5",
-                 "--seed", "11", "--out", str(out1)]
-            )
-            == 0
-        )
-        # re-run straight from the first report: the embedded resolved
-        # config supplies the law, seed and every option
-        assert (
-            main(["simulate", "--config", str(out1 / "report.json"), "--out", str(out2)])
-            == 0
-        )
-        rep1 = json.loads((out1 / "report.json").read_text())
-        rep2 = json.loads((out2 / "report.json").read_text())
-        rep1.pop("timestamp")
-        rep2.pop("timestamp")
-        assert rep1 == rep2
+        runs = {
+            "simulate": ["--family", "power_lattice", "--alpha", "0.5", "--normalize",
+                         "--horizon", "400", "--replicas", "5", "--seed", "11"],
+            "flow": ["--family", "power_lattice", "--alpha", "0.5", "--i-max", "6",
+                     "--energy-level", "10"],
+        }
+        for command, flags in runs.items():
+            out1 = tmp_path / command / "run1"
+            out2 = tmp_path / command / "run2"
+            assert main([command, *flags, "--out", str(out1)]) == 0
+            # re-run straight from the first report: the embedded resolved
+            # config supplies the law, seed and every option
+            assert main([command, "--config", str(out1 / "report.json"), "--out", str(out2)]) == 0
+            rep1 = json.loads((out1 / "report.json").read_text())
+            rep2 = json.loads((out2 / "report.json").read_text())
+            rep1.pop("timestamp")
+            rep2.pop("timestamp")
+            assert rep1 == rep2, command
 
     def test_table_law_report_rerun(self, tmp_path, capsys):
         # JSON coerces table keys to strings; the rerun must coerce them back

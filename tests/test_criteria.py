@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from levycrit import (
     Basis,
     Classification,
+    DomainError,
     HypothesisViolationError,
     PowerPiece,
     Status,
@@ -89,6 +91,9 @@ class TestInverseCubicLattice:
         law = make_lattice_table({1: 0.2, 2: 0.0, 3: 0.05}, tail=tail)
         with pytest.raises(HypothesisViolationError, match="lag 2"):
             inverse_cubic_lattice_criterion(law)
+        # past the cutoff the zero is still a hypothesis failure, not a divergence
+        with pytest.raises(HypothesisViolationError, match="lag 2"):
+            inverse_cubic_lattice_criterion(law, cutoff=1)
         # an even-lag power component says nothing about the empty odd lags past 1
         even = PowerTailComponent(constant=1.0, exponent=1.5, stride=2, offset=0, start=2)
         even_only = SymmetricJumpLaw(
@@ -102,6 +107,21 @@ class TestInverseCubicLattice:
         )
         with pytest.raises(HypothesisViolationError, match="lag 3 "):
             inverse_cubic_lattice_criterion(even_only)
+
+    def test_cutoff_below_the_table(self):
+        # lags 6..10 lie past the cutoff but inside the table: the remainder
+        # sums them exactly before the power tail takes over at lag 11
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.05)
+        law = make_lattice_table({k: 1e-6 for k in range(1, 11)}, tail=tail)
+        short = inverse_cubic_lattice_criterion(law, cutoff=5)
+        full = inverse_cubic_lattice_criterion(law)
+        assert short.status is full.status is Status.CONVERGES
+        direct = sum(1e6 / k ** 3 for k in range(1, 11)) + float(zeta(1.5, 11)) / 0.05
+        assert full.estimate == pytest.approx(direct, rel=1e-14)
+        lo, hi = short.value_interval
+        # the exact tail puts the value on the upper end: allow its rounding
+        assert lo <= full.estimate <= hi * (1.0 + 1e-14)
+        assert short.estimate == pytest.approx(direct, rel=1e-14)
 
     def test_partial_monotone_in_cutoff(self, power_half_raw):
         cutoffs = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
@@ -210,6 +230,32 @@ class TestSatoShepp:
                 ss = {e.criterion: e.verdict for e in verdict.evidence}["sato_shepp"]
                 assert ss.status is Status.DIVERGES
                 assert ss.partial_value > 1e300
+
+    def test_lattice_lag_cap_checked_first(self):
+        # 1e4 / 1e-3 = 1e7 lags would need about 1 GB of masses: refused
+        # before any mass is read, and classify records the criterion as
+        # not evaluated
+        armed = [True]
+
+        def mass_fn(n):
+            if armed[0]:
+                raise AssertionError("a mass was read before the lag cap was checked")
+            return 1e-3 * np.asarray(n, dtype=float) ** -1.5
+
+        law = SymmetricJumpLaw(
+            support=LatticeSupport(
+                spacing=1e-3, mass_fn=mass_fn,
+                components=(PowerTailComponent(constant=1e-3, exponent=1.5),),
+            ),
+            normalization=Normalization.FINITE,
+            tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=1e-3),
+        )
+        with pytest.raises(DomainError, match="exceed the cap of 1000000"):
+            sato_shepp_criterion(law)
+        armed[0] = False
+        ss = {e.criterion: e.verdict for e in classify(make_walk_triplet(law)).evidence}
+        assert ss["sato_shepp"].truncation == "criterion not evaluated"
+        assert "exceed the cap" in ss["sato_shepp"].note
 
     def test_lattice_applicable_without_unimodality(self, multi_default):
         v = sato_shepp_criterion(multi_default)
@@ -401,6 +447,17 @@ class TestCompareMeasures:
     def test_mixed_supports_rejected(self, stable_half, power_half_raw):
         with pytest.raises(UnsupportedComparisonError):
             compare_measures(stable_half.nu, power_half_raw)
+
+    def test_lattice_cutoff_below_the_tables(self):
+        # the tables differ on lags 1..10 and share their tail; a cutoff of 3
+        # still sums every tabulated lag: sum n^2 * 0.01 = 3.85
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=4.5, constant=0.01)
+        nu1 = make_lattice_table({k: 0.01 for k in range(1, 11)}, tail=tail)
+        nu2 = make_lattice_table({k: 0.02 for k in range(1, 11)}, tail=tail)
+        v = compare_measures(nu1, nu2, cutoff=3)
+        assert v.status is Status.CONVERGES
+        assert v.value_interval == pytest.approx((3.85, 3.85), rel=1e-14)
+        assert v.truncation.startswith("lattice sum to n=10;")
 
     def test_lattice_identity(self, power_half_raw):
         v = compare_measures(power_half_raw, power_half_raw)

@@ -265,6 +265,21 @@ class TestJensenGap:
             )
             assert lhs <= rhs + 1e-12
 
+    def test_lhs_encloses_bins_past_the_table(self):
+        # the unit bins are tabulated to lag 2501, past the 2000 summed
+        # bins: the remainder sums lags 2001..2501 before the power tail
+        law = make_piecewise_power(
+            [PowerPiece(0.0, 2500.0, ((1e-4, 0.0),)), PowerPiece(2500.0, math.inf, ((6.25, 1.5),))]
+        )
+        binned = bin_density(law, 1.0)
+        assert binned.support.top == 2501
+        direct = 0.0  # the bin sum to 1e7 lags, a lower bound of the whole series
+        for start in range(0, 10 ** 7, 10 ** 6):
+            n = np.arange(start + 1, start + 10 ** 6 + 1)
+            direct += float(np.sum(1.0 / ((n + 0.5) ** 3 * binned.mass(n))))
+        lo, hi = jensen_gap(law).lhs.value_interval
+        assert lo <= direct <= hi
+
     def test_divergent_tail_still_consistent(self):
         law = make_piecewise_power(
             [PowerPiece(0.0, 1.0, ((0.3, 0.0),)), PowerPiece(1.0, math.inf, ((0.3, 2.5),))]

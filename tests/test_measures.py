@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from levycrit.measures import (
     total_mass_interval,
 )
 from levycrit.tails import PowerTailComponent, TailDescriptor, TailKind
-from levycrit.powerint import GK15_GAUSS, GK15_KRONROD, GK15_NODES, PANEL_CAP, panel_integrals
+from levycrit.powerint import (
+    GK15_GAUSS,
+    GK15_KRONROD,
+    GK15_NODES,
+    PANEL_CAP,
+    one_minus_cos_tail,
+    panel_integrals,
+)
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
 
@@ -264,6 +272,32 @@ class TestBlockedLatticeSum:
         assert np.all((err <= 1e-12 * want) | (err <= 1e-13 * law.total_mass))
 
 
+    def test_summed_lags_reach_the_table_end(self):
+        # bins of width 1/128 are tabulated to lag 128001, past
+        # CHAR_EXPONENT_LATTICE_CUTOFF: psi sums every one of them before the
+        # power correction takes over. Reference: the plain sum to 4e6 lags
+        # plus the same correction from there. The correction integrates the
+        # tail from its start, a first-order (Euler-Maclaurin) error of about
+        # m(N)(1 - cos(N u)) in psi, below 2e-6 relative at N = 128001
+        k = 0.25 * math.sqrt(1000.0) / 2.0  # a y^-1.5 tail of mass 1/4 past 1000
+        law = make_piecewise_power(
+            [PowerPiece(0.0, 1000.0, ((2.5e-4, 0.0),)), PowerPiece(1000.0, math.inf, ((k, 1.5),))]
+        )
+        binned = bin_density(law, 1.0 / 128.0)
+        assert binned.support.top == 128001 > CHAR_EXPONENT_LATTICE_CUTOFF
+        comp = binned.components[0]
+        k_mid = comp.constant * 0.5 * (comp.lower_factor + comp.upper_factor)
+        n_ref = 4 * 10 ** 6
+        for xi in (1e-3, 1e-2, 0.1):
+            u = xi / 128.0
+            direct = 0.0
+            for start in range(0, n_ref, 10 ** 6):
+                n = np.arange(start + 1, start + 10 ** 6 + 1)
+                direct += float(np.sum(binned.mass(n) * 2.0 * np.sin(n * u / 2.0) ** 2))
+            ref = 2.0 * (direct + k_mid * u ** 0.5 * one_minus_cos_tail(1.5, u * n_ref))
+            assert char_exponent(make_walk_triplet(binned), xi) == pytest.approx(ref, rel=1e-5)
+
+
 class TestCharExponentArray:
     TRIPLETS = {
         **{name: make_walk_triplet(law) for name, law in LATTICE_LAWS.items()},
@@ -342,6 +376,87 @@ class TestArrayTailMass:
         assert law.one_sided_tail_mass(3.0) == (0.0, 0.0)
         lo, hi = law.one_sided_tail_mass(np.array([2.9, 3.0, 1e4]))
         assert lo.tolist() == hi.tolist() == [0.07, 0.0, 0.0]
+
+
+def _parent_tail_mass(law, x):
+    """The lattice tail-mass rule before :meth:`lag_tail_sum`, kept as its oracle.
+
+    Suffix sums of the masses up to ``top``, then each component's tail
+    past max(n - 1, top), with n the first lag past x.
+    """
+    sup = law.support
+    n_from = np.floor(x / sup.spacing).astype(np.int64) + 1
+    top = sup.top
+    first = int(n_from.min(initial=top + 1))
+    suffix = np.append(np.cumsum(law.mass(np.arange(first, top + 1))[::-1])[::-1], 0.0)
+    lo = hi = suffix[np.minimum(n_from, top + 1) - first]
+    for c in sup.components:
+        c_lo, c_hi = c.weighted_tail_sum(0.0, np.maximum(n_from - 1, top))
+        lo, hi = lo + c_lo, hi + c_hi
+    return lo, hi
+
+
+class TestLagTailSum:
+    """``sum_{n > n_from} n^w m(n)^(+-1)`` against a direct sum to 4e6 lags
+    plus a Hurwitz-zeta envelope of each class past them."""
+
+    N_DIRECT = 4 * 10 ** 6
+
+    @classmethod
+    def _rest(cls, law, weight, inverse):
+        """Envelope of the sum over lags > N_DIRECT, class by class."""
+        lo = hi = 0.0
+        n = cls.N_DIRECT
+        for c in law.components:
+            p = -c.exponent - weight if inverse else c.exponent - weight
+            if p <= 1.0:
+                return math.inf, math.inf
+            # class members n = s j + r past N start at j0 = (N - r) // s + 1
+            s, r = c.stride, c.offset
+            base = s ** -p * float(zeta(p, (n - r) // s + 1 + r / s))
+            k_lo, k_hi = c.constant * c.lower_factor, c.constant * c.upper_factor
+            lo += base / k_hi if inverse else base * k_lo
+            hi += base / k_lo if inverse else base * k_hi
+        return lo, hi
+
+    @pytest.mark.parametrize("name", LATTICE_LAWS)
+    def test_envelope_brackets_direct_sum(self, name):
+        law = LATTICE_LAWS[name]
+        top = law.support.top
+        finite = law.support.max_lag is not None
+        starts = sorted({0, max(top - 1, 0), top, top + 7, 10 ** 4})
+        lags = np.arange(1, (top if finite else self.N_DIRECT) + 1)
+        masses = law.mass(lags)
+        for inverse, weight in product((False, True), (-3.0, 0.0, 2.0)):
+            lo, hi = law.lag_tail_sum(weight, np.array(starts), inverse=inverse)
+            assert lo.shape == hi.shape == (len(starts),)
+            assert law.lag_tail_sum(weight, starts[0], inverse=inverse) == (lo[0], hi[0])
+            r_lo, r_hi = self._rest(law, weight, inverse)
+            if (inverse and finite) or math.isinf(r_hi):
+                assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
+                continue
+            terms = lags.astype(float) ** weight * (1.0 / masses if inverse else masses)
+            for i, n_from in enumerate(starts):
+                direct = float(np.sum(terms[n_from:]))
+                assert lo[i] <= hi[i]
+                assert lo[i] <= (direct + r_hi) * (1.0 + 1e-12)
+                assert hi[i] >= (direct + r_lo) * (1.0 - 1e-12)
+                if all(c.exact for c in law.components):
+                    assert lo[i] == hi[i] == pytest.approx(direct + r_lo, rel=1e-12)
+
+    @pytest.mark.parametrize("name", LATTICE_LAWS)
+    def test_tail_mass_keeps_the_parent_rule(self, name):
+        law = LATTICE_LAWS[name]
+        top = law.support.top
+        x = np.concatenate([TestArrayTailMass.POINTS.ravel(),
+                            law.spacing * (np.arange(top - 2, top + 9) + 0.5).clip(0.0)])
+        lo, hi = law.one_sided_tail_mass(x)
+        want_lo, want_hi = _parent_tail_mass(law, x)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    def test_continuous_law_rejected(self):
+        with pytest.raises(DomainError):
+            make_gaussian_density(1.0).lag_tail_sum(0.0, 3)
 
 
 class TestMoment:

@@ -10,6 +10,8 @@ from levycrit import (
     DomainError,
     LatticeSampler,
     Status,
+    TailDescriptor,
+    TailKind,
     even_chain_batch,
     even_chain_criterion,
     even_chain_sample,
@@ -83,6 +85,19 @@ class TestSampler:
         med_target = lo
         frac_below = np.count_nonzero(tail_lags <= med_target) / len(tail_lags)
         assert abs(frac_below - 0.5) <= 4.0 * math.sqrt(0.25 / len(tail_lags))
+
+    def test_table_past_the_sampler_table(self):
+        # the law tabulates lags 1..10 past a sampler table of 3: the table
+        # grows to hold them, and only the power tail past lag 10 is bisected
+        tail_k = 0.1 / float(zeta(2.5, 11))
+        law = make_lattice_table(
+            {k: 0.04 for k in range(1, 11)},
+            tail=TailDescriptor(TailKind.POWER_LAW, exponent=2.5, constant=tail_k, onset=11.0),
+        )
+        smp = LatticeSampler(law, table_size=3)
+        assert smp.n_top == 10
+        assert smp.cum[-1] == pytest.approx(0.8, rel=1e-15)
+        assert smp.tail_total == pytest.approx(0.2, rel=1e-14)
 
     def test_tail_draw_beyond_cap_is_clamped(self, half_law_prob):
         # this batch holds a draw beyond the 2^52 bisection cap next to draws
