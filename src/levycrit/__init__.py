@@ -34,6 +34,7 @@ from .verdicts import (
     Classification,
     ConvergenceVerdict,
     CriterionEvidence,
+    Interval,
     Status,
     TransienceVerdict,
 )
@@ -50,7 +51,6 @@ from .criteria import (
 )
 from .network import (
     FlowReport,
-    Interval,
     NetworkSlice,
     ResistanceProfile,
     block_index,

@@ -55,6 +55,7 @@ from .verdicts import (
     Status,
     TransienceVerdict,
     combine_evidence,
+    enclosure,
 )
 
 __all__ = [
@@ -111,7 +112,7 @@ def _undecided(status: Status, note: str, partial: float, truncation: str) -> Co
     return ConvergenceVerdict(
         status=status,
         partial_value=partial,
-        tail_bound=math.inf,
+        value=enclosure(partial, 0.0, math.inf),
         truncation=truncation,
         basis=Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL,
         note=note,
@@ -122,54 +123,51 @@ def _undecided(status: Status, note: str, partial: float, truncation: str) -> Co
 # inverse-cubic criterion (sufficient for transience)
 
 
-def inverse_cubic_lattice_criterion(
-    law: SymmetricJumpLaw, cutoff: int = LATTICE_SERIES_CUTOFF
-) -> ConvergenceVerdict:
+def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict:
     """Classify ``sum_{n>=1} 1 / (n^3 m(n))`` for a lattice law.
 
     Requires m(n) > 0 for every lag; a mass that underflows to 0 on a lag
     its power component covers is still positive, and its summand is +inf.
     With per-class power tails ``m(n) ~ K n^-rho`` the summand behaves like
     ``n^(rho-3)/K`` on each class, so the series converges iff every class
-    has rho < 2; the remainder is :meth:`SymmetricJumpLaw.lag_tail_sum`'s.
+    has rho < 2. The head sums the table, to ``LatticeSupport.top``, and
+    the rest is :meth:`SymmetricJumpLaw.lag_tail_sum`'s, exact for exact
+    components, so the value is exact up to rounding; a law with an
+    inexact component sums its head on to ``LATTICE_SERIES_CUTOFF``, which
+    narrows its envelope. Positivity is checked on the summed lags and,
+    past ``top``, on the components' residue classes: a lag that no class
+    covers has no mass.
     """
     if not law.is_lattice:
         raise DomainError("lattice criterion needs a lattice law")
-    if law.support.max_lag is not None:
+    sup, comps = law.support, law.components
+    if sup.max_lag is not None:
         raise HypothesisViolationError("masses vanish beyond the table; positivity hypothesis fails")
 
-    # positivity is checked on every tabulated lag, past the cutoff too
-    lags = np.arange(1, max(cutoff, law.support.top) + 1)
+    n_head = sup.top if all(c.exact for c in comps) else max(LATTICE_SERIES_CUTOFF, sup.top)
+    lags = np.arange(1, n_head + 1)
     masses = law.mass(lags)
-    vanished = masses <= 0
-    if np.any(vanished):
-        # a zero where a power component (K > 0) applies is K n^-rho underflowing
-        for c in law.components:
-            vanished &= (lags < c.start) | (lags % c.stride != c.offset)
-        if np.any(vanished):
-            bad = int(lags[np.argmax(vanished)])
-            raise HypothesisViolationError(f"mass at lag {bad} is zero within truncation")
+    # zero summed masses, and one period of the classes past the table; a zero
+    # where a power component (K > 0) applies is K n^-rho underflowing
+    period = min(math.lcm(*(c.stride for c in comps)), LATTICE_SERIES_CUTOFF)
+    empty = np.concatenate([lags[masses <= 0], np.arange(sup.top + 1, sup.top + period + 1)])
+    for c in comps:
+        empty = empty[(empty < c.start) | (empty % c.stride != c.offset)]
+    if empty.size:
+        raise HypothesisViolationError(f"mass at lag {int(empty.min())} is zero")
     with np.errstate(divide="ignore", over="ignore"):  # underflowed masses: honest inf
-        partial = float(np.sum(1.0 / (lags[:cutoff].astype(float) ** 3 * masses[:cutoff])))
+        partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
 
-    tail_lo, tail_hi = law.lag_tail_sum(-3.0, cutoff, inverse=True)
-    if math.isinf(tail_hi):
-        worst = max(c.exponent for c in law.components)
-        return ConvergenceVerdict(
-            status=Status.DIVERGES,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=f"series to n={cutoff}",
-            basis=Basis.ANALYTIC_TAIL,
-            note=f"summand ~ n^({worst - 3.0:g}) on a residue class",
-        )
+    tail_lo, tail_hi = law.lag_tail_sum(-3.0, n_head, inverse=True)
+    diverges = math.isinf(tail_hi)
+    worst = max(c.exponent for c in comps)
     return ConvergenceVerdict(
-        status=Status.CONVERGES,
+        status=Status.DIVERGES if diverges else Status.CONVERGES,
         partial_value=partial,
-        tail_bound=tail_hi,
-        truncation=f"series to n={cutoff}; analytic power tail beyond",
+        value=enclosure(partial, tail_lo, tail_hi),
+        truncation=f"series to n={n_head}" + ("" if diverges else "; analytic power tail beyond"),
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + 0.5 * (tail_lo + tail_hi),
+        note=f"summand ~ n^({worst - 3.0:g}) on a residue class" if diverges else "",
     )
 
 
@@ -221,10 +219,9 @@ def inverse_cubic_density_criterion(
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
-        tail_bound=tail_hi,
+        value=enclosure(partial, tail_lo, tail_hi),
         truncation=trunc + "; analytic power tail beyond",
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + 0.5 * (tail_lo + tail_hi),
         note=note,
     )
 
@@ -323,10 +320,9 @@ def sato_shepp_criterion(
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
-        tail_bound=tail_hi,
+        value=enclosure(partial, 0.0, tail_hi),
         truncation=trunc + "; analytic power tail beyond",
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + 0.5 * tail_hi,
         note="unimodal hypothesis asserted" if law.unimodal else
         "convergence is transience evidence only under unimodality",
     )
@@ -411,10 +407,9 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
-        tail_bound=tail_hi,
+        value=enclosure(partial, 0.0, tail_hi),
         truncation=trunc + "; analytic power tail below",
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + 0.5 * tail_hi,
         note=note,
     )
 
@@ -424,7 +419,15 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
 
 
 def _compare_lattice(nu1, nu2, cutoff):
-    """Partial, tail info and last summed lag, max(cutoff, top) of either law."""
+    """Partial, status, remainder bound and truncation of a lattice comparison.
+
+    The head runs to max(cutoff, top of either law); past it only the power
+    components are known. A class on which both laws have one exact model
+    cancels. Every other class adds both laws' weighted envelopes to the
+    bound, and makes the remainder diverge when its difference provably
+    decays no faster than n^-3: the two exponents differ, the envelopes on
+    one exponent are disjoint, or the other law is finite.
+    """
     if nu1.spacing != nu2.spacing:
         raise UnsupportedComparisonError("lattice laws must share a spacing")
     delta = nu1.spacing
@@ -433,34 +436,30 @@ def _compare_lattice(nu1, nu2, cutoff):
     diff = np.abs(nu1.mass(n) - nu2.mass(n))
     partial = float(np.sum((n * delta) ** 2 * diff))
 
-    def keyed(law):
-        return {(c.stride, c.offset): c for c in law.components}
-
-    k1, k2 = keyed(nu1), keyed(nu2)
-    if set(k1) != set(k2) or not k1:
-        return partial, None, n_head  # cannot match classes analytically
-    tail_hi = 0.0
-    worst_rho = math.inf
-    identical = True
-    for key in k1:
-        c1, c2 = k1[key], k2[key]
-        same = (
-            c1.exponent == c2.exponent
-            and c1.constant == c2.constant
-            and c1.exact
-            and c2.exact
-        )
-        if same:
+    k1, k2 = ({(c.stride, c.offset): c for c in law.components} for law in (nu1, nu2))
+    tail_hi, diverges = 0.0, False
+    for key in k1.keys() | k2.keys():
+        c1, c2 = k1.get(key), k2.get(key)
+        if c1 is None or c2 is None:
+            # the other law surely has no mass on this class only if it is finite
+            floor = math.inf if (k1 if c1 is None else k2) else (c1 or c2).exponent
+        elif c1.exponent != c2.exponent:
+            floor = min(c1.exponent, c2.exponent)
+        elif c1.exact and c2.exact and c1.constant == c2.constant:
             continue
-        identical = False
-        worst_rho = min(worst_rho, c1.exponent, c2.exponent)
-        _, h1 = c1.weighted_tail_sum(2.0, n_head)
-        _, h2 = c2.weighted_tail_sum(2.0, n_head)
-        tail_hi += (h1 + h2) * delta ** 2
-    if identical:
-        return partial, (0.0, True), n_head
-    converges = worst_rho > 3.0  # class difference ~ n^-rho, weighted by n^2
-    return partial, (tail_hi if converges else math.inf, converges), n_head
+        else:
+            disjoint = (
+                c1.constant * c1.lower_factor > c2.constant * c2.upper_factor
+                or c2.constant * c2.lower_factor > c1.constant * c1.upper_factor
+            )
+            floor = c1.exponent if disjoint else math.inf
+        diverges |= floor <= 3.0  # a class difference ~ n^-rho, weighted by n^2
+        tail_hi += sum(c.weighted_tail_sum(2.0, n_head)[1] for c in (c1, c2) if c) * delta ** 2
+    if math.isfinite(tail_hi):
+        status = Status.CONVERGES
+    else:
+        status = Status.DIVERGES if diverges else Status.INCONCLUSIVE
+    return partial, status, tail_hi, f"lattice sum to n={n_head}"
 
 
 def _net_terms(terms1, terms2):
@@ -477,6 +476,9 @@ def _net_terms(terms1, terms2):
 
 
 def _compare_continuous(nu1, nu2, cutoff):
+    """Partial, status, remainder bound and truncation of a density comparison."""
+    trunc = f"integral over [0, {cutoff:g}]"
+
     def integrand(y):
         return y * y * np.abs(nu1.density(y) - nu2.density(y))
 
@@ -486,7 +488,7 @@ def _compare_continuous(nu1, nu2, cutoff):
         n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
         edges = np.union1d([0.0, cutoff], np.geomspace(1.0, cutoff, n_panels + 1))
         panels, _ = panel_integrals(integrand, edges[edges <= cutoff])
-        return float(np.sum(panels)), None
+        return float(np.sum(panels)), Status.INCONCLUSIVE, math.inf, trunc
     # beyond far_start each density is its final infinite-piece form (or zero)
     finite_edges = [p.hi for p in p1 + p2 if p.hi != math.inf]
     far_start = max([cutoff, p1[-1].lo, p2[-1].lo, *finite_edges])
@@ -501,14 +503,14 @@ def _compare_continuous(nu1, nu2, cutoff):
         last1.terms if last1 else (), last2.terms if last2 else ()
     )
     if not net:
-        return partial, (0.0, True)  # exact cancellation (or both compact)
+        return partial, Status.CONVERGES, 0.0, trunc  # exact cancellation (or both compact)
     rho_min = min(net)
     if rho_min <= 3.0:
-        return partial, (math.inf, False)
+        return partial, Status.DIVERGES, math.inf, trunc
     tail_hi = sum(
         abs(k) * far_start ** (3.0 - rho) / (rho - 3.0) for rho, k in net.items()
     )
-    return partial, (tail_hi, True)
+    return partial, Status.CONVERGES, tail_hi, trunc
 
 
 def compare_measures(
@@ -523,36 +525,22 @@ def compare_measures(
     if nu1.is_lattice != nu2.is_lattice:
         raise UnsupportedComparisonError("cannot compare lattice with continuous support")
     if nu1.is_lattice:
-        partial, tail_info, n_head = _compare_lattice(nu1, nu2, cutoff=min(cutoff, 1e6))
-        trunc = f"lattice sum to n={n_head}"
+        partial, status, tail_hi, trunc = _compare_lattice(
+            nu1, nu2, min(cutoff, LATTICE_SERIES_CUTOFF)
+        )
     else:
-        partial, tail_info = _compare_continuous(nu1, nu2, cutoff)
-        trunc = f"integral over [0, {cutoff:g}]"
-    if tail_info is None:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc + "; tails not analytically comparable",
-            basis=Basis.NUMERIC_ONLY,
-        )
-    tail_hi, converges = tail_info
-    if converges:
-        return ConvergenceVerdict(
-            status=Status.CONVERGES,
-            partial_value=partial,
-            tail_bound=tail_hi,
-            truncation=trunc + "; analytic tail difference beyond",
-            basis=Basis.ANALYTIC_TAIL,
-            estimate=partial + 0.5 * tail_hi,
-            note="transience of the first process transfers to the second",
-        )
+        partial, status, tail_hi, trunc = _compare_continuous(nu1, nu2, cutoff)
+    if status is Status.INCONCLUSIVE:
+        trunc += "; tails not analytically comparable"
+    if status is not Status.CONVERGES:
+        return _undecided(status, "", partial, trunc)
     return ConvergenceVerdict(
-        status=Status.DIVERGES,
+        status=Status.CONVERGES,
         partial_value=partial,
-        tail_bound=math.inf,
-        truncation=trunc,
+        value=enclosure(partial, 0.0, tail_hi),
+        truncation=trunc + "; analytic tail difference beyond",
         basis=Basis.ANALYTIC_TAIL,
+        note="transience of the first process transfers to the second",
     )
 
 
@@ -585,14 +573,7 @@ def classify(
 
     def push(name, verdict, implication, note=""):
         if verdict is None:
-            verdict = ConvergenceVerdict(
-                status=Status.INCONCLUSIVE,
-                partial_value=0.0,
-                tail_bound=math.inf,
-                truncation="criterion not evaluated",
-                basis=Basis.NUMERIC_ONLY,
-                note=note,
-            )
+            verdict = _undecided(Status.INCONCLUSIVE, note, 0.0, "criterion not evaluated")
         evidence.append(CriterionEvidence(name, verdict, implication))
 
     cf, err = _safe(chung_fuchs_criterion, triplet, a)

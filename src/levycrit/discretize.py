@@ -39,7 +39,7 @@ from .measures import (
 from .powerint import panel_integrals, power_range
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
 from .tails import PowerTailComponent, TailDescriptor, TailKind
-from .verdicts import Basis, ConvergenceVerdict, Status
+from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
     "default_test_functions",
@@ -498,7 +498,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     Requires f > 0 on [1/2, inf). The comparison is made at matched
     truncation (bins 1..N against the integral over [1/2, N+1/2]), where
     it holds term by term; for laws with power tails of exponent below 2
-    both sides converge and the verdicts carry tail bounds.
+    both sides converge and the verdicts carry two-sided enclosures.
     """
     if law.is_lattice:
         raise DomainError("jensen_gap expects a continuous law")
@@ -527,20 +527,23 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     rhs_partial = float(np.sum(panels))
 
     status, note = tail_status(law.tail)
-    lhs_tail = rhs_tail = math.inf
+    lhs_tail = rhs_tail = (0.0, math.inf)
     if status is Status.CONVERGES:
-        # (n + 1/2)^-3 < n^-3: the plain inverse-cubic remainder bounds the bins'
-        _, lhs_tail = binned.lag_tail_sum(-3.0, n_top, inverse=True)
+        # (n + 1/2)^-3 lies between n^-3 (1 + 1/(2 n_top + 2))^-3 and n^-3
+        # for n > n_top: the plain inverse-cubic remainder encloses the bins'
+        lo, hi = binned.lag_tail_sum(-3.0, n_top, inverse=True)
+        lhs_tail = (lo * (1.0 + 1.0 / (2 * n_top + 2)) ** -3, hi)
         t = law.tail
-        rhs_tail = y_hi ** (t.exponent - 2.0) / (
-            t.constant * t.lower_factor * (2.0 - t.exponent)
+        rhs_tail = tuple(
+            y_hi ** (t.exponent - 2.0) / (t.constant * factor * (2.0 - t.exponent))
+            for factor in (t.upper_factor, t.lower_factor)
         )
 
     basis = Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL
     lhs = ConvergenceVerdict(
         status=status,
         partial_value=lhs_partial,
-        tail_bound=lhs_tail,
+        value=enclosure(lhs_partial, *lhs_tail),
         truncation=f"bins 1..{n_top}",
         basis=basis,
         note=note,
@@ -548,7 +551,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     rhs = ConvergenceVerdict(
         status=status,
         partial_value=rhs_partial,
-        tail_bound=rhs_tail,
+        value=enclosure(rhs_partial, *rhs_tail),
         truncation=f"integral over [1/2, {y_hi:g}]",
         basis=basis,
         note=note,

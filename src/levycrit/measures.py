@@ -761,11 +761,13 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
     """Classify ``int_{|y|>1} |y|^k d nu`` from the tail model.
 
     Returns a :class:`levycrit.verdicts.ConvergenceVerdict`. The partial
-    value is the two-sided truncated sum/integral over 1 < |y| <= cutoff;
-    the verdict's ``estimate`` adds the midpoint of the model's remainder,
-    for a lattice law from :meth:`SymmetricJumpLaw.lag_tail_sum`.
+    value is the two-sided truncated sum/integral over 1 < |y| <= cutoff,
+    and the verdict's ``value`` adds the model's remainder. A lattice law
+    whose components are all exact stops its head at the table, at lag
+    ``max(top, floor(1/delta))`` if the cutoff lies beyond it, since
+    :meth:`SymmetricJumpLaw.lag_tail_sum` then gives the rest exactly.
     """
-    from .verdicts import Basis, ConvergenceVerdict, Status
+    from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
     if k not in (0, 1, 2, 3):
         raise DomainError("moment order k must be in {0, 1, 2, 3}")
@@ -777,10 +779,12 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
         delta = law.spacing
         n_start = math.floor(1.0 / delta) + 1
         n_stop = math.floor(cutoff / delta)
+        if all(c.exact for c in law.components):
+            n_stop = min(n_stop, max(law.support.top, n_start - 1))
         lags = np.arange(n_start, n_stop + 1)
         partial = 2.0 * float(np.sum((lags * delta) ** k * law.mass(lags)))
         tail_lo, tail_hi = (2.0 * delta ** k * t for t in law.lag_tail_sum(float(k), n_stop))
-        truncation = f"lattice sum over 1 < n*delta <= {cutoff:g}"
+        truncation = f"lattice sum over 1 < n*delta <= {n_stop * delta:g}"
     else:
         if law.support.pieces is not None:
             partial = 2.0 * sum(
@@ -804,7 +808,7 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
         return ConvergenceVerdict(
             status=Status.INCONCLUSIVE,
             partial_value=partial,
-            tail_bound=math.inf,
+            value=enclosure(partial, 0.0, math.inf),
             truncation=truncation + "; unknown tail",
             basis=Basis.NUMERIC_ONLY,
         )
@@ -812,10 +816,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
     return ConvergenceVerdict(
         status=status,
         partial_value=partial,
-        tail_bound=tail_hi if converges else math.inf,
+        value=enclosure(partial, tail_lo, tail_hi if converges else math.inf),
         truncation=truncation,
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + 0.5 * (tail_lo + tail_hi) if converges else partial,
     )
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import LATTICE_SERIES_CUTOFF, DomainError, SymmetricJumpLaw
+from .verdicts import Interval
 
 __all__ = [
     "block_index",
@@ -192,29 +193,6 @@ def verify_flow(i_max: int) -> FlowReport:
 
 # ---------------------------------------------------------------------------
 # flow energy
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Certified enclosure [lo, hi] of a nonnegative quantity."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval bounds out of order")
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.hi)
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
 
 
 def _pair_lag_counts(i: int) -> tuple[np.ndarray, np.ndarray]:

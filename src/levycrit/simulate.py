@@ -32,7 +32,7 @@ from .measures import (
     multi_index_total,
 )
 from .powerint import strided_power_sum
-from .verdicts import Basis, ConvergenceVerdict, Status
+from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
     "LatticeSampler",
@@ -466,40 +466,30 @@ def even_chain_sample(law: SymmetricJumpLaw, seed: int, step_cap: int = 10 ** 9)
     return int(even_chain_batch(law, 1, seed, step_cap=step_cap)[0])
 
 
-def even_chain_criterion(
-    alpha: float, beta: float, cutoff: int = 10 ** 6
-) -> ConvergenceVerdict:
+def even_chain_criterion(alpha: float, beta: float) -> ConvergenceVerdict:
     """Transience bound for the two-index walk through its even chain.
 
     The chain observed on 2Z satisfies P(X_1 = 2n) >= c^-1 (2n)^-(alpha+1)
     with c the raw two-index total mass, so the even-lattice series is
-    dominated by ``c sum (2n)^(alpha-2)``: summable iff alpha < 1, in which
-    case the even chain (hence the original walk, which shares its
-    return-to-zero behaviour) is transient. The bound is one-sided, so
-    alpha >= 1 yields Inconclusive.
+    dominated by ``c sum (2n)^(alpha-2) = c 2^(alpha-2) zeta(2-alpha)``:
+    summable iff alpha < 1, in which case the even chain (hence the
+    original walk, which shares its return-to-zero behaviour) is
+    transient. The bound is one-sided, so alpha >= 1 yields Inconclusive.
+    The verdict's value is the bound series' exact value (inf for
+    alpha >= 1), with no truncated head.
     """
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive")
-    c_norm = multi_index_total(alpha, beta)
-    n = np.arange(1, cutoff + 1, dtype=float)
-    partial = c_norm * float(np.sum((2.0 * n) ** (alpha - 2.0)))
-    trunc = f"bound series to n={cutoff}"
-    if alpha >= 1.0:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            tail_bound=math.inf,
-            truncation=trunc,
-            basis=Basis.ANALYTIC_TAIL,
-            note="lower bound on P(X_1) is one-sided; no conclusion for alpha >= 1",
-        )
-    tail = c_norm * 2.0 ** (alpha - 2.0) * strided_power_sum(2.0 - alpha, 1, 0, cutoff + 1)
+    bound = multi_index_total(alpha, beta) * 2.0 ** (alpha - 2.0) * strided_power_sum(
+        2.0 - alpha, 1, 0, 1
+    )
+    converges = alpha < 1.0
     return ConvergenceVerdict(
-        status=Status.CONVERGES,
-        partial_value=partial,
-        tail_bound=tail,
-        truncation=trunc + "; Hurwitz-zeta tail beyond",
+        status=Status.CONVERGES if converges else Status.INCONCLUSIVE,
+        partial_value=0.0,
+        value=enclosure(0.0, bound, bound),
+        truncation="bound series c 2^(alpha-2) zeta(2-alpha)",
         basis=Basis.ANALYTIC_TAIL,
-        estimate=partial + tail,
-        note="even-chain series converges; walk transient",
+        note="even-chain series converges; walk transient" if converges else
+        "lower bound on P(X_1) is one-sided; no conclusion for alpha >= 1",
     )

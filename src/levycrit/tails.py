@@ -2,7 +2,7 @@
 
 Convergence verdicts in this package are never pure numerics: every
 Converges/Diverges decision is taken from a declared tail model, and
-truncated sums carry tail bounds derived from the same model. Every law
+truncated sums carry enclosures derived from the same model. Every law
 declares a :class:`TailDescriptor`, its dominant behaviour, which
 classifies. A lattice law with a power tail also carries a tuple of
 :class:`PowerTailComponent` entries (per-residue-class models, for masses

@@ -3,16 +3,20 @@
 A :class:`ConvergenceVerdict` records the outcome of classifying a
 nonnegative series or improper integral. Decisions (Converges/Diverges)
 are only ever issued on an analytic basis: truncated numerics alone yield
-Inconclusive. When the verdict converges, the true value is certified to
-lie in ``[partial_value, partial_value + tail_bound]``.
+Inconclusive. Its one certified number is ``value``, an :class:`Interval`
+``[partial + tail_lo, partial + tail_hi]`` built by :func:`enclosure` from
+the truncated head and the two ends of the remainder's envelope; the
+point ``estimate`` is read off it. An exactly known remainder collapses
+the interval to the value up to rounding. Divergent and undecided
+verdicts have ``hi = inf``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 
 class Status(Enum):
@@ -33,44 +37,79 @@ class Classification(Enum):
 
 
 @dataclass(frozen=True)
+class Interval:
+    """Certified enclosure [lo, hi] of a nonnegative quantity."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("interval bounds out of order")
+
+    @property
+    def infinite(self) -> bool:
+        return math.isinf(self.hi)
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    def to_dict(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi}
+
+
+def enclosure(partial: float, tail_lo: float, tail_hi: float) -> Interval:
+    """``[partial + tail_lo, partial + tail_hi]`` with each end rounded outward.
+
+    The ends are float sums and Hurwitz-zeta values, each a few ulps off
+    (zeta loses most near its pole); 16 ulps of relative slack keep the
+    value inside an interval that an exact remainder shrinks to a point.
+    """
+    slack = 16.0 * sys.float_info.epsilon
+    return Interval((partial + tail_lo) * (1.0 - slack), (partial + tail_hi) * (1.0 + slack))
+
+
+@dataclass(frozen=True)
 class ConvergenceVerdict:
     """Outcome of classifying a nonnegative series/integral.
 
-    ``partial_value`` is the truncated sum, ``tail_bound`` an upper bound
-    for the remainder (+inf when divergent or unknown), ``truncation`` a
-    human-readable record of the cutoff, and ``estimate`` the best point
-    estimate (partial plus an analytic tail estimate where available).
+    ``partial_value`` is the truncated head, reported only; ``value`` the
+    certified enclosure of the whole (``hi = inf`` unless convergent), from
+    :func:`enclosure`; ``truncation`` a human-readable record of the cutoff.
     """
 
     status: Status
     partial_value: float
-    tail_bound: float
+    value: Interval
     truncation: str
     basis: Basis
-    estimate: Optional[float] = None
     note: str = ""
 
     def __post_init__(self):
         if self.partial_value < 0:
             raise ValueError("partial_value must be nonnegative")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
+        if self.value.lo < 0:
+            raise ValueError("value must be nonnegative")
         if self.status is not Status.INCONCLUSIVE and self.basis is not Basis.ANALYTIC_TAIL:
             raise ValueError("Converges/Diverges requires an analytic-tail basis")
-        if self.status is Status.CONVERGES and not math.isfinite(self.tail_bound):
-            raise ValueError("a convergent verdict needs a finite tail bound")
-        if self.estimate is None:
-            object.__setattr__(self, "estimate", self.partial_value)
+        if self.status is Status.CONVERGES and self.value.infinite:
+            raise ValueError("a convergent verdict needs a finite upper end")
+
+    @property
+    def estimate(self) -> float:
+        """Midpoint of ``value``, or the partial when its upper end is inf."""
+        return self.partial_value if self.value.infinite else self.value.midpoint
 
     @property
     def value_interval(self) -> tuple[float, float]:
-        return (self.partial_value, self.partial_value + self.tail_bound)
+        return (self.value.lo, self.value.hi)
 
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
             "partial_value": self.partial_value,
-            "tail_bound": self.tail_bound,
+            "value": self.value.to_dict(),
             "estimate": self.estimate,
             "truncation": self.truncation,
             "basis": self.basis.value,

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -10,6 +11,7 @@ from levycrit import (
     Classification,
     DomainError,
     HypothesisViolationError,
+    Interval,
     PowerPiece,
     Status,
     TailDescriptor,
@@ -32,6 +34,7 @@ from levycrit import (
 )
 from levycrit.criteria import CF_GRID, SATO_SHEPP_POINTS, _cf_lower_constant
 from levycrit.measures import (
+    LATTICE_SERIES_CUTOFF,
     LatticeSupport,
     Normalization,
     SymmetricJumpLaw,
@@ -39,8 +42,32 @@ from levycrit.measures import (
     stable_levy_density_constant,
 )
 from levycrit.tails import PowerTailComponent
+from test_measures import LATTICE_LAWS
 
 ZETA_15 = 2.612375348685488
+
+
+def _inverse_cubic_reference(law):
+    """``sum 1/(n^3 m(n))`` in 40 digits: the table, then each class's Hurwitz zeta."""
+    with mp.workdps(40):
+        top = law.support.top
+        total = mp.fsum(1 / (mp.mpf(n) ** 3 * mp.mpf(float(law.mass(n)))) for n in range(1, top + 1))
+        for c in law.components:
+            first = top + 1 + (c.offset - top - 1) % c.stride  # first class lag past the table
+            s = 3 - mp.mpf(c.exponent)
+            total += mp.mpf(c.stride) ** -s * mp.zeta(s, mp.mpf(first) / c.stride) / mp.mpf(c.constant)
+        return total
+
+
+EXACT_LAWS = {
+    **{name: law for name, law in LATTICE_LAWS.items() if law.components
+       and all(c.exact for c in law.components)},
+    "power_lattice(0.9, normalized)": make_power_law_lattice(0.9, normalize=True),
+    "table_10_lags": make_lattice_table(
+        {k: 1e-6 for k in range(1, 11)},
+        tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.05),
+    ),
+}
 
 
 class TestInverseCubicLattice:
@@ -82,7 +109,8 @@ class TestInverseCubicLattice:
             ):
                 v = inverse_cubic_lattice_criterion(law)
                 assert v.status is Status.DIVERGES
-                assert v.partial_value == math.inf
+                # the head stops at the table; the underflowing class is the tail's
+                assert v.value.lo == math.inf
                 ic = {e.criterion: e for e in classify(make_walk_triplet(law)).evidence}
                 assert ic["inverse_cubic"].verdict.status is Status.DIVERGES
 
@@ -91,9 +119,6 @@ class TestInverseCubicLattice:
         law = make_lattice_table({1: 0.2, 2: 0.0, 3: 0.05}, tail=tail)
         with pytest.raises(HypothesisViolationError, match="lag 2"):
             inverse_cubic_lattice_criterion(law)
-        # past the cutoff the zero is still a hypothesis failure, not a divergence
-        with pytest.raises(HypothesisViolationError, match="lag 2"):
-            inverse_cubic_lattice_criterion(law, cutoff=1)
         # an even-lag power component says nothing about the empty odd lags past 1
         even = PowerTailComponent(constant=1.0, exponent=1.5, stride=2, offset=0, start=2)
         even_only = SymmetricJumpLaw(
@@ -108,28 +133,34 @@ class TestInverseCubicLattice:
         with pytest.raises(HypothesisViolationError, match="lag 3 "):
             inverse_cubic_lattice_criterion(even_only)
 
-    def test_cutoff_below_the_table(self):
-        # lags 6..10 lie past the cutoff but inside the table: the remainder
-        # sums them exactly before the power tail takes over at lag 11
-        tail = TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.05)
-        law = make_lattice_table({k: 1e-6 for k in range(1, 11)}, tail=tail)
-        short = inverse_cubic_lattice_criterion(law, cutoff=5)
-        full = inverse_cubic_lattice_criterion(law)
-        assert short.status is full.status is Status.CONVERGES
-        direct = sum(1e6 / k ** 3 for k in range(1, 11)) + float(zeta(1.5, 11)) / 0.05
-        assert full.estimate == pytest.approx(direct, rel=1e-14)
-        lo, hi = short.value_interval
-        # the exact tail puts the value on the upper end: allow its rounding
-        assert lo <= full.estimate <= hi * (1.0 + 1e-14)
-        assert short.estimate == pytest.approx(direct, rel=1e-14)
+    @pytest.mark.parametrize("name", EXACT_LAWS)
+    def test_exact_laws_meet_the_hurwitz_reference(self, name):
+        # exact components: the head stops at the table and the interval
+        # collapses to the value, which an mpmath Hurwitz sum must lie in
+        law = EXACT_LAWS[name]
+        v = inverse_cubic_lattice_criterion(law)
+        assert v.truncation.startswith(f"series to n={law.support.top}")
+        if max(c.exponent for c in law.components) >= 2.0:
+            assert v.status is Status.DIVERGES
+            assert v.value == Interval(math.inf, math.inf)
+            return
+        ref = _inverse_cubic_reference(law)
+        assert v.status is Status.CONVERGES
+        assert v.value.hi - v.value.lo <= 1e-14 * v.value.hi
+        assert v.value.lo <= ref <= v.value.hi
 
-    def test_partial_monotone_in_cutoff(self, power_half_raw):
-        cutoffs = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-        partials = [
-            inverse_cubic_lattice_criterion(power_half_raw, cutoff=c).partial_value
-            for c in cutoffs
-        ]
-        assert all(a < b for a, b in zip(partials, partials[1:]))
+    def test_inexact_tail_keeps_the_long_head(self):
+        # factors 0.9/1.1 on the tail past 10 lags of 1e-6: the head runs to
+        # LATTICE_SERIES_CUTOFF, where the envelope is narrow
+        tail = TailDescriptor(
+            TailKind.POWER_LAW, exponent=1.5, constant=0.05, lower_factor=0.9, upper_factor=1.1
+        )
+        law = make_lattice_table({k: 1e-6 for k in range(1, 11)}, tail=tail)
+        v = inverse_cubic_lattice_criterion(law)
+        assert v.truncation.startswith(f"series to n={LATTICE_SERIES_CUTOFF};")
+        direct = sum(1e6 / k ** 3 for k in range(1, 11)) + float(zeta(1.5, 11)) / 0.05
+        assert v.value.lo <= direct <= v.value.hi
+        assert v.value.hi - v.value.lo < 0.01
 
 
 class TestInverseCubicDensity:
@@ -379,7 +410,7 @@ class TestCompareMeasures:
         v = compare_measures(stable_half.nu, stable_half.nu)
         assert v.status is Status.CONVERGES
         assert v.partial_value == 0.0
-        assert v.tail_bound == 0.0
+        assert v.value == Interval(0.0, 0.0)
 
     def test_compact_bump_converges(self):
         k_const = stable_levy_density_constant(0.5, 1.0)
@@ -426,7 +457,7 @@ class TestCompareMeasures:
         )
         v = compare_measures(nu1, nu2)
         assert v.status is Status.CONVERGES
-        assert v.tail_bound == 0.0
+        assert v.value_interval == pytest.approx((v.partial_value,) * 2, rel=1e-14)  # no remainder
         assert v.partial_value == pytest.approx(0.2 * k_const, rel=1e-10)
 
     def test_gaussians_match_closed_form(self, gaussian_upper_moment):
@@ -463,6 +494,47 @@ class TestCompareMeasures:
         v = compare_measures(power_half_raw, power_half_raw)
         assert v.status is Status.CONVERGES
         assert v.partial_value == 0.0
+
+    def test_lattice_overlapping_envelopes_decide_nothing(self):
+        # one exponent, envelopes 0.9/1.1 that overlap: the difference past
+        # the table may vanish, so rho = 2.5 <= 3 shows no divergence
+        tail = TailDescriptor(
+            TailKind.POWER_LAW, exponent=2.5, constant=0.05, lower_factor=0.9, upper_factor=1.1
+        )
+        law = make_lattice_table({1: 0.2, 2: 0.1}, tail=tail)
+        v = compare_measures(law, law)
+        assert v.status is Status.INCONCLUSIVE
+        assert v.partial_value == 0.0
+
+    def test_lattice_finite_tables_converge(self):
+        # no mass past either table: the remainder is exactly 0
+        v = compare_measures(make_lattice_table({1: 0.5}), make_lattice_table({1: 0.4, 2: 0.05}))
+        assert v.status is Status.CONVERGES
+        assert v.value_interval == pytest.approx((0.3, 0.3), rel=1e-14)
+
+    def test_lattice_finite_against_power(self):
+        # the remainder is the power law's own sum n^2 n^-4.5, finite
+        v = compare_measures(make_lattice_table({1: 0.5}), make_power_law_lattice(3.5))
+        assert v.status is Status.CONVERGES
+        with mp.workdps(30):
+            ref = float(0.5 + mp.zeta(2.5) - 1)
+        assert v.value.lo <= ref <= v.value.hi
+
+    @pytest.mark.parametrize("other", ["finite", "disjoint", "steeper"])
+    def test_lattice_provable_divergence(self, other):
+        # a rho = 2.5 class whose difference from the other law decays like n^-2.5
+        law = make_lattice_table(
+            {1: 0.2}, tail=TailDescriptor(TailKind.POWER_LAW, exponent=2.5, constant=0.05)
+        )
+        tails = {
+            "finite": None,
+            "disjoint": TailDescriptor(
+                TailKind.POWER_LAW, exponent=2.5, constant=0.1, lower_factor=0.9
+            ),
+            "steeper": TailDescriptor(TailKind.POWER_LAW, exponent=3.5, constant=0.05),
+        }
+        v = compare_measures(law, make_lattice_table({1: 0.2}, tail=tails[other]))
+        assert v.status is Status.DIVERGES
 
 
 class TestClassify:

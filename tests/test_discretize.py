@@ -241,6 +241,18 @@ class TestConvergenceReport:
             convergence_report(gaussian_law, [0.5, 1.0])
 
 
+def _bin_sum_enclosure(binned):
+    """``sum 1/((n+1/2)^3 m(n))``: the bins to 1e7 summed directly, then the
+    power component's n^-1.5 envelopes, scaled by (1 + 1/(2 n))^-3 below."""
+    direct = 0.0
+    for start in range(0, 10 ** 7, 10 ** 6):
+        n = np.arange(start + 1, start + 10 ** 6 + 1)
+        direct += float(np.sum(1.0 / ((n + 0.5) ** 3 * binned.mass(n))))
+    (comp,) = binned.components
+    beyond_lo, beyond_hi = comp.weighted_tail_sum(-3.0, 10 ** 7, inverse=True)
+    return direct + beyond_lo * (1.0 + 0.5e-7) ** -3, direct + beyond_hi
+
+
 class TestJensenGap:
     def test_heavy_tail_both_finite(self, flat_core_heavy):
         gap = jensen_gap(flat_core_heavy)
@@ -251,7 +263,7 @@ class TestJensenGap:
         lo, hi = gap.rhs.value_interval
         assert lo <= 21.0 <= hi
         # certified totals keep the inequality with room
-        assert gap.lhs.partial_value + gap.lhs.tail_bound <= 21.0
+        assert gap.lhs.value.hi <= 21.0
 
     def test_matched_truncation_per_bin(self, flat_core_heavy):
         # per-bin comparison: 1/((n+1/2)^3 m(n)) <= int_bin dy/(y^3 f)
@@ -273,12 +285,20 @@ class TestJensenGap:
         )
         binned = bin_density(law, 1.0)
         assert binned.support.top == 2501
-        direct = 0.0  # the bin sum to 1e7 lags, a lower bound of the whole series
-        for start in range(0, 10 ** 7, 10 ** 6):
-            n = np.arange(start + 1, start + 10 ** 6 + 1)
-            direct += float(np.sum(1.0 / ((n + 0.5) ** 3 * binned.mass(n))))
         lo, hi = jensen_gap(law).lhs.value_interval
-        assert lo <= direct <= hi
+        s_lo, s_hi = _bin_sum_enclosure(binned)
+        assert lo <= s_hi and s_lo <= hi
+
+    def test_lhs_lower_end_on_a_long_table(self):
+        # 98000 exact table lags past the 2000 summed bins: without the
+        # (1 + 1/(2 n_top + 2))^-3 factor the lower end would pass the sum
+        k = 0.05 * math.sqrt(1e5)
+        law = make_piecewise_power(
+            [PowerPiece(0.0, 1e5, ((4e-6, 0.0),)), PowerPiece(1e5, math.inf, ((k, 1.5),))]
+        )
+        lo, hi = jensen_gap(law).lhs.value_interval
+        s_lo, s_hi = _bin_sum_enclosure(bin_density(law, 1.0))
+        assert lo <= s_hi and s_lo <= hi
 
     def test_divergent_tail_still_consistent(self):
         law = make_piecewise_power(

@@ -475,6 +475,19 @@ class TestMoment:
         lo, hi = v.value_interval
         assert lo <= 2 * (ZETA_15 - 1.0) <= hi
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_exact_head_stops_at_the_table(self, k):
+        # exact component from lag 1: the head is empty (1 < |y| <= 1) and
+        # the value is the Hurwitz tail 2 (zeta(3.5 - k) - 1), to rounding
+        import mpmath as mp
+
+        v = moment(make_power_law_lattice(2.5), k)
+        assert v.truncation == "lattice sum over 1 < n*delta <= 1"
+        with mp.workdps(30):
+            ref = 2 * (mp.zeta(3.5 - k) - 1)
+        assert v.value.hi - v.value.lo <= 1e-14 * v.value.hi
+        assert v.value.lo <= ref <= v.value.hi
+
     def test_bad_order_rejected(self, stable_half):
         with pytest.raises(DomainError):
             moment(stable_half.nu, 4)

@@ -2,6 +2,7 @@ import math
 import signal
 from itertools import product
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -313,11 +314,18 @@ class TestEvenChainCriterion:
         c = multi_index_total(0.25, 3.0)
         n = np.arange(1, 10 ** 6 + 1, dtype=float)
         oracle_partial = c * float(np.sum((2 * n) ** (0.25 - 2.0)))
-        assert v.partial_value == pytest.approx(oracle_partial, rel=1e-12)
-        # the estimate adds the exact Hurwitz tail; bracket it by integrals
+        # the value is the whole bound series; bracket its tail by integrals
         tail_lo = c * 2 ** -1.75 * (10 ** 6 + 1) ** -0.75 / 0.75
         tail_hi = c * 2 ** -1.75 * (10 ** 6) ** -0.75 / 0.75
-        assert oracle_partial + tail_lo <= v.estimate <= oracle_partial + tail_hi
+        assert oracle_partial + tail_lo <= v.value.lo <= v.value.hi <= oracle_partial + tail_hi
+
+    @pytest.mark.parametrize("alpha, beta", [(0.25, 3.0), (0.5, 1.5), (0.9, 0.3)])
+    def test_value_matches_mpmath(self, alpha, beta):
+        # c sum (2n)^(alpha-2) = c 2^(alpha-2) zeta(2-alpha)
+        v = even_chain_criterion(alpha, beta)
+        with mp.workdps(30):
+            ref = float(multi_index_total(alpha, beta) * mp.mpf(2) ** (alpha - 2) * mp.zeta(2 - alpha))
+        assert v.value_interval == pytest.approx((ref, ref), rel=1e-14)
 
 
 class TestMultiIndexEvenChainBound:

@@ -9,15 +9,21 @@ from levycrit.verdicts import (
     Classification,
     ConvergenceVerdict,
     CriterionEvidence,
+    Interval,
     Status,
     TransienceVerdict,
     combine_evidence,
+    enclosure,
 )
 
 
 def _verdict(status=Status.INCONCLUSIVE, basis=Basis.NUMERIC_ONLY, tail=math.inf):
     return ConvergenceVerdict(
-        status=status, partial_value=1.0, tail_bound=tail, truncation="t", basis=basis
+        status=status,
+        partial_value=1.0,
+        value=Interval(1.0, 1.0 + tail),
+        truncation="t",
+        basis=basis,
     )
 
 
@@ -32,16 +38,37 @@ class TestConvergenceVerdict:
         with pytest.raises(ValueError):
             _verdict(status=Status.CONVERGES, basis=Basis.ANALYTIC_TAIL, tail=math.inf)
 
+    def test_bounds_must_be_ordered(self):
+        with pytest.raises(ValueError, match="out of order"):
+            Interval(2.0, 1.0)
+        with pytest.raises(ValueError, match="out of order"):
+            enclosure(1.0, 0.5, 0.25)
+
     def test_estimate_defaults_to_partial(self):
+        # an infinite upper end has no midpoint: the estimate is the partial
         v = _verdict()
         assert v.estimate == v.partial_value
         assert v.value_interval == (1.0, math.inf)
+
+    def test_estimate_is_the_midpoint(self):
+        v = _verdict(status=Status.CONVERGES, basis=Basis.ANALYTIC_TAIL, tail=0.5)
+        assert v.estimate == v.value.midpoint == 1.25
+        assert v.to_dict()["estimate"] == 1.25
+
+    def test_enclosure_rounds_outward(self):
+        point = enclosure(1.0, 2.0, 2.0)
+        assert point.lo < 3.0 < point.hi
+        assert point.hi - point.lo <= 1e-14 * 3.0
+        assert enclosure(0.0, 0.0, 0.0) == Interval(0.0, 0.0)
+        assert enclosure(1.0, math.inf, math.inf) == Interval(math.inf, math.inf)
 
     def test_serialization(self):
         v = _verdict(status=Status.CONVERGES, basis=Basis.ANALYTIC_TAIL, tail=0.5)
         d = v.to_dict()
         assert d["status"] == "converges"
         assert d["basis"] == "analytic_tail"
+        assert d["value"] == {"lo": 1.0, "hi": 1.5}
+        assert "tail_bound" not in d
 
 
 class TestCombineEvidence:
