@@ -10,10 +10,14 @@ replicas, seed) inputs reproduce identical statistics bit for bit on one
 platform. Within a replica the draw order is fixed and documented in each
 sampler.
 
-Heavy tails are sampled exactly: magnitudes up to a table cutoff by
-binary search over cumulative masses, and beyond it by inverse-CDF
-bisection on Hurwitz-zeta tail sums per power component (the tail is
-never truncated; only draws beyond the bisection cap are clamped).
+Heavy tails are sampled exactly: magnitudes up to a table cutoff by a
+guide-table lookup over the cumulative masses (a binary search settles
+the draws its bucket leaves open), and beyond it by inverse-CDF search on
+Hurwitz-zeta tail sums per power component, started from the closed-form
+asymptotic inverse and bisected only where that misses (the tail is never
+truncated; only draws beyond the bisection cap are clamped). Every draw
+count of one call is capped at ``MAX_SOJOURN_STEPS``, checked before any
+allocation.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ TABLE_SIZE = 10 ** 6
 # tail bisection cap on the class index j; draws beyond it are clamped to it.
 # P(beyond) per draw is about 2 C 2^(-52 alpha) / alpha, i.e. 1e-8 at alpha=0.5
 _J_CAP = float(1 << 52)
+# buckets of the guide table over the cumulative masses
+_GUIDE_BUCKETS = 1 << 14
 
 
 class SimulationCapError(RuntimeError):
@@ -67,13 +73,18 @@ class LatticeSampler:
     """Exact sampler for the magnitude/sign of lattice jumps.
 
     Magnitudes up to ``table_size``, or up to the law's last tabulated lag
-    when that lies further out, are drawn by binary search over the
-    cumulative one-sided masses; the remaining tail is split across the
-    law's power components and inverted by bisection on Hurwitz-zeta tail
-    sums, so no truncation bias enters below the cap: a tail draw whose
-    class index j would exceed ``_J_CAP`` = 2^52 is clamped to it (about
-    1e-8 of the draws at alpha=0.5). Signs are independent Rademacher
-    draws (the law is symmetric).
+    when that lies further out, are inverted on the cumulative one-sided
+    masses through a guide table (Chen & Asau 1974; Devroye 1986,
+    sec. III.2.4). It splits the table's mass into equal buckets and holds
+    the count of cumulative masses at or below each bucket edge; a draw
+    whose bucket starts and ends on one count takes it, and the few others
+    fall back to a binary search over the whole table, so every magnitude
+    is the one the binary search gives. The remaining tail is split across
+    the law's power components and inverted on Hurwitz-zeta tail sums
+    (see :func:`_invert_hurwitz_tail`), so no truncation bias enters below
+    the cap: a tail draw whose class index j would exceed ``_J_CAP`` =
+    2^52 is clamped to it (about 1e-8 of the draws at alpha=0.5). Signs
+    are independent Rademacher draws (the law is symmetric).
     """
 
     def __init__(self, law: SymmetricJumpLaw, table_size: int = TABLE_SIZE):
@@ -98,10 +109,38 @@ class LatticeSampler:
             self.tail_comps.append((c, mass))
             tail_total += mass
         self.tail_total = tail_total
-        total = self.cum[-1] + tail_total if n_top >= 1 else self.origin_mass + tail_total
+        self.table_mass = self.cum[-1] if n_top >= 1 else self.origin_mass
+        total = self.table_mass + tail_total
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"sampler masses sum to {total}, not 1")
         self.total = total
+        # edge g sits at table_mass * g / G; the last bucket also takes every
+        # draw past the table, whose count is n_top (int32: the table itself
+        # would need 16 GB before counts overflow)
+        top = self.table_mass
+        self._bucket_scale = _GUIDE_BUCKETS / top if top > 0.0 else 0.0
+        self._edges = np.arange(_GUIDE_BUCKETS + 1) * (top / _GUIDE_BUCKETS)
+        self._guide = np.searchsorted(self.cum, self._edges, side="right").astype(np.int32)
+        self._edges[-1] = np.inf
+
+    def _table_magnitudes(self, u: np.ndarray) -> np.ndarray:
+        """Magnitudes of the draws ``u`` below ``table_mass``: 0 under the
+        origin mass, else 1 + the count of cumulative masses at or below u
+        (entries past the table are left for the tail to overwrite)."""
+        b = np.minimum(u * self._bucket_scale, _GUIDE_BUCKETS - 1).astype(np.int32)
+        # the float bucket index can miss by one next to an edge
+        b -= u < self._edges[b]
+        b += u >= self._edges[b + 1]
+        count = self._guide[b]
+        b += 1  # the bucket's upper edge
+        # the count of cumulative masses <= u is monotone in u, so a bucket
+        # whose edges share a count holds that count throughout
+        unsure = np.flatnonzero(count != self._guide[b])
+        count[unsure] = np.searchsorted(self.cum, u[unsure], side="right")
+        mag = count + 1.0
+        if self.origin_mass > 0.0:
+            mag[u < self.origin_mass] = 0.0
+        return mag
 
     def _tail_magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty(count)
@@ -120,48 +159,63 @@ class LatticeSampler:
             else:
                 j_start = max(0, math.ceil((self.n_top + 1 - off) / stride))
             a0 = off / stride
-            t_start = _zeta(rho, j_start + a0)
-            target = u[sel] * t_start  # want smallest j with zeta(rho, j+1+a0) <= target
-            lo = np.full(target.shape, float(j_start))
-            hi = np.full(target.shape, float(j_start))
-            t_hi = _zeta(rho, hi + 1.0 + a0)
-            grow = (t_hi > target) & (hi < _J_CAP)
-            while np.any(grow):
-                hi = np.where(grow, np.minimum(hi * 4.0 + 4.0, _J_CAP), hi)
-                t_hi = _zeta(rho, hi + 1.0 + a0)
-                grow = (t_hi > target) & (hi < _J_CAP)
-            for _ in range(64):
-                mid = np.floor((lo + hi) / 2.0)
-                gt = _zeta(rho, mid + 1.0 + a0) > target
-                lo = np.where(gt, mid + 1.0, lo)
-                hi = np.where(gt, hi, mid)
-                if np.all(lo >= hi):
-                    break
-            out[sel] = stride * hi + off
+            target = u[sel] * _zeta(rho, j_start + a0)
+            out[sel] = stride * _invert_hurwitz_tail(rho, a0, j_start, target) + off
         return out
 
     def sample_lags(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Signed jump lags (index units) as float64 integers.
 
         Draw order per call: one uniform batch for magnitudes (plus tail
-        bisections where needed), then one uniform batch for signs.
+        inversions where needed), then one uniform batch for signs.
         """
         u = rng.random(size) * self.total
-        mag = np.empty(size)
-        in_origin = u < self.origin_mass
-        in_table = (~in_origin) & (u < self.cum[-1] if self.n_top >= 1 else False)
-        mag[in_origin] = 0.0
-        if np.any(in_table):
-            mag[in_table] = np.searchsorted(self.cum, u[in_table], side="right") + 1.0
-        in_tail = ~(in_origin | in_table)
+        mag = self._table_magnitudes(u)
+        in_tail = u >= self.table_mass
         n_tail = int(np.count_nonzero(in_tail))
         if n_tail:
-            if not self.tail_comps:
-                mag[in_tail] = float(self.n_top)  # cannot happen when sums check out
-            else:
-                mag[in_tail] = self._tail_magnitudes(rng, n_tail)
-        signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return signs * mag
+            mag[in_tail] = self._tail_magnitudes(rng, n_tail)
+        return np.negative(mag, out=mag, where=rng.random(size) < 0.5)
+
+
+def _invert_hurwitz_tail(rho: float, a0: float, j_start: int, target: np.ndarray) -> np.ndarray:
+    """Smallest j in [j_start, _J_CAP] with zeta(rho, j + 1 + a0) <= target,
+    and _J_CAP where there is none.
+
+    Each draw starts at the inverse of zeta(rho, q) ~ (q - 1/2)^(1-rho) /
+    (rho - 1), checked by the predicate at the guess and one below it; only
+    the misses are bisected, over [j_start, guess - 1] or [guess + 1,
+    _J_CAP]. The predicate is monotone in j because zeta(rho, .) does not
+    increase on the float grid (its values tie above about 1e14).
+    """
+
+    def fits(j, t):
+        return _zeta(rho, j + 1.0 + a0) <= t
+
+    # the power overflows to inf (and a zero target divides by zero) far
+    # past the cap, which the clip then takes
+    with np.errstate(over="ignore", divide="ignore"):
+        guess = np.ceil(((rho - 1.0) * target) ** (-1.0 / (rho - 1.0)) - 0.5 - a0)
+    j = np.clip(guess, float(j_start), _J_CAP)
+    hit = fits(j, target)
+    too_high = np.flatnonzero(hit & (j > j_start))
+    too_high = too_high[fits(j[too_high] - 1.0, target[too_high])]
+    lo = np.where(hit, j, np.minimum(j + 1.0, _J_CAP))
+    hi = np.where(hit, j, _J_CAP)
+    lo[too_high] = j_start
+    hi[too_high] -= 1.0
+    miss = np.flatnonzero(lo < hi)
+    if miss.size:
+        lo, mhi, t = lo[miss], hi[miss], target[miss]
+        for _ in range(64):
+            mid = np.floor((lo + mhi) / 2.0)
+            gt = ~fits(mid, t)
+            lo = np.where(gt, mid + 1.0, lo)
+            mhi = np.where(gt, mhi, mid)
+            if np.all(lo >= mhi):
+                break
+        hi[miss] = mhi
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +261,7 @@ def sample_walk(
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
+    _check_draw_cap("steps", steps)
     smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
     delta = law.spacing
@@ -260,6 +315,7 @@ def poissonize(
         raise DomainError("rate must be positive")
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
+    _check_draw_cap("rate * horizon", rate * horizon)
     smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
     if horizon == 0:
@@ -333,8 +389,16 @@ GROWTH_FLAT = 1.15
 GROWTH_STEEP = 1.3
 #: largest sojourn horizon (each replica holds a few arrays of 2 * horizon)
 MAX_SOJOURN_HORIZON = 10 ** 6
-#: largest horizon * replicas of one sojourn estimate
+#: largest draw count of one call: horizon * replicas of a sojourn estimate,
+#: the steps of :func:`sample_walk`, the mean jump count rate * horizon of
+#: :func:`poissonize` and the chains of :func:`even_chain_batch`
 MAX_SOJOURN_STEPS = 10 ** 7
+
+
+def _check_draw_cap(name: str, count: float) -> None:
+    """Refuse a draw count above MAX_SOJOURN_STEPS (or NaN) before any allocation."""
+    if not count <= MAX_SOJOURN_STEPS:
+        raise DomainError(f"{name} = {count} exceeds the draw cap {MAX_SOJOURN_STEPS}")
 
 
 def sojourn_estimate(
@@ -431,32 +495,32 @@ def even_chain_batch(
 ) -> np.ndarray:
     """Sample X_1 = S_{T_1}, the walk at its first visit to the even lattice.
 
-    Works in index units (positions are integers). All chains advance in
-    vectorized rounds from one stream; a chain stops as soon as its
+    Works in index units (positions are integers). The chains advance in
+    vectorized rounds from one stream, each round drawing one lag for
+    every chain still active, in index order; a chain stops as soon as its
     position is even. The stopping time is a.s. finite for any law giving
     its jumps a positive odd-parity probability (and is 1 when all jumps
     are even), but a hard step cap guards the worst case.
     """
     if not law.is_lattice:
         raise DomainError("even chain requires a lattice law")
+    _check_draw_cap("n_samples", n_samples)
     smp = LatticeSampler(law)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    pos = np.zeros(n_samples, dtype=np.int64)
     out = np.zeros(n_samples, dtype=np.int64)
-    active = np.ones(n_samples, dtype=bool)
+    # the chains still active: their indices into out (int32 under the
+    # draw cap), and their positions
+    idx = np.arange(n_samples, dtype=np.int32)
+    pos = np.zeros(n_samples, dtype=np.int64)
     rounds = 0
-    while np.any(active):
+    while idx.size:
         if rounds >= step_cap:
-            raise SimulationCapError(
-                f"{int(active.sum())} chains still active after {rounds} steps"
-            )
-        k = int(np.count_nonzero(active))
-        lags = smp.sample_lags(rng, k)
-        pos[active] += lags.astype(np.int64)
-        newly_even = active.copy()
-        newly_even[active] = pos[active] % 2 == 0
-        out[newly_even] = pos[newly_even]
-        active &= ~newly_even
+            raise SimulationCapError(f"{idx.size} chains still active after {rounds} steps")
+        pos += smp.sample_lags(rng, idx.size).astype(np.int64)
+        even = pos % 2 == 0
+        out[idx[even]] = pos[even]
+        odd = ~even
+        idx, pos = idx[odd], pos[odd]
         rounds += 1
     return out
 

@@ -24,7 +24,7 @@ from levycrit import (
     sojourn_estimate,
 )
 from levycrit.measures import multi_index_total
-from levycrit.simulate import replica_rng
+from levycrit.simulate import MAX_SOJOURN_STEPS, _invert_hurwitz_tail, replica_rng
 
 SEED = 20260809
 
@@ -117,6 +117,250 @@ class TestSampler:
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("tail bisection did not terminate")
+
+
+# ---------------------------------------------------------------------------
+# reference sampler and even chain: the plain binary search over the whole
+# table, the tail bracket grown from the table's end and then bisected, and
+# the masked even-chain loop; the fast paths must reproduce them bit for bit
+
+_J_CAP = float(1 << 52)
+
+
+def _reference_tail_index(rho, a0, j_start, target):
+    """Smallest j in [j_start, 2^52] with zeta(rho, j + 1 + a0) <= target (2^52 if none)."""
+    lo = np.full(target.shape, float(j_start))
+    hi = np.full(target.shape, float(j_start))
+    t_hi = zeta(rho, hi + 1.0 + a0)
+    grow = (t_hi > target) & (hi < _J_CAP)
+    while np.any(grow):
+        hi = np.where(grow, np.minimum(hi * 4.0 + 4.0, _J_CAP), hi)
+        t_hi = zeta(rho, hi + 1.0 + a0)
+        grow = (t_hi > target) & (hi < _J_CAP)
+    for _ in range(64):
+        mid = np.floor((lo + hi) / 2.0)
+        gt = zeta(rho, mid + 1.0 + a0) > target
+        lo = np.where(gt, mid + 1.0, lo)
+        hi = np.where(gt, hi, mid)
+        if np.all(lo >= hi):
+            break
+    return hi
+
+
+def _reference_sample_lags(smp, rng, size):
+    """``smp.sample_lags`` with the same draws, by binary search and bisection."""
+    u = rng.random(size) * smp.total
+    mag = np.empty(size)
+    in_origin = u < smp.origin_mass
+    in_table = (~in_origin) & (u < smp.cum[-1] if smp.n_top >= 1 else False)
+    mag[in_origin] = 0.0
+    if np.any(in_table):
+        mag[in_table] = np.searchsorted(smp.cum, u[in_table], side="right") + 1.0
+    in_tail = ~(in_origin | in_table)
+    n_tail = int(np.count_nonzero(in_tail))
+    if n_tail:
+        masses = np.array([m for _, m in smp.tail_comps])
+        pick = rng.choice(len(masses), size=n_tail, p=masses / masses.sum())
+        v = rng.random(n_tail)
+        tail = np.empty(n_tail)
+        for ci, (comp, _) in enumerate(smp.tail_comps):
+            sel = pick == ci
+            if not np.any(sel):
+                continue
+            rho, stride, off = comp.exponent, comp.stride, comp.offset % comp.stride
+            if off == 0:
+                j_start = math.floor(smp.n_top / stride) + 1
+            else:
+                j_start = max(0, math.ceil((smp.n_top + 1 - off) / stride))
+            a0 = off / stride
+            target = v[sel] * zeta(rho, j_start + a0)
+            tail[sel] = stride * _reference_tail_index(rho, a0, j_start, target) + off
+        mag[in_tail] = tail
+    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return signs * mag
+
+
+def _reference_even_chain(law, n_samples, seed):
+    smp = LatticeSampler(law)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    pos = np.zeros(n_samples, dtype=np.int64)
+    out = np.zeros(n_samples, dtype=np.int64)
+    active = np.ones(n_samples, dtype=bool)
+    while np.any(active):
+        lags = smp.sample_lags(rng, int(np.count_nonzero(active)))
+        pos[active] += lags.astype(np.int64)
+        newly_even = active.copy()
+        newly_even[active] = pos[active] % 2 == 0
+        out[newly_even] = pos[newly_even]
+        active &= ~newly_even
+    return out
+
+
+def _bits(x):
+    """float64 values as their bit patterns (so -0.0 differs from 0.0)."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _table_with_tail():
+    return make_lattice_table(
+        {k: 0.04 for k in range(1, 11)},
+        tail=TailDescriptor(TailKind.POWER_LAW, exponent=2.5,
+                            constant=0.1 / float(zeta(2.5, 11)), onset=11.0),
+    )
+
+
+ORACLE_LAWS = {
+    "power 0.05": lambda: make_power_law_lattice(0.05, normalize=True),
+    "power 0.5": lambda: make_power_law_lattice(0.5, normalize=True),
+    "power 1.9": lambda: make_power_law_lattice(1.9, normalize=True),
+    "multi 0.5/1.5": lambda: make_multi_index_lattice(0.5, 1.5, normalize=True),
+    "multi 0.569/0.8": lambda: make_multi_index_lattice(0.569, 0.8, normalize=True),
+    "table + tail": _table_with_tail,
+}
+
+
+class _PresetRng:
+    """A generator whose first uniform batch (the magnitudes) is given."""
+
+    def __init__(self, first):
+        self._first = first
+        self._rng = replica_rng(SEED, 5)
+
+    def random(self, size):
+        if self._first is None:
+            return self._rng.random(size)
+        first, self._first = self._first, None
+        assert len(first) == size
+        return first
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+
+def _preset_pair(smp, r):
+    return (smp.sample_lags(_PresetRng(r), len(r)),
+            _reference_sample_lags(smp, _PresetRng(r.copy()), len(r)))
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("table_size", [0, 3, 10, 1000, 10 ** 6])
+    @pytest.mark.parametrize("law_name", list(ORACLE_LAWS))
+    def test_draws_match_the_reference(self, law_name, table_size):
+        # three streams per (law, table), the first the batch of seed 12345
+        # replica 730 that straddles the 2^52 cap at alpha=0.5
+        smp = LatticeSampler(ORACLE_LAWS[law_name](), table_size=table_size)
+        for stream in ((12345, 730), (7, 1), (7, 2)):
+            got = smp.sample_lags(replica_rng(*stream), 20000)
+            want = _reference_sample_lags(smp, replica_rng(*stream), 20000)
+            assert np.array_equal(_bits(got), _bits(want)), stream
+
+    @pytest.mark.parametrize("law", [
+        make_lattice_table({1: 0.2, 2: 0.1, 3: 0.05}, origin_mass=0.3),
+        make_power_law_lattice(0.5, normalize=True),
+        make_multi_index_lattice(0.5, 1.5, normalize=True),
+    ], ids=["origin", "power", "multi"])
+    def test_table_lookup_at_the_edges(self, law):
+        # magnitude draws on, and one ulp either side of, every guide
+        # bucket edge and the first 10^5 cumulative masses
+        smp = LatticeSampler(law)
+        edges = smp.cum[-1] * np.arange(1 << 14) / float(1 << 14)
+        points = np.concatenate([edges, smp.cum[:10 ** 5], [smp.origin_mass]]) / smp.total
+        r = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        r = r[(r >= 0.0) & (r < 1.0)]
+        got, want = _preset_pair(smp, r)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_mass_on_a_bucket_edge(self):
+        # two-lag tables whose first cumulative mass sits on a guide bucket
+        # edge or one ulp above it; for many table masses a draw one ulp from
+        # that mass scales into the neighbouring bucket, where only the edge
+        # fix-ups find the right lag
+        buckets = 1 << 14
+        for k in range(1, 65):
+            top = 1.0 - k * 1e-12
+            edge = (buckets // 2 + 17 * k) * (top / buckets)
+            for first in (edge, np.nextafter(edge, 1.0)):
+                smp = LatticeSampler(make_lattice_table({1: first / 2, 2: (top - first) / 2}))
+                assert smp.cum[0] == first and smp.cum[-1] == top
+                u = np.array([np.nextafter(first, 0.0), first, np.nextafter(first, 1.0)])
+                # uniforms whose product with the total lands on those points
+                r = u / top
+                for _ in range(4):
+                    r = np.where(r * top < u, np.nextafter(r, 1.0), r)
+                    r = np.where(r * top > u, np.nextafter(r, 0.0), r)
+                assert np.array_equal(r * top, u)
+                got, want = _preset_pair(smp, r)
+                assert np.array_equal(_bits(got), _bits(want)), k
+                assert list(np.abs(got)) == [1.0, 2.0, 2.0]
+
+    def test_finite_table_stops_at_its_last_lag(self):
+        law = make_lattice_table({1: 0.3, 2: 0.15, 4: 0.05})
+        smp = LatticeSampler(law)
+        lags = smp.sample_lags(replica_rng(SEED, 4), 100_000)
+        assert set(np.unique(np.abs(lags))) == {1.0, 2.0, 4.0}
+        # the largest uniform lands on the last lag, not past it
+        top = smp.sample_lags(_PresetRng(np.array([np.nextafter(1.0, 0.0)])), 1)
+        assert np.abs(top[0]) == 4.0
+
+    @pytest.mark.parametrize("stride, offset", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("rho", [1.05, 1.5, 1.95, 2.5, 3.0])
+    def test_tail_inversion_is_exact(self, rho, stride, offset):
+        # 10^5 targets per class: half log-uniform from the end of a 10^6
+        # table to past the 2^52 cap (through the band above 1e14 where zeta
+        # ties), half exactly on zeta's grid values. RuntimeWarnings are
+        # errors here (pyproject), so the guess must not warn on overflow.
+        a0 = offset / stride
+        n_top = 10 ** 6
+        j_start = n_top // stride + 1 if offset == 0 else math.ceil((n_top + 1 - offset) / stride)
+        rng = np.random.default_rng(SEED)
+        t_start = zeta(rho, j_start + a0)
+        spread = rng.random(50_000) * math.log(1e18 / j_start) * (rho - 1.0)
+        on_grid = np.floor(np.exp(rng.random(50_000) * math.log(1e17 / j_start)) * j_start)
+        target = np.concatenate([t_start * np.exp(-spread), zeta(rho, on_grid + 1.0 + a0)])
+        j = _invert_hurwitz_tail(rho, a0, j_start, target)
+        assert np.all((j == np.floor(j)) & (j >= j_start) & (j <= _J_CAP))
+        assert np.all((j == _J_CAP) | (zeta(rho, j + 1.0 + a0) <= target))
+        assert np.all((j == j_start) | (zeta(rho, (j - 1.0) + 1.0 + a0) > target))
+        grid_j = j[50_000:]
+        assert np.all(grid_j <= np.minimum(on_grid, _J_CAP))
+        assert np.count_nonzero(j == _J_CAP) > 0
+        assert np.count_nonzero((j > 1e14) & (j < _J_CAP)) > 0
+
+    @pytest.mark.parametrize("rho", [1.5, 2.5, 3.0])
+    def test_tail_guess_settles_most_draws(self, rho, monkeypatch):
+        # for the sampler's targets, a uniform fraction of the tail past the
+        # table, the closed-form guess is exact nearly always, so the
+        # inversion evaluates zeta about twice per target
+        from levycrit import simulate
+
+        evaluated = []
+
+        def counting_zeta(s, q):
+            evaluated.append(np.size(q))
+            return zeta(s, q)
+
+        monkeypatch.setattr(simulate, "_zeta", counting_zeta)
+        a0, j_start = 0.5, 500_000
+        target = np.random.default_rng(SEED).random(10 ** 4) * zeta(rho, j_start + a0)
+        _invert_hurwitz_tail(rho, a0, j_start, target)
+        assert sum(evaluated) <= 2.1 * len(target)
+
+    def test_sojourn_matches_its_reference_rebuild(self, half_law_prob, monkeypatch):
+        got = sojourn_estimate(half_law_prob, 5.0, 500, 20, SEED, keep_replicas=True)
+        monkeypatch.setattr(LatticeSampler, "sample_lags", _reference_sample_lags)
+        want = sojourn_estimate(half_law_prob, 5.0, 500, 20, SEED, keep_replicas=True)
+        assert got == want
+
+    @pytest.mark.parametrize("law_name, n", [
+        ("unit", 20_000), ("unit", 0), ("even", 2000), ("power 0.5", 5000),
+        ("multi 0.5/1.5", 20_000),
+    ])
+    def test_even_chain_matches_the_masked_loop(self, law_name, n):
+        law = {"unit": lambda: make_lattice_table({1: 0.5}),
+               "even": lambda: make_lattice_table({2: 0.5}), **ORACLE_LAWS}[law_name]()
+        got = even_chain_batch(law, n, SEED)
+        want = _reference_even_chain(law, n, SEED)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSampleWalk:
@@ -299,6 +543,49 @@ class TestEvenChain:
 
         with pytest.raises(SimulationCapError):
             even_chain_batch(unit_step_law, 100, SEED, step_cap=1)
+
+
+class _SamplerBuilt(Exception):
+    pass
+
+
+class TestDrawCaps:
+    @pytest.mark.parametrize("count, refused", [
+        (MAX_SOJOURN_STEPS, False), (MAX_SOJOURN_STEPS + 1, True), (10 ** 15, True),
+    ])
+    @pytest.mark.parametrize("entry", ["sample_walk", "poissonize", "even_chain_batch"])
+    def test_caps_checked_before_allocating(self, unit_step_law, monkeypatch, entry,
+                                            count, refused):
+        # the sampler table is the first allocation; a count over the cap is
+        # refused before it, and 10^15 draws could not be allocated at all
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise _SamplerBuilt
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        call = {
+            "sample_walk": lambda: sample_walk(unit_step_law, count, SEED),
+            "poissonize": lambda: poissonize(unit_step_law, 2.0, count / 2.0, SEED),
+            "even_chain_batch": lambda: even_chain_batch(unit_step_law, count, SEED),
+        }[entry]
+        with pytest.raises(DomainError if refused else _SamplerBuilt,
+                           match="cap" if refused else None):
+            call()
+
+    @pytest.mark.parametrize("rate, horizon", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0),
+    ])
+    def test_poissonize_refuses_non_finite_counts(self, unit_step_law, monkeypatch,
+                                                  rate, horizon):
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("sampler built before the draw cap was checked")
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        with pytest.raises(DomainError, match="cap"):
+            poissonize(unit_step_law, rate, horizon, SEED)
 
 
 class TestEvenChainCriterion:
