@@ -76,7 +76,6 @@ def numeric_defaults() -> dict:
         REACH_MASS_BUDGET,
     )
     from .measures import (
-        CHAR_EXPONENT_LATTICE_CUTOFF,
         LATTICE_SERIES_CUTOFF,
         PANEL_LOG_STEP,
         PROBABILITY_TOL,
@@ -105,7 +104,6 @@ def numeric_defaults() -> dict:
         "panel_cap": PANEL_CAP,
         "panel_log_step": PANEL_LOG_STEP,
         "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
-        "char_exponent_lattice_cutoff": CHAR_EXPONENT_LATTICE_CUTOFF,
         "cos_tail_switch": COS_TAIL_SWITCH,
         "max_bin_quads": MAX_BIN_QUADS,
         "drift_tol": DRIFT_TOL,

@@ -130,13 +130,10 @@ def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict
     its power component covers is still positive, and its summand is +inf.
     With per-class power tails ``m(n) ~ K n^-rho`` the summand behaves like
     ``n^(rho-3)/K`` on each class, so the series converges iff every class
-    has rho < 2. The head sums the table, to ``LatticeSupport.top``, and
-    the rest is :meth:`SymmetricJumpLaw.lag_tail_sum`'s, exact for exact
-    components, so the value is exact up to rounding; a law with an
-    inexact component sums its head on to ``LATTICE_SERIES_CUTOFF``, which
-    narrows its envelope. Positivity is checked on the summed lags and,
-    past ``top``, on the components' residue classes: a lag that no class
-    covers has no mass.
+    has rho < 2. The head sums to :attr:`SymmetricJumpLaw.series_head`, the
+    rest is :meth:`SymmetricJumpLaw.lag_tail_sum`'s, exact for exact
+    components. Positivity is checked on the summed lags and on one period
+    of residue classes past ``top``: a lag no class covers has no mass.
     """
     if not law.is_lattice:
         raise DomainError("lattice criterion needs a lattice law")
@@ -144,12 +141,12 @@ def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict
     if sup.max_lag is not None:
         raise HypothesisViolationError("masses vanish beyond the table; positivity hypothesis fails")
 
-    n_head = sup.top if all(c.exact for c in comps) else max(LATTICE_SERIES_CUTOFF, sup.top)
+    n_head = law.series_head
     lags = np.arange(1, n_head + 1)
     masses = law.mass(lags)
     # zero summed masses, and one period of the classes past the table; a zero
     # where a power component (K > 0) applies is K n^-rho underflowing
-    period = min(math.lcm(*(c.stride for c in comps)), LATTICE_SERIES_CUTOFF)
+    period = math.lcm(*(c.stride for c in comps))
     empty = np.concatenate([lags[masses <= 0], np.arange(sup.top + 1, sup.top + period + 1)])
     for c in comps:
         empty = empty[(empty < c.start) | (empty % c.stride != c.offset)]

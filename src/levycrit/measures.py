@@ -10,16 +10,20 @@ power-modelled (a power tail descriptor, which classifies, and power
 components past a short table, which decide every sum beyond it). Tail
 masses ``nu((x, inf))`` are taken over arrays of points in one call.
 
+Every lattice series sums its head to :attr:`SymmetricJumpLaw.series_head`
+and takes the rest from the components.
+
 The characteristic exponent of a symmetric triplet (0, c, nu) is
 
     psi(xi) = c xi^2 / 2 + int (1 - cos(xi y)) nu(dy),
 
-real, even and nonnegative. For lattice laws the jump part is a
-truncated cosine sum plus an analytic correction for the tail beyond the
-cutoff; the sum runs over all requested points at once, with the lags laid
-out as a sqrt(N) x sqrt(N) block matrix and cos(n u) split by angle
-addition, so each point costs about 2 sqrt(N) sines instead of N.
-Piecewise-power densities use closed-form power integrals. Every
+real, even and nonnegative. For lattice laws the jump part is a cosine
+sum over the head, at least 64 lags, plus each power component's tail past
+it by the Euler-Maclaurin formula, exact to rounding for an exact
+component. The head runs over all points at once, with the lags laid out
+as a sqrt(N) x sqrt(N) block matrix and cos(n u) split by angle addition,
+so each point costs about 2 sqrt(N) sines instead of N. Piecewise-power
+densities use closed-form power integrals over the array. Every
 integral of a generic density (the exponent's head, tail masses, moments,
 the Sato-Shepp inner integral) runs on
 :func:`levycrit.powerint.panel_integrals`: one fixed 15-point Gauss-Kronrod
@@ -32,10 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import comb as _comb
 from scipy.special import gamma as _gamma
 from scipy.special import zeta as _zeta
 
@@ -43,11 +47,8 @@ from .powerint import NumericError, one_minus_cos_range, one_minus_cos_tail, pan
 from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
 
 PROBABILITY_TOL = 1e-10
-#: last lag of the truncated inverse-cubic lattice series
+#: least head of a lattice series on a law with an inexact component
 LATTICE_SERIES_CUTOFF = 10 ** 6
-#: lags summed exactly by the lattice characteristic exponent (held as one
-#: cached block matrix of masses per law, about 0.8 MB)
-CHAR_EXPONENT_LATTICE_CUTOFF = 10 ** 5
 #: widest panel, in log y, of a generic-density moment; no wider than the
 #: 1600-point Sato-Shepp grid on [1, 1e4] (0.00576)
 PANEL_LOG_STEP = 0.005
@@ -184,6 +185,13 @@ class SymmetricJumpLaw:
         if self.is_lattice:
             return self.support.components
         return ()
+
+    @property
+    def series_head(self) -> int:
+        """Last lag a lattice series sums: ``top`` if every component is exact
+        (a finite law included), else at least ``LATTICE_SERIES_CUTOFF``."""
+        top = self.support.top
+        return top if all(c.exact for c in self.components) else max(top, LATTICE_SERIES_CUTOFF)
 
     def mass(self, n):
         """Lattice mass at lag ``n >= 1`` (same value at ``-n``)."""
@@ -633,109 +641,119 @@ def make_gaussian_density(sigma: float = 1.0) -> SymmetricJumpLaw:
 # characteristic exponent
 
 
-def _summed_lags(law: SymmetricJumpLaw) -> int:
-    """Last lag psi sums exactly: the table's end, at least the cutoff under a power tail."""
-    sup = law.support
-    return sup.top if sup.max_lag is not None else max(sup.top, CHAR_EXPONENT_LATTICE_CUTOFF)
+#: first lag N and Bernoulli terms p of psi's Euler-Maclaurin tail. With |u| <= pi
+#: the remainder 2 zeta(2p) (2 pi)^(-2p) int_N^inf |f^(2p)| (DLMF 2.10.1) is about
+#: 2^(1-2p) K N^(1-rho) / (rho - 1), the tail times 2^-53 for p = 27; derivatives
+#: of y^-rho add (rho)_2p (2 pi N)^(-2p), below 1e-60 at N = 64 for rho < 3.
+_EM_START = 64
+_EM_ORDER = 27
+_EM_J = np.arange(2 * _EM_ORDER)  # derivative orders j of 1 - cos(u y)
+_EM_M = 2 * np.arange(1, _EM_ORDER + 1)[:, None] - 1  # orders 2k - 1 of f
+#: B_2k/(2k)! C(2k-1, j), with B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k) / (2 pi)^(2k)
+_EM_COEF = (-2.0 * _zeta(_EM_M + 1.0, 1.0) / (-4.0 * math.pi ** 2) ** ((_EM_M + 1) // 2)
+            * _comb(_EM_M, _EM_J))
 
 
-@lru_cache(maxsize=8)
-def _mass_blocks(law: SymmetricJumpLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The summed lags' masses as a block matrix, with its row and column sums.
+def _lattice_cos_sum(law: SymmetricJumpLaw, u: np.ndarray, n_hi: int) -> np.ndarray:
+    """``sum_{n<=n_hi} m(n) (1 - cos(n u))`` at every u, in one blocked pass.
 
-    Lag n = a B + b sits at ``M[a, b]`` with B = isqrt(N) + 1 and N from
-    :func:`_summed_lags`; ``M[0, 0]`` (the origin) and the padding past N
-    are 0. Bounded cache: repeated calls on one law (scalar callers,
-    repeated classify runs) reuse the table.
+    Lag n = a B + b, with B = isqrt(n_hi) + 1, sits at ``M[a, b]`` of a block
+    matrix of masses (0 at the origin and past n_hi). With x = a B u and
+    y = b u, ``1 - cos(x + y) = P + Q - P Q + S T`` (P = 2 sin^2(x/2),
+    Q = 2 sin^2(y/2), S = sin x, T = sin y) turns the lag sum into
+    ``sum_a P_a (r_a - (M Q)_a) + sum_a S_a (M T)_a + sum_b Q_b c_b``, with r
+    and c the row and column sums of M: about 2 sqrt(n_hi) sines per point
+    and two matrix products for the whole grid. At small u every term but
+    the O((n u)^4) ``-P Q`` is nonnegative, so nothing cancels.
     """
-    n_hi = _summed_lags(law)
     width = math.isqrt(n_hi) + 1
     flat = np.zeros((n_hi // width + 1) * width)
     flat[1 : n_hi + 1] = law.mass(np.arange(1, n_hi + 1))
     blocks = flat.reshape(-1, width)
-    cached = (blocks, blocks.sum(axis=1), blocks.sum(axis=0))
-    for arr in cached:
-        arr.setflags(write=False)  # every caller shares these arrays
-    return cached
-
-
-def _lattice_cos_sum(law: SymmetricJumpLaw, u: np.ndarray) -> np.ndarray:
-    """``sum_{n<=N} m(n) (1 - cos(n u))`` at every u, in one blocked pass.
-
-    With n = a B + b, x = a B u and y = b u, the identity
-    ``1 - cos(x + y) = P + Q - P Q + S T`` (P = 2 sin^2(x/2), Q = 2 sin^2(y/2),
-    S = sin x, T = sin y) turns the lag sum into
-    ``sum_a P_a (r_a - (M Q)_a) + sum_a S_a (M T)_a + sum_b Q_b c_b`` over the
-    block matrix M of :func:`_mass_blocks`: about 2 sqrt(N) sines per point
-    and two matrix products for the whole grid. At small u every term but
-    the O((n u)^4) ``-P Q`` is nonnegative, so nothing cancels.
-    """
-    blocks, rows, cols = _mass_blocks(law)
-    n_rows, width = blocks.shape
-    x = np.outer(u, width * np.arange(n_rows))
+    x = np.outer(u, width * np.arange(len(blocks)))
     y = np.outer(u, np.arange(width))
     p, q = 2.0 * np.sin(x / 2.0) ** 2, 2.0 * np.sin(y / 2.0) ** 2
-    partial = np.sum(p * (rows - q @ blocks.T) + np.sin(x) * (np.sin(y) @ blocks.T), axis=1)
-    return partial + q @ cols
+    partial = np.sum(
+        p * (blocks.sum(axis=1) - q @ blocks.T) + np.sin(x) * (np.sin(y) @ blocks.T), axis=1
+    )
+    return partial + q @ blocks.sum(axis=0)
+
+
+def _cos_tail_sum(rho: float, u: np.ndarray, n: int) -> np.ndarray:
+    """``sum_{k>n} k^-rho (1 - cos(k u))`` at every u in [0, pi], by Euler-Maclaurin.
+
+    For f(y) = y^-rho g(y), g = 1 - cos(u y): ``int_n^inf f``, minus f(n)/2,
+    minus ``sum_k B_2k/(2k)! f^(2k-1)(n)``. By Leibniz's rule the Bernoulli
+    terms are ``n^-rho sum_j w_j g^(j)(n)``, g^(j) = -Re(e^(iun) (iu)^j) for
+    j >= 1, with w from ``_EM_COEF`` and the derivatives (-1)^i (rho)_i n^-i
+    of (y/n)^-rho: one polynomial in iu.
+    """
+    x = n * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = u ** (rho - 1.0)
+        integral = scale * one_minus_cos_tail(rho, x)
+    if rho > 3.0:  # underflow guard: where u^(rho-1) underflows or the cosine tail
+        # overflows, n u is so small that u^2 n^(3-rho) / (2 (rho-3)) is exact to rounding
+        lost = (scale < np.finfo(float).tiny) | ~np.isfinite(integral)
+        integral = np.where(lost, 0.5 * u * u * float(n) ** (3.0 - rho) / (rho - 3.0), integral)
+    a = np.cumprod(np.append(1.0, -(rho + _EM_J[:-1]) / n))
+    w = np.sum(_EM_COEF * a[np.maximum(_EM_M - _EM_J, 0)], axis=0)  # C(m, j) = 0 past j = m
+    osc = np.exp(1j * x) * np.polynomial.polynomial.polyval(1j * u, np.append(0.0, w[1:]))
+    return integral - float(n) ** -rho * ((1.0 + 2.0 * w[0]) * np.sin(x / 2.0) ** 2 - osc.real)
 
 
 def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndarray:
-    sup = law.support
-    u = sup.spacing * axi
-    partial = _lattice_cos_sum(law, u)
-    if sup.max_lag is not None:
-        return partial
-    n_hi = _summed_lags(law)
-    correction = np.zeros(len(u))
-    for comp in sup.components:
-        rho = comp.exponent
-        if float(n_hi) ** (1.0 - rho) == 0.0:
-            # the term is at most 2 k_mid n_hi^(1-rho) / (rho - 1), below
-            # every float; evaluated, it is u^(rho-1) ~ 0 times an overflow
-            continue
-        k_mid = comp.constant * 0.5 * (comp.lower_factor + comp.upper_factor)
-        correction += [
-            (k_mid / comp.stride) * u_i ** (rho - 1.0) * one_minus_cos_tail(rho, u_i * n_hi)
-            for u_i in u.tolist()
-        ]
-    return partial + correction
+    """One side of psi's jump part: the head, then each component's K n^-rho tail.
+
+    K n^-rho is exact for an exact component, and to O(n^-2) for bins of a
+    power density. Of a stride-2 class the even lags are 2^-rho times the
+    stride-1 sum past n // 2 at 2u, the odd lags all minus those."""
+    u = law.spacing * axi % (2.0 * math.pi)
+    u = np.minimum(u, 2.0 * math.pi - u)  # in [0, pi], where every lattice cosine sum repeats
+    n = max(law.series_head, _EM_START)
+    total = _lattice_cos_sum(law, u, n)
+    for c in law.components:
+        if c.stride == 1 or c.offset == 1:
+            total = total + c.constant * _cos_tail_sum(c.exponent, u, n)
+        if c.stride == 2:  # add the even lags, or take them from all lags
+            two_u = np.minimum(2.0 * u, 2.0 * math.pi - 2.0 * u)
+            even = 2.0 ** -c.exponent * _cos_tail_sum(c.exponent, two_u, n // 2)
+            total = total + (1 - 2 * c.offset) * c.constant * even
+    return total
 
 
-def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: float) -> float:
-    sup = law.support
+def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndarray:
+    """One side of psi's jump part: pieces in closed form, a generic density per point."""
+    sup, tail = law.support, law.tail
     if sup.pieces is not None:
-        total = 0.0
-        for piece in sup.pieces:
-            for k_coef, rho in piece.terms:
-                lo_s = axi * piece.lo
-                hi_s = axi * piece.hi if piece.hi != math.inf else math.inf
-                total += k_coef * axi ** (rho - 1.0) * one_minus_cos_range(rho, lo_s, hi_s)
-        return total
-    # generic density: panels to the onset (and through an exponential decay) + tail
-    tail = law.tail
+        return sum(
+            k * axi ** (rho - 1.0) * one_minus_cos_range(rho, axi * p.lo, axi * p.hi)
+            for p in sup.pieces for k, rho in p.terms
+        )
+    if tail.kind is TailKind.UNKNOWN:
+        raise NumericError("cannot integrate against an unknown tail")
+    # panels to the onset (and through an exponential decay), then the tail model
     edges = [0.0, tail.onset]
     if tail.kind is TailKind.EXPONENTIAL:
         edges.append(tail.onset + 60.0 / tail.exponent)
-    panels, _ = panel_integrals(
-        lambda y: 2.0 * np.sin(axi * y / 2.0) ** 2 * law.density(y), edges
-    )
-    head = float(np.sum(panels))
-    if tail.kind in (TailKind.COMPACT_SUPPORT, TailKind.EXPONENTIAL):
+    head = np.array([
+        np.sum(panel_integrals(lambda y: 2.0 * np.sin(a * y / 2.0) ** 2 * law.density(y), edges)[0])
+        for a in axi.tolist()
+    ])
+    if tail.kind is not TailKind.POWER_LAW:
         return head
-    if tail.kind is TailKind.POWER_LAW:
-        rho = tail.exponent
-        k_mid = tail.constant * 0.5 * (tail.lower_factor + tail.upper_factor)
-        return head + k_mid * axi ** (rho - 1.0) * one_minus_cos_tail(rho, axi * tail.onset)
-    raise NumericError("cannot integrate against an unknown tail")
+    rho = tail.exponent
+    k_mid = tail.constant * 0.5 * (tail.lower_factor + tail.upper_factor)
+    return head + k_mid * axi ** (rho - 1.0) * one_minus_cos_tail(rho, axi * tail.onset)
 
 
 def char_exponent(triplet: LevyTriplet, xi: float | np.ndarray) -> float | np.ndarray:
     """Characteristic exponent ``psi(xi) = c xi^2/2 + int (1-cos(xi y)) d nu``.
 
-    A float for a scalar ``xi`` and an array of ``xi``'s shape for an array:
-    a lattice law sums all points in one blocked pass
-    (:func:`_lattice_jump_exponent`), a continuous law takes them one at a
-    time. Even and nonnegative by construction; psi(0) = 0 exactly.
+    A float for a scalar ``xi`` and an array of ``xi``'s shape for an array: a
+    lattice law (:func:`_lattice_jump_exponent`) and a piecewise-power
+    density take the whole array at once, a generic density one panel pass
+    per point. Even and nonnegative by construction; psi(0) = 0 exactly.
     """
     axi = np.abs(np.asarray(xi, dtype=float))
     flat = axi.reshape(-1)
@@ -743,11 +761,8 @@ def char_exponent(triplet: LevyTriplet, xi: float | np.ndarray) -> float | np.nd
     nonzero = flat > 0.0
     nu = triplet.nu
     if nu is not None and np.any(nonzero):
-        if nu.is_lattice:
-            jump = _lattice_jump_exponent(nu, flat[nonzero])
-        else:
-            jump = [_continuous_jump_exponent(nu, a) for a in flat[nonzero].tolist()]
-        value[nonzero] += 2.0 * np.asarray(jump)
+        exponent = _lattice_jump_exponent if nu.is_lattice else _continuous_jump_exponent
+        value[nonzero] += 2.0 * exponent(nu, flat[nonzero])
     # fmax, not maximum: a NaN becomes 0, which Chung-Fuchs refuses as underflow
     value = np.fmax(0.0, value).reshape(axi.shape)
     return float(value) if value.ndim == 0 else value
@@ -762,10 +777,10 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
 
     Returns a :class:`levycrit.verdicts.ConvergenceVerdict`. The partial
     value is the two-sided truncated sum/integral over 1 < |y| <= cutoff,
-    and the verdict's ``value`` adds the model's remainder. A lattice law
-    whose components are all exact stops its head at the table, at lag
-    ``max(top, floor(1/delta))`` if the cutoff lies beyond it, since
-    :meth:`SymmetricJumpLaw.lag_tail_sum` then gives the rest exactly.
+    and the verdict's ``value`` adds the model's remainder. A lattice law's
+    head stops at :attr:`SymmetricJumpLaw.series_head` (at least at lag
+    ``floor(1/delta)``), before any lag is allocated, and
+    :meth:`SymmetricJumpLaw.lag_tail_sum` gives the rest.
     """
     from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
@@ -778,9 +793,7 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
     if law.is_lattice:
         delta = law.spacing
         n_start = math.floor(1.0 / delta) + 1
-        n_stop = math.floor(cutoff / delta)
-        if all(c.exact for c in law.components):
-            n_stop = min(n_stop, max(law.support.top, n_start - 1))
+        n_stop = min(math.floor(cutoff / delta), max(law.series_head, n_start - 1))
         lags = np.arange(n_start, n_stop + 1)
         partial = 2.0 * float(np.sum((lags * delta) ** k * law.mass(lags)))
         tail_lo, tail_hi = (2.0 * delta ** k * t for t in law.lag_tail_sum(float(k), n_stop))

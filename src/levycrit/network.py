@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measures import LATTICE_SERIES_CUTOFF, DomainError, SymmetricJumpLaw
-from .verdicts import Interval
+from .measures import DomainError, SymmetricJumpLaw
+from .verdicts import Interval, enclosure
 
 __all__ = [
     "block_index",
@@ -259,34 +259,39 @@ def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     return Interval(partial, partial + tail)
 
 
+#: least head of the energy series, and the terms of (w - 3)^-3 =
+#: w^-3 sum_k C(k + 2, 2) (3/w)^k past it: 16 leave < 1e-19 for w > 64
+_ENERGY_HEAD_MIN = 64
+_ENERGY_TERMS = 16
+
+
 def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
     """Closed-form upper bound for the dyadic flow's energy.
 
     ``3/(4 m1) + 1/(8 m2) + 32/(3 m2) + 32/(3 m3)
-    + 288 sum_{w>=4} 1/((w-3)^3 m(w))``,
-    with the series summed to ``LATTICE_SERIES_CUTOFF`` and its remainder
-    bounded through :meth:`SymmetricJumpLaw.lag_tail_sum`. The series
-    converges exactly when every tail class has exponent below 2; otherwise
-    (a finite support included) the bound is +inf, a valid, detectable
-    outcome.
-    """
+    + 288 sum_{w>=4} 1/((w-3)^3 m(w))``, summed to ``max(series_head + 2, 64)``:
+    one period of the residue classes past the table, where a finite law or
+    a class no component covers shows a zero mass, and the bound +inf. Past
+    it, ``(w-3)^-3`` expanded in powers of ``3/w`` gives inverse lag sums of
+    :meth:`SymmetricJumpLaw.lag_tail_sum`, exact for exact components; a
+    class of exponent 2 or more makes the bound ``[partial, inf]``."""
     if not law.is_lattice:
         raise DomainError("energy bound is defined for lattice laws")
-    m1, m2, m3 = (float(law.mass(k)) for k in (1, 2, 3))
-    if m1 == 0.0 or m2 == 0.0 or m3 == 0.0:
-        return Interval(math.inf, math.inf)
-    head = 3.0 / (4.0 * m1) + 1.0 / (8.0 * m2) + 32.0 / (3.0 * m2) + 32.0 / (3.0 * m3)
-
-    w_max = LATTICE_SERIES_CUTOFF
-    w = np.arange(4, w_max + 1)
+    w_max = max(law.series_head + 2, _ENERGY_HEAD_MIN)
+    w = np.arange(1, w_max + 1)
     masses = law.mass(w)
     if np.any(masses == 0.0):
         return Interval(math.inf, math.inf)
-    partial = head + 288.0 * float(np.sum(1.0 / ((w - 3.0) ** 3 * masses)))
-    # (w-3)^-3 <= w^-3 (1 - 3/(w_max+1))^-3 for w > w_max
-    slack = (1.0 - 3.0 / (w_max + 1.0)) ** -3
-    _, tail = law.lag_tail_sum(-3.0, w_max, inverse=True)
-    return Interval(partial, partial + 288.0 * slack * tail)
+    m1, m2, m3 = masses[:3].tolist()
+    partial = 3.0 / (4.0 * m1) + 1.0 / (8.0 * m2) + 32.0 / (3.0 * m2) + 32.0 / (3.0 * m3)
+    with np.errstate(over="ignore"):  # a subnormal mass: an honest inf
+        partial += 288.0 * float(np.sum(1.0 / ((w[3:] - 3.0) ** 3 * masses[3:])))
+    k = np.arange(_ENERGY_TERMS)
+    tails = [law.lag_tail_sum(-3.0 - j, w_max, inverse=True) for j in k]
+    tail_lo, tail_hi = (288.0 * ((k + 1) * (k + 2) / 2 * 3.0 ** k) @ np.array(tails)).tolist()
+    if math.isinf(tail_hi):
+        return Interval(partial, math.inf)
+    return enclosure(partial, tail_lo, tail_hi)
 
 
 # ---------------------------------------------------------------------------

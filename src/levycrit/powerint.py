@@ -3,7 +3,7 @@
 Everything downstream (characteristic exponents, convergence criteria,
 energy bounds, boundary conductances) reduces to three primitives:
 
-* cosine-type integrals ``int (1 - cos u) u^-rho du`` with 1 < rho < 3,
+* cosine integrals ``int_lo^hi (1 - cos u) u^-rho du``, over arrays of ranges,
 * tail sums ``sum_{n > N} n^-rho`` over an arithmetic progression,
   which are Hurwitz zeta values and therefore exact to machine precision,
 * :func:`panel_integrals`, a fixed 15-point Gauss-Kronrod rule applied to
@@ -13,7 +13,6 @@ energy bounds, boundary conductances) reduces to three primitives:
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -124,17 +123,18 @@ def one_minus_cos_integral(rho: float) -> float:
     return math.pi / (2.0 * gamma(rho) * math.sin(math.pi * (rho - 1.0) / 2.0))
 
 
-def _one_minus_cos_series(rho: float, lo: float, hi: float, max_terms: int = 80) -> float:
+def _one_minus_cos_series(rho: float, lo, hi, max_terms: int = 80):
     # int_lo^hi (1-cos u) u^-rho du = sum_j (-1)^{j+1} int_lo^hi u^(2j-rho) du / (2j)!,
-    # integrated term by term (lo = 0 needs rho < 3)
+    # integrated term by term until every point has converged relative to
+    # itself (lo = 0 needs rho < 3)
     total = 0.0
     sign = 1.0
     fact = 1.0
     for j in range(1, max_terms + 1):
         fact *= (2 * j - 1) * (2 * j)
-        term = sign * _power_range(rho - 2 * j, lo, hi) / fact
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
+        term = sign * power_range(rho - 2 * j, lo, hi) / fact
+        total = total + term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
             break
         sign = -sign
     return total
@@ -145,110 +145,94 @@ def _one_minus_cos_series(rho: float, lo: float, hi: float, max_terms: int = 80)
 COS_TAIL_SWITCH = 200.0
 
 
-def _cos_tail_asymptotic(rho: float, s: float) -> float:
+def _cos_tail_asymptotic(rho: float, s: np.ndarray) -> np.ndarray:
     # int_s^inf cos(u) u^-rho du = Re[i e^{is} s^-rho sum_m (-i)^m (rho)_m s^-m]
-    # (integration by parts), summed until the terms drop below machine
-    # precision or start to grow; for any rho its negative is an
+    # (integration by parts), each point summed until its terms drop below
+    # machine precision or start to grow; for any rho its negative is an
     # antiderivative of cos(u) u^-rho, up to the last term dropped
-    total = 0j
-    term = 1.0 + 0j
+    total = np.zeros(s.shape, dtype=complex)
+    term = np.ones(s.shape, dtype=complex)
+    active = np.ones(s.shape, dtype=bool)
     m = 0
-    while True:
-        total += term
+    while np.any(active):
+        total[active] += term[active]
         nxt = term * (-1j) * (rho + m) / s
-        if abs(nxt) >= abs(term) or abs(nxt) <= 1e-17 * abs(total):
-            break
+        active &= (np.abs(nxt) < np.abs(term)) & (np.abs(nxt) > 1e-17 * np.abs(total))
         term = nxt
         m += 1
-    return (1j * cmath.exp(1j * s) * total).real * s ** -rho
+    return (1j * np.exp(1j * s) * total).real * s ** -rho
 
 
-def _cos_range(rho: float, lo: float, hi: float) -> float:
-    """``int_lo^hi cos(u) u^-rho du`` for 0 < lo <= hi; hi may be inf."""
-    head_hi = min(hi, COS_TAIL_SWITCH)
-    total = 0.0
-    if lo < head_hi:
-        edges = np.linspace(lo, head_hi, math.ceil(head_hi - lo) + 1)
+def _cos_from(rho: float, x: np.ndarray) -> np.ndarray:
+    """``int_x^inf cos(u) u^-rho du`` at every x > 0 of a 1-D array (0 at inf).
+
+    Below ``COS_TAIL_SWITCH`` one Gauss-Kronrod pass on unit panels, every point
+    a breakpoint, summed from the switch down; the asymptotic expansion beyond.
+    For rho <= 0 only differences of two points mean anything."""
+    out = np.zeros(x.shape)
+    near = x < COS_TAIL_SWITCH
+    far = ~near & np.isfinite(x)
+    asymptotic = _cos_tail_asymptotic(rho, np.append(x[far], COS_TAIL_SWITCH))
+    out[far] = asymptotic[:-1]
+    if np.any(near):
+        grid = np.arange(math.ceil(x[near].min()), COS_TAIL_SWITCH + 1.0)
+        edges = np.union1d(x[near], grid)
         panels, _ = panel_integrals(lambda u: np.cos(u) * u ** -rho, edges)
-        total = float(np.sum(panels))
-    if hi > COS_TAIL_SWITCH:
-        total += _cos_tail_asymptotic(rho, max(lo, COS_TAIL_SWITCH))
-        if hi < math.inf:
-            total -= _cos_tail_asymptotic(rho, hi)
-    return total
+        suffix = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+        out[near] = suffix[np.searchsorted(edges, x[near])] + asymptotic[-1]
+    return out
 
 
-def one_minus_cos_tail(rho: float, s: float) -> float:
-    """``int_s^inf (1 - cos u) u^-rho du`` for rho > 1 (s > 0 when rho >= 3).
+def one_minus_cos_range(rho: float, lo, hi):
+    """``int_lo^hi (1 - cos u) u^-rho du`` elementwise, for 0 <= lo <= hi <= inf.
 
-    From s = 6 on it is the plain power tail minus ``int_s^inf cos(u)
-    u^-rho du``, which is smaller by a factor of order s and comes from
-    Gauss-Kronrod panels up to 200 plus the integration-by-parts expansion
-    beyond. Below s = 6 the cosine series is integrated term by term: from
-    the origin when rho < 3, where the full integral converges, and on
-    [s, 6] otherwise, so small s never subtracts two near-equal large
-    numbers.
+    A float for scalar bounds; inf where it diverges (at inf for rho <= 1,
+    at 0 for rho >= 3). Below 6 the cosine series is integrated term by term;
+    from 6 on it is the plain power integral minus the cosine integral, which
+    is smaller by a factor of order u. No near-equal large numbers cancel: a
+    tail taken as the full integral minus a partial loses 2e-11 at rho = 2.99.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if rho <= 1.0:
-        return math.inf
-    if s >= 6.0:
-        return s ** (1.0 - rho) / (rho - 1.0) - _cos_range(rho, s, math.inf)
-    if rho >= 3.0:
-        if s == 0.0:
-            return math.inf  # divergent at the origin
-        return _one_minus_cos_series(rho, s, 6.0) + one_minus_cos_tail(rho, 6.0)
-    k = one_minus_cos_integral(rho)
-    if s == 0.0:
-        return k
-    return max(0.0, k - _one_minus_cos_series(rho, 0.0, s))
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    a, b = lo.reshape(-1), hi.reshape(-1)
+    if np.any(a < 0):
+        raise ValueError("bounds must be nonnegative")
+    origin = (a == 0.0) & (rho >= 3.0)  # divergent: evaluated on an empty range, then inf
+    a = np.where(origin, b, a)
+    near = _one_minus_cos_series(rho, np.minimum(a, 6.0), np.minimum(b, 6.0))
+    a, b = np.maximum(a, 6.0), np.maximum(b, 6.0)
+    cos_a, cos_b = np.split(_cos_from(rho, np.concatenate([a, b])), 2)
+    out = np.maximum(0.0, near + power_range(rho, a, b) - (cos_a - cos_b))
+    out[origin] = math.inf
+    return float(out[0]) if lo.ndim == 0 else out.reshape(lo.shape)
 
 
-def _power_range(rho: float, a: float, b: float) -> float:
-    """``int_a^b u^-rho du`` for 0 <= a < b; a = 0 needs rho < 1."""
-    q = 1.0 - rho
-    if a == 0.0:
-        return b ** q / q
-    log_ratio = math.log(b / a)
-    if abs(q * log_ratio) < 1.0:  # b^q - a^q would cancel; expm1 keeps the digits
-        return log_ratio if q == 0.0 else a ** q * math.expm1(q * log_ratio) / q
-    return (b ** q - a ** q) / q
+def one_minus_cos_tail(rho: float, s):
+    """``int_s^inf (1 - cos u) u^-rho du`` elementwise; see :func:`one_minus_cos_range`."""
+    return one_minus_cos_range(rho, s, math.inf)
 
 
-def power_range(rho: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``int_a^b u^-rho du`` elementwise, for 0 < a <= b < inf.
+def one_minus_cos_partial(rho: float, s):
+    """``int_0^s (1 - cos u) u^-rho du`` elementwise; see :func:`one_minus_cos_range`."""
+    return one_minus_cos_range(rho, 0.0, s)
 
-    The array form of :func:`_power_range`, valid at every scale: it is
-    ``a^q expm1(q log1p((b - a) / a)) / q`` with q = 1 - rho. ``b - a`` is
-    exact for b <= 2a, so a narrow range [a, b] far out keeps every digit
-    where ``b^q - a^q`` would lose about log10(a / (b - a)) of them.
+
+def power_range(rho: float, a, b):
+    """``int_a^b u^-rho du`` elementwise, for 0 <= a <= b <= inf; a = 0 needs rho < 1.
+
+    A float for scalar bounds. With q = 1 - rho, a narrow range
+    (|q log(b/a)| < 1) takes ``a^q expm1(q log1p((b - a) / a)) / q``:
+    ``b - a`` is exact for b <= 2a, so a range [a, b] far out keeps every
+    digit where ``b^q - a^q`` would lose about log10(a / (b - a)) of them. A
+    wider range takes that difference, which cancels by less than a factor e.
     """
-    a = np.asarray(a, dtype=float)
-    log_ratio = np.log1p((np.asarray(b, dtype=float) - a) / a)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     q = 1.0 - rho
-    if q == 0.0:
-        return log_ratio
-    return a ** q * np.expm1(q * log_ratio) / q
-
-
-def one_minus_cos_partial(rho: float, s: float) -> float:
-    """``int_0^s (1 - cos u) u^-rho du`` for any rho < 3, s >= 0 finite."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s <= 6.0:
-        return _one_minus_cos_series(rho, 0.0, s) if s > 0 else 0.0
-    head = _one_minus_cos_series(rho, 0.0, 6.0)
-    return head + _power_range(rho, 6.0, s) - _cos_range(rho, 6.0, s)
-
-
-def one_minus_cos_range(rho: float, lo: float, hi: float) -> float:
-    """``int_lo^hi (1 - cos u) u^-rho du``; hi may be inf when rho > 1."""
-    if hi == math.inf:
-        return one_minus_cos_tail(rho, lo)
-    if rho >= 3.0:  # partial from 0 diverges; difference of tails is finite
-        return max(0.0, one_minus_cos_tail(rho, lo) - one_minus_cos_tail(rho, hi))
-    return max(0.0, one_minus_cos_partial(rho, hi) - one_minus_cos_partial(rho, lo))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 or b = inf
+        log_ratio = np.log1p((b - a) / a)
+        narrow = np.abs(q * log_ratio) < 1.0
+        out = log_ratio if q == 0.0 else np.where(
+            narrow, a ** q * np.expm1(q * log_ratio) / q, (b ** q - a ** q) / q)
+    return float(out) if out.ndim == 0 else out
 
 
 def power_integral_tail(constant: float, p: float, y_from: float) -> float:

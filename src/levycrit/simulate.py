@@ -504,6 +504,8 @@ def even_chain_batch(
     """
     if not law.is_lattice:
         raise DomainError("even chain requires a lattice law")
+    if n_samples < 0:
+        raise DomainError(f"n_samples must be nonnegative, got {n_samples}")
     _check_draw_cap("n_samples", n_samples)
     smp = LatticeSampler(law)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))

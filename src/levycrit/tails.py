@@ -140,8 +140,9 @@ class PowerTailComponent:
             raise DomainError(
                 f"component exponent {self.exponent} makes every mass past lag 1 underflow"
             )
-        if self.stride < 1 or not 0 <= self.offset < self.stride:
-            raise DomainError("invalid stride/offset")
+        # psi splits a stride-2 class into stride-1 cosine sums; wider ones need sines
+        if self.stride not in (1, 2) or not 0 <= self.offset < self.stride:
+            raise DomainError("stride must be 1 or 2, with 0 <= offset < stride")
         if not 0 < self.lower_factor <= 1 <= self.upper_factor < math.inf:
             raise DomainError("envelope factors must be finite and bracket 1")
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -23,7 +24,7 @@ from levycrit import (
 from levycrit.criteria import CF_GRID
 from levycrit.discretize import bin_density
 from levycrit.measures import (
-    CHAR_EXPONENT_LATTICE_CUTOFF,
+    LATTICE_SERIES_CUTOFF,
     LatticeSupport,
     NumericError,
     SymmetricJumpLaw,
@@ -43,6 +44,39 @@ from levycrit.powerint import (
 )
 
 ZETA_15 = 2.612375348685488  # zeta(3/2)
+
+
+#: xi of the psi oracles: from 1e-6 up to pi, where u = pi meets the closed form
+PSI_ORACLE_XI = np.append(np.geomspace(1e-6, 3.0, 24), math.pi)
+
+
+def _polylog_psi(parts, xi, table=None):
+    """psi of masses ``C n^-s`` on all, even or odd lags n, to 40 digits.
+
+    Each class sum of ``n^-s (1 - cos(n u))`` is a difference of
+    polylogarithms, ``zeta(s) - Re Li_s(e^{iu})``, and the even lags are
+    2^-s times that at 2u. At u = pi only odd lags count, each with
+    1 - cos = 2, which gives ``2 (1 - 2^-s) zeta(s)``; polylog at e^{2iu}
+    from a float pi is 7e-6 off there. ``table`` swaps the masses of the
+    first lags of a single ``(C, s, "all")`` part for tabulated ones.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        u = mp.pi if xi == math.pi else mp.mpf(float(xi))
+        total = mp.mpf(0)
+        for c, s, lags in parts:
+            if u == mp.pi:
+                odd = 2 * (1 - mp.mpf(2) ** -s) * mp.zeta(s)
+                total += c * (0 if lags == "even" else odd)
+                continue
+            even = 2 ** -mp.mpf(s) * (mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(2j * u))))
+            every = mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(1j * u)))
+            total += c * {"all": every, "even": even, "odd": every - even}[lags]
+        for n, m in (table or {}).items():
+            c, s, _ = parts[0]
+            total += (m - c * mp.mpf(n) ** -s) * (1 - mp.cos(n * u))
+        return float(2 * total)
 
 
 class TestPowerLawLattice:
@@ -156,32 +190,48 @@ class TestCharExponent:
 
     @pytest.mark.parametrize(
         "alpha, beta",
-        [(a, None) for a in (0.05, 0.5, 0.9995, 1.5, 1.99)] + [(0.5, 1.5), (1.5, 0.5)],
+        [(a, None) for a in (0.05, 0.5, 0.9995, 1.5, 1.99)]
+        + [(0.5, 1.5), (1.5, 0.5), (0.569, 0.8), (1.2, 0.3)],
     )
     def test_lattice_small_xi_matches_polylog_oracle(self, alpha, beta):
-        # oracle: sum C n^-s (1 - cos(n u)) over all, even or odd lags n is
-        # a difference of polylogarithms, zeta(s) - Re Li_s(e^{iu}), at 30 digits
-        import mpmath as mp
-
-        def class_sum(s, lags, u):
-            even = 2 ** -s * (mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(2j * u))))
-            if lags == "even":
-                return even
-            every = mp.zeta(s) - mp.re(mp.polylog(s, mp.exp(1j * u)))
-            return every if lags == "all" else every - even
-
+        # exact components: psi is exact to rounding over the whole period,
+        # from xi = 1e-6 up to pi
         if beta is None:
             law = make_power_law_lattice(alpha, normalize=True)
             parts = [(1.0 / (2.0 * zeta(alpha + 1.0)), alpha + 1.0, "all")]
         else:
             law = make_multi_index_lattice(alpha, beta)
             parts = [(1.0, alpha + 1.0, "even"), (1.0, beta + 1.0, "odd")]
-        t = make_walk_triplet(law)
-        with mp.workdps(30):
-            for xi in np.geomspace(1e-6, 0.05, 40):
-                u = mp.mpf(float(xi))
-                oracle = 2.0 * float(sum(c * class_sum(s, lags, u) for c, s, lags in parts))
-                assert char_exponent(t, xi) == pytest.approx(oracle, rel=1e-5)
+        got = char_exponent(make_walk_triplet(law), PSI_ORACLE_XI)
+        want = [_polylog_psi(parts, xi) for xi in PSI_ORACLE_XI]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_table_with_exact_tail_matches_polylog_oracle(self):
+        table = {1: 0.2, 2: 0.1, 3: 0.05}
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.1, onset=4.0)
+        law = make_lattice_table(table, tail=tail)
+        got = char_exponent(make_walk_triplet(law), PSI_ORACLE_XI)
+        # the K n^-1.5 sum over every lag, with the tabulated lags swapped in
+        want = [_polylog_psi([(0.1, 1.5, "all")], xi, table) for xi in PSI_ORACLE_XI]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_unit_bins_match_a_long_direct_sum(self, flat_core_heavy):
+        # unit bins of the flat-core law: masses K n^-1.5 (1 + O(n^-2)) past the
+        # table, with K = 1/6 and the envelope midpoint 1.054 K. Reference: the
+        # lag sum to N = 2e7 plus K int_{N+1/2}^inf y^-1.5 (1 - cos(xi y)) dy,
+        # whose midpoint-rule error (about K N^-1.5 xi / 24) and mass error
+        # (about K N^-2.5 / 6) are below 1e-13 of psi
+        binned = bin_density(flat_core_heavy, 1.0)
+        k = binned.components[0].constant
+        xi = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+        n_ref = 2 * 10 ** 7
+        direct = np.zeros(len(xi))
+        for start in range(0, n_ref, 10 ** 6):
+            n = np.arange(start + 1, start + 10 ** 6 + 1)
+            direct += 2.0 * np.sin(np.outer(xi, n) / 2.0) ** 2 @ binned.mass(n)
+        tail = k * xi ** 0.5 * one_minus_cos_tail(1.5, xi * (n_ref + 0.5))
+        got = char_exponent(make_walk_triplet(binned), xi)
+        assert got == pytest.approx(2.0 * (direct + tail), rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("xi", [1e-6, 1e-5, 1e-4])
     def test_steep_tail_small_xi_matches_mpmath(self, xi):
@@ -217,9 +267,8 @@ class TestCharExponent:
 
 
 def _direct_cos_sum(law, u):
-    """Oracle: the plain lag-by-lag ``sum_n m(n) 2 sin^2(n u / 2)`` to N."""
-    sup = law.support
-    n_hi = sup.max_lag if sup.max_lag is not None else CHAR_EXPONENT_LATTICE_CUTOFF
+    """Oracle: the plain lag-by-lag ``sum_n m(n) 2 sin^2(n u / 2)`` over the series head."""
+    n_hi = law.series_head
     lags = np.arange(1, n_hi + 1, dtype=float)
     masses = law.mass(np.arange(1, n_hi + 1))
     return np.array([float(np.sum(masses * 2.0 * np.sin(lags * (x / 2.0)) ** 2)) for x in u])
@@ -257,7 +306,7 @@ class TestBlockedLatticeSum:
         law = LATTICE_LAWS[name]
         eps, _, n_pts = CF_GRID
         u = law.spacing * np.geomspace(eps, 1.0, n_pts)
-        got, want = _lattice_cos_sum(law, u), _direct_cos_sum(law, u)
+        got, want = _lattice_cos_sum(law, u, law.series_head), _direct_cos_sum(law, u)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("name", LATTICE_LAWS)
@@ -267,35 +316,36 @@ class TestBlockedLatticeSum:
         period = 2.0 * math.pi / law.spacing
         xi = xi[np.abs(xi - period * np.rint(xi / period)) > 1e-3]  # away from 2 pi k / delta
         u = law.spacing * xi
-        got, want = _lattice_cos_sum(law, u), _direct_cos_sum(law, u)
+        got, want = _lattice_cos_sum(law, u, law.series_head), _direct_cos_sum(law, u)
         err = np.abs(got - want)
         assert np.all((err <= 1e-12 * want) | (err <= 1e-13 * law.total_mass))
 
 
     def test_summed_lags_reach_the_table_end(self):
-        # bins of width 1/128 are tabulated to lag 128001, past
-        # CHAR_EXPONENT_LATTICE_CUTOFF: psi sums every one of them before the
-        # power correction takes over. Reference: the plain sum to 4e6 lags
-        # plus the same correction from there. The correction integrates the
-        # tail from its start, a first-order (Euler-Maclaurin) error of about
-        # m(N)(1 - cos(N u)) in psi, below 2e-6 relative at N = 128001
+        # bins of width 1/128 are tabulated to lag 128001, and the binned
+        # tail's envelope is inexact: psi sums every lag to 1e6, then adds
+        # the component's K n^-1.5 sum past it. Reference: the plain sum to
+        # N = 4e6 plus K int_{N+1/2}^inf y^-1.5 (1 - cos(u y)) dy, whose
+        # midpoint-rule error (about K N^-1.5 u / 24) and mass error (about
+        # K N^-2.5 / 6) are below 1e-13 of psi
         k = 0.25 * math.sqrt(1000.0) / 2.0  # a y^-1.5 tail of mass 1/4 past 1000
         law = make_piecewise_power(
             [PowerPiece(0.0, 1000.0, ((2.5e-4, 0.0),)), PowerPiece(1000.0, math.inf, ((k, 1.5),))]
         )
         binned = bin_density(law, 1.0 / 128.0)
-        assert binned.support.top == 128001 > CHAR_EXPONENT_LATTICE_CUTOFF
-        comp = binned.components[0]
-        k_mid = comp.constant * 0.5 * (comp.lower_factor + comp.upper_factor)
+        assert binned.support.top == 128001
+        assert binned.series_head == LATTICE_SERIES_CUTOFF
+        k_bins = binned.components[0].constant
         n_ref = 4 * 10 ** 6
-        for xi in (1e-3, 1e-2, 0.1):
-            u = xi / 128.0
-            direct = 0.0
-            for start in range(0, n_ref, 10 ** 6):
-                n = np.arange(start + 1, start + 10 ** 6 + 1)
-                direct += float(np.sum(binned.mass(n) * 2.0 * np.sin(n * u / 2.0) ** 2))
-            ref = 2.0 * (direct + k_mid * u ** 0.5 * one_minus_cos_tail(1.5, u * n_ref))
-            assert char_exponent(make_walk_triplet(binned), xi) == pytest.approx(ref, rel=1e-5)
+        xi = np.array([1e-3, 1e-2, 0.1])
+        u = xi / 128.0
+        direct = np.zeros(len(u))
+        for start in range(0, n_ref, 10 ** 6):
+            n = np.arange(start + 1, start + 10 ** 6 + 1)
+            direct += 2.0 * np.sin(np.outer(u, n) / 2.0) ** 2 @ binned.mass(n)
+        ref = 2.0 * (direct + k_bins * u ** 0.5 * one_minus_cos_tail(1.5, u * (n_ref + 0.5)))
+        got = char_exponent(make_walk_triplet(binned), xi)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 class TestCharExponentArray:
@@ -316,7 +366,9 @@ class TestCharExponentArray:
         assert isinstance(got, np.ndarray) and got.shape == self.XI.shape
         assert np.all(np.abs(got - want) <= 1e-14 * want)
         if not (t.nu is not None and t.nu.is_lattice):
-            assert np.array_equal(got, want)  # continuous points are mapped one by one
+            # a generic density maps its points one by one; a stable law's
+            # one piece from 0 to inf gives every point the same integral
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", TRIPLETS)
     def test_zero_and_evenness(self, name):
@@ -488,6 +540,22 @@ class TestMoment:
         assert v.value.hi - v.value.lo <= 1e-14 * v.value.hi
         assert v.value.lo <= ref <= v.value.hi
 
+    def test_inexact_head_is_capped_before_allocation(self, flat_core_heavy):
+        # unit bins carry an inexact component, so the head ends at lag 1e6
+        # however far the cutoff lies; a mass function that refuses more
+        # lags trips if a head of 1e12 lags is ever asked for
+        binned = bin_density(flat_core_heavy, 1.0)
+
+        def capped(n, _mass=binned.support.mass_fn):
+            assert np.size(n) <= LATTICE_SERIES_CUTOFF
+            return _mass(n)
+
+        law = replace(binned, support=replace(binned.support, mass_fn=capped))
+        v = moment(law, 0, cutoff=1e12)
+        assert v.truncation == f"lattice sum over 1 < n*delta <= {LATTICE_SERIES_CUTOFF:g}"
+        assert v.status.value == "converges"
+        assert v.value.lo <= v.estimate <= v.value.hi < math.inf
+
     def test_bad_order_rejected(self, stable_half):
         with pytest.raises(DomainError):
             moment(stable_half.nu, 4)
@@ -628,6 +696,11 @@ class TestLawAndTripletValidation:
         )
         with pytest.raises(DomainError, match="finite .* or power-modelled"):
             SymmetricJumpLaw(support=support, normalization=Normalization.FINITE, tail=tail)
+
+    @pytest.mark.parametrize("stride, offset", [(3, 0), (3, 2), (0, 0), (2, 2)])
+    def test_component_stride_is_one_or_two(self, stride, offset):
+        with pytest.raises(DomainError, match="stride must be 1 or 2"):
+            PowerTailComponent(1.0, 1.5, stride=stride, offset=offset)
 
     def test_triplet_rejects_probability_law(self, power_half_prob):
         with pytest.raises(DomainError):

@@ -573,6 +573,16 @@ class TestDrawCaps:
                            match="cap" if refused else None):
             call()
 
+    def test_even_chain_refuses_negative_count(self, unit_step_law, monkeypatch):
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("sampler built before the count was checked")
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        with pytest.raises(DomainError, match="nonnegative"):
+            even_chain_batch(unit_step_law, -1, SEED)
+
     @pytest.mark.parametrize("rate, horizon", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0),
     ])
