@@ -39,11 +39,14 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import comb as _comb
-from scipy.special import gamma as _gamma
-from scipy.special import zeta as _zeta
 
-from .powerint import NumericError, one_minus_cos_range, one_minus_cos_tail, panel_integrals
+from .powerint import (
+    NumericError,
+    hurwitz_zeta,
+    one_minus_cos_range,
+    one_minus_cos_tail,
+    panel_integrals,
+)
 from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
 
 PROBABILITY_TOL = 1e-10
@@ -335,7 +338,7 @@ def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJu
     """
     require_positive("alpha", alpha)
     s = alpha + 1.0
-    zeta_s = float(_zeta(s, 1))
+    zeta_s = hurwitz_zeta(s, 1.0)
     c_coef = 1.0 / (2.0 * zeta_s) if normalize else 1.0
     total = 1.0 if normalize else 2.0 * zeta_s
 
@@ -361,8 +364,8 @@ def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJu
 def multi_index_total(alpha: float, beta: float) -> float:
     """Total mass ``sum_{n in Z, n != 0} p_n`` of the raw two-index lattice law."""
     s, t = alpha + 1.0, beta + 1.0
-    even = 2.0 ** -s * float(_zeta(s, 1))
-    odd = (1.0 - 2.0 ** -t) * float(_zeta(t, 1))
+    even = 2.0 ** -s * hurwitz_zeta(s, 1.0)
+    odd = (1.0 - 2.0 ** -t) * hurwitz_zeta(t, 1.0)
     return 2.0 * (even + odd)
 
 
@@ -502,8 +505,8 @@ def stable_levy_density_constant(alpha: float, gamma_scale: float) -> float:
         gamma_scale
         * alpha
         * 2.0 ** (alpha - 1.0)
-        * _gamma((alpha + 1.0) / 2.0)
-        / (math.sqrt(math.pi) * _gamma(1.0 - alpha / 2.0))
+        * math.gamma((alpha + 1.0) / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
 
 
@@ -650,8 +653,8 @@ _EM_ORDER = 27
 _EM_J = np.arange(2 * _EM_ORDER)  # derivative orders j of 1 - cos(u y)
 _EM_M = 2 * np.arange(1, _EM_ORDER + 1)[:, None] - 1  # orders 2k - 1 of f
 #: B_2k/(2k)! C(2k-1, j), with B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k) / (2 pi)^(2k)
-_EM_COEF = (-2.0 * _zeta(_EM_M + 1.0, 1.0) / (-4.0 * math.pi ** 2) ** ((_EM_M + 1) // 2)
-            * _comb(_EM_M, _EM_J))
+_EM_COEF = (-2.0 * hurwitz_zeta(_EM_M + 1.0, 1.0) / (-4.0 * math.pi ** 2) ** ((_EM_M + 1) // 2)
+            * np.array([[math.comb(m, j) for j in _EM_J] for m in _EM_M[:, 0]], dtype=float))
 
 
 def _lattice_cos_sum(law: SymmetricJumpLaw, u: np.ndarray, n_hi: int) -> np.ndarray:

@@ -5,7 +5,11 @@ energy bounds, boundary conductances) reduces to three primitives:
 
 * cosine integrals ``int_lo^hi (1 - cos u) u^-rho du``, over arrays of ranges,
 * tail sums ``sum_{n > N} n^-rho`` over an arithmetic progression,
-  which are Hurwitz zeta values and therefore exact to machine precision,
+  which are Hurwitz zeta values. :func:`hurwitz_zeta` computes them here,
+  in numpy, by the Euler-Maclaurin layout of Cephes ``zeta`` (DLMF 25.11):
+  within 2e-15 relative of scipy's ``zeta`` for s in (1, 1021] and q in
+  [0.5, 1e16] wherever that value exceeds 1e-290 (below it scipy's own
+  Bernoulli terms go subnormal and lose digits),
 * :func:`panel_integrals`, a fixed 15-point Gauss-Kronrod rule applied to
   every panel of a grid in one array pass, for every integral that has no
   closed form.
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, zeta
 
 
 class NumericError(RuntimeError):
@@ -120,7 +123,7 @@ def one_minus_cos_integral(rho: float) -> float:
     """
     if not 1.0 < rho < 3.0:
         raise ValueError(f"rho must lie in (1, 3), got {rho}")
-    return math.pi / (2.0 * gamma(rho) * math.sin(math.pi * (rho - 1.0) / 2.0))
+    return math.pi / (2.0 * math.gamma(rho) * math.sin(math.pi * (rho - 1.0) / 2.0))
 
 
 def _one_minus_cos_series(rho: float, lo, hi, max_terms: int = 80):
@@ -242,14 +245,64 @@ def power_integral_tail(constant: float, p: float, y_from: float) -> float:
     return constant * y_from ** (1.0 - p) / (p - 1.0)
 
 
+# Euler-Maclaurin denominators (2k)!/B_2k, k = 1..12, of Cephes zeta.c
+# (Moshier, "Methods and Programs for Mathematical Functions", 1989)
+_ZETA_BERNOULLI = np.array([
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+])
+_ZETA_HEAD = np.arange(10.0)  # the terms q .. q+9 are summed one by one
+_ZETA_POCH = np.arange(23.0)  # factors s + i of the Pochhammer symbols (s)_(2k-1)
+_ZETA_POWERS = np.arange(1.0, 13.0)  # powers k of w^-2k
+#: past this q the two-term expansion (DLMF 25.11.43) is exact to rounding
+_ZETA_FAR = 1e8
+#: w^-s underflows to 0 for w >= 9 once s > 339
+_ZETA_S_CAP = 1e3
+
+
+def hurwitz_zeta(s, q):
+    """Hurwitz ``zeta(s, q) = sum_{n >= 0} (n + q)^-s`` for s >= 1, q > 0.
+
+    ``s`` and ``q`` broadcast; a float for scalar arguments. The terms q ..
+    q+9 are summed directly, and the rest is the expansion DLMF 25.11.43 at
+    w = q + 9: ``w^(1-s)/(s-1) - w^-s/2`` plus 12 Bernoulli terms
+    ``(s)_(2k-1) w^(1-s-2k) B_2k/(2k)!``, taken as one polynomial in w^-2;
+    past q = 1e8 it is ``(1/(s-1) + 1/(2q)) q^(1-s)``. Every element runs the
+    same fixed terms. At the pole s = 1, and past the float range, the
+    result is inf, without a warning; below the range it underflows to 0.
+    """
+    s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
+    scalar = s.ndim == q.ndim == 0
+    # at least 1-d, so that every operand stays an array: numpy's scalar
+    # power is libm's, which can differ from the array loop's in the last bit
+    s, q = np.atleast_1d(s, q)
+    w = q + 9.0
+    # (s)_(2k-1) B_2k/(2k)! times w^-2k, summed over k; past s = _ZETA_S_CAP,
+    # w^-s is 0, and capping s there keeps the factors finite
+    poch = np.minimum(s, _ZETA_S_CAP)[..., None] + _ZETA_POCH
+    coef = np.multiply.accumulate(poch, axis=-1)[..., ::2] / _ZETA_BERNOULLI
+    bernoulli = (coef * (1.0 / (w * w))[..., None] ** _ZETA_POWERS).sum(axis=-1)
+    # (q + i)^-s overflows only where zeta does, q^(1-s) only below q = 1,
+    # where it is not used, and s = 1 is the pole: inf
+    with np.errstate(over="ignore", divide="ignore"):
+        head = ((q[..., None] + _ZETA_HEAD) ** -s[..., None]).sum(axis=-1)
+        b, s1 = w ** -s, s - 1.0
+        bw = b * w
+        near = head + bw / s1 - 0.5 * b + bw * bernoulli
+        far = (1.0 / s1 + 0.5 / q) * q ** -s1
+    out = np.where(q > _ZETA_FAR, far, near)
+    return float(out[0]) if scalar else out
+
+
 def strided_power_sum(rho: float, stride: int, offset: int, n_from):
     """``sum n^-rho`` over integers n >= n_from with n = offset (mod stride).
 
-    Exact via the Hurwitz zeta function: with n = stride*j + r the sum is
-    stride^-rho * zeta(rho, j0 + r/stride). Requires rho > 1. Accepts float
-    ``n_from`` (the sum runs over lattice points strictly above n_from - 1,
-    i.e. n >= ceil(n_from)), and an array of them elementwise; a float for
-    a scalar ``n_from``, and +inf when rho <= 1.
+    A Hurwitz zeta value: with n = stride*j + r the sum is
+    ``stride^-rho hurwitz_zeta(rho, j0 + r/stride)``. Requires rho > 1.
+    Accepts float ``n_from`` (the sum runs over lattice points strictly
+    above n_from - 1, i.e. n >= ceil(n_from)), and an array of them
+    elementwise; a float for a scalar ``n_from``, and +inf when rho <= 1.
     """
     if rho <= 1.0:
         return math.inf
@@ -262,5 +315,4 @@ def strided_power_sum(rho: float, stride: int, offset: int, n_from):
         j0 = np.maximum(1.0, np.ceil(n0 / stride))
     else:
         j0 = np.maximum(0.0, np.ceil((n0 - r) / stride))
-    out = stride ** -rho * zeta(rho, j0 + r / stride)
-    return float(out) if out.ndim == 0 else out
+    return stride ** -rho * hurwitz_zeta(rho, j0 + r / stride)

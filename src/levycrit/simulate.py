@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .measures import (
     DomainError,
@@ -35,7 +34,7 @@ from .measures import (
     SymmetricJumpLaw,
     multi_index_total,
 )
-from .powerint import strided_power_sum
+from .powerint import hurwitz_zeta, strided_power_sum
 from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
@@ -101,6 +100,7 @@ class LatticeSampler:
         self.origin_mass = sup.origin_mass
         self.cum = self.origin_mass + 2.0 * np.cumsum(one_sided)
         self.tail_comps = []
+        self._tail_starts = []  # (j_start, a0, tail sum from j_start) per component
         tail_total = 0.0
         for c in sup.components:
             if not c.exact:
@@ -108,6 +108,15 @@ class LatticeSampler:
             mass = 2.0 * c.weighted_tail_sum(0.0, n_top)[0]
             self.tail_comps.append((c, mass))
             tail_total += mass
+            # class members are n = stride*j + off; the tail over j >= j_start
+            # is stride^-rho zeta(rho, j + off/stride), strictly decreasing in j
+            stride, off = c.stride, c.offset % c.stride
+            if off == 0:
+                j_start = math.floor(n_top / stride) + 1
+            else:
+                j_start = max(0, math.ceil((n_top + 1 - off) / stride))
+            a0 = off / stride
+            self._tail_starts.append((j_start, a0, hurwitz_zeta(c.exponent, j_start + a0)))
         self.tail_total = tail_total
         self.table_mass = self.cum[-1] if n_top >= 1 else self.origin_mass
         total = self.table_mass + tail_total
@@ -147,20 +156,13 @@ class LatticeSampler:
         masses = np.array([m for _, m in self.tail_comps])
         pick = rng.choice(len(self.tail_comps), size=count, p=masses / masses.sum())
         u = rng.random(count)
-        for ci, (comp, _) in enumerate(self.tail_comps):
+        for ci, ((comp, _), (j_start, a0, start_sum)) in enumerate(
+                zip(self.tail_comps, self._tail_starts)):
             sel = pick == ci
             if not np.any(sel):
                 continue
-            rho, stride, off = comp.exponent, comp.stride, comp.offset % comp.stride
-            # class members are n = stride*j + off; tail over j >= j0 is
-            # stride^-rho zeta(rho, j + off/stride), strictly decreasing in j
-            if off == 0:
-                j_start = math.floor(self.n_top / stride) + 1
-            else:
-                j_start = max(0, math.ceil((self.n_top + 1 - off) / stride))
-            a0 = off / stride
-            target = u[sel] * _zeta(rho, j_start + a0)
-            out[sel] = stride * _invert_hurwitz_tail(rho, a0, j_start, target) + off
+            j = _invert_hurwitz_tail(comp.exponent, a0, j_start, u[sel] * start_sum)
+            out[sel] = comp.stride * j + comp.offset % comp.stride
         return out
 
     def sample_lags(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -180,26 +182,30 @@ class LatticeSampler:
 
 def _invert_hurwitz_tail(rho: float, a0: float, j_start: int, target: np.ndarray) -> np.ndarray:
     """Smallest j in [j_start, _J_CAP] with zeta(rho, j + 1 + a0) <= target,
-    and _J_CAP where there is none.
+    and _J_CAP where there is none, zeta being :func:`hurwitz_zeta`.
 
     Each draw starts at the inverse of zeta(rho, q) ~ (q - 1/2)^(1-rho) /
     (rho - 1), checked by the predicate at the guess and one below it; only
     the misses are bisected, over [j_start, guess - 1] or [guess + 1,
     _J_CAP]. The predicate is monotone in j because zeta(rho, .) does not
-    increase on the float grid (its values tie above about 1e14).
+    increase on the float grid (its values tie above about 1e14). A draw
+    depends on zeta's last bit wherever the target falls between two
+    neighbouring values, so the draws are those of this one zeta: at
+    rho = 1.05 about 0.6 % of them, all past lag 1e11, differ from the
+    draws that scipy's zeta gives.
     """
 
     def fits(j, t):
-        return _zeta(rho, j + 1.0 + a0) <= t
+        return hurwitz_zeta(rho, j + 1.0 + a0) <= t
 
     # the power overflows to inf (and a zero target divides by zero) far
     # past the cap, which the clip then takes
     with np.errstate(over="ignore", divide="ignore"):
         guess = np.ceil(((rho - 1.0) * target) ** (-1.0 / (rho - 1.0)) - 0.5 - a0)
     j = np.clip(guess, float(j_start), _J_CAP)
-    hit = fits(j, target)
-    too_high = np.flatnonzero(hit & (j > j_start))
-    too_high = too_high[fits(j[too_high] - 1.0, target[too_high])]
+    # the guess and the lag below it in one zeta call
+    hit, below = np.split(fits(np.concatenate([j, j - 1.0]), np.tile(target, 2)), 2)
+    too_high = np.flatnonzero(hit & below & (j > j_start))
     lo = np.where(hit, j, np.minimum(j + 1.0, _J_CAP))
     hi = np.where(hit, j, _J_CAP)
     lo[too_high] = j_start

@@ -104,14 +104,21 @@ class TestProcess:
     """Checks that need a fresh interpreter: pytest's own warning filters
     import scipy.integrate and would turn a RuntimeWarning into an error."""
 
-    def test_cli_import_leaves_out_quadpack_and_mpmath(self):
+    def test_cli_import_and_analyze_leave_out_scipy_and_mpmath(self):
+        # only a resistance solve imports scipy (scipy.linalg)
         probe = (
-            "import sys, levycrit.cli; "
-            "print({'scipy.integrate', 'scipy.linalg', 'mpmath'} & {*sys.modules})"
+            "import io, sys, contextlib, levycrit.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m in ('scipy', 'mpmath') or m.startswith(('scipy.', 'mpmath.')))\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = levycrit.cli.main(['analyze', '--family', 'power_lattice', '--alpha', '0.5'])\n"
+            "print(code, loaded())\n"
         )
         run = _run_python("-c", probe)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "set()"
+        assert run.stdout.splitlines() == ["[]", "0 []"]
 
     def test_subnormal_sato_shepp_is_silent(self):
         run = _run_python(

@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from levycrit.powerint import (
+    hurwitz_zeta,
     one_minus_cos_integral,
     one_minus_cos_partial,
     one_minus_cos_range,
@@ -161,3 +164,78 @@ def test_strided_sum_against_brute_force(stride, offset, n_from):
 
 def test_strided_sum_divergent():
     assert strided_power_sum(1.0, 1, 0, 1) == math.inf
+
+
+class TestHurwitzZeta:
+    """The package's zeta, against scipy's and mpmath's as oracles."""
+
+    @staticmethod
+    def _grid():
+        # s - 1 log-uniform on [1e-4, 1020] plus fixed exponents; q log-uniform
+        # on [0.5, 1e16], every third an integer and every third a half-integer,
+        # plus points either side of the q = 1e8 switch
+        rng = np.random.default_rng(20260809)
+        n = 60_000
+        s = 1.0 + np.exp(rng.uniform(math.log(1e-4), math.log(1020.0), n))
+        s[::5] = rng.choice([1.05, 1.5, 2.5, 20.0, 100.0], size=len(s[::5]))
+        q = np.exp(rng.uniform(math.log(0.5), math.log(1e16), n))
+        q[::3] = np.maximum(1.0, np.floor(q[::3]))
+        q[1::3] = np.floor(q[1::3]) + 0.5
+        q[2::30] = 1e8 * (1.0 + rng.uniform(-1e-3, 1e-3, len(q[2::30])))
+        return s, q
+
+    def test_matches_scipy(self):
+        s, q = self._grid()
+        got = hurwitz_zeta(s, q)
+        want = special.zeta(s, q)
+        # below about 1e-290 scipy's Bernoulli terms go subnormal and lose
+        # digits (see test_near_underflow_matches_mpmath); past the float
+        # range both give inf
+        normal = want > 1e-290
+        assert np.count_nonzero(normal) > 40_000
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 2e-15
+        assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+
+    @pytest.mark.parametrize("s, q", [
+        (1.0001, 0.5), (1.0001, 1e12), (1.05, 1e6 + 0.5), (1.05, 3e9), (1.5, 1.0),
+        (1.5, 1e8), (1.5, 1e8 + 0.5), (2.0, 1.0), (2.5, 2.0 ** 52), (3.0, 0.5),
+        (20.0, 1.5), (54.0, 1.0), (100.0, 7.5), (1021.0, 1.0), (1021.0, 0.5),
+    ])
+    def test_matches_mpmath(self, s, q):
+        with mp.workdps(30):
+            want = float(mp.zeta(mp.mpf(s), mp.mpf(q)))
+        assert hurwitz_zeta(s, q) == pytest.approx(want, rel=2e-15)
+
+    def test_near_underflow_matches_mpmath(self):
+        # a normal result whose Bernoulli terms are subnormal: scipy reads
+        # 1.86163399278083e-300 here, 7.5e-13 off
+        s, q = 145.6325711986039, 114.58267636655333
+        with mp.workdps(30):
+            want = float(mp.zeta(mp.mpf(s), mp.mpf(q)))
+        assert hurwitz_zeta(s, q) == pytest.approx(want, rel=2e-15)
+
+    def test_steep_exponent_is_finite_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hurwitz_zeta(1022.0, np.array([0.5, 1.0, 1.5]))
+        assert np.all(np.isfinite(got))
+        assert got[0] == pytest.approx(2.0 ** 1022, rel=1e-15)
+        assert got[1] == 1.0
+
+    def test_pole_is_inf_and_silent(self):
+        # 1 + alpha rounds to 1 for alpha below 1e-16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hurwitz_zeta(1.0, 1.0) == math.inf
+            assert np.all(hurwitz_zeta(1.0, np.array([0.5, 3e8])) == math.inf)
+
+    def test_array_s_matches_scalar_calls(self):
+        s = 2.0 * np.arange(1, 28)
+        got = hurwitz_zeta(s, 1.0)
+        assert got.shape == s.shape
+        assert got.tolist() == [hurwitz_zeta(x, 1.0) for x in s.tolist()]
+
+    def test_scalar_gives_float(self):
+        assert type(hurwitz_zeta(2.0, 1.0)) is float
+        assert type(hurwitz_zeta(np.float64(2.0), np.array(1.0))) is float
+        assert hurwitz_zeta(2.0, np.array([1.0])).shape == (1,)

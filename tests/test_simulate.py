@@ -1,3 +1,4 @@
+import hashlib
 import math
 import signal
 from itertools import product
@@ -24,6 +25,7 @@ from levycrit import (
     sojourn_estimate,
 )
 from levycrit.measures import multi_index_total
+from levycrit.powerint import hurwitz_zeta
 from levycrit.simulate import MAX_SOJOURN_STEPS, _invert_hurwitz_tail, replica_rng
 
 SEED = 20260809
@@ -122,7 +124,9 @@ def _raise_timeout(signum, frame):
 # ---------------------------------------------------------------------------
 # reference sampler and even chain: the plain binary search over the whole
 # table, the tail bracket grown from the table's end and then bisected, and
-# the masked even-chain loop; the fast paths must reproduce them bit for bit
+# the masked even-chain loop; the fast paths must reproduce them bit for bit.
+# Both search the package's own hurwitz_zeta: a second zeta, one ulp off on
+# some points, would give different draws where zeta's values tie on the grid
 
 _J_CAP = float(1 << 52)
 
@@ -131,15 +135,15 @@ def _reference_tail_index(rho, a0, j_start, target):
     """Smallest j in [j_start, 2^52] with zeta(rho, j + 1 + a0) <= target (2^52 if none)."""
     lo = np.full(target.shape, float(j_start))
     hi = np.full(target.shape, float(j_start))
-    t_hi = zeta(rho, hi + 1.0 + a0)
+    t_hi = hurwitz_zeta(rho, hi + 1.0 + a0)
     grow = (t_hi > target) & (hi < _J_CAP)
     while np.any(grow):
         hi = np.where(grow, np.minimum(hi * 4.0 + 4.0, _J_CAP), hi)
-        t_hi = zeta(rho, hi + 1.0 + a0)
+        t_hi = hurwitz_zeta(rho, hi + 1.0 + a0)
         grow = (t_hi > target) & (hi < _J_CAP)
     for _ in range(64):
         mid = np.floor((lo + hi) / 2.0)
-        gt = zeta(rho, mid + 1.0 + a0) > target
+        gt = hurwitz_zeta(rho, mid + 1.0 + a0) > target
         lo = np.where(gt, mid + 1.0, lo)
         hi = np.where(gt, hi, mid)
         if np.all(lo >= hi):
@@ -173,7 +177,7 @@ def _reference_sample_lags(smp, rng, size):
             else:
                 j_start = max(0, math.ceil((smp.n_top + 1 - off) / stride))
             a0 = off / stride
-            target = v[sel] * zeta(rho, j_start + a0)
+            target = v[sel] * hurwitz_zeta(rho, j_start + a0)
             tail[sel] = stride * _reference_tail_index(rho, a0, j_start, target) + off
         mag[in_tail] = tail
     signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
@@ -313,14 +317,15 @@ class TestSamplerOracle:
         n_top = 10 ** 6
         j_start = n_top // stride + 1 if offset == 0 else math.ceil((n_top + 1 - offset) / stride)
         rng = np.random.default_rng(SEED)
-        t_start = zeta(rho, j_start + a0)
+        t_start = hurwitz_zeta(rho, j_start + a0)
         spread = rng.random(50_000) * math.log(1e18 / j_start) * (rho - 1.0)
         on_grid = np.floor(np.exp(rng.random(50_000) * math.log(1e17 / j_start)) * j_start)
-        target = np.concatenate([t_start * np.exp(-spread), zeta(rho, on_grid + 1.0 + a0)])
+        on_grid_t = hurwitz_zeta(rho, on_grid + 1.0 + a0)
+        target = np.concatenate([t_start * np.exp(-spread), on_grid_t])
         j = _invert_hurwitz_tail(rho, a0, j_start, target)
         assert np.all((j == np.floor(j)) & (j >= j_start) & (j <= _J_CAP))
-        assert np.all((j == _J_CAP) | (zeta(rho, j + 1.0 + a0) <= target))
-        assert np.all((j == j_start) | (zeta(rho, (j - 1.0) + 1.0 + a0) > target))
+        assert np.all((j == _J_CAP) | (hurwitz_zeta(rho, j + 1.0 + a0) <= target))
+        assert np.all((j == j_start) | (hurwitz_zeta(rho, (j - 1.0) + 1.0 + a0) > target))
         grid_j = j[50_000:]
         assert np.all(grid_j <= np.minimum(on_grid, _J_CAP))
         assert np.count_nonzero(j == _J_CAP) > 0
@@ -337,11 +342,11 @@ class TestSamplerOracle:
 
         def counting_zeta(s, q):
             evaluated.append(np.size(q))
-            return zeta(s, q)
+            return hurwitz_zeta(s, q)
 
-        monkeypatch.setattr(simulate, "_zeta", counting_zeta)
+        monkeypatch.setattr(simulate, "hurwitz_zeta", counting_zeta)
         a0, j_start = 0.5, 500_000
-        target = np.random.default_rng(SEED).random(10 ** 4) * zeta(rho, j_start + a0)
+        target = np.random.default_rng(SEED).random(10 ** 4) * hurwitz_zeta(rho, j_start + a0)
         _invert_hurwitz_tail(rho, a0, j_start, target)
         assert sum(evaluated) <= 2.1 * len(target)
 
@@ -361,6 +366,54 @@ class TestSamplerOracle:
         got = even_chain_batch(law, n, SEED)
         want = _reference_even_chain(law, n, SEED)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestSeededDrawPins:
+    """Seeded sampler output pinned to values recorded before the package
+    computed its own zeta: a change in zeta's rounding that moves a draw
+    shows here, where the oracle tests above, which share the new zeta,
+    cannot see it."""
+
+    LAWS = {
+        "power 0.5": lambda: make_power_law_lattice(0.5, normalize=True),
+        "power 1.5": lambda: make_power_law_lattice(1.5, normalize=True),
+        "multi 0.5/1.5": lambda: make_multi_index_lattice(0.5, 1.5, normalize=True),
+    }
+
+    @pytest.mark.parametrize("law_name, stream, digest", [
+        ("power 0.5", (12345, 730),
+         "d6634ef1e77f6e9426d727628ee8c366f921a4ef312b2936f32f320fd1afe7b8"),
+        ("power 0.5", (7, 1), "ca944c0409ce48b6e2c6f238d639d334ce6b7d67cec1f9f2b2e12ffe2794f125"),
+        ("power 1.5", (12345, 730),
+         "352376b59d8da578e5cd62257c57876356692012e4a8e72ead308fd416d97588"),
+        ("power 1.5", (7, 1), "860bc0df31b0c5e21532c975c3a1bf24c3f36f13c639c90c7c31639a6347fd88"),
+        ("multi 0.5/1.5", (12345, 730),
+         "5b7a4b75be70e832885d882000a4b45c790afb21e95581bc26e593e406f37566"),
+        ("multi 0.5/1.5", (7, 1),
+         "e91c52c4baecde0fa94bf394f644ba69e7fe4a0cc733b9067d4fd2ac337182b6"),
+    ])
+    def test_sample_lags(self, law_name, stream, digest):
+        smp = LatticeSampler(self.LAWS[law_name]())
+        lags = smp.sample_lags(replica_rng(*stream), 20000)
+        assert _digest(np.asarray(lags, dtype="<f8")) == digest
+
+    def test_even_chain_batch(self):
+        xs = even_chain_batch(self.LAWS["multi 0.5/1.5"](), 20_000, SEED)
+        assert _digest(np.asarray(xs, dtype="<i8")) == (
+            "2c40fa4900cabc114ee21a32f7bd726d2d3645fcf4c8ddc4c960169c5b869580")
+
+    def test_sojourn_estimate(self, half_law_prob):
+        stats = sojourn_estimate(half_law_prob, 5.0, 4000, 40, SEED)
+        assert stats.to_dict() == {
+            "sojourn_estimate": 4.075, "window": 5.0, "horizon": 4000, "replicas": 40,
+            "seed": SEED, "max_excursion": 1453018607.0, "returns_to_window": 19,
+            "doubled_estimate": 4.075, "growth_ratio": 1.0, "growth_se": 0.0,
+            "leaning": "transient-leaning",
+        }
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 class TestSampleWalk:
