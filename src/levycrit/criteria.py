@@ -207,12 +207,7 @@ def inverse_cubic_density_criterion(
     status, note = tail_status(tail)
     if status is not Status.CONVERGES:
         return _undecided(status, note, partial, trunc)
-    rho = tail.exponent
-    # f(y) >= lower_factor * K * y^-rho beyond the cutoff
-    denom_lo = tail.constant * tail.lower_factor
-    denom_hi = tail.constant * tail.upper_factor
-    tail_hi = y_top ** (rho - 2.0) / (denom_lo * (2.0 - rho))
-    tail_lo = y_top ** (rho - 2.0) / (denom_hi * (2.0 - rho))
+    tail_lo, tail_hi = tail.inverse_tail_integral(-3.0, y_top)
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
@@ -300,8 +295,9 @@ def sato_shepp_criterion(
     if status is not Status.CONVERGES:
         return _undecided(status, note, partial, trunc)
     rho = tail.exponent
-    # certified lower bound on nbar for the outer tail: on the dominant class,
-    # nbar(y) >= K lf (y + stride)^(1-rho) / (stride (rho-1)) >= B_lo y^(1-rho)
+    # certified lower bound on nbar for the outer tail: on the dominant class
+    # of lags n = y/d, nbar(y) >= K lf (y/d + stride)^(1-rho) / (stride (rho-1))
+    # >= B_lo y^(1-rho)
     if law.is_lattice:
         dom = min(law.components, key=lambda c: c.exponent)
         b_lo = (
@@ -309,6 +305,7 @@ def sato_shepp_criterion(
             * dom.lower_factor
             * 2.0 ** (1.0 - rho)
             / (dom.stride * (rho - 1.0))
+            * law.spacing ** (rho - 1.0)
         )
     else:
         b_lo = tail.constant * tail.lower_factor / (rho - 1.0)

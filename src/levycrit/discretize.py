@@ -533,11 +533,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
         # for n > n_top: the plain inverse-cubic remainder encloses the bins'
         lo, hi = binned.lag_tail_sum(-3.0, n_top, inverse=True)
         lhs_tail = (lo * (1.0 + 1.0 / (2 * n_top + 2)) ** -3, hi)
-        t = law.tail
-        rhs_tail = tuple(
-            y_hi ** (t.exponent - 2.0) / (t.constant * factor * (2.0 - t.exponent))
-            for factor in (t.upper_factor, t.lower_factor)
-        )
+        rhs_tail = law.tail.inverse_tail_integral(-3.0, y_hi)
 
     basis = Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL
     lhs = ConvergenceVerdict(

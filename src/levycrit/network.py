@@ -12,7 +12,9 @@ splits its inflow equally over the next block, giving theta = 2^(-2i)
 between consecutive positive blocks (1/2 on (0, +-1)) and an exactly
 dyadic, exactly conserved flow. Flow checks run once per block pair,
 where theta is constant, in integer arithmetic scaled by 4^I (exact
-dyadic rationals). Resistances come from the even-folded Dirichlet system.
+dyadic rationals). Its energy is one inverse lag series with a closed-form
+weight ``297/640 <= w^3 g(w) <= 1.2731...``, split into head and tail like
+every lattice series. Resistances come from the even-folded Dirichlet system.
 """
 
 from __future__ import annotations
@@ -195,68 +197,50 @@ def verify_flow(i_max: int) -> FlowReport:
 # flow energy
 
 
-def _pair_lag_counts(i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lags w and pair counts between B_i = [2^(i-1), 2^i - 1] and B_(i+1)."""
-    a1, b1 = 1 << (i - 1), (1 << i) - 1
-    a2, b2 = 1 << i, (1 << (i + 1)) - 1
-    w = np.arange(a2 - b1, b2 - a1 + 1)
-    counts = (
-        np.minimum(b1, b2 - w) - np.maximum(a1, a2 - w) + 1
-    ).clip(min=0)
-    return w, counts
+# The flow puts theta^2 = 16^-i on the N_i(w) = min(w, a, 3a - w)^+ pairs at
+# lag w between B_i and B_(i+1), a = 2^(i-1), twice with the mirror, so
+# E = 1/(2 m(1)) + sum_w g(w) / m(w), g(w) = 2 sum_i 16^-i N_i(w). For
+# 2^(k-1) <= w < 2^k the levels past k have N = w and sum geometrically, level
+# k has N = 2^(k-1) and level k - 1 (for k = 1 the origin's, counted apart)
+# has (3 2^(k-2) - w)^+: with x = w / 2^(k-1), g(1) = 2/15 and, for w >= 2,
+# w^3 g(w) = phi(x) = x^3 (2 (3/2 - x)^+ + 1/8 + x/120). On [1, 2) phi rises
+# from 17/15 to its critical point x = 1125/956, falls to x = 3/2 and rises
+# back to 17/15, so it lies between the two constants below.
+_LAG_WEIGHT_LO = 297.0 / 640.0  # phi(3/2), attained at w = 3 2^j
+_LAG_WEIGHT_HI = 1.2731334266269752  # phi(1125/956) = 35595703125/27959130112, rounded up
 
 
-def _mass_lower_envelope(law: SymmetricJumpLaw):
-    """(K_lo, rho_max, n_ok) with m(n) >= K_lo n^-rho_max for n >= n_ok."""
-    comps = law.components
-    if not comps:
-        return None
-    rho_max = max(c.exponent for c in comps)
-    k_lo = min(c.constant * c.lower_factor for c in comps)
-    n_ok = max(c.start for c in comps)
-    return k_lo, rho_max, n_ok
+def _lag_weight(w: np.ndarray) -> np.ndarray:
+    """Weight g(w) of lag w >= 1 in the dyadic flow's energy sum_w g(w)/m(w)."""
+    x, e = np.frexp(w)  # w = x 2^e, x in [1/2, 1): 2x is the x above, 2^(e-1) the octave
+    x = 2.0 * x
+    g = np.ldexp(np.maximum(3.0 - 2.0 * x, 0.0) + 0.125 + x / 120.0, 3 - 3 * e)
+    return np.where(w > 1, g, 2.0 / 15.0)
 
 
 def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     """Energy of the dyadic unit flow on the network of ``law``.
 
-    The partial sum enumerates every flow-carrying edge whose endpoints lie
-    in blocks |i| <= i_max, grouping block pairs by lag so the count is
-    exact; the upper end adds a power-envelope bound for all farther
-    blocks. A zero conductance on a flow-carrying edge makes the energy
+    The inverse lag series ``1/(2 m(1)) + sum_w g(w)/m(w)``, summed exactly
+    to ``max(series_head, 2^i_max - 1)``: ``i_max`` sets the head's length,
+    as ``w^3 g(w)`` swings between the two weight constants in every octave.
+    Past it, those constants times :meth:`SymmetricJumpLaw.lag_tail_sum` of
+    ``w^-3 / m(w)``, so successive levels nest. A zero conductance on a
+    flow-carrying edge, or a class where that sum diverges, makes the energy
     infinite (a valid outcome, reported, not raised).
     """
     if not law.is_lattice:
         raise DomainError("flow energy is defined for lattice laws")
     if not 2 <= i_max <= FLOW_ENERGY_MAX_LEVEL:
         raise DomainError(f"i_max must lie in [2, {FLOW_ENERGY_MAX_LEVEL}], got {i_max}")
-    m1 = float(law.mass(1))
-    infinite = m1 == 0.0
-    partial = 0.0 if infinite else 1.0 / (2.0 * m1)  # edges (0, 1), (0, -1)
-    for i in range(1, i_max):
-        w, counts = _pair_lag_counts(i)
+    head = max(law.series_head, (1 << i_max) - 1)
+    w = np.arange(1, head + 1)
+    with np.errstate(divide="ignore", over="ignore"):  # a zero mass: an honest inf
         masses = law.mass(w)
-        used = counts > 0
-        if np.any(masses[used] == 0.0):
-            infinite = True
-            masses = np.where(masses == 0.0, math.inf, masses)
-        theta2 = 4.0 ** (-2 * i)
-        partial += 2.0 * theta2 * float(np.sum(counts[used] / masses[used]))
-
-    if infinite:
-        return Interval(partial if math.isfinite(partial) else math.inf, math.inf)
-
-    env = _mass_lower_envelope(law)
-    if env is None:
-        return Interval(partial, math.inf)
-    k_lo, rho_max, n_ok = env
-    if rho_max >= 2.0 or (1 << (i_max - 1)) < n_ok:
-        return Interval(partial, math.inf)
-    # blocks beyond i_max: 2 * sum_{I >= i_max} 4^(-2I) * pairs * max-lag^rho / K
-    ratio = 2.0 ** (rho_max - 2.0)
-    first = 4.0 ** (-i_max) * 2.0 ** ((i_max + 1) * rho_max) / k_lo
-    tail = first / (1.0 - ratio)
-    return Interval(partial, partial + tail)
+        # edges (0, +-1) carry theta = 1/2; a plain sum, as BLAS ddot wakes its threads
+        partial = float(0.5 / masses[0] + np.sum(_lag_weight(w) / masses))
+    tail_lo, tail_hi = law.lag_tail_sum(-3.0, head, inverse=True)
+    return enclosure(partial, _LAG_WEIGHT_LO * tail_lo, _LAG_WEIGHT_HI * tail_hi)
 
 
 #: least head of the energy series, and the terms of (w - 3)^-3 =

@@ -115,6 +115,19 @@ class TailDescriptor:
             return base * poly
         return math.inf
 
+    def inverse_tail_integral(self, weight_power: float, y_from):
+        """Envelope (lo, hi) of ``int_{y_from}^inf y^weight_power / f(y) dy``, y_from >= onset.
+
+        The density's counterpart of :meth:`PowerTailComponent.weighted_tail_sum`
+        with ``inverse``: the power model brackets the integrand by
+        ``y^(weight_power + rho) / (K * factor)``; inf where it diverges.
+        """
+        e = self.exponent + (weight_power + 1.0)
+        if e >= 0.0:
+            return math.inf, math.inf
+        k_lo, k_hi = self.constant * self.lower_factor, self.constant * self.upper_factor
+        return y_from ** e / (k_hi * -e), y_from ** e / (k_lo * -e)
+
 
 @dataclass(frozen=True)
 class PowerTailComponent:

@@ -288,6 +288,33 @@ class TestSatoShepp:
         assert ss["sato_shepp"].truncation == "criterion not evaluated"
         assert "exceed the cap" in ss["sato_shepp"].note
 
+    @pytest.mark.parametrize("delta", [1.0 / 16.0, 1.0 / 64.0])
+    def test_binned_enclosure_contains_piecewise_reference(self, flat_core_heavy, delta):
+        # the binned flat core (rho = 1.5) has nbar(y) = F((n + 1/2) delta) on
+        # [n delta, (n + 1) delta), F(t) = t^-1/2 / 3 the density's mass past
+        # t, so I(y) = c + t y^2 / 2 there and int dy / I(y) is an arctan per
+        # piece up to 1e4; past it I grows as the continuous (2/9) y^1.5
+        from scipy import integrate
+
+        from levycrit.discretize import bin_density
+
+        y_top = 1e4
+        n = np.arange(round(1.0 / delta), round(y_top / delta) + 1)
+        a, b = delta * n[:-1], delta * n[1:]
+        t = (delta * (n[:-1] + 0.5)) ** -0.5 / 3.0
+        i_a = t[0] / 2.0 + np.concatenate([[0.0], np.cumsum(t * (b * b - a * a) / 2.0)])
+        c = i_a[:-1] - t * a * a / 2.0  # c = 0 on the first piece: I(1) = nbar(1) / 2
+        head = 2.0 / t[0] * (1.0 / a[0] - 1.0 / b[0])
+        c, t, a, b = c[1:], t[1:], a[1:], b[1:]
+        s = np.sqrt(t / (2.0 * c))
+        head += float(np.sum(np.arctan((b - a) * s / (1.0 + a * b * s * s)) / (c * s)))
+        rest, _ = integrate.quad(
+            lambda y: 1.0 / (i_a[-1] + 2.0 / 9.0 * (y ** 1.5 - y_top ** 1.5)), y_top, math.inf
+        )
+        v = sato_shepp_criterion(bin_density(flat_core_heavy, delta))
+        assert v.status is Status.CONVERGES
+        assert v.value.lo <= head + rest <= v.value.hi
+
     def test_lattice_applicable_without_unimodality(self, multi_default):
         v = sato_shepp_criterion(multi_default)
         assert v.status is Status.CONVERGES  # dominant exponent 1.5 < 2

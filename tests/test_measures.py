@@ -511,6 +511,25 @@ class TestLagTailSum:
             make_gaussian_density(1.0).lag_tail_sum(0.0, 3)
 
 
+class TestInverseTailIntegral:
+    """``int_y^inf t^w / f(t) dt`` of a power tail, the continuous inverse remainder."""
+
+    def test_envelope_is_the_closed_form(self):
+        # f between 0.8 K t^-1.5 and 1.25 K t^-1.5, K = 0.1:
+        # int_50^inf t^-3 t^1.5 / (K factor) dt = 2 / (sqrt(50) K factor)
+        tail = TailDescriptor(
+            TailKind.POWER_LAW, exponent=1.5, constant=0.1, lower_factor=0.8, upper_factor=1.25
+        )
+        lo, hi = tail.inverse_tail_integral(-3.0, 50.0)
+        exact = 2.0 / (math.sqrt(50.0) * 0.1)
+        assert lo == pytest.approx(exact / 1.25, rel=1e-15)
+        assert hi == pytest.approx(exact / 0.8, rel=1e-15)
+
+    def test_divergent_weight_is_inf(self):
+        tail = TailDescriptor(TailKind.POWER_LAW, exponent=2.0, constant=0.1)
+        assert tail.inverse_tail_integral(-3.0, 50.0) == (math.inf, math.inf)
+
+
 class TestMoment:
     def test_heavy_tail_diverges(self, stable_half):
         assert moment(stable_half.nu, 2).status.value == "diverges"

@@ -193,36 +193,118 @@ def _corrupted_flow(variant: str):
     return flow
 
 
-class TestFlowEnergy:
-    def test_direct_enumeration_oracle(self, power_half_raw):
-        # independent oracle: loop every flow edge with both endpoints in
-        # blocks |i| <= 9 and accumulate theta^2 / conductance directly
-        def mass(w):
-            return w ** -1.5
+def _table_with_tail():
+    # a small lag far below the power envelope: the case a tail rule that
+    # assumed m(w) >= K_lo w^-rho at every lag got wrong
+    tail = TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.05, onset=3.0)
+    return make_lattice_table({1: 0.3, 2: 1e-9, 3: 0.1}, tail=tail)
 
-        total = 2 * ((0.5) ** 2 / mass(1))  # (0, 1), (0, -1)
-        for i in range(1, 9):
-            theta = 2.0 ** (-2 * i)
-            for u in range(2 ** (i - 1), 2 ** i):
-                for v in range(2 ** i, 2 ** (i + 1)):
-                    total += 2 * theta ** 2 / mass(v - u)  # positive + mirrored
-        oracle = total
-        got = flow_energy(power_half_raw, 9)
-        assert got.lo == pytest.approx(oracle, rel=1e-12)
+
+def _energy_reference(law, rho: float, levels: int = 18) -> float:
+    """Dyadic flow energy by block pairs, without the lag weight or lag_tail_sum.
+
+    Level i adds 2 16^-i sum_w N_i(w) / m(w) over the tent of pair counts
+    N_i(w) = min(w, a, 3a - w)^+, a = 2^(i-1). Past the table the levels go
+    as S_i = q^i (c_0 + c_1 2^-i + O(4^-i)) with q = 2^(rho - 2); the last
+    two levels fix c_0 and c_1, and the levels past them sum geometrically.
+    """
+    total = 0.5 / law.mass(1)  # (0, +-1)
+    levels_sum = []
+    for i in range(1, levels + 1):
+        a = 1 << (i - 1)
+        w = np.arange(1, 3 * a)
+        counts = np.minimum(np.minimum(w, a), 3 * a - w)
+        levels_sum.append(2.0 * 16.0 ** -i * float(np.sum(counts / law.mass(w))))
+    q = 2.0 ** (rho - 2.0)
+    s1, s2 = levels_sum[-2] / q ** (levels - 1), levels_sum[-1] / q ** levels
+    c1 = (s1 - s2) * 2.0 ** levels  # s_i = c0 + c1 2^-i
+    c0 = s2 - c1 * 2.0 ** -levels
+    rest = c0 * q ** (levels + 1) / (1.0 - q) + c1 * (q / 2) ** (levels + 1) / (1.0 - q / 2)
+    return total + math.fsum(levels_sum) + rest
+
+
+_NESTING_LAWS = {
+    **{f"power_lattice {a}": lambda a=a: make_power_law_lattice(a) for a in (0.3, 0.5, 0.9, 1.5)},
+    "multi_index 0.5 0.7": lambda: make_multi_index_lattice(0.5, 0.7),
+    "multi_index 0.5 1.5": lambda: make_multi_index_lattice(0.5, 1.5),
+    "table with tail": _table_with_tail,
+    "inexact table": lambda: _inexact_table_law(),
+    "nearest neighbour": lambda: make_lattice_table({1: 1.0}),
+}
+
+
+class TestFlowEnergy:
+    @pytest.mark.parametrize("w", range(1, 41))
+    def test_lag_weight_is_flow_enumeration(self, w):
+        # g(w) = sum of theta^2 over the flow edges of lag w, both signs:
+        # every u of blocks 1..8, and past them each level i carries w pairs
+        # at theta^2 = 16^-i, 2 w 16^-8 / 15 in all
+        top = 8
+        exact = sum(2 * dyadic_flow(u, u + w) ** 2 for u in range(1, 1 << top))
+        exact += Fraction(2 * w, 15 * 16 ** top)
+        assert network._lag_weight(np.array([w]))[0] == pytest.approx(float(exact), rel=1e-15)
+
+    def test_lag_weight_constants(self):
+        w = np.arange(2, (1 << 20) + 1)
+        phi = w.astype(float) ** 3 * network._lag_weight(w)
+        lo, hi = network._LAG_WEIGHT_LO, network._LAG_WEIGHT_HI
+        assert np.all(phi >= lo * (1.0 - 1e-15))
+        assert np.all(phi <= hi * (1.0 + 1e-15))
+        assert phi.max() == pytest.approx(hi, rel=1e-6)  # phi(1125/956) is approached
+        at_lo = 3 * 2 ** np.arange(19)  # w = 3 2^j has x = 3/2
+        assert phi[at_lo - 2] == pytest.approx(np.full(19, lo), rel=1e-15)
+        assert lo == 297 / 640
+        assert Fraction(hi) >= Fraction(35595703125, 27959130112)
+
+    def test_direct_enumeration_oracle(self):
+        # the block-pair sum of _energy_reference, at three levels, each
+        # enclosure narrower than the one before
+        laws = [(make_power_law_lattice(0.5), 1.5), (make_power_law_lattice(0.9), 1.9),
+                (_table_with_tail(), 1.5)]
+        for law, rho in laws:
+            ref = _energy_reference(law, rho)
+            widths = []
+            for level in (9, 14, 20):
+                e = flow_energy(law, level)
+                assert e.lo <= ref <= e.hi
+                widths.append(e.hi - e.lo)
+            assert widths[0] > widths[1] > widths[2]
+
+    @pytest.mark.parametrize("name", sorted(_NESTING_LAWS))
+    def test_levels_nest(self, name):
+        from levycrit.network import FLOW_ENERGY_MAX_LEVEL
+
+        law = _NESTING_LAWS[name]()
+        # an inexact component keeps the head at LATTICE_SERIES_CUTOFF = 10^6
+        # lags up to level 19, so the levels below it repeat level 19
+        first = 19 if law.series_head > 1 << 19 else 2
+        e = [flow_energy(law, i) for i in range(first, FLOW_ENERGY_MAX_LEVEL + 1)]
+        for outer, inner in zip(e, e[1:]):
+            assert outer.lo <= inner.lo <= inner.hi <= outer.hi
+
+    def test_small_lag_below_envelope(self):
+        law = _table_with_tail()
+        assert flow_energy(law, 3).hi >= flow_energy(law, 4).lo
 
     def test_interval_brackets_refined_partial(self, power_half_raw):
         e14 = flow_energy(power_half_raw, 14)
         e20 = flow_energy(power_half_raw, 20)
-        assert e14.lo <= e20.lo <= e14.hi
-        assert e20.hi <= e14.hi + 1e-12
+        assert e14.lo <= e20.lo <= e20.hi <= e14.hi
 
     def test_divergent_energy_grows(self):
+        # without bound: the inverse-cubic series diverges at rho = 2.5, so
+        # the energy, whose lag weight is at least 297/640 w^-3, is [inf, inf]
+        # at every level
         law = make_power_law_lattice(1.5)
-        lo_values = [flow_energy(law, i).lo for i in (6, 10, 14, 18)]
-        assert all(a < b for a, b in zip(lo_values, lo_values[1:]))
-        assert flow_energy(law, 14).hi == math.inf
-        # grows beyond any fixed bound
-        assert lo_values[-1] > 50 * lo_values[0]
+        for i in (6, 10, 14, 18):
+            e = flow_energy(law, i)
+            assert e.lo == e.hi == math.inf
+
+    def test_odd_class_makes_multi_index_infinite(self, multi_default):
+        # odd lags decay at rho = 2.5: the energy is infinite though the
+        # even class (rho = 1.5) alone would give a finite one
+        e = flow_energy(multi_default, 14)
+        assert e.lo == e.hi == math.inf
 
     def test_missing_conductance_is_infinite(self, nearest_neighbor):
         e = flow_energy(nearest_neighbor, 8)
@@ -291,10 +373,10 @@ class TestEnergyBoundDerivation:
 
     def test_closed_form_dominates_direct_energy(self, power_half_raw):
         # the bound was derived by enlarging the energy sum, so it must
-        # dominate the exact truncated energy at any level
+        # dominate the energy's enclosure at any level
         bound = dyadic_energy_bound(power_half_raw)
         for level in (6, 10, 14, 18):
-            assert flow_energy(power_half_raw, level).lo <= bound.hi
+            assert flow_energy(power_half_raw, level).hi <= bound.lo
 
 
 def _inexact_table_law():
