@@ -67,7 +67,7 @@ def _clean(value):
 
 def numeric_defaults() -> dict:
     """Library-level tolerances and truncations, recorded for provenance."""
-    from .criteria import CF_GRID, SATO_SHEPP_POINTS
+    from .criteria import CF_EPS
     from .discretize import (
         DRIFT_TOL,
         MAX_BIN_QUADS,
@@ -98,8 +98,7 @@ def numeric_defaults() -> dict:
 
     return {
         "probability_tol": PROBABILITY_TOL,
-        "cf_exponent_grid": list(CF_GRID),
-        "sato_shepp_points": SATO_SHEPP_POINTS,
+        "cf_eps": CF_EPS,
         "panel_rel_tol": PANEL_REL_TOL,
         "panel_cap": PANEL_CAP,
         "panel_log_step": PANEL_LOG_STEP,

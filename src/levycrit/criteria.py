@@ -16,7 +16,9 @@ Four routes, each producing a :class:`ConvergenceVerdict`:
 
 Every Converges/Diverges decision on a declared tail comes from one rule,
 :func:`tail_status`; the criteria differ only in their truncated partials
-and the certified remainders they attach to a convergent verdict.
+and the certified remainders they attach to a convergent verdict. Every
+partial is an exact sum or a :func:`panel_integrals` pass, whose error
+estimate widens the enclosure.
 
 ``classify`` runs every applicable route and folds the implications into a
 :class:`TransienceVerdict`; conflicting analytic evidence is never silently
@@ -107,12 +109,14 @@ def tail_status(tail: TailDescriptor) -> tuple[Status, str]:
     return Status.DIVERGES, f"{tail.kind.value.replace('_', ' ')} tail: finite second moment"
 
 
-def _undecided(status: Status, note: str, partial: float, truncation: str) -> ConvergenceVerdict:
+def _undecided(
+    status: Status, note: str, partial: float, truncation: str, err: float = 0.0
+) -> ConvergenceVerdict:
     """The verdict of a criterion whose tail rule does not converge."""
     return ConvergenceVerdict(
         status=status,
         partial_value=partial,
-        value=enclosure(partial, 0.0, math.inf),
+        value=enclosure(partial, -err, math.inf),
         truncation=truncation,
         basis=Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL,
         note=note,
@@ -195,6 +199,8 @@ def inverse_cubic_density_criterion(
     """
     if law.is_lattice:
         raise DomainError("density criterion needs a continuous law")
+    if not (math.isfinite(cutoff) and cutoff > 1.0):
+        raise DomainError(f"cutoff must be finite and exceed 1, got {cutoff}")
     tail = law.tail
     if tail.kind is TailKind.COMPACT_SUPPORT or not law.strictly_positive:
         raise HypothesisViolationError("density must be strictly positive on [1, inf)")
@@ -222,39 +228,60 @@ def inverse_cubic_density_criterion(
 # Sato-Shepp criterion
 
 
-#: points of the log-uniform Sato-Shepp grid on [1, cutoff]
-SATO_SHEPP_POINTS = 1600
+def _inner_integral(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
+    """``I(y) = int_0^y z nu(max(1,z), inf) dz`` of a continuous law at every y >= 1.
 
-
-def _inner_integral_grid(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
-    """``I(y) = int_0^y z nu(max(1,z), inf) dz`` at the grid points.
-
-    By Fubini, ``I(y) = nu((1,inf))/2 + sum/integral over 1 < |pts| <= y of
-    (pt^2 - 1)/2 masses + (y^2 - 1)/2 nu((y, inf))``. The tail masses, at 1
-    and at every grid point, come from one array call of
-    :meth:`SymmetricJumpLaw.one_sided_tail_mass`, at the midpoint of the
-    law's envelope. Lattice laws take prefix sums of the masses and
-    piecewise-power densities closed-form piece integrals for the second
-    moment; a generic density takes one pass of Gauss-Kronrod panels
-    (:func:`panel_integrals`) on the grid with 1 and the tail onset added as
+    By Fubini ``I(y) = (y^2 nu((y, inf)) + int_1^y z^2 f) / 2``, with the
+    tail mass at the midpoint of the law's envelope. Piecewise-power
+    densities integrate their pieces in closed form; a generic density takes
+    one Gauss-Kronrod pass (:func:`panel_integrals`) on panels no wider than
+    ``PANEL_LOG_STEP`` in log y, with the tail onset and every y as
     breakpoints, and prefix sums of ``int z^2 f``.
     """
-    lo, hi = law.one_sided_tail_mass(np.append(1.0, ys))
-    nbar1, nbar = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1:] + hi[1:])
-    if law.is_lattice:
-        delta = law.spacing
-        lags = np.arange(1, int(math.floor(ys[-1] / delta)) + 1)
-        pos = lags * delta
-        contrib = np.where(pos > 1.0, law.mass(lags) * (pos ** 2 - 1.0) / 2.0, 0.0)
-        prefix = np.concatenate([[0.0], np.cumsum(contrib)])
-        return nbar1 / 2.0 + prefix[np.floor(ys / delta).astype(int)] + (ys * ys - 1.0) / 2.0 * nbar
+    lo, hi = law.one_sided_tail_mass(ys)
+    nbar = 0.5 * (lo + hi)
     if law.support.pieces is not None:
         m2 = sum(p.weighted_integral(1.0, ys, 2.0) for p in law.support.pieces)
     else:
-        edges = np.union1d([1.0, max(law.tail.onset, 1.0)], ys)
+        grid = np.exp(np.arange(0.0, math.log(np.max(ys)), PANEL_LOG_STEP))
+        edges = np.union1d(np.append(grid, max(law.tail.onset, 1.0)), ys)
         panels, _ = panel_integrals(lambda y: y ** 2 * law.density(y), edges)
         m2 = np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(edges, ys)]
     return 0.5 * (ys * ys * nbar + m2)
+
+
+def _lattice_cell_sum(law: SymmetricJumpLaw, cutoff: float) -> tuple[float, float]:
+    """``int_1^cutoff dy / I(y)`` of a lattice law, exact per cell: (partial, error).
+
+    On a cell [n delta, (n + 1) delta), ``I(y) = c + T y^2 / 2``: T is the
+    mass past lag n and 2c the second moment over (1, n delta]. Each cell
+    integrates to an arctan (c > 0), ``2/T (1/a - 1/b)`` (c = 0, as on the
+    first cell) or ``(b - a)/c`` (T = 0, past a finite table). T sums the
+    masses to the head and adds :meth:`SymmetricJumpLaw.lag_tail_sum`'s
+    envelope; its two ends give the two ends of the sum, returned as
+    midpoint and half width (error 0 for exact components).
+    """
+    delta = law.spacing
+    n = np.arange(math.floor(1.0 / delta), math.ceil(cutoff / delta))
+    a = np.maximum(n * delta, 1.0)
+    b = np.minimum((n + 1) * delta, cutoff)
+    head = max(law.series_head, int(n[-1]))
+    lags = np.arange(1, head + 1)
+    masses = law.mass(lags)
+    pos = lags * delta
+    moment2 = np.concatenate([[0.0], np.cumsum(np.where(pos > 1.0, pos * pos * masses, 0.0))])
+    c = 0.5 * moment2[n]
+    past = np.append(np.cumsum(masses[::-1])[::-1], 0.0)[n]
+    tail_lo, tail_hi = law.lag_tail_sum(0.0, head)
+    t = past + np.array([[tail_hi], [tail_lo]])  # the larger I gives the lower end
+    # I = (t / 2)(r^2 + y^2); where r underflows, I is t y^2 / 2 to rounding,
+    # and an I that underflows makes the sum an honest inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.sqrt(2.0 * c / t)
+        cell = 2.0 / (t * r) * np.arctan(r * (b - a) / (r * r + a * b))
+        cell = np.where(r == 0.0, 2.0 / t * (1.0 / a - 1.0 / b), cell)
+        lo, hi = np.sum(np.where(t == 0.0, (b - a) / c, cell), axis=1).tolist()
+    return 0.5 * lo + 0.5 * hi, (0.5 * (hi - lo) if hi > lo else 0.0)
 
 
 def sato_shepp_criterion(
@@ -267,33 +294,35 @@ def sato_shepp_criterion(
     lattice laws never can). With a dominant power tail of exponent rho the
     outer integrand behaves like ``y^(rho-3)``, so the integral converges
     iff rho < 2; any law with finite second moment makes I(y) bounded and
-    the integral divergent. The partial is the trapezoid rule in log y on
-    ``SATO_SHEPP_POINTS`` points over [1, cutoff], with I(y) from one
-    cumulative pass over that grid (:func:`_inner_integral_grid`); a lattice
-    law with more lags than ``LATTICE_SERIES_CUTOFF`` is refused first.
+    the integral divergent. The partial over [1, cutoff] is exact per lattice
+    cell (:func:`_lattice_cell_sum`; more lags than ``LATTICE_SERIES_CUTOFF``
+    are refused first), or one Gauss-Kronrod panel per decade in log y with
+    a density's I(y) at the nodes (:func:`_inner_integral`); its error widens
+    the enclosure.
     """
+    if not (math.isfinite(cutoff) and cutoff > 1.0):
+        raise DomainError(f"cutoff must be finite and exceed 1, got {cutoff}")
     n_lags = math.floor(cutoff / law.spacing) if law.is_lattice else 0
     if n_lags > LATTICE_SERIES_CUTOFF:
         raise DomainError(f"{n_lags} lags exceed the cap of {LATTICE_SERIES_CUTOFF}")
-    t_lo, t_hi = law.one_sided_tail_mass(1.0)
-    if not math.isfinite(t_hi):
+    _, nbar1 = law.one_sided_tail_mass(1.0)
+    if not math.isfinite(nbar1):
         raise DomainError("tail mass nu((1, inf)) must be finite and computable")
-
-    # integrate dy / I(y) in log space: smooth integrand y / I(y) on a
-    # uniform grid in t = log y
-    ts = np.linspace(0.0, math.log(cutoff), SATO_SHEPP_POINTS)
-    ys = np.exp(ts)
-    inner = _inner_integral_grid(law, ys)
-    if np.any(inner <= 0):
+    if nbar1 == 0.0:  # I(y) increases from I(1) = nbar1 / 2
         raise NumericError("inner integral vanished; law has no tail mass past 1")
-    with np.errstate(over="ignore"):  # I(y) subnormal: the partial is an honest inf
-        partial = float(np.trapezoid(ys / inner, ts))
+
+    if law.is_lattice:
+        partial, err = _lattice_cell_sum(law, cutoff)
+    else:
+        edges = np.linspace(0.0, math.log(cutoff), math.ceil(math.log10(cutoff)) + 1)
+        panels, err = panel_integrals(lambda t: np.exp(t) / _inner_integral(law, np.exp(t)), edges)
+        partial = float(np.sum(panels))
     trunc = f"outer integral over [1, {cutoff:g}]"
 
     tail = law.tail
     status, note = tail_status(tail)
     if status is not Status.CONVERGES:
-        return _undecided(status, note, partial, trunc)
+        return _undecided(status, note, partial, trunc, err)
     rho = tail.exponent
     # certified lower bound on nbar for the outer tail: on the dominant class
     # of lags n = y/d, nbar(y) >= K lf (y/d + stride)^(1-rho) / (stride (rho-1))
@@ -314,7 +343,7 @@ def sato_shepp_criterion(
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
-        value=enclosure(partial, 0.0, tail_hi),
+        value=enclosure(partial, -err, tail_hi + err),
         truncation=trunc + "; analytic power tail beyond",
         basis=Basis.ANALYTIC_TAIL,
         note="unimodal hypothesis asserted" if law.unimodal else
@@ -326,19 +355,19 @@ def sato_shepp_criterion(
 # Chung-Fuchs criterion
 
 
-#: (eps, top of the reported exponent fit, points) of the Chung-Fuchs xi grid
-CF_GRID = (1e-6, 1e-2, 160)
+#: lower end of the Chung-Fuchs partial; the declared tail bounds the rest
+CF_EPS = 1e-6
 
 
 def _cf_lower_constant(nu: SymmetricJumpLaw) -> float:
-    """C with ``psi(xi) >= C xi^(rho-1)`` for 0 < xi <= ``CF_GRID[0]`` (rho < 2).
+    """C with ``psi(xi) >= C xi^(rho-1)`` for 0 < xi <= ``CF_EPS`` (rho < 2).
 
     Only the dominant tail class counts, on lags with ``xi y <= pi`` where
     ``1 - cos x >= 2 x^2 / pi^2``; as ``y^(2-rho)`` increases, a class sum
     is at least its integral divided by the stride.
     """
     tail = nu.tail
-    rho, eps = tail.exponent, CF_GRID[0]
+    rho, eps = tail.exponent, CF_EPS
     if nu.is_lattice:
         dom = min(nu.components, key=lambda c: c.exponent)
         d, s = nu.spacing, dom.stride
@@ -363,45 +392,40 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     By the Tauberian relation ``psi(xi) ~ xi^min(rho-1, 2)`` the integral
     converges iff the jump tail is a power tail with rho < 2, which is the
     rule of :func:`tail_status`; a triplet without jumps counts as a compact
-    tail. The partial is the integral over ``eps <= |xi| <= a`` on the
-    ``CF_GRID`` points, whose psi values come from one array call of
-    :func:`char_exponent` (one blocked pass for a lattice law); a convergent
-    verdict bounds the rest by ``psi >= C xi^(rho-1)``
-    (:func:`_cf_lower_constant`). The slope of log psi against log xi over
-    ``xi <= CF_GRID[1]`` is reported in the note and decides nothing.
+    tail. The partial is ``2 int xi / psi dt`` over t = log xi in
+    [log CF_EPS, log a], on one Gauss-Kronrod panel per decade
+    (:func:`panel_integrals`), each round's psi values from one array call
+    of :func:`char_exponent`; the enclosure is widened by twice the summed
+    ``|K15 - G7|``. A convergent verdict bounds the rest by
+    ``psi >= C xi^(rho-1)`` (:func:`_cf_lower_constant`).
     """
-    eps, fit_top, n_pts = CF_GRID
-    if a <= eps:
-        raise DomainError(f"a must exceed {eps:g}")
-    xi = np.geomspace(eps, a, n_pts)
-    psi = char_exponent(triplet, xi)
-    if np.any(psi < 1e-300):
-        raise NumericError("psi underflow near 0")
-    # 2 int_eps^a dxi / psi in log xi: Simpson's rule on the first n_pts - 2 (even)
-    # intervals, and on the last the parabola through the last three points
-    w = np.full(n_pts, 2.0)
-    w[1::2] = 4.0
-    w[[0, -2]] = 1.0
-    w[-1] = 0.0
-    w[-3:] += np.array([-1.0, 8.0, 5.0]) / 4.0
-    h = (math.log(a) - math.log(eps)) / (n_pts - 1)
-    partial = 2.0 * h / 3.0 * float(w @ (xi / psi))
-    fit = xi <= fit_top
-    slope = np.polyfit(np.log(xi[fit]), np.log(psi[fit]), 1)[0]
-    trunc = f"integral over {eps:g} <= |xi| <= {a:g}"
+    if not (math.isfinite(a) and a > CF_EPS):
+        raise DomainError(f"a must be finite and exceed {CF_EPS:g}, got {a}")
+
+    def integrand(t):
+        xi = np.exp(t)
+        psi = char_exponent(triplet, xi)
+        if np.any(psi < 1e-300):
+            raise NumericError("psi underflow near 0")
+        return xi / psi
+
+    n_panels = math.ceil(math.log10(a) - math.log10(CF_EPS))  # one per decade
+    edges = np.linspace(math.log(CF_EPS), math.log(a), n_panels + 1)
+    panels, err = panel_integrals(integrand, edges)
+    partial, err = 2.0 * float(np.sum(panels)), 2.0 * err
+    trunc = f"integral over {CF_EPS:g} <= |xi| <= {a:g}"
 
     nu = triplet.nu
     tail = nu.tail if nu is not None else TailDescriptor(TailKind.COMPACT_SUPPORT)
     status, note = tail_status(tail)
-    note = f"{note}; fitted small-xi exponent {slope:.6f}"
     if status is not Status.CONVERGES:
-        return _undecided(status, note, partial, trunc)
+        return _undecided(status, note, partial, trunc, err)
     rho = tail.exponent
-    tail_hi = 2.0 * eps ** (2.0 - rho) / (_cf_lower_constant(nu) * (2.0 - rho))
+    tail_hi = 2.0 * CF_EPS ** (2.0 - rho) / (_cf_lower_constant(nu) * (2.0 - rho))
     return ConvergenceVerdict(
         status=Status.CONVERGES,
         partial_value=partial,
-        value=enclosure(partial, 0.0, tail_hi),
+        value=enclosure(partial, -err, tail_hi + err),
         truncation=trunc + "; analytic power tail below",
         basis=Basis.ANALYTIC_TAIL,
         note=note,

@@ -52,8 +52,8 @@ from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, re
 PROBABILITY_TOL = 1e-10
 #: least head of a lattice series on a law with an inexact component
 LATTICE_SERIES_CUTOFF = 10 ** 6
-#: widest panel, in log y, of a generic-density moment; no wider than the
-#: 1600-point Sato-Shepp grid on [1, 1e4] (0.00576)
+#: widest panel, in log y, of a generic-density moment and of the Sato-Shepp
+#: inner integral
 PANEL_LOG_STEP = 0.005
 
 

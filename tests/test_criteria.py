@@ -32,7 +32,7 @@ from levycrit import (
     sato_shepp_criterion,
     tail_status,
 )
-from levycrit.criteria import CF_GRID, SATO_SHEPP_POINTS, _cf_lower_constant
+from levycrit.criteria import CF_EPS, _cf_lower_constant
 from levycrit.measures import (
     LATTICE_SERIES_CUTOFF,
     LatticeSupport,
@@ -227,20 +227,40 @@ class TestSatoShepp:
         assert v.status is Status.DIVERGES
         assert "second moment" in v.note
 
-    @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.653341, 1.0, 1.253101, 2.0])
-    def test_gaussian_partial_matches_closed_form(self, sigma, gaussian_upper_moment):
-        # I(y) = (y^2 nu((y, inf)) + int_1^y z^2 f) / 2 in closed form, fed
-        # to the criterion's own trapezoid grid; the bump of the density sits
-        # at the left end of every [1, y]
-        def inner(y):
-            return 0.5 * (
-                y * y * gaussian_upper_moment(sigma, y, math.inf, 0)
-                + gaussian_upper_moment(sigma, 1.0, y, 2)
+    @pytest.mark.parametrize("alpha", [0.02, 0.5])
+    def test_stable_enclosure_contains_closed_form(self, alpha):
+        # I(y) = (K/alpha)(1/2 + (y^(2-alpha) - 1)/(2-alpha)) in closed form,
+        # integrated over [1, inf) in log y
+        from scipy import integrate
+
+        k_const = stable_levy_density_constant(alpha, 1.0)
+
+        def outer(t):  # y / I(y) at y = e^t, in powers of 1/y
+            q = math.exp(-(2.0 - alpha) * t)
+            return math.exp(-(1.0 - alpha) * t) / (
+                k_const / alpha * (0.5 * q + (1.0 - q) / (2.0 - alpha))
             )
 
-        ts = np.linspace(0.0, math.log(1e4), SATO_SHEPP_POINTS)
-        ys = np.exp(ts)
-        oracle = float(np.trapezoid(ys / np.array([inner(y) for y in ys]), ts))
+        ref, _ = integrate.quad(outer, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        v = sato_shepp_criterion(make_stable_triplet(alpha, 1.0).nu)
+        assert v.status is Status.CONVERGES
+        assert v.value.lo <= ref <= v.value.hi
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.653341, 1.0, 1.253101, 2.0])
+    def test_gaussian_partial_matches_closed_form(self, sigma, gaussian_upper_moment):
+        # I(y) = (y^2 nu((y, inf)) + int_1^y z^2 f) / 2 in closed form,
+        # integrated by quad in log y; the bump of the density sits at the
+        # left end of every [1, y]
+        from scipy import integrate
+
+        def outer(t):
+            y = math.exp(t)
+            return y / (0.5 * (
+                y * y * gaussian_upper_moment(sigma, y, math.inf, 0)
+                + gaussian_upper_moment(sigma, 1.0, y, 2)
+            ))
+
+        oracle, _ = integrate.quad(outer, 0.0, math.log(1e4), epsabs=0.0, epsrel=1e-13, limit=200)
         v = sato_shepp_criterion(make_gaussian_density(sigma))
         assert v.status is Status.DIVERGES
         assert v.partial_value == pytest.approx(oracle, rel=1e-9)
@@ -288,7 +308,7 @@ class TestSatoShepp:
         assert ss["sato_shepp"].truncation == "criterion not evaluated"
         assert "exceed the cap" in ss["sato_shepp"].note
 
-    @pytest.mark.parametrize("delta", [1.0 / 16.0, 1.0 / 64.0])
+    @pytest.mark.parametrize("delta", [1.0, 1.0 / 16.0, 1.0 / 64.0])
     def test_binned_enclosure_contains_piecewise_reference(self, flat_core_heavy, delta):
         # the binned flat core (rho = 1.5) has nbar(y) = F((n + 1/2) delta) on
         # [n delta, (n + 1) delta), F(t) = t^-1/2 / 3 the density's mass past
@@ -315,6 +335,42 @@ class TestSatoShepp:
         assert v.status is Status.CONVERGES
         assert v.value.lo <= head + rest <= v.value.hi
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            make_lattice_table({1: 0.1, 2: 0.05, 4: 0.2, 7: 0.03, 10: 0.02}, spacing=0.3),
+            make_lattice_table(
+                {1: 0.2, 2: 0.1, 3: 0.05}, spacing=0.7,
+                tail=TailDescriptor(TailKind.POWER_LAW, exponent=1.5, constant=0.05, onset=2.1),
+            ),
+        ],
+        ids=["finite_delta_0.3", "tailed_delta_0.7"],
+    )
+    def test_lattice_cell_sum_matches_gauss_legendre(self, law):
+        # I(y) from its definition, (y^2 nu((y, inf)) + sum_{1 < k delta <= y}
+        # (k delta)^2 m(k)) / 2, integrated by a 10-point Gauss-Legendre rule
+        # on every cell between lattice points; at delta = 0.7, 1 lies inside
+        # the first cell
+        delta, cutoff = law.spacing, 1e4
+        n = np.arange(math.floor(1.0 / delta), math.ceil(cutoff / delta))
+        a = np.maximum(n * delta, 1.0)
+        b = np.minimum((n + 1) * delta, cutoff)
+        x, w = np.polynomial.legendre.leggauss(10)
+        y = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        lags = np.arange(1, n[-1] + 2)
+        masses, pos = law.mass(lags), lags * delta
+        rest = 0.0  # the masses past the summed lags
+        if law.components:
+            rest = 0.05 * float(zeta(1.5, lags[-1] + 1))
+        past = np.append(np.cumsum(masses[::-1])[::-1], 0.0) + rest
+        moment2 = np.concatenate([[0.0], np.cumsum(np.where(pos > 1.0, pos ** 2 * masses, 0.0))])
+        k = np.floor(y / delta).astype(int)  # the nodes sit inside the cells
+        inner = 0.5 * (y * y * past[k] + moment2[k])
+        ref = float(np.sum(0.5 * (b - a) * ((1.0 / inner) @ w)))
+        v = sato_shepp_criterion(law, cutoff)
+        assert v.partial_value == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert v.value.lo <= ref
+
     def test_lattice_applicable_without_unimodality(self, multi_default):
         v = sato_shepp_criterion(multi_default)
         assert v.status is Status.CONVERGES  # dominant exponent 1.5 < 2
@@ -328,17 +384,35 @@ class TestChungFuchs:
         assert v.status is Status.CONVERGES
         assert v.estimate == pytest.approx(4.0, abs=2e-2)
 
-    def test_partial_is_scipy_simpson(self, multi_default):
-        # the numpy weights reproduce scipy.integrate.simpson on the same grid
+    def test_partial_matches_scipy_quad(self, multi_default):
+        # 2 int xi / psi over t = log xi in [log CF_EPS, 0] by quad lies
+        # within the panel error that widens the reported lower end
         from scipy import integrate
 
         triplet = make_walk_triplet(multi_default)
-        eps, _, n_pts = CF_GRID
-        xi = np.geomspace(eps, 1.0, n_pts)
-        psi = np.array([char_exponent(triplet, x) for x in xi])
-        oracle = 2.0 * integrate.simpson(xi / psi, x=np.log(xi))
-        got = chung_fuchs_criterion(triplet).partial_value
-        assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
+        half, _ = integrate.quad(
+            lambda t: math.exp(t) / char_exponent(triplet, math.exp(t)),
+            math.log(CF_EPS), 0.0, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        v = chung_fuchs_criterion(triplet)
+        err = v.partial_value - v.value.lo
+        assert abs(2.0 * half - v.partial_value) <= err
+
+    def test_power_lattice_enclosure_contains_polylog_reference(self):
+        # psi = 2 C (zeta(s) - Re Li_s(e^(i xi))), s = 1.05, from mpmath,
+        # integrated in log xi by a 10-point Gauss-Legendre rule per decade
+        # down to 1e-20; the rest is below 1e-18
+        law = make_power_law_lattice(0.05, normalize=True)
+        c, s = law.mass(1), mp.mpf(1.05)
+        zeta_s = mp.zeta(s)
+        x, w = np.polynomial.legendre.leggauss(10)
+        ref = 0.0
+        for lo in np.arange(-20.0, 0.0) * math.log(10.0):
+            ts = lo + 0.5 * math.log(10.0) * (1.0 + x)
+            psi = [2.0 * c * float(zeta_s - mp.re(mp.polylog(s, mp.expj(math.exp(t))))) for t in ts]
+            ref += math.log(10.0) * float(w @ (np.exp(ts) / np.array(psi)))
+        v = chung_fuchs_criterion(make_walk_triplet(law))
+        assert v.value.lo <= ref <= v.value.hi
 
     def test_cauchy_boundary_diverges(self):
         v = chung_fuchs_criterion(make_stable_triplet(1.0, 1.0))
@@ -381,10 +455,10 @@ class TestChungFuchs:
         # psi >= C xi^(rho-1) on xi <= eps is what certifies the remainder
         rho = triplet.nu.tail.exponent
         c_lo = _cf_lower_constant(triplet.nu)
-        for xi in np.geomspace(1e-10, CF_GRID[0], 9):
+        for xi in np.geomspace(1e-10, CF_EPS, 9):
             assert char_exponent(triplet, xi) >= c_lo * xi ** (rho - 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05, 0.25, 0.5])
     def test_enclosure_contains_exact_value(self, alpha):
         # psi = |xi|^alpha: int_{-1}^{1} |xi|^-alpha d xi = 2 / (1 - alpha)
         lo, hi = chung_fuchs_criterion(make_stable_triplet(alpha, 1.0)).value_interval
@@ -409,6 +483,30 @@ class TestChungFuchs:
         assert not verdict.conflict
         by_name = {e.criterion: e for e in verdict.evidence}
         assert by_name["chung_fuchs"].implication == expected.value
+
+
+class TestWindowArguments:
+    """Bad windows end in a DomainError before psi, a mass or a density is read."""
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -1.0, CF_EPS])
+    def test_chung_fuchs_window(self, stable_half, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="a must be finite"):
+                chung_fuchs_criterion(stable_half, a=a)
+            verdict = classify(stable_half, a=a)
+        assert verdict.evidence[0].verdict.truncation == "criterion not evaluated"
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0])
+    def test_sato_shepp_cutoff(self, stable_half, power_half_raw, cutoff):
+        for law in (stable_half.nu, power_half_raw):
+            with pytest.raises(DomainError, match="cutoff must be finite"):
+                sato_shepp_criterion(law, cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0])
+    def test_inverse_cubic_density_cutoff(self, stable_half, cutoff):
+        with pytest.raises(DomainError, match="cutoff must be finite"):
+            inverse_cubic_density_criterion(stable_half.nu, cutoff=cutoff)
 
 
 class TestTailStatus:
