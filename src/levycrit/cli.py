@@ -174,6 +174,14 @@ def _opt(args, cfg: dict, key: str, default):
     return default
 
 
+def _number_list(raw, cast, key: str) -> list:
+    """A comma-separated string or a sequence of numbers, each cast; else ConfigError."""
+    try:
+        return [cast(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from exc
+
+
 def _seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
@@ -269,12 +277,7 @@ def cmd_resistance(args) -> int:
     cfg = _load_run_config(args)
     law_cfg = _law_config(args, cfg)
     law = law_from_config(law_cfg)
-    raw_radii = _opt(args, cfg, "radii", "8,16,32,64,128,256")
-    radii = (
-        [int(r) for r in raw_radii.split(",")]
-        if isinstance(raw_radii, str)
-        else [int(r) for r in raw_radii]
-    )
+    radii = _number_list(_opt(args, cfg, "radii", "8,16,32,64,128,256"), int, "radii")
     profile = resistance_profile(law, radii)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -298,12 +301,7 @@ def cmd_discretize(args) -> int:
     cfg = _load_run_config(args)
     law_cfg = _law_config(args, cfg)
     law = law_from_config(law_cfg)
-    raw_deltas = _opt(args, cfg, "deltas", "1,0.5,0.25,0.125")
-    deltas = (
-        [float(d) for d in raw_deltas.split(",")]
-        if isinstance(raw_deltas, str)
-        else [float(d) for d in raw_deltas]
-    )
+    deltas = _number_list(_opt(args, cfg, "deltas", "1,0.5,0.25,0.125"), float, "deltas")
     h_radius = float(_opt(args, cfg, "h_radius", 1.0))
     table = convergence_report(law, deltas, h_radius=h_radius)
     results = {"convergence": table.to_dict()}

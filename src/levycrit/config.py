@@ -18,6 +18,7 @@ from .measures import (
     Normalization,
     PowerPiece,
     SymmetricJumpLaw,
+    as_finite_measure,
     make_gaussian_density,
     make_lattice_table,
     make_multi_index_lattice,
@@ -215,5 +216,5 @@ def triplet_from_config(cfg: Any) -> LevyTriplet:
     if law.normalization is Normalization.PROBABILITY:
         if c == 0.0:
             return make_walk_triplet(law)
-        law = law.with_normalization(Normalization.FINITE)
+        law = as_finite_measure(law)
     return LevyTriplet(c=c, nu=law)

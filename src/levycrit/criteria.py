@@ -15,12 +15,14 @@ Four routes, each producing a :class:`ConvergenceVerdict`:
   difference has a finite second moment.
 
 Every Converges/Diverges decision on a declared tail comes from one rule,
-:func:`tail_status`; the criteria differ only in their truncated partials
-and the certified remainders they attach to a convergent verdict. Every
-partial is an exact sum or a :func:`panel_integrals` pass, whose error
-estimate widens the enclosure.
+:func:`levycrit.verdicts.tail_status`, and every verdict is built by
+:func:`levycrit.verdicts.verdict`; the criteria differ only in their
+truncated partials and the certified remainders they attach to a
+convergent verdict. Every partial is an exact sum or a
+:func:`panel_integrals` pass, whose error estimate widens the enclosure.
 
-``classify`` runs every applicable route and folds the implications into a
+``classify`` runs a table of routes, each a criterion with the implication
+of its Converges and of its Diverges, and folds the implications into a
 :class:`TransienceVerdict`; conflicting analytic evidence is never silently
 resolved, it surfaces as Unknown with a conflict flag.
 
@@ -48,7 +50,7 @@ from .measures import (
 )
 from .powerint import panel_integrals
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
-from .tails import TailDescriptor, TailKind
+from .tails import TailDescriptor, TailKind, require_cutoff
 from .verdicts import (
     Basis,
     Classification,
@@ -57,7 +59,8 @@ from .verdicts import (
     Status,
     TransienceVerdict,
     combine_evidence,
-    enclosure,
+    tail_status,
+    verdict,
 )
 
 __all__ = [
@@ -84,43 +87,6 @@ class HypothesisViolationError(DomainError):
 
 class UnsupportedComparisonError(DomainError):
     """The two measures cannot be compared on a common refinement."""
-
-
-# ---------------------------------------------------------------------------
-# the tail rule
-
-
-def tail_status(tail: TailDescriptor) -> tuple[Status, str]:
-    """The transience rule of a declared tail, with a note naming the clause.
-
-    A power tail of exponent rho < 2 makes every criterion converge (the
-    paper's ``int_1^inf dy/(y^3 f(y)) < inf``); rho >= 2, exponential and
-    compact tails make them diverge; an unknown tail decides nothing.
-    """
-    if tail.kind is TailKind.UNKNOWN:
-        return Status.INCONCLUSIVE, "unknown tail"
-    if tail.kind is TailKind.POWER_LAW:
-        rho = tail.exponent
-        if rho < 2.0:
-            return Status.CONVERGES, f"power tail rho={rho:.15g} < 2"
-        if rho <= 3.0:
-            return Status.DIVERGES, f"power tail rho={rho:.15g} >= 2"
-        return Status.DIVERGES, f"power tail rho={rho:.15g} > 3: finite second moment"
-    return Status.DIVERGES, f"{tail.kind.value.replace('_', ' ')} tail: finite second moment"
-
-
-def _undecided(
-    status: Status, note: str, partial: float, truncation: str, err: float = 0.0
-) -> ConvergenceVerdict:
-    """The verdict of a criterion whose tail rule does not converge."""
-    return ConvergenceVerdict(
-        status=status,
-        partial_value=partial,
-        value=enclosure(partial, -err, math.inf),
-        truncation=truncation,
-        basis=Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL,
-        note=note,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +125,13 @@ def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict
     with np.errstate(divide="ignore", over="ignore"):  # underflowed masses: honest inf
         partial = float(np.sum(1.0 / (lags.astype(float) ** 3 * masses)))
 
-    tail_lo, tail_hi = law.lag_tail_sum(-3.0, n_head, inverse=True)
-    diverges = math.isinf(tail_hi)
-    worst = max(c.exponent for c in comps)
-    return ConvergenceVerdict(
-        status=Status.DIVERGES if diverges else Status.CONVERGES,
-        partial_value=partial,
-        value=enclosure(partial, tail_lo, tail_hi),
-        truncation=f"series to n={n_head}" + ("" if diverges else "; analytic power tail beyond"),
-        basis=Basis.ANALYTIC_TAIL,
-        note=f"summand ~ n^({worst - 3.0:g}) on a residue class" if diverges else "",
-    )
+    tail = law.lag_tail_sum(-3.0, n_head, inverse=True)
+    if math.isinf(tail[1]):
+        worst = max(c.exponent for c in comps)
+        return verdict(Status.DIVERGES, partial, f"series to n={n_head}", tail,
+                       note=f"summand ~ n^({worst - 3.0:g}) on a residue class")
+    return verdict(Status.CONVERGES, partial,
+                   f"series to n={n_head}; analytic power tail beyond", tail)
 
 
 def _density_floor_cutoff(law: SymmetricJumpLaw, y_max: float) -> float:
@@ -199,8 +161,7 @@ def inverse_cubic_density_criterion(
     """
     if law.is_lattice:
         raise DomainError("density criterion needs a continuous law")
-    if not (math.isfinite(cutoff) and cutoff > 1.0):
-        raise DomainError(f"cutoff must be finite and exceed 1, got {cutoff}")
+    require_cutoff(cutoff)
     tail = law.tail
     if tail.kind is TailKind.COMPACT_SUPPORT or not law.strictly_positive:
         raise HypothesisViolationError("density must be strictly positive on [1, inf)")
@@ -212,16 +173,9 @@ def inverse_cubic_density_criterion(
 
     status, note = tail_status(tail)
     if status is not Status.CONVERGES:
-        return _undecided(status, note, partial, trunc)
-    tail_lo, tail_hi = tail.inverse_tail_integral(-3.0, y_top)
-    return ConvergenceVerdict(
-        status=Status.CONVERGES,
-        partial_value=partial,
-        value=enclosure(partial, tail_lo, tail_hi),
-        truncation=trunc + "; analytic power tail beyond",
-        basis=Basis.ANALYTIC_TAIL,
-        note=note,
-    )
+        return verdict(status, partial, trunc, note=note)
+    return verdict(status, partial, trunc + "; analytic power tail beyond",
+                   tail.inverse_tail_integral(-3.0, y_top), note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +254,7 @@ def sato_shepp_criterion(
     a density's I(y) at the nodes (:func:`_inner_integral`); its error widens
     the enclosure.
     """
-    if not (math.isfinite(cutoff) and cutoff > 1.0):
-        raise DomainError(f"cutoff must be finite and exceed 1, got {cutoff}")
+    require_cutoff(cutoff)
     n_lags = math.floor(cutoff / law.spacing) if law.is_lattice else 0
     if n_lags > LATTICE_SERIES_CUTOFF:
         raise DomainError(f"{n_lags} lags exceed the cap of {LATTICE_SERIES_CUTOFF}")
@@ -322,7 +275,7 @@ def sato_shepp_criterion(
     tail = law.tail
     status, note = tail_status(tail)
     if status is not Status.CONVERGES:
-        return _undecided(status, note, partial, trunc, err)
+        return verdict(status, partial, trunc, err=err, note=note)
     rho = tail.exponent
     # certified lower bound on nbar for the outer tail: on the dominant class
     # of lags n = y/d, nbar(y) >= K lf (y/d + stride)^(1-rho) / (stride (rho-1))
@@ -340,12 +293,8 @@ def sato_shepp_criterion(
         b_lo = tail.constant * tail.lower_factor / (rho - 1.0)
     # I(y) >= y^2 nbar(y) / 2 - (conservative constant absorbed in b_lo)
     tail_hi = 2.0 * cutoff ** (rho - 2.0) / (b_lo * (2.0 - rho))
-    return ConvergenceVerdict(
-        status=Status.CONVERGES,
-        partial_value=partial,
-        value=enclosure(partial, -err, tail_hi + err),
-        truncation=trunc + "; analytic power tail beyond",
-        basis=Basis.ANALYTIC_TAIL,
+    return verdict(
+        status, partial, trunc + "; analytic power tail beyond", (0.0, tail_hi), err=err,
         note="unimodal hypothesis asserted" if law.unimodal else
         "convergence is transience evidence only under unimodality",
     )
@@ -419,17 +368,11 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     tail = nu.tail if nu is not None else TailDescriptor(TailKind.COMPACT_SUPPORT)
     status, note = tail_status(tail)
     if status is not Status.CONVERGES:
-        return _undecided(status, note, partial, trunc, err)
+        return verdict(status, partial, trunc, err=err, note=note)
     rho = tail.exponent
     tail_hi = 2.0 * CF_EPS ** (2.0 - rho) / (_cf_lower_constant(nu) * (2.0 - rho))
-    return ConvergenceVerdict(
-        status=Status.CONVERGES,
-        partial_value=partial,
-        value=enclosure(partial, -err, tail_hi + err),
-        truncation=trunc + "; analytic power tail below",
-        basis=Basis.ANALYTIC_TAIL,
-        note=note,
-    )
+    return verdict(status, partial, trunc + "; analytic power tail below", (0.0, tail_hi),
+                   err=err, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +483,7 @@ def compare_measures(
     this integral is finite, the nu2-process is transient as well. The
     comparison is symmetric in its arguments.
     """
+    require_cutoff(cutoff)
     if nu1.is_lattice != nu2.is_lattice:
         raise UnsupportedComparisonError("cannot compare lattice with continuous support")
     if nu1.is_lattice:
@@ -551,26 +495,13 @@ def compare_measures(
     if status is Status.INCONCLUSIVE:
         trunc += "; tails not analytically comparable"
     if status is not Status.CONVERGES:
-        return _undecided(status, "", partial, trunc)
-    return ConvergenceVerdict(
-        status=Status.CONVERGES,
-        partial_value=partial,
-        value=enclosure(partial, 0.0, tail_hi),
-        truncation=trunc + "; analytic tail difference beyond",
-        basis=Basis.ANALYTIC_TAIL,
-        note="transience of the first process transfers to the second",
-    )
+        return verdict(status, partial, trunc)
+    return verdict(status, partial, trunc + "; analytic tail difference beyond", (0.0, tail_hi),
+                   note="transience of the first process transfers to the second")
 
 
 # ---------------------------------------------------------------------------
 # combination
-
-
-def _safe(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs), ""
-    except (DomainError, NumericError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 def classify(
@@ -585,47 +516,28 @@ def classify(
     inverse-cubic convergence implies transience; Sato-Shepp divergence
     implies recurrence, and its convergence implies transience only under
     the unimodality hypothesis (``unimodal`` overrides the law's own flag
-    when given). Criterion failures are absorbed into Unknown.
+    when given; a lattice law is never unimodal). A criterion that fails
+    with a domain or numeric error is Inconclusive evidence.
     """
-    evidence: list[CriterionEvidence] = []
-
-    def push(name, verdict, implication, note=""):
-        if verdict is None:
-            verdict = _undecided(Status.INCONCLUSIVE, note, 0.0, "criterion not evaluated")
-        evidence.append(CriterionEvidence(name, verdict, implication))
-
-    cf, err = _safe(chung_fuchs_criterion, triplet, a)
-    if cf is None:
-        push("chung_fuchs", None, "none", err)
-    elif cf.status is Status.CONVERGES:
-        push("chung_fuchs", cf, "transient")
-    elif cf.status is Status.DIVERGES:
-        push("chung_fuchs", cf, "recurrent")
-    else:
-        push("chung_fuchs", cf, "none")
-
+    # (name, criterion, arguments, implication of Converges, of Diverges)
+    routes = [("chung_fuchs", chung_fuchs_criterion, (triplet, a), "transient", "recurrent")]
     nu = triplet.nu
     if nu is not None:
-        if nu.is_lattice:
-            ic, err = _safe(inverse_cubic_lattice_criterion, nu)
-        else:
-            ic, err = _safe(inverse_cubic_density_criterion, nu)
-        if ic is None:
-            push("inverse_cubic", None, "none", err)
-        else:
-            push("inverse_cubic", ic, "transient" if ic.status is Status.CONVERGES else "none")
-
-        ss, err = _safe(sato_shepp_criterion, nu)
-        is_unimodal = nu.unimodal if unimodal is None else unimodal
-        if nu.is_lattice:
-            is_unimodal = False  # discretely supported measures are never unimodal
-        if ss is None:
-            push("sato_shepp", None, "none", err)
-        elif ss.status is Status.DIVERGES:
-            push("sato_shepp", ss, "recurrent")
-        elif ss.status is Status.CONVERGES and is_unimodal:
-            push("sato_shepp", ss, "transient")
-        else:
-            push("sato_shepp", ss, "none")
-
+        is_unimodal = not nu.is_lattice and (nu.unimodal if unimodal is None else unimodal)
+        routes += [
+            ("inverse_cubic",
+             inverse_cubic_lattice_criterion if nu.is_lattice else inverse_cubic_density_criterion,
+             (nu,), "transient", "none"),
+            ("sato_shepp", sato_shepp_criterion, (nu,),
+             "transient" if is_unimodal else "none", "recurrent"),
+        ]
+    evidence = []
+    for name, criterion, args, if_converges, if_diverges in routes:
+        try:
+            v = criterion(*args)
+        except (DomainError, NumericError) as exc:
+            v = verdict(Status.INCONCLUSIVE, 0.0, "criterion not evaluated",
+                        note=f"{type(exc).__name__}: {exc}")
+        implication = {Status.CONVERGES: if_converges, Status.DIVERGES: if_diverges}
+        evidence.append(CriterionEvidence(name, v, implication.get(v.status, "none")))
     return combine_evidence(evidence)

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import tail_status
 from .measures import (
     DomainError,
     LatticeSupport,
@@ -38,8 +37,8 @@ from .measures import (
 )
 from .powerint import panel_integrals, power_range
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
-from .tails import PowerTailComponent, TailDescriptor, TailKind
-from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
+from .tails import PowerTailComponent, TailDescriptor, TailKind, require_positive
+from .verdicts import ConvergenceVerdict, Status, tail_status, verdict
 
 __all__ = [
     "default_test_functions",
@@ -114,8 +113,7 @@ def _last_bin(law: SymmetricJumpLaw, delta: float) -> Optional[int]:
         raise DomainError("bin_density expects a continuous law")
     if law.normalization is not Normalization.PROBABILITY:
         raise DomainError("bin_density expects a probability density")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    require_positive("delta", delta)
     pieces = law.support.pieces
     tail = law.tail
     if pieces is not None and tail.kind is TailKind.POWER_LAW:
@@ -358,8 +356,7 @@ def characteristics(
     """
     if law.normalization is not Normalization.PROBABILITY:
         raise DomainError("characteristics require a probability distribution")
-    if h_radius <= 0:
-        raise DomainError("h_radius must be positive")
+    require_positive("h_radius", h_radius)
     tests = default_test_functions() if tests is None else tests
     h = truncation_function(h_radius)
 
@@ -424,6 +421,8 @@ def convergence_report(
     deltas = tuple(float(d) for d in deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or not deltas:
         raise DomainError("deltas must be strictly decreasing")
+    for d in deltas:
+        require_positive("delta", d)
     tests = default_test_functions() if tests is None else tests
     _last_bin(law, deltas[-1])  # the finest delta needs the most bins: refuse it first
     limit = characteristics(law, h_radius=h_radius, tests=tests)
@@ -502,6 +501,8 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     """
     if law.is_lattice:
         raise DomainError("jensen_gap expects a continuous law")
+    if not n_terms >= 1:
+        raise DomainError(f"n_terms must be at least 1, got {n_terms}")
     if not law.strictly_positive and law.tail.kind is TailKind.COMPACT_SUPPORT:
         raise DomainError("density must be positive on [1/2, inf)")
     binned = bin_density(law, 1.0)
@@ -535,22 +536,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
         lhs_tail = (lo * (1.0 + 1.0 / (2 * n_top + 2)) ** -3, hi)
         rhs_tail = law.tail.inverse_tail_integral(-3.0, y_hi)
 
-    basis = Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL
-    lhs = ConvergenceVerdict(
-        status=status,
-        partial_value=lhs_partial,
-        value=enclosure(lhs_partial, *lhs_tail),
-        truncation=f"bins 1..{n_top}",
-        basis=basis,
-        note=note,
-    )
-    rhs = ConvergenceVerdict(
-        status=status,
-        partial_value=rhs_partial,
-        value=enclosure(rhs_partial, *rhs_tail),
-        truncation=f"integral over [1/2, {y_hi:g}]",
-        basis=basis,
-        note=note,
-    )
+    lhs = verdict(status, lhs_partial, f"bins 1..{n_top}", lhs_tail, note=note)
+    rhs = verdict(status, rhs_partial, f"integral over [1/2, {y_hi:g}]", rhs_tail, note=note)
     holds = lhs_partial <= rhs_partial + 1e-12 * max(1.0, rhs_partial)
     return JensenGap(lhs=lhs, rhs=rhs, inequality_holds=holds)

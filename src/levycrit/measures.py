@@ -47,7 +47,9 @@ from .powerint import (
     one_minus_cos_tail,
     panel_integrals,
 )
-from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind, require_positive
+from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind
+from .tails import require_cutoff, require_positive
+from .verdicts import ConvergenceVerdict, Status, verdict
 
 PROBABILITY_TOL = 1e-10
 #: least head of a lattice series on a law with an inexact component
@@ -118,8 +120,8 @@ class PowerPiece:
         Elementwise for array bounds (a float for scalar ones): 0 where the
         clipped range is empty, inf where the integral diverges.
         """
-        a = np.maximum(a, self.lo)
         b = np.minimum(b, self.hi)
+        a = np.minimum(np.maximum(a, self.lo), b)  # an empty range raises no power of a far end
         total = 0.0
         # an end at 0 or inf enters as an inf or 0 power: a divergence, or a vanishing term
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,9 +283,6 @@ class SymmetricJumpLaw:
         if self.tail.kind is TailKind.POWER_LAW:
             lo_tail = hi_tail * self.tail.lower_factor / self.tail.upper_factor
         return head + lo_tail, head + hi_tail
-
-    def with_normalization(self, normalization: Normalization) -> "SymmetricJumpLaw":
-        return replace(self, normalization=normalization)
 
 
 def as_finite_measure(law: SymmetricJumpLaw) -> SymmetricJumpLaw:
@@ -775,7 +774,7 @@ def char_exponent(triplet: LevyTriplet, xi: float | np.ndarray) -> float | np.nd
 # moments
 
 
-def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
+def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVerdict:
     """Classify ``int_{|y|>1} |y|^k d nu`` from the tail model.
 
     Returns a :class:`levycrit.verdicts.ConvergenceVerdict`. The partial
@@ -785,12 +784,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
     ``floor(1/delta)``), before any lag is allocated, and
     :meth:`SymmetricJumpLaw.lag_tail_sum` gives the rest.
     """
-    from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
-
     if k not in (0, 1, 2, 3):
         raise DomainError("moment order k must be in {0, 1, 2, 3}")
-    if not 1.0 <= cutoff < math.inf:
-        raise DomainError("cutoff must be finite and >= 1")
+    require_cutoff(cutoff, allow_one=True)
 
     converges = law.tail.weighted_tail_converges(float(k))
     if law.is_lattice:
@@ -821,21 +817,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6):
         truncation = f"integral over 1 < |y| <= {cutoff:g}"
 
     if converges is None:
-        return ConvergenceVerdict(
-            status=Status.INCONCLUSIVE,
-            partial_value=partial,
-            value=enclosure(partial, 0.0, math.inf),
-            truncation=truncation + "; unknown tail",
-            basis=Basis.NUMERIC_ONLY,
-        )
+        return verdict(Status.INCONCLUSIVE, partial, truncation + "; unknown tail")
     status = Status.CONVERGES if converges else Status.DIVERGES
-    return ConvergenceVerdict(
-        status=status,
-        partial_value=partial,
-        value=enclosure(partial, tail_lo, tail_hi if converges else math.inf),
-        truncation=truncation,
-        basis=Basis.ANALYTIC_TAIL,
-    )
+    return verdict(status, partial, truncation, (tail_lo, tail_hi))
 
 
 # ---------------------------------------------------------------------------

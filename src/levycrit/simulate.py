@@ -35,6 +35,7 @@ from .measures import (
     multi_index_total,
 )
 from .powerint import hurwitz_zeta, strided_power_sum
+from .tails import require_positive
 from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
@@ -267,6 +268,7 @@ def sample_walk(
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
+    require_positive("window", window)
     _check_draw_cap("steps", steps)
     smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
@@ -321,6 +323,7 @@ def poissonize(
         raise DomainError("rate must be positive")
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
+    require_positive("window", window)
     _check_draw_cap("rate * horizon", rate * horizon)
     smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
@@ -423,8 +426,7 @@ def sojourn_estimate(
     growth (ratio near 1) leans transient, growth like a power of the
     horizon leans recurrent.
     """
-    if window <= 0:
-        raise DomainError("window must be positive")
+    require_positive("window", window)
     if horizon < 1 or replicas < 1:
         raise DomainError("horizon and replicas must be positive")
     if horizon > MAX_SOJOURN_HORIZON or horizon * replicas > MAX_SOJOURN_STEPS:

@@ -44,6 +44,21 @@ def require_positive(name: str, value: float, *, allow_zero: bool = False) -> No
         raise DomainError(f"{name} must be finite and {kind}, got {value}")
 
 
+#: largest cutoff of a truncated sum or integral: cutoff**3 stays finite below it
+CUTOFF_MAX = 1e100
+
+
+def require_cutoff(cutoff: float, *, allow_one: bool = False) -> None:
+    """Raise DomainError unless ``1 < cutoff <= CUTOFF_MAX`` (``1 <= cutoff`` with ``allow_one``).
+
+    NaN and infinities always fail. Below the bound the weighted integrands
+    of the criteria and moments (at most ``y^3`` times a mass) stay finite.
+    """
+    if not ((1.0 <= cutoff if allow_one else 1.0 < cutoff) and cutoff <= CUTOFF_MAX):
+        span = f"{'[' if allow_one else '('}1, {CUTOFF_MAX:g}]"
+        raise DomainError(f"cutoff must be finite and lie in {span}, got {cutoff}")
+
+
 class TailKind(Enum):
     POWER_LAW = "power_law"
     EXPONENTIAL = "exponential"

@@ -1,4 +1,4 @@
-"""Verdict types shared by the convergence criteria.
+"""Verdict types shared by the convergence criteria, and the rules that build them.
 
 A :class:`ConvergenceVerdict` records the outcome of classifying a
 nonnegative series or improper integral. Decisions (Converges/Diverges)
@@ -9,6 +9,13 @@ the truncated head and the two ends of the remainder's envelope; the
 point ``estimate`` is read off it. An exactly known remainder collapses
 the interval to the value up to rounding. Divergent and undecided
 verdicts have ``hi = inf``.
+
+Two rules live here. :func:`tail_status` turns a declared tail into
+Converges/Diverges/Inconclusive, and :func:`verdict` turns a status, a
+partial, a remainder envelope and a numeric error into a verdict. Every
+criterion, moment and bridging sum builds its verdicts through it; the
+even-chain bound of :mod:`levycrit.simulate`, Inconclusive on an analytic
+basis, is the one verdict built by hand.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+
+from .tails import TailDescriptor, TailKind
 
 
 class Status(Enum):
@@ -115,6 +124,52 @@ class ConvergenceVerdict:
             "basis": self.basis.value,
             **({"note": self.note} if self.note else {}),
         }
+
+
+def tail_status(tail: TailDescriptor) -> tuple[Status, str]:
+    """The transience rule of a declared tail, with a note naming the clause.
+
+    A power tail of exponent rho < 2 makes every criterion converge (the
+    paper's ``int_1^inf dy/(y^3 f(y)) < inf``); rho >= 2, exponential and
+    compact tails make them diverge; an unknown tail decides nothing.
+    """
+    if tail.kind is TailKind.UNKNOWN:
+        return Status.INCONCLUSIVE, "unknown tail"
+    if tail.kind is TailKind.POWER_LAW:
+        rho = tail.exponent
+        if rho < 2.0:
+            return Status.CONVERGES, f"power tail rho={rho:.15g} < 2"
+        if rho <= 3.0:
+            return Status.DIVERGES, f"power tail rho={rho:.15g} >= 2"
+        return Status.DIVERGES, f"power tail rho={rho:.15g} > 3: finite second moment"
+    return Status.DIVERGES, f"{tail.kind.value.replace('_', ' ')} tail: finite second moment"
+
+
+def verdict(
+    status: Status,
+    partial: float,
+    truncation: str,
+    tail: tuple[float, float] = (0.0, math.inf),
+    *,
+    err: float = 0.0,
+    note: str = "",
+) -> ConvergenceVerdict:
+    """The verdict on a truncated head ``partial`` and the remainder envelope ``tail``.
+
+    The value is ``[partial + tail_lo - err, partial + tail_hi + err]``, with
+    ``tail_hi`` taken as inf unless the status converges; ``err`` is the
+    head's numeric error. Inconclusive verdicts rest on numerics alone, the
+    others on the declared tail.
+    """
+    lo, hi = tail
+    return ConvergenceVerdict(
+        status=status,
+        partial_value=partial,
+        value=enclosure(partial, lo - err, (hi if status is Status.CONVERGES else math.inf) + err),
+        truncation=truncation,
+        basis=Basis.NUMERIC_ONLY if status is Status.INCONCLUSIVE else Basis.ANALYTIC_TAIL,
+        note=note,
+    )
 
 
 @dataclass(frozen=True)

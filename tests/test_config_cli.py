@@ -174,6 +174,27 @@ class TestCliCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # comma lists that are not numbers used to exit 3 with a ValueError
+            ["resistance", "--family", "power_lattice", "--alpha", "0.5", "--radii", "abc"],
+            ["discretize", "--family", "gaussian", "--deltas", "abc"],
+            # non-finite sizes used to exit 3, or 0 with a sojourn estimate of 1.0
+            ["discretize", "--family", "gaussian", "--deltas", "nan"],
+            ["discretize", "--family", "gaussian", "--deltas", "inf"],
+            ["discretize", "--family", "gaussian", "--h-radius", "nan"],
+            ["discretize", "--family", "gaussian", "--h-radius", "inf"],
+            ["simulate", "--family", "power_lattice", "--alpha", "0.5", "--normalize",
+             "--window", "nan"],
+        ],
+    )
+    def test_bad_run_options_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_flow_level_cap_exits_one(self, capsys):
         # rejected before any array exists (level 40 would need 16 TiB)
         assert main(["flow", "--family", "power_lattice", "--alpha", "0.5",

@@ -41,7 +41,7 @@ from levycrit.measures import (
     make_gaussian_density,
     stable_levy_density_constant,
 )
-from levycrit.tails import PowerTailComponent
+from levycrit.tails import CUTOFF_MAX, PowerTailComponent
 from test_measures import LATTICE_LAWS
 
 ZETA_15 = 2.612375348685488
@@ -508,6 +508,41 @@ class TestWindowArguments:
         with pytest.raises(DomainError, match="cutoff must be finite"):
             inverse_cubic_density_criterion(stable_half.nu, cutoff=cutoff)
 
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -1.0, 0.5, 1.0, 1e300])
+    def test_compare_measures_cutoff(self, power_half_raw, power_half_prob, gaussian_law, cutoff):
+        # -1 used to return a Diverges verdict on an empty head
+        for pair in ((power_half_raw, power_half_prob),
+                     (gaussian_law, make_gaussian_density(2.0))):
+            with pytest.raises(DomainError, match="cutoff must be finite"):
+                compare_measures(*pair, cutoff=cutoff)
+
+    def test_huge_cutoff_refused(self, stable_half, gaussian_law):
+        # past the shared bound y^3 overflows: refused before any evaluation
+        from levycrit import moment
+
+        for call in (
+            lambda: sato_shepp_criterion(stable_half.nu, cutoff=1e300),
+            lambda: sato_shepp_criterion(gaussian_law, cutoff=1e300),
+            lambda: inverse_cubic_density_criterion(stable_half.nu, cutoff=1e300),
+            lambda: moment(gaussian_law, 3, cutoff=1e300),
+            lambda: moment(gaussian_law, 3, cutoff=CUTOFF_MAX * 1.01),
+            lambda: compare_measures(gaussian_law, make_gaussian_density(2.0), cutoff=1e300),
+        ):
+            with pytest.raises(DomainError, match="cutoff must be finite"):
+                call()
+
+    def test_largest_cutoff_stays_finite(self, stable_half, gaussian_law, flat_core_heavy):
+        # under the suite's error::RuntimeWarning filter: no overflow at the bound
+        from levycrit import moment
+
+        for law in (stable_half.nu, gaussian_law, flat_core_heavy):
+            assert sato_shepp_criterion(law, cutoff=CUTOFF_MAX).partial_value > 0.0
+            for k in range(4):
+                assert moment(law, k, cutoff=CUTOFF_MAX).value.lo > 0.0
+        assert not inverse_cubic_density_criterion(stable_half.nu, cutoff=CUTOFF_MAX).value.infinite
+        v = compare_measures(gaussian_law, make_gaussian_density(2.0), cutoff=CUTOFF_MAX)
+        assert math.isfinite(v.partial_value) and v.partial_value > 0.0
+
 
 class TestTailStatus:
     @pytest.mark.parametrize(
@@ -716,6 +751,41 @@ class TestClassify:
         triplet = LevyTriplet(c=0.0, nu=as_finite_measure(nearest_neighbor))
         verdict = classify(triplet)
         assert verdict.classification in (Classification.RECURRENT, Classification.UNKNOWN)
+        # both jump routes fail, each with its own exception's note
+        cf, ic, ss = verdict.evidence
+        assert cf.verdict == chung_fuchs_criterion(triplet)
+        for e, error in ((ic, "HypothesisViolationError"), (ss, "NumericError")):
+            assert (e.implication, e.verdict.status) == ("none", Status.INCONCLUSIVE)
+            assert e.verdict.truncation == "criterion not evaluated"
+            assert e.verdict.note.startswith(f"{error}: ")
+
+    @pytest.mark.parametrize("failing", ["chung_fuchs", "inverse_cubic", "sato_shepp"])
+    def test_failing_route_leaves_the_others(self, monkeypatch, failing):
+        # the route table reads the module's criteria at call time
+        from levycrit import criteria
+        from levycrit.measures import NumericError
+
+        triplet = make_stable_triplet(0.5, 1.0, unimodal=True)
+        before = classify(triplet).evidence
+
+        def boom(*args, **kwargs):
+            raise NumericError("injected")
+
+        attr = {"chung_fuchs": "chung_fuchs_criterion", "sato_shepp": "sato_shepp_criterion",
+                "inverse_cubic": "inverse_cubic_density_criterion"}[failing]
+        monkeypatch.setattr(criteria, attr, boom)
+        after = classify(triplet).evidence
+        assert [e.criterion for e in after] == ["chung_fuchs", "inverse_cubic", "sato_shepp"]
+        for old, new in zip(before, after):
+            if new.criterion == failing:
+                assert new.implication == "none"
+                assert new.verdict.status is Status.INCONCLUSIVE
+                assert new.verdict.basis is Basis.NUMERIC_ONLY
+                assert new.verdict.truncation == "criterion not evaluated"
+                assert new.verdict.note == "NumericError: injected"
+                assert new.verdict.value == Interval(0.0, math.inf)
+            else:
+                assert new == old
 
     def test_gaussian_part_with_heavy_jumps_is_transient(self):
         # near xi = 0 the jump exponent (0.5) dominates the Gaussian xi^2

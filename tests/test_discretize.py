@@ -318,3 +318,40 @@ class TestJensenGap:
     def test_rejects_lattice(self, power_half_raw):
         with pytest.raises(DomainError):
             jensen_gap(power_half_raw)
+
+
+@pytest.fixture()
+def tripwire_gaussian(gaussian_law):
+    """The standard Gaussian whose density may not be read."""
+    from dataclasses import replace
+
+    def density_fn(y):
+        raise AssertionError("density read before the arguments were checked")
+
+    return replace(gaussian_law, support=replace(gaussian_law.support, density_fn=density_fn))
+
+
+class TestBadSizes:
+    """Bad bin widths, radii and term counts end in a DomainError before any density read."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_delta(self, tripwire_gaussian, bad):
+        with pytest.raises(DomainError, match="delta must be finite and positive"):
+            bin_density(tripwire_gaussian, bad)
+        with pytest.raises(DomainError, match="delta must be finite and positive"):
+            convergence_report(tripwire_gaussian, [bad])
+        with pytest.raises(DomainError):  # 0 and -1 fail the order check first
+            convergence_report(tripwire_gaussian, [bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_h_radius(self, tripwire_gaussian, bad):
+        with pytest.raises(DomainError, match="h_radius must be finite and positive"):
+            characteristics(tripwire_gaussian, h_radius=bad)
+        with pytest.raises(DomainError, match="h_radius must be finite and positive"):
+            convergence_report(tripwire_gaussian, [0.5], h_radius=bad)
+
+    @pytest.mark.parametrize("n_terms", [-5, 0, math.nan])
+    def test_jensen_terms(self, tripwire_gaussian, n_terms):
+        # -5 used to end in a panel-cap NumericError and 0 in an empty comparison
+        with pytest.raises(DomainError, match="n_terms must be at least 1"):
+            jensen_gap(tripwire_gaussian, n_terms=n_terms)

@@ -559,6 +559,24 @@ class TestSojournEstimate:
         assert stats.sojourn_estimate == 300.0
         assert stats.growth_ratio == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_window_refused(self, half_law_prob, monkeypatch, window):
+        # a nan window used to read a sojourn estimate of 1.0
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("sampler built before the window was checked")
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        for call in (
+            lambda: sojourn_estimate(half_law_prob, window, 100, 4, SEED),
+            lambda: sample_walk(half_law_prob, 100, SEED, window=window),
+            lambda: poissonize(half_law_prob, 1.0, 100.0, SEED, window=window),
+            lambda: poissonize(half_law_prob, 1.0, 0.0, SEED, window=window),
+        ):
+            with pytest.raises(DomainError, match="window must be finite and positive"):
+                call()
+
     def test_replica_rows_optional(self, half_law_prob):
         stats = sojourn_estimate(half_law_prob, 5.0, 200, 8, SEED, keep_replicas=True)
         assert len(stats.replica_rows) == 8

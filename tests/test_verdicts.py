@@ -14,6 +14,8 @@ from levycrit.verdicts import (
     TransienceVerdict,
     combine_evidence,
     enclosure,
+    tail_status,
+    verdict,
 )
 
 
@@ -69,6 +71,54 @@ class TestConvergenceVerdict:
         assert d["basis"] == "analytic_tail"
         assert d["value"] == {"lo": 1.0, "hi": 1.5}
         assert "tail_bound" not in d
+
+
+class TestVerdictConstructor:
+    @pytest.mark.parametrize(
+        "status, basis",
+        [
+            (Status.CONVERGES, Basis.ANALYTIC_TAIL),
+            (Status.DIVERGES, Basis.ANALYTIC_TAIL),
+            (Status.INCONCLUSIVE, Basis.NUMERIC_ONLY),
+        ],
+    )
+    def test_basis_rule(self, status, basis):
+        assert verdict(status, 1.0, "t", (0.5, 2.0)).basis is basis
+
+    def test_err_widens_both_ends(self):
+        v = verdict(Status.CONVERGES, 1.0, "t", (0.5, 2.0), err=0.25)
+        assert v.value == enclosure(1.0, 0.25, 2.25)
+        assert v.value.lo < verdict(Status.CONVERGES, 1.0, "t", (0.5, 2.0)).value.lo
+        assert v.partial_value == 1.0
+
+    @pytest.mark.parametrize("status", [Status.DIVERGES, Status.INCONCLUSIVE])
+    def test_upper_end_is_inf_unless_convergent(self, status):
+        # a finite remainder envelope bounds nothing when the series does not converge
+        v = verdict(status, 1.0, "t", (0.5, 2.0), err=0.25)
+        assert v.value == enclosure(1.0, 0.25, math.inf)
+        assert v.value.infinite
+        assert v.estimate == 1.0
+
+    def test_default_tail_and_note(self):
+        v = verdict(Status.INCONCLUSIVE, 3.0, "criterion not evaluated", note="NumericError: x")
+        assert v.value == enclosure(3.0, 0.0, math.inf)
+        assert (v.truncation, v.note) == ("criterion not evaluated", "NumericError: x")
+
+    @given(
+        st.floats(0.0, 1e6),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1e-3),
+    )
+    def test_rounding_is_enclosure(self, partial, lo, width, err):
+        v = verdict(Status.CONVERGES, partial + err, "t", (lo, lo + width), err=err)
+        assert v.value == enclosure(partial + err, lo - err, lo + width + err)
+
+    def test_tail_status_has_one_home(self):
+        import levycrit
+        from levycrit import criteria
+
+        assert criteria.tail_status is levycrit.tail_status is tail_status
 
 
 class TestCombineEvidence:
