@@ -6,6 +6,17 @@ version; re-running a report's embedded config reproduces the report bit
 for bit apart from the timestamp. Output is JSON for structured reports
 and CSV for sequences; nothing binary.
 
+One table, ``COMMANDS``, declares each subcommand: its help, its subject
+(a ``triplet``, a ``law`` or none), its run options as ``Option(key,
+cast, default)`` and its run function. The parser's ``--key`` flags, their
+``--help`` defaults and the report's ``options`` all come from that
+table. One driver, ``_run``, serves every command: it loads ``--config``
+(a plain config or a previous report), resolves the subject (inline
+``--family`` flags, else the config's entry), each run option (flag >
+the config's ``options:`` > default) and the seed (flag > config > 0),
+casting each once through ``config._cast`` so that a bad value is a
+config error, runs the command, and builds and emits the report.
+
 Exit codes: 0 decided/success, 1 usage or config error (bad numbers
 included), 2 Unknown classification (or demo expectation mismatch), 3
 numeric failure or any other unexpected error, reported in one line.
@@ -21,10 +32,12 @@ import math
 import os
 import sys
 import time
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .config import (
     ConfigError,
+    _cast,
     law_from_config,
     load_config,
     resolve_law_config,
@@ -33,7 +46,13 @@ from .config import (
 )
 from .criteria import classify, inverse_cubic_lattice_criterion
 from .discretize import convergence_report, jensen_gap
-from .measures import DomainError, NumericError, make_stable_triplet, make_walk_triplet
+from .measures import (
+    DomainError,
+    NumericError,
+    make_multi_index_lattice,
+    make_stable_triplet,
+    make_walk_triplet,
+)
 from .network import (
     dyadic_energy_bound,
     flow_energy,
@@ -122,276 +141,145 @@ def numeric_defaults() -> dict:
     }
 
 
-def _report(command: str, seed: int, config: dict, results: dict) -> dict:
-    config = dict(config)
-    config.setdefault("defaults", numeric_defaults())
-    return {
-        "tool": "levycrit",
-        "version": __version__,
-        "command": command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "seed": seed,
-        "config": _clean(config),
-        "results": _clean(results),
-    }
-
-
-def _emit(report: dict, args, csv_text: str = "", csv_name: str = "table.csv"):
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _emit(report: dict, args, text: str, csv_name: str | None):
+    """Write report.json (and ``text`` as ``csv_name``) under --out, then print
+    the JSON, or the CSV under --format csv, or a command's own ``text``
+    when it has no ``csv_name``."""
+    body = json.dumps(report, indent=2, sort_keys=True)
+    files = {"report.json": body + "\n"}
+    if csv_name and text:
+        files[csv_name] = text
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if csv_text:
-            with open(os.path.join(args.out, csv_name), "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-    if args.format == "csv" and csv_text:
-        print(csv_text, end="")
-    else:
-        print(text)
+        for name, content in files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+                fh.write(content)
+    print(text if text and (csv_name is None or args.format == "csv") else body + "\n", end="")
 
 
-def _load_run_config(args) -> dict:
-    """Config from --config (plain config or a previous report) plus flags."""
-    cfg: dict = {}
-    if args.config:
-        loaded = load_config(args.config)
-        if "tool" in loaded and "config" in loaded:  # a previous report
-            cfg = dict(loaded["config"])
-        else:
-            cfg = dict(loaded)
-    return cfg
-
-
-def _opt(args, cfg: dict, key: str, default):
-    """Explicit flag > embedded config option > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    options = cfg.get("options", {}) or {}
-    if key in options and options[key] is not None:
-        return options[key]
-    return default
-
-
-def _number_list(raw, cast, key: str) -> list:
-    """A comma-separated string or a sequence of numbers, each cast; else ConfigError."""
-    try:
-        return [cast(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers, got {raw!r}") from exc
-
-
-def _seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
-
-
-def _inline_law_config(args) -> dict | None:
-    if not getattr(args, "family", None):
-        return None
-    fam = args.family
-    cfg: dict = {"family": fam}
-    for key in ("alpha", "beta", "gamma", "sigma"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "normalize", False):
-        cfg["normalize"] = True
-    if getattr(args, "unimodal", False):
-        cfg["unimodal"] = True
-    return cfg
-
-
-def _law_config(args, cfg: dict, *, key: str = "law") -> dict:
-    inline = _inline_law_config(args)
-    if inline is not None:
-        return resolve_law_config(inline)
-    if key in cfg and cfg[key] is not None:
-        return resolve_law_config(cfg[key])
-    raise ConfigError(f"no {key} specified: pass --config or --family flags")
+def _csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# commands
+# casts and resolution
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_run_config(args)
-    inline = _inline_law_config(args)
-    if inline is not None and inline.get("family") == "stable":
-        trip_cfg = resolve_triplet_config(inline)
-    elif inline is not None:
-        trip_cfg = resolve_triplet_config({"gaussian_coefficient": 0.0, "law": inline})
-    elif "triplet" in cfg:
-        trip_cfg = resolve_triplet_config(cfg["triplet"])
-    elif "law" in cfg:
-        trip_cfg = resolve_triplet_config({"gaussian_coefficient": 0.0, "law": cfg["law"]})
-    else:
-        raise ConfigError("analyze needs a 'triplet' or 'law' config")
-    triplet = triplet_from_config(trip_cfg)
-    unimodal = True if getattr(args, "unimodal", False) else None
-    verdict = classify(triplet, unimodal=unimodal)
-    seed = _seed(args, cfg)
-    run_cfg = {
-        "command": "analyze",
-        "seed": seed,
-        "triplet": trip_cfg,
-        "options": {"unimodal_override": bool(getattr(args, "unimodal", False))},
-    }
-    report = _report("analyze", seed, run_cfg, verdict.to_dict())
-    _emit(report, args)
-    return EXIT_OK if verdict.classification is not Classification.UNKNOWN else EXIT_UNKNOWN
+def _integer(value) -> int:
+    """int(value), refusing a value that is not integral (6.7, "6.7", inf)
+    rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
-def cmd_flow(args) -> int:
-    cfg = _load_run_config(args)
-    law_cfg = _law_config(args, cfg)
-    law = law_from_config(law_cfg)
-    i_max = int(_opt(args, cfg, "i_max", 10))
-    energy_level = int(_opt(args, cfg, "energy_level", 14))
-    verification = verify_flow(i_max)
-    energy = flow_energy(law, energy_level)
+def _numbers(cast):
+    """Cast of a comma-separated string (a flag) or a sequence (a config)."""
+    return lambda raw: [cast(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
+
+
+def _pick(opt: Option, args, given: dict):
+    """Flag > given (config) value > default, cast once; a bad value is a ConfigError."""
+    value = getattr(args, opt.dest)
+    if value is None:
+        value = given.get(opt.key)
+    return _cast(opt.default if value is None else value, opt.key, opt.cast)
+
+
+def _subject_config(kind: str, args, cfg: dict) -> dict:
+    """The resolved ``law`` or ``triplet`` config: inline --family flags,
+    else the config's own entry. A law stands for a triplet with no
+    Gaussian part; the stable family is a triplet shortcut."""
+    inline = None
+    if getattr(args, "family", None):
+        inline = {k: getattr(args, k) for k in LAW_FLAGS if getattr(args, k) is not None}
+    if kind == "triplet":
+        if inline is not None and inline["family"] == "stable":
+            return resolve_triplet_config(inline)
+        if inline is None and "triplet" in cfg:
+            return resolve_triplet_config(cfg["triplet"])
+    law = inline if inline is not None else cfg.get("law")
+    if law is None:
+        raise ConfigError(f"no {kind} specified: pass --config or --family flags")
+    if kind == "law":
+        return resolve_law_config(law)
+    return resolve_triplet_config({"gaussian_coefficient": 0.0, "law": law})
+
+
+# ---------------------------------------------------------------------------
+# run functions: (subject, options, args) -> (results, exit code, text, csv name)
+
+
+def _analyze(triplet, options, args):
+    verdict = classify(triplet, unimodal=True if options["unimodal_override"] else None)
+    unknown = verdict.classification is Classification.UNKNOWN
+    return verdict.to_dict(), EXIT_UNKNOWN if unknown else EXIT_OK, "", None
+
+
+def _flow(law, options, args):
+    verification = verify_flow(options["i_max"])
+    energy = flow_energy(law, options["energy_level"])
     bound = dyadic_energy_bound(law)
     chain_ok = (not math.isfinite(energy.hi)) or energy.hi <= bound.hi * (1 + 1e-12) + 1e-9
-    seed = _seed(args, cfg)
-    run_cfg = {
-        "command": "flow",
-        "seed": seed,
-        "law": law_cfg,
-        "options": {"i_max": i_max, "energy_level": energy_level},
-    }
     results = {
         "verification": verification.to_dict(),
         "energy": energy.to_dict(),
         "energy_bound": bound.to_dict(),
         "bound_chain_ok": bool(chain_ok),
     }
-    report = _report("flow", seed, run_cfg, results)
-    _emit(report, args)
-    return EXIT_OK if verification.passed and chain_ok else EXIT_NUMERIC
+    return results, EXIT_OK if verification.passed and chain_ok else EXIT_NUMERIC, "", None
 
 
-def cmd_resistance(args) -> int:
-    cfg = _load_run_config(args)
-    law_cfg = _law_config(args, cfg)
-    law = law_from_config(law_cfg)
-    radii = _number_list(_opt(args, cfg, "radii", "8,16,32,64,128,256"), int, "radii")
-    profile = resistance_profile(law, radii)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["radius", "r_eff", "lower", "upper"])
-    for row in profile.rows():
-        writer.writerow([row["radius"], f"{row['r_eff']:.12g}",
-                         f"{row['lower']:.12g}", f"{row['upper']:.12g}"])
-    seed = _seed(args, cfg)
-    run_cfg = {
-        "command": "resistance",
-        "seed": seed,
-        "law": law_cfg,
-        "options": {"radii": radii},
-    }
-    report = _report("resistance", seed, run_cfg, profile.to_dict())
-    _emit(report, args, csv_text=buf.getvalue(), csv_name="resistance.csv")
-    return EXIT_OK
+def _resistance(law, options, args):
+    profile = resistance_profile(law, options["radii"])
+    rows = [[r["radius"], f"{r['r_eff']:.12g}", f"{r['lower']:.12g}", f"{r['upper']:.12g}"]
+            for r in profile.rows()]
+    text = _csv(["radius", "r_eff", "lower", "upper"], rows)
+    return profile.to_dict(), EXIT_OK, text, "resistance.csv"
 
 
-def cmd_discretize(args) -> int:
-    cfg = _load_run_config(args)
-    law_cfg = _law_config(args, cfg)
-    law = law_from_config(law_cfg)
-    deltas = _number_list(_opt(args, cfg, "deltas", "1,0.5,0.25,0.125"), float, "deltas")
-    h_radius = float(_opt(args, cfg, "h_radius", 1.0))
-    table = convergence_report(law, deltas, h_radius=h_radius)
+def _discretize(law, options, args):
+    table = convergence_report(law, options["deltas"], h_radius=options["h_radius"])
     results = {"convergence": table.to_dict()}
     try:
-        gap = jensen_gap(law)
-        results["jensen"] = gap.to_dict()
+        results["jensen"] = jensen_gap(law).to_dict()
     except DomainError as exc:
         results["jensen"] = {"skipped": str(exc)}
-    seed = _seed(args, cfg)
-    run_cfg = {
-        "command": "discretize",
-        "seed": seed,
-        "law": law_cfg,
-        "options": {"deltas": deltas, "h_radius": h_radius},
-    }
-    report = _report("discretize", seed, run_cfg, results)
-    _emit(report, args, csv_text=table.to_csv(), csv_name="convergence.csv")
-    return EXIT_OK
+    return results, EXIT_OK, table.to_csv(), "convergence.csv"
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_run_config(args)
-    law_cfg = _law_config(args, cfg)
-    law = law_from_config(law_cfg)
-    window = float(_opt(args, cfg, "window", 5.0))
-    horizon = int(_opt(args, cfg, "horizon", 10 ** 4))
-    replicas = int(_opt(args, cfg, "replicas", 200))
-    seed = _seed(args, cfg)
-    stats = sojourn_estimate(
-        law,
-        window,
-        horizon,
-        replicas,
-        seed,
-        keep_replicas=bool(args.out),
-    )
-    csv_text = ""
-    if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["replica", "sojourn", "max_excursion", "returns"])
-        for row in stats.replica_rows:
-            writer.writerow([row["replica"], row["sojourn"],
-                             f"{row['max_excursion']:.12g}", row["returns"]])
-        csv_text = buf.getvalue()
-    run_cfg = {
-        "command": "simulate",
-        "seed": seed,
-        "law": law_cfg,
-        "options": {
-            "window": window,
-            "horizon": horizon,
-            "replicas": replicas,
-        },
-    }
-    report = _report("simulate", seed, run_cfg, stats.to_dict())
-    _emit(report, args, csv_text=csv_text, csv_name="replicas.csv")
-    return EXIT_OK
+def _simulate(law, options, args):
+    stats = sojourn_estimate(law, options["window"], options["horizon"], options["replicas"],
+                             args.seed, keep_replicas=bool(args.out))
+    rows = [[r["replica"], r["sojourn"], f"{r['max_excursion']:.12g}", r["returns"]]
+            for r in stats.replica_rows]
+    text = _csv(["replica", "sojourn", "max_excursion", "returns"], rows) if args.out else ""
+    return stats.to_dict(), EXIT_OK, text, "replicas.csv"
 
 
-def _demo_stable_sweep(args):
-    def one(alpha):
+def _stable_sweep(options):
+    rows = []
+    for alpha in STABLE_SWEEP_ALPHAS:
         verdict = classify(make_stable_triplet(alpha, 1.0))
+        got = verdict.classification.value
         expected = "transient" if alpha < 1.0 else "recurrent"
-        return {
-            "alpha": alpha,
-            "classification": verdict.classification.value,
-            "conflict": verdict.conflict,
-            "expected": expected,
-            "ok": verdict.classification.value == expected and not verdict.conflict,
-        }
-
-    rows = [one(alpha) for alpha in STABLE_SWEEP_ALPHAS]
+        rows.append({"alpha": alpha, "classification": got, "conflict": verdict.conflict,
+                     "expected": expected, "ok": got == expected and not verdict.conflict})
     lines = ["alpha   classification  expected    ok"]
-    for r in rows:
-        lines.append(
-            f"{r['alpha']:<7g} {r['classification']:<15s} {r['expected']:<11s} "
-            f"{'PASS' if r['ok'] else 'FAIL'}"
-        )
-    n_ok = sum(r["ok"] for r in rows)
-    lines.append(f"{n_ok}/{len(rows)} classified correctly")
-    return rows, "\n".join(lines), all(r["ok"] for r in rows)
+    lines += [f"{r['alpha']:<7g} {r['classification']:<15s} {r['expected']:<11s} "
+              f"{'PASS' if r['ok'] else 'FAIL'}" for r in rows]
+    lines.append(f"{sum(r['ok'] for r in rows)}/{len(rows)} classified correctly")
+    # the sweep's alphas are fixed: the report records them, not alpha/beta
+    options.clear()
+    options["alphas"] = list(STABLE_SWEEP_ALPHAS)
+    return {"rows": rows}, lines, rows
 
 
-def _demo_multi_index(args):
-    alpha, beta = args.alpha or 0.5, args.beta or 1.5
-    from .measures import make_multi_index_lattice
-
-    law = make_multi_index_lattice(alpha, beta)
-    ic = inverse_cubic_lattice_criterion(law)
+def _multi_index(options):
+    alpha, beta = options["alpha"], options["beta"]
+    ic = inverse_cubic_lattice_criterion(make_multi_index_lattice(alpha, beta))
     ec = even_chain_criterion(alpha, beta)
     verdict = classify(make_walk_triplet(make_multi_index_lattice(alpha, beta, normalize=True)))
     checks = [
@@ -402,65 +290,117 @@ def _demo_multi_index(args):
         ("classification", verdict.classification.value,
          "transient" if min(alpha, beta) < 1.0 else "recurrent"),
     ]
-    rows = [
-        {"check": name, "got": got, "expected": want, "ok": got == want}
-        for name, got, want in checks
-    ]
+    rows = [{"check": name, "got": got, "expected": want, "ok": got == want}
+            for name, got, want in checks]
     lines = [f"multi-index demo: alpha={alpha:g} beta={beta:g}",
              "check           got           expected      ok"]
-    for r in rows:
-        lines.append(
-            f"{r['check']:<15s} {r['got']:<13s} {r['expected']:<13s} "
-            f"{'PASS' if r['ok'] else 'FAIL'}"
-        )
+    lines += [f"{r['check']:<15s} {r['got']:<13s} {r['expected']:<13s} "
+              f"{'PASS' if r['ok'] else 'FAIL'}" for r in rows]
     results = {
         "rows": rows,
         "inverse_cubic": ic.to_dict(),
         "even_chain": ec.to_dict(),
         "classification": verdict.to_dict(),
     }
-    return results, "\n".join(lines), all(r["ok"] for r in rows)
+    return results, lines, rows
 
 
-def cmd_demo(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.name == "stable-sweep":
-        rows, table, ok = _demo_stable_sweep(args)
-        results = {"rows": rows}
-        run_cfg = {"command": "demo", "seed": seed,
-                   "options": {"name": "stable-sweep", "alphas": list(STABLE_SWEEP_ALPHAS)}}
-    else:
-        results, table, ok = _demo_multi_index(args)
-        run_cfg = {"command": "demo", "seed": seed,
-                   "options": {"name": "multi-index",
-                               "alpha": args.alpha or 0.5, "beta": args.beta or 1.5}}
-    print(table)
-    report = _report("demo", seed, run_cfg, results)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if ok else EXIT_UNKNOWN
+DEMOS = {"stable-sweep": _stable_sweep, "multi-index": _multi_index}
+
+
+def _demo(_, options, args):
+    results, lines, rows = DEMOS[args.name](options)
+    options["name"] = args.name
+    code = EXIT_OK if all(r["ok"] for r in rows) else EXIT_UNKNOWN
+    return results, code, "\n".join(lines) + "\n", None
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its driver
 
 
-def _add_common(parser, law_flags=True):
-    parser.add_argument("--config", help="YAML config file (or a previous report.json)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 0, or the embedded config's seed)")
-    parser.add_argument("--out", help="output directory for report.json and CSVs")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    if law_flags:
-        parser.add_argument("--family", help="inline law/triplet family")
-        parser.add_argument("--alpha", type=float)
-        parser.add_argument("--beta", type=float)
-        parser.add_argument("--gamma", type=float)
-        parser.add_argument("--sigma", type=float)
-        parser.add_argument("--normalize", action="store_true")
-        parser.add_argument("--unimodal", action="store_true")
+class Option(NamedTuple):
+    """A run option: ``--key`` (or the law flag ``flag`` it shares) > the
+    config's ``options: {key: ...}`` > ``default``, cast by ``cast``."""
+
+    key: str
+    cast: Callable[[Any], Any]
+    default: Any
+    flag: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The parsed flag this option reads: ``--key``, or the shared law flag."""
+        return self.flag or self.key
+
+
+class Command(NamedTuple):
+    """One subcommand. ``run`` may record in its ``options`` what it ran
+    beyond the declared ones, as the demo records its name."""
+
+    help: str
+    subject: str | None  # "triplet", "law" or None
+    options: tuple  # of Option
+    run: Callable[[Any, dict, argparse.Namespace], tuple]
+
+
+COMMANDS = {
+    "analyze": Command("run all criteria and classify", "triplet",
+                       (Option("unimodal_override", bool, False, flag="unimodal"),), _analyze),
+    "flow": Command("verify the dyadic flow and bound its energy", "law",
+                    (Option("i_max", _integer, 10), Option("energy_level", _integer, 14)), _flow),
+    "resistance": Command("effective-resistance profile", "law",
+                          (Option("radii", _numbers(_integer), "8,16,32,64,128,256"),),
+                          _resistance),
+    "discretize": Command("bin a density and report convergence", "law",
+                          (Option("deltas", _numbers(float), "1,0.5,0.25,0.125"),
+                           Option("h_radius", float, 1.0)), _discretize),
+    "simulate": Command("Monte Carlo sojourn diagnostics", "law",
+                        (Option("window", float, 5.0), Option("horizon", _integer, 10 ** 4),
+                         Option("replicas", _integer, 200)), _simulate),
+    "demo": Command("canned scenarios with pass/fail tables", None,
+                    (Option("alpha", float, 0.5), Option("beta", float, 1.5)), _demo),
+}
+
+SEED = Option("seed", _integer, 0)
+
+LAW_FLAGS = {
+    "family": {"help": "inline law/triplet family"},
+    **{key: {"type": float} for key in ("alpha", "beta", "gamma", "sigma")},
+    **{key: {"action": "store_true", "default": None} for key in ("normalize", "unimodal")},
+}
+
+
+def _run(args) -> int:
+    """Resolve the command's subject, run options and seed; run it; emit its report."""
+    command = COMMANDS[args.command]
+    cfg = load_config(args.config) if args.config else {}
+    if "tool" in cfg and "config" in cfg:  # a previous report: rerun its embedded config
+        cfg = cfg["config"]
+    given = cfg.get("options") or {}
+    if not isinstance(given, dict):
+        raise ConfigError("'options' must be a mapping")
+    run_cfg: dict = {"command": args.command}
+    subject = None
+    if command.subject:
+        run_cfg[command.subject] = _subject_config(command.subject, args, cfg)
+        build = triplet_from_config if command.subject == "triplet" else law_from_config
+        subject = build(run_cfg[command.subject])
+    options = {opt.key: _pick(opt, args, given) for opt in command.options}
+    args.seed = _pick(SEED, args, cfg)
+    results, code, text, csv_name = command.run(subject, options, args)
+    run_cfg.update(seed=args.seed, options=options, defaults=numeric_defaults())
+    report = {
+        "tool": "levycrit",
+        "version": __version__,
+        "command": args.command,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "seed": args.seed,
+        "config": _clean(run_cfg),
+        "results": _clean(results),
+    }
+    _emit(report, args, text, csv_name)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,41 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"levycrit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="run all criteria and classify")
-    _add_common(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("flow", help="verify the dyadic flow and bound its energy")
-    _add_common(p)
-    p.add_argument("--i-max", type=int, default=None, dest="i_max")
-    p.add_argument("--energy-level", type=int, default=None, dest="energy_level")
-    p.set_defaults(fn=cmd_flow)
-
-    p = sub.add_parser("resistance", help="effective-resistance profile")
-    _add_common(p)
-    p.add_argument("--radii", default=None)
-    p.set_defaults(fn=cmd_resistance)
-
-    p = sub.add_parser("discretize", help="bin a density and report convergence")
-    _add_common(p)
-    p.add_argument("--deltas", default=None)
-    p.add_argument("--h-radius", type=float, default=None, dest="h_radius")
-    p.set_defaults(fn=cmd_discretize)
-
-    p = sub.add_parser("simulate", help="Monte Carlo sojourn diagnostics")
-    _add_common(p)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("demo", help="canned scenarios with pass/fail tables")
-    p.add_argument("name", choices=["stable-sweep", "multi-index"])
-    _add_common(p, law_flags=False)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.set_defaults(fn=cmd_demo)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "demo":
+            p.add_argument("name", choices=list(DEMOS))
+        p.add_argument("--config", help="YAML config file (or a previous report.json)")
+        p.add_argument("--seed", help="RNG seed (default 0, or the embedded config's seed)")
+        p.add_argument("--out", help="output directory for report.json and CSVs")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        flags = dict(LAW_FLAGS) if command.subject else {}
+        for opt in command.options:
+            flags[opt.dest] = {**flags.get(opt.dest, {}),
+                               "help": f"run option '{opt.key}' (default: {opt.default})"}
+        for flag, kwargs in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
     return parser
 
 
@@ -516,7 +435,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return _run(args)
     except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

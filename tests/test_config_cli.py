@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levycrit
-from levycrit.cli import main
+from levycrit.cli import COMMANDS, build_parser, main
 from levycrit.config import (
     ConfigError,
     dump_config,
@@ -187,12 +188,39 @@ class TestCliCommands:
             ["discretize", "--family", "gaussian", "--h-radius", "inf"],
             ["simulate", "--family", "power_lattice", "--alpha", "0.5", "--normalize",
              "--window", "nan"],
+            # a zero alpha fell back to the default 0.5 and exited 0
+            ["demo", "multi-index", "--alpha", "0", "--beta", "0"],
         ],
     )
     def test_bad_run_options_exit_one(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            # each exited 3 with "unexpected failure: ValueError/TypeError"
+            (["discretize"], {"options": {"h_radius": "abc"}}, "h_radius"),
+            (["simulate"], {"options": {"horizon": "abc"}}, "horizon"),
+            (["simulate"], {"options": {"window": "abc"}}, "window"),
+            (["flow"], {"options": {"energy_level": [1]}}, "energy_level"),
+            (["flow"], {"seed": "xyz"}, "seed"),
+            (["demo", "multi-index"], {"seed": "xyz"}, "seed"),
+            # a non-integral integer was truncated (i_max 6.7 ran as 6)
+            (["flow"], {"options": {"i_max": 6.7}}, "i_max"),
+            (["resistance"], {"options": {"radii": [4, 8.5]}}, "radii"),
+            (["analyze"], {"seed": 2.5}, "seed"),
+        ],
+    )
+    def test_bad_config_options_exit_one(self, command, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        law = {"family": "power_lattice", "alpha": 0.5, "normalize": True}
+        cfg.write_text(yaml.safe_dump({"law": law, **doc}))
+        assert main([*command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for '{key}'")
         assert "Traceback" not in err
 
     def test_flow_level_cap_exits_one(self, capsys):
@@ -320,24 +348,38 @@ class TestCliCommands:
 
 class TestReproducibility:
     def test_rerun_from_embedded_config(self, tmp_path, capsys):
+        # every command, with options and seeds away from their defaults
+        pl = ["--family", "power_lattice", "--alpha", "0.5"]
         runs = {
-            "simulate": ["--family", "power_lattice", "--alpha", "0.5", "--normalize",
-                         "--horizon", "400", "--replicas", "5", "--seed", "11"],
-            "flow": ["--family", "power_lattice", "--alpha", "0.5", "--i-max", "6",
-                     "--energy-level", "10"],
+            "analyze": (["analyze"], ["--family", "gaussian", "--unimodal"]),
+            "simulate": (["simulate"], [*pl, "--normalize", "--horizon", "400",
+                                        "--replicas", "5", "--seed", "11"]),
+            "flow": (["flow"], [*pl, "--i-max", "6", "--energy-level", "10"]),
+            "resistance": (["resistance"], [*pl, "--radii", "4,8", "--seed", "2"]),
+            "discretize": (["discretize"], ["--family", "gaussian", "--deltas", "1,0.5",
+                                            "--h-radius", "2"]),
+            "stable-sweep": (["demo", "stable-sweep"], ["--seed", "3"]),
+            "multi-index": (["demo", "multi-index"], ["--alpha", "0.3", "--beta", "1.2",
+                                                      "--seed", "5"]),
         }
-        for command, flags in runs.items():
-            out1 = tmp_path / command / "run1"
-            out2 = tmp_path / command / "run2"
-            assert main([command, *flags, "--out", str(out1)]) == 0
+        for label, (command, flags) in runs.items():
+            out1 = tmp_path / label / "run1"
+            out2 = tmp_path / label / "run2"
+            assert main([*command, *flags, "--out", str(out1)]) == 0
             # re-run straight from the first report: the embedded resolved
             # config supplies the law, seed and every option
-            assert main([command, "--config", str(out1 / "report.json"), "--out", str(out2)]) == 0
+            assert main([*command, "--config", str(out1 / "report.json"), "--out", str(out2)]) == 0
             rep1 = json.loads((out1 / "report.json").read_text())
             rep2 = json.loads((out2 / "report.json").read_text())
             rep1.pop("timestamp")
             rep2.pop("timestamp")
-            assert rep1 == rep2, command
+            assert rep1 == rep2, label
+        # the options the flags set are the ones embedded
+        analyze = json.loads((tmp_path / "analyze" / "run1" / "report.json").read_text())
+        assert analyze["config"]["options"] == {"unimodal_override": True}
+        demo = json.loads((tmp_path / "multi-index" / "run1" / "report.json").read_text())
+        assert demo["seed"] == 5
+        assert demo["config"]["options"] == {"name": "multi-index", "alpha": 0.3, "beta": 1.2}
 
     def test_table_law_report_rerun(self, tmp_path, capsys):
         # JSON coerces table keys to strings; the rerun must coerce them back
@@ -416,3 +458,42 @@ class TestCliBoundaryProperty:
         assert len(err.getvalue().splitlines()) <= 1
         if code == 0:
             assert json.loads(out.getvalue())["results"]["classification"]
+
+
+# each subcommand's accepted flags (and positional choices), pinned so that the
+# table-built parser can neither add nor lose a knob
+_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out", "--format"}
+_LAW_FLAGS = {"--family", "--alpha", "--beta", "--gamma", "--sigma", "--normalize",
+              "--unimodal"}
+CLI_SURFACE = {
+    "analyze": _COMMON_FLAGS | _LAW_FLAGS,
+    "flow": _COMMON_FLAGS | _LAW_FLAGS | {"--i-max", "--energy-level"},
+    "resistance": _COMMON_FLAGS | _LAW_FLAGS | {"--radii"},
+    "discretize": _COMMON_FLAGS | _LAW_FLAGS | {"--deltas", "--h-radius"},
+    "simulate": _COMMON_FLAGS | _LAW_FLAGS | {"--window", "--horizon", "--replicas"},
+    "demo": _COMMON_FLAGS | {"--alpha", "--beta", "name=stable-sweep,multi-index"},
+}
+
+
+class TestCliSurface:
+    def test_flags_are_pinned(self):
+        (subparsers,) = (a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        surface = {}
+        for name, sub in subparsers.choices.items():
+            knobs = set()
+            for action in sub._actions:
+                if action.option_strings:
+                    knobs.update(action.option_strings)
+                else:
+                    knobs.add(f"{action.dest}={','.join(action.choices)}")
+            surface[name] = knobs
+        assert surface == CLI_SURFACE
+
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_help_shows_table_defaults(self, command, capsys):
+        args = [command, "stable-sweep"] if command == "demo" else [command]
+        assert main([*args, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for opt in COMMANDS[command].options:
+            assert f"run option '{opt.key}' (default: {opt.default})" in text
