@@ -14,7 +14,7 @@ table. One driver, ``_run``, serves every command: it loads ``--config``
 (a plain config or a previous report), resolves the subject (inline
 ``--family`` flags, else the config's entry), each run option (flag >
 the config's ``options:`` > default) and the seed (flag > config > 0),
-casting each once through ``config._cast`` so that a bad value is a
+reading each once through ``config._read`` so that a bad value is a
 config error, runs the command, and builds and emits the report.
 
 Exit codes: 0 decided/success, 1 usage or config error (bad numbers
@@ -37,7 +37,8 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .config import (
     ConfigError,
-    _cast,
+    Option,
+    _read,
     law_from_config,
     load_config,
     resolve_law_config,
@@ -180,12 +181,12 @@ def _numbers(cast):
     return lambda raw: [cast(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
 
 
-def _pick(opt: Option, args, given: dict):
-    """Flag > given (config) value > default, cast once; a bad value is a ConfigError."""
-    value = getattr(args, opt.dest)
-    if value is None:
-        value = given.get(opt.key)
-    return _cast(opt.default if value is None else value, opt.key, opt.cast)
+def _seed(value) -> int:
+    """A seed: a nonnegative integer (numpy's generators refuse a negative one)."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"{seed} is negative")
+    return seed
 
 
 def _subject_config(kind: str, args, cfg: dict) -> dict:
@@ -319,21 +320,6 @@ def _demo(_, options, args):
 # the command table and its driver
 
 
-class Option(NamedTuple):
-    """A run option: ``--key`` (or the law flag ``flag`` it shares) > the
-    config's ``options: {key: ...}`` > ``default``, cast by ``cast``."""
-
-    key: str
-    cast: Callable[[Any], Any]
-    default: Any
-    flag: str = ""
-
-    @property
-    def dest(self) -> str:
-        """The parsed flag this option reads: ``--key``, or the shared law flag."""
-        return self.flag or self.key
-
-
 class Command(NamedTuple):
     """One subcommand. ``run`` may record in its ``options`` what it ran
     beyond the declared ones, as the demo records its name."""
@@ -362,7 +348,7 @@ COMMANDS = {
                     (Option("alpha", float, 0.5), Option("beta", float, 1.5)), _demo),
 }
 
-SEED = Option("seed", _integer, 0)
+SEED = Option("seed", _seed, 0)
 
 LAW_FLAGS = {
     "family": {"help": "inline law/triplet family"},
@@ -377,17 +363,19 @@ def _run(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if "tool" in cfg and "config" in cfg:  # a previous report: rerun its embedded config
         cfg = cfg["config"]
-    given = cfg.get("options") or {}
-    if not isinstance(given, dict):
-        raise ConfigError("'options' must be a mapping")
+    # run options and seed: flag > the config's entry > default
+    flags = {opt.key: getattr(args, opt.dest) for opt in command.options}
+    picked = _read(cfg, "config", (
+        Option("options", lambda given: _read(given, "'options'", command.options, flags), {}),
+        SEED,
+    ), {"seed": args.seed})
+    options, args.seed = picked["options"], picked["seed"]
     run_cfg: dict = {"command": args.command}
     subject = None
     if command.subject:
         run_cfg[command.subject] = _subject_config(command.subject, args, cfg)
         build = triplet_from_config if command.subject == "triplet" else law_from_config
         subject = build(run_cfg[command.subject])
-    options = {opt.key: _pick(opt, args, given) for opt in command.options}
-    args.seed = _pick(SEED, args, cfg)
     results, code, text, csv_name = command.run(subject, options, args)
     run_cfg.update(seed=args.seed, options=options, defaults=numeric_defaults())
     report = {

@@ -4,12 +4,17 @@ Configs are nested key-value records (YAML on disk, plain dicts in
 memory). ``resolve_law_config`` canonicalizes a mapping (fills defaults,
 normalizes key types) so that parse -> serialize -> parse is the
 identity on resolved configs; reports embed the resolved form.
+
+Each key is declared once as ``Option(key, cast, default)``, and one
+reader, ``_read``, reads every level: laws, a table's ``tail``, pieces and
+terms (options whose cast reads them in turn), triplets and the CLI's run
+options. ``LAW_FAMILIES`` maps each law family to its options and build.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import yaml
 
@@ -56,125 +61,118 @@ def dump_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
 
 
+class Option(NamedTuple):
+    """One config key: its ``cast`` and its ``default`` (``REQUIRED``, or
+    ``OMITTED`` for a key the resolved config leaves out when it is not
+    given). A CLI run option may share the law flag ``flag``."""
+
+    key: str
+    cast: Callable[[Any], Any]
+    default: Any
+    flag: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The parsed flag this option reads: ``--key``, or the shared law flag."""
+        return self.flag or self.key
+
+
+REQUIRED = object()
+OMITTED = object()
+
+
 def _cast(value: Any, key: str, caster):
     try:
         return caster(value)
-    except (TypeError, ValueError) as exc:
+    except ConfigError:  # a nested entry's error already names its key
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for '{key}': {exc}") from None
 
 
-def _require(cfg: dict, key: str, caster):
-    if key not in cfg:
-        raise ConfigError(f"missing required key '{key}'")
-    return _cast(cfg[key], key, caster)
-
-
-def _optional(cfg: dict, key: str, caster, default):
-    return _cast(cfg.get(key, default), key, caster)
-
-
-def _tail_config(cfg: Optional[dict]) -> Optional[dict]:
-    if cfg is None:
-        return None
-    kind = str(cfg.get("kind", "power_law"))
-    if kind not in {k.value for k in TailKind}:
-        raise ConfigError(f"unknown tail kind '{kind}'")
-    out = {"kind": kind}
-    for key in ("exponent", "constant", "onset", "lower_factor", "upper_factor"):
-        if key in cfg:
-            out[key] = _cast(cfg[key], f"tail.{key}", float)
+def _read(mapping: Any, what: str, options, over: Optional[dict] = None) -> dict:
+    """Each option's value from ``over``, else ``mapping``, else its default,
+    cast once; a null value counts as not given. ``what`` names the mapping
+    in the error when it is not one."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{what} must be a mapping")
+    out = {}
+    for opt in options:
+        value = (over or {}).get(opt.key)
+        value = mapping.get(opt.key) if value is None else value
+        value = opt.default if value is None else value
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key '{opt.key}'")
+        if value is not OMITTED:
+            out[opt.key] = None if value is None else _cast(value, opt.key, opt.cast)
     return out
 
 
-def _tail_from_config(cfg: Optional[dict]) -> Optional[TailDescriptor]:
-    if cfg is None:
-        return None
-    kwargs = dict(cfg)
-    kwargs["kind"] = TailKind(kwargs["kind"])
-    return TailDescriptor(**kwargs)
+def _masses(raw) -> dict:
+    masses = {_cast(k, "masses", int): _cast(v, f"masses[{k}]", float)
+              for k, v in dict(raw).items()}
+    return dict(sorted(masses.items()))
+
+
+TAIL = (
+    Option("kind", lambda v: TailKind(str(v)).value, "power_law"),
+    *(Option(key, float, OMITTED)
+      for key in ("exponent", "constant", "onset", "lower_factor", "upper_factor")),
+)
+TERM = (Option("k", float, REQUIRED), Option("rho", float, REQUIRED))
+PIECE = (
+    Option("lo", float, 0.0),
+    Option("hi", lambda v: math.inf if v == ".inf" else float(v), math.inf),
+    Option("terms", lambda ts: [_read(t, "each entry of 'terms'", TERM) for t in ts], REQUIRED),
+)
+
+
+#: family -> (its keys, its constructor); each build looks its ``make_*`` up
+#: when it runs, so that a wrapped constructor is the one called
+LAW_FAMILIES = {
+    "power_lattice": ((Option("alpha", float, REQUIRED), Option("normalize", bool, False)),
+                      lambda c: make_power_law_lattice(c["alpha"], normalize=c["normalize"])),
+    "multi_index": ((Option("alpha", float, REQUIRED), Option("beta", float, REQUIRED),
+                     Option("normalize", bool, False)),
+                    lambda c: make_multi_index_lattice(c["alpha"], c["beta"],
+                                                       normalize=c["normalize"])),
+    "gaussian": ((Option("sigma", float, 1.0),), lambda c: make_gaussian_density(c["sigma"])),
+    "table": (
+        (Option("spacing", float, 1.0), Option("origin_mass", float, 0.0),
+         Option("masses", _masses, REQUIRED),
+         Option("tail", lambda tail: _read(tail, "'tail'", TAIL), None),
+         Option("normalization", lambda v: Normalization(str(v)).value, OMITTED)),
+        lambda c: make_lattice_table(
+            c["masses"], c["spacing"], c["origin_mass"],
+            TailDescriptor(**{**c["tail"], "kind": TailKind(c["tail"]["kind"])})
+            if c["tail"] else None,
+            Normalization(c["normalization"]) if "normalization" in c else None),
+    ),
+    "piecewise_power": (
+        (Option("pieces", lambda ps: [_read(p, "each entry of 'pieces'", PIECE) for p in ps],
+                REQUIRED), Option("unimodal", bool, False)),
+        lambda c: make_piecewise_power(
+            tuple(PowerPiece(p["lo"], p["hi"], tuple((t["k"], t["rho"]) for t in p["terms"]))
+                  for p in c["pieces"]), unimodal=c["unimodal"]),
+    ),
+}
+STABLE = (Option("alpha", float, REQUIRED), Option("gamma", float, 1.0),
+          Option("unimodal", bool, True))
+TRIPLET = (Option("gaussian_coefficient", float, 0.0),
+           Option("law", lambda law: resolve_law_config(law), None))
 
 
 def resolve_law_config(cfg: Any) -> dict:
     """Validate and canonicalize a law config mapping."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("law config must be a mapping")
-    family = cfg.get("family")
-    if family == "power_lattice":
-        return {
-            "family": "power_lattice",
-            "alpha": _require(cfg, "alpha", float),
-            "normalize": bool(cfg.get("normalize", False)),
-        }
-    if family == "multi_index":
-        return {
-            "family": "multi_index",
-            "alpha": _require(cfg, "alpha", float),
-            "beta": _require(cfg, "beta", float),
-            "normalize": bool(cfg.get("normalize", False)),
-        }
-    if family == "gaussian":
-        return {"family": "gaussian", "sigma": _optional(cfg, "sigma", float, 1.0)}
-    if family == "table":
-        masses_in = _require(cfg, "masses", dict)
-        masses = {}
-        for k, v in masses_in.items():
-            masses[_cast(k, "masses", int)] = _cast(v, f"masses[{k}]", float)
-        out = {
-            "family": "table",
-            "spacing": _optional(cfg, "spacing", float, 1.0),
-            "origin_mass": _optional(cfg, "origin_mass", float, 0.0),
-            "masses": dict(sorted(masses.items())),
-            "tail": _tail_config(cfg.get("tail")),
-        }
-        if cfg.get("normalization") is not None:
-            out["normalization"] = str(cfg["normalization"])
-        return out
-    if family == "piecewise_power":
-        pieces_in = _require(cfg, "pieces", list)
-        pieces = []
-        for p in pieces_in:
-            hi = p.get("hi", "inf")
-            hi = math.inf if hi in ("inf", ".inf", math.inf, None) else _cast(hi, "hi", float)
-            terms = [
-                {"k": _require(t, "k", float), "rho": _require(t, "rho", float)}
-                for t in _require(p, "terms", list)
-            ]
-            pieces.append({"lo": _optional(p, "lo", float, 0.0), "hi": hi, "terms": terms})
-        return {
-            "family": "piecewise_power",
-            "pieces": pieces,
-            "unimodal": bool(cfg.get("unimodal", False)),
-        }
-    raise ConfigError(f"unknown law family '{family}'")
+    family = _read(cfg, "law config", (Option("family", str, REQUIRED),))["family"]
+    if family not in LAW_FAMILIES:
+        raise ConfigError(f"unknown law family '{family}'")
+    return {"family": family, **_read(cfg, "law config", LAW_FAMILIES[family][0])}
 
 
 def law_from_config(cfg: Any) -> SymmetricJumpLaw:
     cfg = resolve_law_config(cfg)
-    family = cfg["family"]
-    if family == "power_lattice":
-        return make_power_law_lattice(cfg["alpha"], normalize=cfg["normalize"])
-    if family == "multi_index":
-        return make_multi_index_lattice(cfg["alpha"], cfg["beta"], normalize=cfg["normalize"])
-    if family == "gaussian":
-        return make_gaussian_density(cfg["sigma"])
-    if family == "table":
-        norm = cfg.get("normalization")
-        return make_lattice_table(
-            cfg["masses"],
-            spacing=cfg["spacing"],
-            origin_mass=cfg["origin_mass"],
-            tail=_tail_from_config(cfg["tail"]),
-            normalization=Normalization(norm) if norm else None,
-        )
-    pieces = tuple(
-        PowerPiece(
-            p["lo"],
-            p["hi"],
-            tuple((t["k"], t["rho"]) for t in p["terms"]),
-        )
-        for p in cfg["pieces"]
-    )
-    return make_piecewise_power(pieces, unimodal=cfg["unimodal"])
+    return LAW_FAMILIES[cfg["family"]][1](cfg)
 
 
 def resolve_triplet_config(cfg: Any) -> dict:
@@ -184,24 +182,11 @@ def resolve_triplet_config(cfg: Any) -> dict:
     plus jump-law config (probability laws are wrapped as finite measures,
     matching the compound-Poisson view of the walk).
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("triplet config must be a mapping")
-    if cfg.get("family") == "stable":
-        return {
-            "family": "stable",
-            "alpha": _require(cfg, "alpha", float),
-            "gamma": _optional(cfg, "gamma", float, 1.0),
-            "unimodal": bool(cfg.get("unimodal", True)),
-        }
+    family = _read(cfg, "triplet config", (Option("family", str, OMITTED),)).get("family")
+    if family == "stable":
+        return {"family": "stable", **_read(cfg, "triplet config", STABLE)}
     if "law" in cfg or "gaussian_coefficient" in cfg:
-        out = {
-            "gaussian_coefficient": _optional(cfg, "gaussian_coefficient", float, 0.0)
-        }
-        if cfg.get("law") is not None:
-            out["law"] = resolve_law_config(cfg["law"])
-        else:
-            out["law"] = None
-        return out
+        return _read(cfg, "triplet config", TRIPLET)
     raise ConfigError("triplet config needs 'family: stable' or a 'law' entry")
 
 

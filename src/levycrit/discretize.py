@@ -431,34 +431,11 @@ def convergence_report(
     for d in deltas:
         binned = bin_density(law, d)
         ct = characteristics(binned, h_radius=h_radius, tests=tests)
-        rows.append(
-            {
-                "delta": d,
-                "test_id": "drift",
-                "discrete": ct.drift,
-                "limit": 0.0,
-                "abs_error": abs(ct.drift),
-            }
-        )
-        rows.append(
-            {
-                "delta": d,
-                "test_id": "quad_variation",
-                "discrete": ct.quad_variation,
-                "limit": limit.quad_variation,
-                "abs_error": abs(ct.quad_variation - limit.quad_variation),
-            }
-        )
-        for name in tests:
-            rows.append(
-                {
-                    "delta": d,
-                    "test_id": name,
-                    "discrete": ct.test_integrals[name],
-                    "limit": limit.test_integrals[name],
-                    "abs_error": abs(ct.test_integrals[name] - limit.test_integrals[name]),
-                }
-            )
+        triples = [("drift", ct.drift, 0.0),
+                   ("quad_variation", ct.quad_variation, limit.quad_variation),
+                   *((name, ct.test_integrals[name], limit.test_integrals[name]) for name in tests)]
+        rows += [{"delta": d, "test_id": test_id, "discrete": discrete, "limit": lim,
+                  "abs_error": abs(discrete - lim)} for test_id, discrete, lim in triples]
 
     orders: dict[str, float] = {}
     for name in list(tests) + ["quad_variation"]:

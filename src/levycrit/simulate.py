@@ -23,7 +23,7 @@ allocation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -327,11 +327,6 @@ def poissonize(
     _check_draw_cap("rate * horizon", rate * horizon)
     smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
-    if horizon == 0:
-        return PoissonPathSummary(
-            rate=rate, horizon=0.0, seed=seed, replica=replica, window=window,
-            jump_count=0, final_position=0.0, max_excursion=0.0, time_in_window=0.0,
-        )
     count = int(rng.poisson(rate * horizon))
     epochs = np.sort(rng.random(count)) * horizon
     jumps = smp.sample_lags(rng, count) * law.spacing
@@ -379,19 +374,7 @@ class TrajectoryStats:
     replica_rows: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "sojourn_estimate": self.sojourn_estimate,
-            "window": self.window,
-            "horizon": self.horizon,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "max_excursion": self.max_excursion,
-            "returns_to_window": self.returns_to_window,
-            "doubled_estimate": self.doubled_estimate,
-            "growth_ratio": self.growth_ratio,
-            "growth_se": self.growth_se,
-            "leaning": self.leaning,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "replica_rows"}
 
 
 GROWTH_FLAT = 1.15

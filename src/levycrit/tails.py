@@ -122,8 +122,11 @@ class TailDescriptor:
             )
         if self.kind is TailKind.EXPONENTIAL:
             lam = self.exponent
-            # int y^k e^{-lam y} <= y_from^k e^{-lam y_from} (1 + k/(lam y_from)) / lam, crude
-            # use the clean bound for k <= 3 via repeated integration by parts envelope
+            # for integer 0 <= k <= 3, with y = y_from and u = 1/(lam y):
+            # int_y^inf t^k e^(-lam t) dt = y^k e^(-lam y) / lam * sum_j k!/(k-j)! u^j
+            #                            <= y^k e^(-lam y) / lam * (1 + k u)^3,
+            # as k!/(k-j)! <= k^j <= binom(3, j) k^j term by term; for k < 0,
+            # t^k <= y^k gives the k = 0 bound times y^k
             k = weight_power
             base = self.upper_factor * self.constant * np.exp(-lam * y_from) / lam
             poly = y_from ** k * (1.0 + max(k, 0.0) / (lam * y_from)) ** 3

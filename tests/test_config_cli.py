@@ -84,6 +84,34 @@ class TestConfigRoundTrip:
 
         assert t.nu.normalization is Normalization.FINITE
 
+    def test_table_resolves_to_its_canonical_form(self):
+        # string numbers are cast, lags sorted, tail keys kept as given, and
+        # normalization left out unless it is given
+        cfg = {"family": "table", "masses": {"2": "0.1", 1: 0.2}, "origin_mass": "0.1",
+               "tail": {"exponent": "1.5", "constant": 0.05, "onset": 4}}
+        resolved = {"family": "table", "spacing": 1.0, "origin_mass": 0.1,
+                    "masses": {1: 0.2, 2: 0.1},
+                    "tail": {"kind": "power_law", "exponent": 1.5, "constant": 0.05,
+                             "onset": 4.0}}
+        assert resolve_law_config(cfg) == resolved
+        cfg["normalization"] = "finite_measure"
+        assert resolve_law_config(cfg) == {**resolved, "normalization": "finite_measure"}
+        # a null value counts as not given
+        assert resolve_law_config({**cfg, "tail": None, "normalization": None}) == {
+            **resolved, "tail": None}
+
+    def test_builds_call_the_module_constructor(self, monkeypatch):
+        # a wrapped make_* (as the benchmark's tracer installs) is the one called
+        import levycrit.config as config
+
+        for family, name in [("gaussian", "make_gaussian_density"),
+                             ("power_lattice", "make_power_law_lattice")]:
+            calls = []
+            real = getattr(config, name)
+            monkeypatch.setattr(config, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+            law_from_config({"family": family, "alpha": 0.5})
+            assert len(calls) == 1, name
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             resolve_law_config({"family": "mystery"})
@@ -163,6 +191,16 @@ class TestCliCommands:
                   "pieces": [{"lo": 0.0, "hi": "inf", "terms": [{"k": "abc", "rho": 1.5}]}]}),
             ([], {"family": "table", "masses": {1: 0.25},
                   "tail": {"exponent": "abc", "constant": 1.0}}),
+            # each exited 3 with "unexpected failure: <exception>": nested
+            # entries that are not mappings, an unknown normalization, and an
+            # integer too large for a float
+            ([], {"family": "table", "masses": {1: 0.25}, "tail": "abc"}),
+            ([], {"family": "piecewise_power", "pieces": "abc"}),
+            ([], {"family": "piecewise_power", "pieces": [1, 2]}),
+            ([], {"family": "piecewise_power",
+                  "pieces": [{"lo": 0.0, "hi": "inf", "terms": [5]}]}),
+            ([], {"family": "table", "masses": {1: 0.25}, "normalization": "bogus"}),
+            ([], {"family": "power_lattice", "alpha": 10 ** 400}),
         ],
     )
     def test_bad_numbers_exit_one(self, flags, law, tmp_path, capsys):
@@ -172,7 +210,7 @@ class TestCliCommands:
             flags = ["--config", str(cfg)]
         assert main(["analyze", *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -212,6 +250,8 @@ class TestCliCommands:
             (["flow"], {"options": {"i_max": 6.7}}, "i_max"),
             (["resistance"], {"options": {"radii": [4, 8.5]}}, "radii"),
             (["analyze"], {"seed": 2.5}, "seed"),
+            # an integer too large for a float exited 3 with an OverflowError
+            (["discretize"], {"options": {"h_radius": 10 ** 400}}, "h_radius"),
         ],
     )
     def test_bad_config_options_exit_one(self, command, doc, key, tmp_path, capsys):
@@ -222,6 +262,19 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for '{key}'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_one(self, command, where, tmp_path, capsys):
+        # simulate exited 3 (numpy refuses a negative seed); the others
+        # embedded it in their report
+        law = {"family": "power_lattice", "alpha": 0.5, "normalize": True}
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"law": law, **({"seed": -1} if where == "config" else {})}))
+        args = [command, "multi-index"] if command == "demo" else [command]
+        seed = ["--seed", "-1"] if where == "flag" else []
+        assert main([*args, "--config", str(cfg), *seed]) == 1
+        assert capsys.readouterr().err == "error: bad value for 'seed': -1 is negative\n"
 
     def test_flow_level_cap_exits_one(self, capsys):
         # rejected before any array exists (level 40 would need 16 TiB)
@@ -405,16 +458,40 @@ class TestReproducibility:
         assert report["config"]["triplet"]["alpha"] == 1.5
 
 
-_FAMILY_KEYS = {
-    "power_lattice": ("alpha",),
-    "multi_index": ("alpha", "beta"),
-    "stable": ("alpha", "gamma"),
-    "gaussian": ("sigma",),
-}
 _EDGE_VALUES = st.sampled_from(
     [1e-300, 1e300, math.nan, math.inf, -math.inf, 0.0, -1.0, "abc", "", "1e5x"]
 )
 _PLAIN_VALUES = st.floats(min_value=0.05, max_value=3.0)
+_NUMBER = st.one_of(_EDGE_VALUES, _PLAIN_VALUES)
+# stand-ins for a nested entry (a mapping, or a list of them)
+_HOSTILE = st.sampled_from(["abc", [1, 2], 5, None, 10 ** 400])
+
+
+def _or_hostile(valid):
+    return st.one_of(_HOSTILE, st.just(valid))
+
+
+_FAMILY_KEYS = {
+    "power_lattice": {"alpha": _NUMBER},
+    "multi_index": {"alpha": _NUMBER, "beta": _NUMBER},
+    "stable": {"alpha": _NUMBER, "gamma": _NUMBER},
+    "gaussian": {"sigma": _NUMBER},
+    "table": {
+        "masses": _or_hostile({1: 0.25, 2: 0.125}),
+        "tail": _or_hostile({"exponent": 1.5, "constant": 0.05, "onset": 3.0}),
+        "normalization": _or_hostile("finite_measure"),
+    },
+    "piecewise_power": {
+        # the pieces, a piece's terms or one term replaced
+        "pieces": st.one_of(
+            _HOSTILE,
+            _HOSTILE.map(lambda v: [{"lo": 0.0, "hi": 1.0, "terms": v}]),
+            _HOSTILE.map(lambda v: [{"lo": 0.0, "hi": 1.0, "terms": [v]}]),
+            st.just([{"lo": 0.0, "hi": 1.0, "terms": [{"k": 1.0 / 6.0, "rho": 0.0}]},
+                     {"lo": 1.0, "hi": "inf", "terms": [{"k": 1.0 / 6.0, "rho": 1.5}]}]),
+        ),
+    },
+}
 
 
 def _raise_timeout(signum, frame):
@@ -425,8 +502,8 @@ def _raise_timeout(signum, frame):
 def _analyze_docs(draw):
     family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
     cfg = {"family": family}
-    for key in _FAMILY_KEYS[family]:
-        cfg[key] = draw(st.one_of(_EDGE_VALUES, _PLAIN_VALUES), label=key)
+    for key, values in _FAMILY_KEYS[family].items():
+        cfg[key] = draw(values, label=key)
     return {"triplet": cfg} if family == "stable" else {"law": cfg}
 
 
@@ -436,6 +513,8 @@ class TestCliBoundaryProperty:
     # sigma^2 underflows to 0; 2^-(alpha+1) underflows past lag 1
     @example(doc={"law": {"family": "gaussian", "sigma": 1e-300}})
     @example(doc={"law": {"family": "multi_index", "alpha": 1e300, "beta": 0.5}})
+    # a nested entry that is not a mapping exited 3
+    @example(doc={"law": {"family": "table", "masses": {1: 0.25}, "tail": "abc"}})
     def test_analyze_config_ends_with_exit_code(self, doc):
         # random configs, sane or hostile values alike, end with a
         # documented exit code other than "unexpected failure" and at most

@@ -529,6 +529,28 @@ class TestInverseTailIntegral:
         assert tail.inverse_tail_integral(-3.0, 50.0) == (math.inf, math.inf)
 
 
+class TestExponentialTailUpper:
+    """``int_y^inf t^k K e^(-lam t) dt`` of an exponential tail, for k = 0..3."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_bounds_the_closed_form(self, k):
+        onset, constant, factor = 2.0, 0.3, 1.5
+        tail = TailDescriptor(TailKind.EXPONENTIAL, exponent=1.0, constant=constant,
+                              onset=onset, upper_factor=factor)
+        for lam, y in product([0.01, 0.3, 1.0, 7.0], [0.5, 1.0, 2.0, 3.5, 40.0]):
+            tail = replace(tail, exponent=lam)
+            # below the onset the bound starts at the onset
+            t = max(y, onset)
+            exact = math.exp(-lam * t) * sum(
+                math.factorial(k) / math.factorial(k - j) * t ** (k - j) / lam ** (j + 1)
+                for j in range(k + 1)
+            )
+            bound = tail.weighted_tail_upper(float(k), y)
+            assert factor * constant * exact <= bound * (1 + 1e-14)
+            if k == 0:  # the bound is exact
+                assert bound == pytest.approx(factor * constant * exact, rel=1e-14)
+
+
 class TestMoment:
     def test_heavy_tail_diverges(self, stable_half):
         assert moment(stable_half.nu, 2).status.value == "diverges"
