@@ -39,6 +39,7 @@ from .config import (
     ConfigError,
     Option,
     _read,
+    boolean,
     law_from_config,
     load_config,
     resolve_law_config,
@@ -332,7 +333,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "analyze": Command("run all criteria and classify", "triplet",
-                       (Option("unimodal_override", bool, False, flag="unimodal"),), _analyze),
+                       (Option("unimodal_override", boolean, False, flag="unimodal"),), _analyze),
     "flow": Command("verify the dyadic flow and bound its energy", "law",
                     (Option("i_max", _integer, 10), Option("energy_level", _integer, 14)), _flow),
     "resistance": Command("effective-resistance profile", "law",

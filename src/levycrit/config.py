@@ -51,7 +51,10 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # one line: the problem and where it is
+            raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     return data
@@ -88,6 +91,14 @@ def _cast(value: Any, key: str, caster):
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for '{key}': {exc}") from None
+
+
+def boolean(value: Any) -> bool:
+    """A YAML ``true``/``false``: any other value (``"false"``, 0) is refused,
+    where ``bool`` would take its truth."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _read(mapping: Any, what: str, options, over: Optional[dict] = None) -> dict:
@@ -130,10 +141,10 @@ PIECE = (
 #: family -> (its keys, its constructor); each build looks its ``make_*`` up
 #: when it runs, so that a wrapped constructor is the one called
 LAW_FAMILIES = {
-    "power_lattice": ((Option("alpha", float, REQUIRED), Option("normalize", bool, False)),
+    "power_lattice": ((Option("alpha", float, REQUIRED), Option("normalize", boolean, False)),
                       lambda c: make_power_law_lattice(c["alpha"], normalize=c["normalize"])),
     "multi_index": ((Option("alpha", float, REQUIRED), Option("beta", float, REQUIRED),
-                     Option("normalize", bool, False)),
+                     Option("normalize", boolean, False)),
                     lambda c: make_multi_index_lattice(c["alpha"], c["beta"],
                                                        normalize=c["normalize"])),
     "gaussian": ((Option("sigma", float, 1.0),), lambda c: make_gaussian_density(c["sigma"])),
@@ -150,14 +161,14 @@ LAW_FAMILIES = {
     ),
     "piecewise_power": (
         (Option("pieces", lambda ps: [_read(p, "each entry of 'pieces'", PIECE) for p in ps],
-                REQUIRED), Option("unimodal", bool, False)),
+                REQUIRED), Option("unimodal", boolean, False)),
         lambda c: make_piecewise_power(
             tuple(PowerPiece(p["lo"], p["hi"], tuple((t["k"], t["rho"]) for t in p["terms"]))
                   for p in c["pieces"]), unimodal=c["unimodal"]),
     ),
 }
 STABLE = (Option("alpha", float, REQUIRED), Option("gamma", float, 1.0),
-          Option("unimodal", bool, True))
+          Option("unimodal", boolean, True))
 TRIPLET = (Option("gaussian_coefficient", float, 0.0),
            Option("law", lambda law: resolve_law_config(law), None))
 

@@ -52,7 +52,9 @@ from .tails import require_cutoff, require_positive
 from .verdicts import ConvergenceVerdict, Status, verdict
 
 PROBABILITY_TOL = 1e-10
-#: least head of a lattice series on a law with an inexact component
+#: least head of a lattice series on a law with an inexact component, and
+#: the largest lag a mass table may list: its dense table of float64 masses
+#: then holds at most 8 MB
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: widest panel, in log y, of a generic-density moment and of the Sato-Shepp
 #: inner integral
@@ -420,7 +422,8 @@ def make_lattice_table(
 
     Without a declared tail the support is compact (zero mass beyond the
     largest tabulated lag). A POWER_LAW tail extends the table with
-    ``K n^-rho`` beyond it.
+    ``K n^-rho`` beyond it. A lag past ``LATTICE_SERIES_CUTOFF`` is refused
+    before the table is allocated.
     """
     if not masses:
         raise DomainError("mass table must not be empty")
@@ -430,6 +433,8 @@ def make_lattice_table(
         require_positive(f"mass at lag {k}", v, allow_zero=True)
     require_positive("lattice spacing", spacing)
     max_lag = max(masses)
+    if max_lag > LATTICE_SERIES_CUTOFF:
+        raise DomainError(f"table lag {max_lag} exceeds the cap {LATTICE_SERIES_CUTOFF}")
     table = np.zeros(max_lag + 1)
     for k, v in masses.items():
         table[k] = v

@@ -76,15 +76,17 @@ class LatticeSampler:
     when that lies further out, are inverted on the cumulative one-sided
     masses through a guide table (Chen & Asau 1974; Devroye 1986,
     sec. III.2.4). It splits the table's mass into equal buckets and holds
-    the count of cumulative masses at or below each bucket edge; a draw
-    whose bucket starts and ends on one count takes it, and the few others
-    fall back to a binary search over the whole table, so every magnitude
-    is the one the binary search gives. The remaining tail is split across
-    the law's power components and inverted on Hurwitz-zeta tail sums
-    (see :func:`_invert_hurwitz_tail`), so no truncation bias enters below
-    the cap: a tail draw whose class index j would exceed ``_J_CAP`` =
-    2^52 is clamped to it (about 1e-8 of the draws at alpha=0.5). Signs
-    are independent Rademacher draws (the law is symmetric).
+    one sure magnitude per bucket index: the one magnitude of every draw
+    between the edges one bucket either side of it, or -1 where they
+    differ. Most draws take it; the rest fall back to a binary search over
+    the whole table, so every magnitude is the one that search gives, as
+    long as a draw's float bucket index misses its true bucket by at most
+    one. The remaining tail is split across the law's power components and
+    inverted on Hurwitz-zeta tail sums (see :func:`_invert_hurwitz_tail`),
+    so no truncation bias enters below the cap: a tail draw whose class
+    index j would exceed ``_J_CAP`` = 2^52 is clamped to it (about 1e-8 of
+    the draws at alpha=0.5). Signs are independent Rademacher draws (the
+    law is symmetric).
     """
 
     def __init__(self, law: SymmetricJumpLaw, table_size: int = TABLE_SIZE):
@@ -124,33 +126,19 @@ class LatticeSampler:
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"sampler masses sum to {total}, not 1")
         self.total = total
-        # edge g sits at table_mass * g / G; the last bucket also takes every
-        # draw past the table, whose count is n_top (int32: the table itself
-        # would need 16 GB before counts overflow)
-        top = self.table_mass
+        # edge g sits at table_mass * g / G. The float index of a draw is
+        # assumed to miss its true bucket by at most one, so a draw of index
+        # b lies between edges b - 1 and b + 2, and its magnitude, monotone
+        # in the draw, is sure when it is the same at both. -1 marks the
+        # rest, the last bucket always (it also takes every draw past the
+        # table), and every bucket of a table without mass
+        top, g = self.table_mass, np.arange(_GUIDE_BUCKETS)
         self._bucket_scale = _GUIDE_BUCKETS / top if top > 0.0 else 0.0
-        self._edges = np.arange(_GUIDE_BUCKETS + 1) * (top / _GUIDE_BUCKETS)
-        self._guide = np.searchsorted(self.cum, self._edges, side="right").astype(np.int32)
-        self._edges[-1] = np.inf
-
-    def _table_magnitudes(self, u: np.ndarray) -> np.ndarray:
-        """Magnitudes of the draws ``u`` below ``table_mass``: 0 under the
-        origin mass, else 1 + the count of cumulative masses at or below u
-        (entries past the table are left for the tail to overwrite)."""
-        b = np.minimum(u * self._bucket_scale, _GUIDE_BUCKETS - 1).astype(np.int32)
-        # the float bucket index can miss by one next to an edge
-        b -= u < self._edges[b]
-        b += u >= self._edges[b + 1]
-        count = self._guide[b]
-        b += 1  # the bucket's upper edge
-        # the count of cumulative masses <= u is monotone in u, so a bucket
-        # whose edges share a count holds that count throughout
-        unsure = np.flatnonzero(count != self._guide[b])
-        count[unsure] = np.searchsorted(self.cum, u[unsure], side="right")
-        mag = count + 1.0
-        if self.origin_mass > 0.0:
-            mag[u < self.origin_mass] = 0.0
-        return mag
+        edges = np.arange(_GUIDE_BUCKETS + 1) * (top / _GUIDE_BUCKETS)
+        mag = np.searchsorted(self.cum, edges, side="right") + 1.0
+        mag[edges < self.origin_mass] = 0.0
+        lo, hi = mag[np.maximum(g - 1, 0)], mag[np.minimum(g + 2, _GUIDE_BUCKETS)]
+        self._sure = np.where((lo == hi) & (g < _GUIDE_BUCKETS - 1) & (top > 0.0), lo, -1.0)
 
     def _tail_magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty(count)
@@ -173,12 +161,18 @@ class LatticeSampler:
         inversions where needed), then one uniform batch for signs.
         """
         u = rng.random(size) * self.total
-        mag = self._table_magnitudes(u)
-        in_tail = u >= self.table_mass
-        n_tail = int(np.count_nonzero(in_tail))
-        if n_tail:
-            mag[in_tail] = self._tail_magnitudes(rng, n_tail)
-        return np.negative(mag, out=mag, where=rng.random(size) < 0.5)
+        mag = self._sure[np.minimum(u * self._bucket_scale, _GUIDE_BUCKETS - 1).astype(np.intp)]
+        # the rest: 0 under the origin mass, else 1 + the count of cumulative
+        # masses at or below u (the tail overwrites the draws past the table)
+        unsure = np.flatnonzero(mag < 0.0)
+        v = u[unsure]
+        mag[unsure] = np.where(v < self.origin_mass, 0.0,
+                               np.searchsorted(self.cum, v, side="right") + 1.0)
+        in_tail = unsure[v >= self.table_mass]
+        if in_tail.size:
+            mag[in_tail] = self._tail_magnitudes(rng, in_tail.size)
+        # the sign of r - 0.5 is negative exactly when r < 0.5
+        return np.copysign(mag, rng.random(size) - 0.5, out=mag)
 
 
 def _invert_hurwitz_tail(rho: float, a0: float, j_start: int, target: np.ndarray) -> np.ndarray:
@@ -424,18 +418,21 @@ def sojourn_estimate(
     max_exc = 0.0
     returns_total = 0
     rows = []
+    # inside[k] is |S_k| < window for the positions S_0 .. S_{2 horizon - 1}
+    inside = np.empty(2 * horizon, dtype=bool)
+    inside[0] = True
     for r in range(replicas):
         rng = replica_rng(seed, r)
-        jumps = smp.sample_lags(rng, 2 * horizon) * delta
-        path = np.concatenate([[0.0], np.cumsum(jumps)])
-        before = path[:-1]
-        inside = np.abs(before) < window
-        base[r] = 1 + int(np.count_nonzero(inside[1:horizon]))
-        doubled[r] = 1 + int(np.count_nonzero(inside[1:]))
-        exc = float(np.max(np.abs(path[: horizon + 1])))
+        path = smp.sample_lags(rng, 2 * horizon)
+        path *= delta
+        np.cumsum(path, out=path)
+        np.abs(path, out=path)  # |S_1| .. |S_{2 horizon}|
+        np.less(path[:-1], window, out=inside[1:])
+        base[r] = np.count_nonzero(inside[:horizon])
+        doubled[r] = base[r] + np.count_nonzero(inside[horizon:])
+        exc = float(np.max(path[:horizon]))
         max_exc = max(max_exc, exc)
-        entered = inside[1:horizon] & ~inside[: horizon - 1]
-        rets = int(np.count_nonzero(entered))
+        rets = int(np.count_nonzero(inside[1:horizon] > inside[: horizon - 1]))  # entries
         returns_total += rets
         if keep_replicas:
             rows.append(

@@ -201,6 +201,8 @@ class TestCliCommands:
                   "pieces": [{"lo": 0.0, "hi": "inf", "terms": [5]}]}),
             ([], {"family": "table", "masses": {1: 0.25}, "normalization": "bogus"}),
             ([], {"family": "power_lattice", "alpha": 10 ** 400}),
+            # the dense mass table (7.28 TiB) was allocated and exited 3
+            ([], {"family": "table", "masses": {10 ** 12: 0.25}}),
         ],
     )
     def test_bad_numbers_exit_one(self, flags, law, tmp_path, capsys):
@@ -252,6 +254,17 @@ class TestCliCommands:
             (["analyze"], {"seed": 2.5}, "seed"),
             # an integer too large for a float exited 3 with an OverflowError
             (["discretize"], {"options": {"h_radius": 10 ** 400}}, "h_radius"),
+            # bool() took the truth of any value: "false" resolved to true
+            (["analyze"], {"law": {"family": "power_lattice", "alpha": 0.5,
+                                   "normalize": "false"}}, "normalize"),
+            (["analyze"], {"law": {"family": "multi_index", "alpha": 0.5, "beta": 1.5,
+                                   "normalize": 0}}, "normalize"),
+            (["analyze"], {"triplet": {"family": "stable", "alpha": 0.5,
+                                       "unimodal": "false"}}, "unimodal"),
+            (["analyze"], {"law": {"family": "piecewise_power", "unimodal": "no",
+                                   "pieces": [{"terms": [{"k": 1.0, "rho": 1.5}]}]}},
+             "unimodal"),
+            (["analyze"], {"options": {"unimodal_override": "false"}}, "unimodal_override"),
         ],
     )
     def test_bad_config_options_exit_one(self, command, doc, key, tmp_path, capsys):
@@ -262,6 +275,15 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for '{key}'")
         assert "Traceback" not in err
+
+    def test_yaml_syntax_error_exits_one(self, tmp_path, capsys):
+        # exited 3 with a ParserError over four stderr lines
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("law: {family: gaussian\n")
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not valid YAML" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("where", ["flag", "config"])

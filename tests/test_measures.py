@@ -769,6 +769,20 @@ class TestLawAndTripletValidation:
         assert lo <= brute + missing
         assert hi - lo < 1e-12  # exact components: envelope is a point
 
+    def test_table_lag_capped_before_allocating(self, monkeypatch):
+        from levycrit import measures
+
+        law = make_lattice_table({LATTICE_SERIES_CUTOFF: 0.25, 1: 0.25})
+        assert law.mass(LATTICE_SERIES_CUTOFF) == 0.25
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("mass table allocated before the lag cap was checked")
+
+        monkeypatch.setattr(measures.np, "zeros", tripwire)
+        for lag in (LATTICE_SERIES_CUTOFF + 1, 10 ** 12):
+            with pytest.raises(DomainError, match="exceeds the cap"):
+                make_lattice_table({lag: 0.25, 1: 0.25})
+
     def test_total_mass_interval_table(self):
         law = make_lattice_table({1: 0.25, 2: 0.25})
         lo, hi = total_mass_interval(law)

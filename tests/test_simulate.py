@@ -277,8 +277,9 @@ class TestSamplerOracle:
     def test_mass_on_a_bucket_edge(self):
         # two-lag tables whose first cumulative mass sits on a guide bucket
         # edge or one ulp above it; for many table masses a draw one ulp from
-        # that mass scales into the neighbouring bucket, where only the edge
-        # fix-ups find the right lag
+        # that mass scales into the neighbouring bucket, whose sure-magnitude
+        # entry must then be -1 (the magnitude changes within one bucket of
+        # it) so that the binary search finds the right lag
         buckets = 1 << 14
         for k in range(1, 65):
             top = 1.0 - k * 1e-12
@@ -549,6 +550,36 @@ class TestSojournEstimate:
         horizon = simulate.MAX_SOJOURN_HORIZON + horizon_extra
         with pytest.raises(DomainError, match="caps"):
             sojourn_estimate(unit_step_law, 5.0, horizon, replicas, SEED)
+
+    @pytest.mark.parametrize("law, window, horizon, replicas", [
+        (make_power_law_lattice(0.5, normalize=True), 5.0, 1, 7),
+        (make_power_law_lattice(0.5, normalize=True), 5.0, 300, 9),
+        (make_lattice_table({1: 0.2, 2: 0.1, 3: 0.05}, spacing=0.5, origin_mass=0.3),
+         1.0, 1, 5),
+        (make_lattice_table({1: 0.2, 2: 0.1, 3: 0.05}, spacing=0.5, origin_mass=0.3),
+         1.0, 257, 6),
+    ], ids=["power h=1", "power", "origin h=1", "origin"])
+    def test_path_statistics_match_a_reference_rebuild(self, law, window, horizon, replicas):
+        # each replica's path rebuilt from the same draws as S_0 = 0 followed
+        # by the running sums, its statistics counted position by position
+        got = sojourn_estimate(law, window, horizon, replicas, SEED, keep_replicas=True)
+        smp = LatticeSampler(law)
+        rows, base, doubled = [], [], []
+        for r in range(replicas):
+            jumps = smp.sample_lags(replica_rng(SEED, r), 2 * horizon) * law.spacing
+            path = np.concatenate([[0.0], np.cumsum(jumps)])
+            inside = [abs(s) < window for s in path[:-1]]
+            base.append(sum(inside[:horizon]))
+            doubled.append(sum(inside))
+            returns = sum(inside[k] and not inside[k - 1] for k in range(1, horizon))
+            exc = max(abs(s) for s in path[: horizon + 1])
+            rows.append({"replica": r, "sojourn": base[-1], "max_excursion": exc,
+                         "returns": returns})
+        assert got.replica_rows == tuple(rows)
+        assert got.sojourn_estimate == float(np.mean(base))
+        assert got.doubled_estimate == float(np.mean(doubled))
+        assert got.max_excursion == max(row["max_excursion"] for row in rows)
+        assert got.returns_to_window == sum(row["returns"] for row in rows)
 
     def test_estimate_bounded_by_horizon(self, unit_step_law):
         stats = sojourn_estimate(unit_step_law, 3.0, 500, 20, SEED)
