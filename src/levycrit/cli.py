@@ -247,7 +247,7 @@ def _discretize(law, options, args):
     results = {"convergence": table.to_dict()}
     try:
         results["jensen"] = jensen_gap(law).to_dict()
-    except DomainError as exc:
+    except (DomainError, NumericError) as exc:
         results["jensen"] = {"skipped": str(exc)}
     return results, EXIT_OK, table.to_csv(), "convergence.csv"
 

@@ -113,7 +113,7 @@ def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict
 
     n_head = law.series_head
     lags = np.arange(1, n_head + 1)
-    masses = law.mass(lags)
+    masses = law.masses(n_head)
     # zero summed masses, and one period of the classes past the table; a zero
     # where a power component (K > 0) applies is K n^-rho underflowing
     period = math.lcm(*(c.stride for c in comps))
@@ -221,7 +221,7 @@ def _lattice_cell_sum(law: SymmetricJumpLaw, cutoff: float) -> tuple[float, floa
     b = np.minimum((n + 1) * delta, cutoff)
     head = max(law.series_head, int(n[-1]))
     lags = np.arange(1, head + 1)
-    masses = law.mass(lags)
+    masses = law.masses(head)
     pos = lags * delta
     moment2 = np.concatenate([[0.0], np.cumsum(np.where(pos > 1.0, pos * pos * masses, 0.0))])
     c = 0.5 * moment2[n]
@@ -380,7 +380,7 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
 
 
 def _compare_lattice(nu1, nu2, cutoff):
-    """Partial, status, remainder bound and truncation of a lattice comparison.
+    """Partial, status, remainder bound, truncation and error of a lattice comparison.
 
     The head runs to max(cutoff, top of either law); past it only the power
     components are known. A class on which both laws have one exact model
@@ -394,7 +394,7 @@ def _compare_lattice(nu1, nu2, cutoff):
     delta = nu1.spacing
     n_head = max(int(cutoff), nu1.support.top, nu2.support.top)
     n = np.arange(1, n_head + 1)
-    diff = np.abs(nu1.mass(n) - nu2.mass(n))
+    diff = np.abs(nu1.masses(n_head) - nu2.masses(n_head))
     partial = float(np.sum((n * delta) ** 2 * diff))
 
     k1, k2 = ({(c.stride, c.offset): c for c in law.components} for law in (nu1, nu2))
@@ -420,7 +420,7 @@ def _compare_lattice(nu1, nu2, cutoff):
         status = Status.CONVERGES
     else:
         status = Status.DIVERGES if diverges else Status.INCONCLUSIVE
-    return partial, status, tail_hi, f"lattice sum to n={n_head}"
+    return partial, status, tail_hi, f"lattice sum to n={n_head}", 0.0
 
 
 def _net_terms(terms1, terms2):
@@ -437,7 +437,7 @@ def _net_terms(terms1, terms2):
 
 
 def _compare_continuous(nu1, nu2, cutoff):
-    """Partial, status, remainder bound and truncation of a density comparison."""
+    """Partial, status, remainder bound, truncation and error of a density comparison."""
     trunc = f"integral over [0, {cutoff:g}]"
 
     def integrand(y):
@@ -445,11 +445,23 @@ def _compare_continuous(nu1, nu2, cutoff):
 
     p1, p2 = nu1.support.pieces, nu2.support.pieces
     if p1 is None or p2 is None:
-        # the moment grid, so a narrow density is seen by the nodes
+        # the moment grid, so a narrow density is seen by the nodes; the error
+        # is the panels'. Against a piecewise side, whose y^2 f may be nearly
+        # y^-1 at 0, the grid runs down to 1/cutoff: below, that side's
+        # integral is closed-form and the generic side's own int y^2 f adds
+        # to the error, as ||a - b| - a| <= b
         n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
         edges = np.union1d([0.0, cutoff], np.geomspace(1.0, cutoff, n_panels + 1))
-        panels, _ = panel_integrals(integrand, edges[edges <= cutoff])
-        return float(np.sum(panels)), Status.INCONCLUSIVE, math.inf, trunc
+        near = err = 0.0
+        if p1 or p2:
+            eps = 1.0 / cutoff
+            edges = np.union1d(np.geomspace(eps, 1.0, n_panels + 1), edges[1:])
+            near = sum(p.weighted_integral(0.0, eps, 2.0) for p in p1 or p2)
+            generic = nu2 if p1 else nu1
+            generic_near, err = panel_integrals(lambda y: y * y * generic.density(y), [0.0, eps])
+            err += float(np.sum(generic_near))
+        panels, panel_err = panel_integrals(integrand, edges[edges <= cutoff])
+        return near + float(np.sum(panels)), Status.INCONCLUSIVE, math.inf, trunc, err + panel_err
     # beyond far_start each density is its final infinite-piece form (or zero)
     finite_edges = [p.hi for p in p1 + p2 if p.hi != math.inf]
     far_start = max([cutoff, p1[-1].lo, p2[-1].lo, *finite_edges])
@@ -464,14 +476,14 @@ def _compare_continuous(nu1, nu2, cutoff):
         last1.terms if last1 else (), last2.terms if last2 else ()
     )
     if not net:
-        return partial, Status.CONVERGES, 0.0, trunc  # exact cancellation (or both compact)
+        return partial, Status.CONVERGES, 0.0, trunc, 0.0  # exact cancellation (or both compact)
     rho_min = min(net)
     if rho_min <= 3.0:
-        return partial, Status.DIVERGES, math.inf, trunc
+        return partial, Status.DIVERGES, math.inf, trunc, 0.0
     tail_hi = sum(
         abs(k) * far_start ** (3.0 - rho) / (rho - 3.0) for rho, k in net.items()
     )
-    return partial, Status.CONVERGES, tail_hi, trunc
+    return partial, Status.CONVERGES, tail_hi, trunc, 0.0
 
 
 def compare_measures(
@@ -487,17 +499,17 @@ def compare_measures(
     if nu1.is_lattice != nu2.is_lattice:
         raise UnsupportedComparisonError("cannot compare lattice with continuous support")
     if nu1.is_lattice:
-        partial, status, tail_hi, trunc = _compare_lattice(
+        partial, status, tail_hi, trunc, err = _compare_lattice(
             nu1, nu2, min(cutoff, LATTICE_SERIES_CUTOFF)
         )
     else:
-        partial, status, tail_hi, trunc = _compare_continuous(nu1, nu2, cutoff)
+        partial, status, tail_hi, trunc, err = _compare_continuous(nu1, nu2, cutoff)
     if status is Status.INCONCLUSIVE:
         trunc += "; tails not analytically comparable"
     if status is not Status.CONVERGES:
-        return verdict(status, partial, trunc)
+        return verdict(status, partial, trunc, err=err)
     return verdict(status, partial, trunc + "; analytic tail difference beyond", (0.0, tail_hi),
-                   note="transience of the first process transfers to the second")
+                   err=err, note="transience of the first process transfers to the second")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def _last_bin(law: SymmetricJumpLaw, delta: float) -> Optional[int]:
     if pieces is not None and tail.kind is TailKind.POWER_LAW:
         return None
     if tail.kind is TailKind.EXPONENTIAL:
+        # the binned tail's constant, K delta e^(lambda delta / 2), must be a float
+        if tail.exponent * delta / 2.0 >= math.log(np.finfo(float).max):
+            raise DomainError(f"delta={delta:g} is too wide for the exponential tail model")
         reach = tail.onset + 45.0 / tail.exponent
     elif tail.kind is TailKind.COMPACT_SUPPORT:
         reach = tail.onset
@@ -297,7 +300,7 @@ def _lattice_expectation(law: SymmetricJumpLaw, g: Callable, reach: float) -> fl
         )
     lags = np.arange(1, n_top + 1)
     pos = lags * delta
-    terms = law.mass(lags) * (np.asarray(g(pos)) + np.asarray(g(-pos)))
+    terms = law.masses(n_top) * (np.asarray(g(pos)) + np.asarray(g(-pos)))
     if not bounded:
         terms[-1] *= max(0.0, reach / delta - (n_top - 0.5))
     return law.support.origin_mass * float(np.asarray(g(0.0))) + float(np.sum(terms))
@@ -351,12 +354,15 @@ def characteristics(
     1e-12 budget. Test integrals run up to :func:`_expectation_reach`, one
     position for a density and for its binned walks alike, so a
     convergence row compares the two at matched truncation. A lattice law
-    sums at most ``MAX_EXPECTATION_LAGS`` lags, checked before any array
-    is built.
+    sums at most ``MAX_EXPECTATION_LAGS`` lags, and a density's h and h^2
+    take at most ``MAX_BIN_QUADS`` unit panels, both checked before any
+    array is built.
     """
     if law.normalization is not Normalization.PROBABILITY:
         raise DomainError("characteristics require a probability distribution")
     require_positive("h_radius", h_radius)
+    if not law.is_lattice and 2.0 * h_radius + 1.0 > MAX_BIN_QUADS:  # h's unit panels
+        raise DomainError(f"h_radius={h_radius:g} needs more than {MAX_BIN_QUADS} panels")
     tests = default_test_functions() if tests is None else tests
     h = truncation_function(h_radius)
 
@@ -416,7 +422,7 @@ def convergence_report(
     ``deltas`` must decrease strictly toward 0. The order estimate per test
     id is the least-squares slope of log error against log delta (midpoint
     binning of a smooth density gives order 2); it is NaN with fewer than
-    two deltas or a zero error.
+    two deltas, a zero error, or deltas too close to fit a slope.
     """
     deltas = tuple(float(d) for d in deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or not deltas:
@@ -440,11 +446,11 @@ def convergence_report(
     orders: dict[str, float] = {}
     for name in list(tests) + ["quad_variation"]:
         errs = np.array([r["abs_error"] for r in rows if r["test_id"] == name])
+        orders[name] = math.nan
         if len(deltas) >= 2 and np.all(errs > 0):
-            slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
-            orders[name] = float(slope)
-        else:
-            orders[name] = math.nan
+            # full=True: deltas too close to fit lose a rank, silently
+            (slope, _), _, rank, _, _ = np.polyfit(np.log(deltas), np.log(errs), 1, full=True)
+            orders[name] = float(slope) if rank == 2 else math.nan
     return ConvergenceTable(deltas=deltas, rows=tuple(rows), orders=orders)
 
 
@@ -488,7 +494,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     if binned.support.max_lag is not None:
         n_top = min(n_top, binned.support.max_lag)
     lags = np.arange(1, n_top + 1)
-    masses = binned.mass(lags)
+    masses = binned.masses(n_top)
     if np.any(masses <= 0):
         n_top = int(np.argmax(masses <= 0))
         lags = lags[:n_top]
@@ -501,7 +507,8 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     y_hi = n_top + 0.5
     breaks = {p.lo for p in law.support.pieces or ()}
     edges = sorted({0.5, y_hi} | {b for b in breaks if 0.5 < b < y_hi})
-    panels, _ = panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), edges)
+    with np.errstate(all="ignore"):  # where f underflows, the panels raise a NumericError
+        panels, _ = panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), edges)
     rhs_partial = float(np.sum(panels))
 
     status, note = tail_status(law.tail)

@@ -11,7 +11,8 @@ components past a short table, which decide every sum beyond it). Tail
 masses ``nu((x, inf))`` are taken over arrays of points in one call.
 
 Every lattice series sums its head to :attr:`SymmetricJumpLaw.series_head`
-and takes the rest from the components.
+and takes the rest from the components. It reads the head's masses from
+:meth:`SymmetricJumpLaw.masses`, so the law evaluates them once.
 
 The characteristic exponent of a symmetric triplet (0, c, nu) is
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,7 +56,8 @@ from .verdicts import ConvergenceVerdict, Status, verdict
 PROBABILITY_TOL = 1e-10
 #: least head of a lattice series on a law with an inexact component, and
 #: the largest lag a mass table may list: its dense table of float64 masses
-#: then holds at most 8 MB
+#: then holds at most 8 MB, and so does the head that an inexact law keeps
+#: for its lifetime once a series has read it
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: widest panel, in log y, of a generic-density moment and of the Sato-Shepp
 #: inner integral
@@ -196,9 +199,36 @@ class SymmetricJumpLaw:
     @property
     def series_head(self) -> int:
         """Last lag a lattice series sums: ``top`` if every component is exact
-        (a finite law included), else at least ``LATTICE_SERIES_CUTOFF``."""
+        (a finite law included), else at least ``LATTICE_SERIES_CUTOFF``. The
+        law evaluates the masses of these lags once (:meth:`masses`)."""
         top = self.support.top
         return top if all(c.exact for c in self.components) else max(top, LATTICE_SERIES_CUTOFF)
+
+    @cached_property
+    def _head(self) -> np.ndarray:
+        head = self.mass(np.arange(1, self.series_head + 1))
+        head.flags.writeable = False
+        return head
+
+    def masses(self, n_hi: int, n_lo: int = 1) -> np.ndarray:
+        """Masses m(n_lo..n_hi), n_lo >= 1: the one read of a lag range.
+
+        The head, m(1..series_head), is evaluated once per law, read-only,
+        by the first read that reaches its end; later reads slice it. A read
+        that stops short of it before then, or starts past it, evaluates only
+        its own lags, so a law whose series never run keeps no head; a read
+        past its end evaluates only the lags beyond it.
+        """
+        if not self.is_lattice:
+            raise DomainError("masses() is only defined for lattice laws")
+        if n_lo < 1:
+            raise DomainError("lags must be >= 1; the origin mass is separate")
+        head = self.series_head
+        if n_lo > head or (n_hi < head and "_head" not in self.__dict__):
+            return self.mass(np.arange(n_lo, n_hi + 1))
+        if n_hi <= head:
+            return self._head[n_lo - 1 : n_hi]
+        return np.concatenate((self._head[n_lo - 1 :], self.mass(np.arange(head + 1, n_hi + 1))))
 
     def mass(self, n):
         """Lattice mass at lag ``n >= 1`` (same value at ``-n``)."""
@@ -258,7 +288,7 @@ class SymmetricJumpLaw:
         top = sup.top
         first = int(arr.min(initial=top)) + 1
         lags = np.arange(first, top + 1)
-        masses = self.mass(lags)
+        masses = self.masses(top, first)
         with np.errstate(divide="ignore"):
             terms = lags.astype(float) ** weight_power * (1.0 / masses if inverse else masses)
         suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
@@ -675,7 +705,7 @@ def _lattice_cos_sum(law: SymmetricJumpLaw, u: np.ndarray, n_hi: int) -> np.ndar
     """
     width = math.isqrt(n_hi) + 1
     flat = np.zeros((n_hi // width + 1) * width)
-    flat[1 : n_hi + 1] = law.mass(np.arange(1, n_hi + 1))
+    flat[1 : n_hi + 1] = law.masses(n_hi)
     blocks = flat.reshape(-1, width)
     x = np.outer(u, width * np.arange(len(blocks)))
     y = np.outer(u, np.arange(width))
@@ -797,9 +827,10 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVer
     if law.is_lattice:
         delta = law.spacing
         n_start = math.floor(1.0 / delta) + 1
-        n_stop = min(math.floor(cutoff / delta), max(law.series_head, n_start - 1))
-        lags = np.arange(n_start, n_stop + 1)
-        partial = 2.0 * float(np.sum((lags * delta) ** k * law.mass(lags)))
+        n_head = min(math.floor(cutoff / delta), law.series_head)
+        n_stop = max(n_head, n_start - 1)
+        lags = np.arange(n_start, n_head + 1)
+        partial = 2.0 * float(np.sum((lags * delta) ** k * law.masses(n_head, n_start)))
         tail_lo, tail_hi = (2.0 * delta ** k * t for t in law.lag_tail_sum(float(k), n_stop))
         truncation = f"lattice sum over 1 < n*delta <= {n_stop * delta:g}"
     else:

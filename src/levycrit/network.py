@@ -236,7 +236,7 @@ def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     head = max(law.series_head, (1 << i_max) - 1)
     w = np.arange(1, head + 1)
     with np.errstate(divide="ignore", over="ignore"):  # a zero mass: an honest inf
-        masses = law.mass(w)
+        masses = law.masses(head)
         # edges (0, +-1) carry theta = 1/2; a plain sum, as BLAS ddot wakes its threads
         partial = float(0.5 / masses[0] + np.sum(_lag_weight(w) / masses))
     tail_lo, tail_hi = law.lag_tail_sum(-3.0, head, inverse=True)
@@ -263,7 +263,7 @@ def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
         raise DomainError("energy bound is defined for lattice laws")
     w_max = max(law.series_head + 2, _ENERGY_HEAD_MIN)
     w = np.arange(1, w_max + 1)
-    masses = law.mass(w)
+    masses = law.masses(w_max)
     if np.any(masses == 0.0):
         return Interval(math.inf, math.inf)
     m1, m2, m3 = masses[:3].tolist()
@@ -282,7 +282,8 @@ def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
 # effective resistance on exterior-shorted truncations
 
 
-#: largest slice radius of the dense folded solve ((N-1)^2 float64 matrix)
+#: largest slice radius of the dense folded solve, refused before any
+#: allocation: its (N-1)^2 float64 matrix then holds at most 134 MB
 RESISTANCE_MAX_RADIUS = 4096
 
 
@@ -318,9 +319,7 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
         raise DomainError("radius must be >= 1")
     if n > RESISTANCE_MAX_RADIUS:
         raise DomainError(f"radius capped at {RESISTANCE_MAX_RADIUS} for the dense solver")
-    lag_mass = np.zeros(2 * n - 1)
-    if n >= 2:
-        lag_mass[1:] = law.mass(np.arange(1, 2 * n - 1))
+    lag_mass = np.append(0.0, law.masses(2 * n - 2))
 
     t_lo, t_hi = law.one_sided_tail_mass((np.arange(2 * n - 1) + 0.5) * law.spacing)
     # u = -(N-1)..N-1 takes T(N-1-u) from the reversed row and T(N-1+u) from the row

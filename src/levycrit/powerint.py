@@ -214,11 +214,6 @@ def one_minus_cos_tail(rho: float, s):
     return one_minus_cos_range(rho, s, math.inf)
 
 
-def one_minus_cos_partial(rho: float, s):
-    """``int_0^s (1 - cos u) u^-rho du`` elementwise; see :func:`one_minus_cos_range`."""
-    return one_minus_cos_range(rho, 0.0, s)
-
-
 def power_range(rho: float, a, b):
     """``int_a^b u^-rho du`` elementwise, for 0 <= a <= b <= inf; a = 0 needs rho < 1.
 

@@ -52,6 +52,9 @@ __all__ = [
     "SimulationCapError",
 ]
 
+#: most lags the sampler tabulates by default, and the largest ``table_size``
+#: it takes (refused before any allocation): its cumulative float64 table
+#: then holds at most 8 MB
 TABLE_SIZE = 10 ** 6
 # tail bisection cap on the class index j; draws beyond it are clamped to it.
 # P(beyond) per draw is about 2 C 2^(-52 alpha) / alpha, i.e. 1e-8 at alpha=0.5
@@ -94,20 +97,20 @@ class LatticeSampler:
             raise DomainError("sampler needs a lattice law")
         if law.normalization is not Normalization.PROBABILITY:
             raise DomainError("sampler needs a probability law")
-        self.law = law
+        if not 0 <= table_size <= TABLE_SIZE:
+            raise DomainError(f"table_size must lie in [0, {TABLE_SIZE}], got {table_size}")
         sup = law.support
+        if not all(c.exact for c in sup.components):
+            raise DomainError("exact tail sampling needs exact power components")
+        self.law = law
         n_top = max(table_size, sup.top) if sup.components else sup.top
         self.n_top = n_top
-        lags = np.arange(1, n_top + 1)
-        one_sided = np.asarray(law.mass(lags), dtype=float)
         self.origin_mass = sup.origin_mass
-        self.cum = self.origin_mass + 2.0 * np.cumsum(one_sided)
+        self.cum = self.origin_mass + 2.0 * np.cumsum(law.masses(n_top))
         self.tail_comps = []
         self._tail_starts = []  # (j_start, a0, tail sum from j_start) per component
         tail_total = 0.0
         for c in sup.components:
-            if not c.exact:
-                raise DomainError("exact tail sampling needs exact power components")
             mass = 2.0 * c.weighted_tail_sum(0.0, n_top)[0]
             self.tail_comps.append((c, mass))
             tail_total += mass

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levycrit
-from levycrit.cli import COMMANDS, build_parser, main
+from levycrit.cli import COMMANDS, DEMOS, build_parser, main
 from levycrit.config import (
     ConfigError,
     dump_config,
@@ -493,6 +493,9 @@ def _or_hostile(valid):
     return st.one_of(_HOSTILE, st.just(valid))
 
 
+_FLAT_CORE = {"family": "piecewise_power", "pieces": [
+    {"lo": 0.0, "hi": 1.0, "terms": [{"k": 1.0 / 6.0, "rho": 0.0}]},
+    {"lo": 1.0, "hi": "inf", "terms": [{"k": 1.0 / 6.0, "rho": 1.5}]}]}
 _FAMILY_KEYS = {
     "power_lattice": {"alpha": _NUMBER},
     "multi_index": {"alpha": _NUMBER, "beta": _NUMBER},
@@ -509,15 +512,14 @@ _FAMILY_KEYS = {
             _HOSTILE,
             _HOSTILE.map(lambda v: [{"lo": 0.0, "hi": 1.0, "terms": v}]),
             _HOSTILE.map(lambda v: [{"lo": 0.0, "hi": 1.0, "terms": [v]}]),
-            st.just([{"lo": 0.0, "hi": 1.0, "terms": [{"k": 1.0 / 6.0, "rho": 0.0}]},
-                     {"lo": 1.0, "hi": "inf", "terms": [{"k": 1.0 / 6.0, "rho": 1.5}]}]),
+            st.just(_FLAT_CORE["pieces"]),
         ),
     },
 }
 
 
 def _raise_timeout(signum, frame):
-    raise TimeoutError("analyze did not finish")
+    raise TimeoutError("the command did not finish")
 
 
 @st.composite
@@ -527,6 +529,81 @@ def _analyze_docs(draw):
     for key, values in _FAMILY_KEYS[family].items():
         cfg[key] = draw(values, label=key)
     return {"triplet": cfg} if family == "stable" else {"law": cfg}
+
+
+# each run option's sane values, small enough that a run takes well under a
+# second; hostile stand-ins for a count, a size or a number
+_RUN_OPTIONS = {
+    "unimodal_override": st.booleans(),
+    "i_max": st.integers(2, 8),
+    "energy_level": st.integers(2, 12),
+    "radii": st.lists(st.integers(1, 48), min_size=1, max_size=3, unique=True).map(sorted),
+    "deltas": st.lists(st.floats(0.25, 2.0), min_size=1, max_size=3, unique=True).map(
+        lambda deltas: sorted(deltas, reverse=True)),
+    "h_radius": st.floats(0.5, 2.0),
+    "window": st.floats(1.0, 10.0),
+    "horizon": st.integers(10, 200),
+    "replicas": st.integers(2, 8),
+    "alpha": _PLAIN_VALUES,
+    "beta": _PLAIN_VALUES,
+}
+_HOSTILE_VALUE = st.one_of(_EDGE_VALUES, _HOSTILE, st.sampled_from(
+    [2.5, 10 ** 400, "false", [0], [-1], [10 ** 9], ["abc"], [math.nan], "1,x"]))
+_SANE_LAWS = st.sampled_from([
+    {"family": "power_lattice", "alpha": 0.5, "normalize": True},
+    {"family": "multi_index", "alpha": 1.5, "beta": 0.7, "normalize": True},
+    {"family": "table", "masses": {1: 0.3, 2: 0.2}},
+    {"family": "gaussian", "sigma": 0.7},
+    _FLAT_CORE,
+])
+# raw YAML: text made of YAML's own syntax characters
+_YAML_CHARS = st.sampled_from(list("ab1.-:{}[],#&*!|>'\" \n"))
+
+
+@st.composite
+def _command_runs(draw):
+    """A command line reading ``--config`` and the text of that config: a
+    sane config of the command's subject, run options and seed, or one with
+    the law, one option, the options or the seed hostile, or that config's
+    text cut short, or raw text."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name, draw(st.sampled_from(sorted(DEMOS)))] if name == "demo" else [name]
+    doc = {"law": draw(_SANE_LAWS)} if COMMANDS[name].subject else {}
+    options = {opt.key: draw(_RUN_OPTIONS[opt.key], label=opt.key)
+               for opt in COMMANDS[name].options}
+    doc.update(options=options, seed=draw(st.integers(0, 2 ** 32), label="seed"))
+    spoil = draw(st.sampled_from(["none", "law", "option", "options", "seed", "cut", "raw"]))
+    if spoil == "law" and COMMANDS[name].subject:
+        doc.pop("law")
+        doc.update(draw(_analyze_docs()))
+    elif spoil == "option":
+        options[draw(st.sampled_from(sorted(options)))] = draw(_HOSTILE_VALUE, label="value")
+    elif spoil in ("options", "seed"):
+        doc[spoil] = draw(_HOSTILE_VALUE, label=spoil)
+    text = yaml.safe_dump(doc)
+    if spoil == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif spoil == "raw":
+        text = draw(st.text(_YAML_CHARS, max_size=40))
+    return argv, text
+
+
+def _run_config(argv, text):
+    """``main([*argv, "--config", <text as a file>])``: its exit code, stdout
+    and stderr. The alarm turns a hang into a failure and is no timing gate."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(120)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.yaml"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCliBoundaryProperty:
@@ -540,25 +617,38 @@ class TestCliBoundaryProperty:
     def test_analyze_config_ends_with_exit_code(self, doc):
         # random configs, sane or hostile values alike, end with a
         # documented exit code other than "unexpected failure" and at most
-        # one line on stderr; the alarm turns a hang into a failure and is
-        # no timing gate
-        out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _raise_timeout)
-        signal.alarm(120)
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "run.yaml"
-                path.write_text(yaml.safe_dump(doc))
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["analyze", "--config", str(path)])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        # one line on stderr
+        code, out, err = _run_config(["analyze"], yaml.safe_dump(doc))
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1
         if code == 0:
-            assert json.loads(out.getvalue())["results"]["classification"]
+            assert json.loads(out)["results"]["classification"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=_command_runs())
+    # deltas too close to fit an order printed numpy's RankWarning to stderr;
+    # a huge h_radius or delta, or a density that underflows inside the
+    # Jensen integral, printed an overflow or division warning (exit 3 under
+    # -W error), or exited 3 as an unexpected failure
+    @example(run=(["discretize"], yaml.safe_dump(
+        {"law": _FLAT_CORE, "options": {"deltas": [0.25000000000000006, 0.25]}})))
+    @example(run=(["discretize"], yaml.safe_dump(
+        {"law": {"family": "gaussian"}, "options": {"deltas": [1.0], "h_radius": 1e300}})))
+    @example(run=(["discretize"], yaml.safe_dump(
+        {"law": {"family": "gaussian"}, "options": {"deltas": [10 ** 9]}})))
+    @example(run=(["discretize"], yaml.safe_dump(
+        {"law": {"family": "gaussian", "sigma": 0.05}, "options": {"deltas": [0.25]}})))
+    def test_every_command_config_ends_with_exit_code(self, run):
+        # as above, for every command, its run options and seed, and raw
+        # YAML; exit 3 is a numeric failure or a failed check, never an
+        # unexpected one
+        code, out, err = _run_config(*run)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err and "unexpected failure" not in err
+        assert len(err.splitlines()) <= 1
+        if not err:  # a run that ends without an error prints its report
+            assert json.loads(out)["results"] if run[0][0] != "demo" else out
 
 
 # each subcommand's accepted flags (and positional choices), pinned so that the

@@ -635,6 +635,38 @@ class TestCompareMeasures:
         assert v.status is Status.INCONCLUSIVE
         assert v.partial_value == pytest.approx(exact, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1.99, 1.9])
+    def test_piecewise_against_generic_density(self, alpha):
+        # y^2 |f1 - f2| is about y^(1 - alpha) at 0: at alpha = 1.99 half of
+        # its [0, 1] mass lies below 1e-30, where no panel reaches; 1.9 is the
+        # control. Reference: the stable density f1 = K y^-rho exceeds the
+        # gaussian f2 below y0 and above y1, so each stretch is K's power
+        # integral in closed form minus or plus mpmath's quadrature of y^2 f2
+        from levycrit.measures import stable_levy_density_constant
+
+        v = compare_measures(make_stable_triplet(alpha, 1.0).nu, make_gaussian_density())
+        assert v.status is Status.INCONCLUSIVE
+        with mp.workdps(30):
+            k, rho = mp.mpf(stable_levy_density_constant(alpha, 1.0)), mp.mpf(alpha) + 1
+
+            def log_ratio(y):
+                return mp.log(k) - rho * mp.log(y) + y * y / 2 + mp.log(mp.sqrt(2 * mp.pi))
+
+            y0 = mp.findroot(log_ratio, (mp.mpf("1e-3"), mp.mpf(1)), solver="anderson")
+            y1 = mp.findroot(log_ratio, (mp.mpf(1.5), mp.mpf(20)), solver="anderson")
+
+            def stable(a, b):
+                return k * (b ** (3 - rho) - a ** (3 - rho)) / (3 - rho)
+
+            def gauss(a, b):
+                return mp.quad(lambda y: y * y * mp.npdf(y), [a, b])
+
+            ref = float(stable(0, y0) - gauss(0, y0) + gauss(y0, y1) - stable(y0, y1)
+                        + stable(y1, 1e4) - gauss(y1, 1e4))
+        err = v.partial_value - v.value.lo
+        assert 0.0 < err < 1e-9 * ref
+        assert abs(v.partial_value - ref) <= err
+
     def test_mixed_supports_rejected(self, stable_half, power_half_raw):
         with pytest.raises(UnsupportedComparisonError):
             compare_measures(stable_half.nu, power_half_raw)

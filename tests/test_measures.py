@@ -13,6 +13,7 @@ from levycrit import (
     PowerPiece,
     as_finite_measure,
     char_exponent,
+    classify,
     make_lattice_table,
     make_multi_index_lattice,
     make_piecewise_power,
@@ -22,7 +23,8 @@ from levycrit import (
     moment,
 )
 from levycrit.criteria import CF_EPS
-from levycrit.discretize import bin_density
+from levycrit.discretize import bin_density, characteristics, jensen_gap
+from levycrit.network import dyadic_energy_bound, flow_energy
 from levycrit.measures import (
     LATTICE_SERIES_CUTOFF,
     LatticeSupport,
@@ -508,6 +510,75 @@ class TestLagTailSum:
     def test_continuous_law_rejected(self):
         with pytest.raises(DomainError):
             make_gaussian_density(1.0).lag_tail_sum(0.0, 3)
+
+
+def _flat_core(rho):
+    """Probability density: flat on [0, 1], ``k y^-rho`` beyond."""
+    k = (rho - 1.0) / (2.0 * rho)
+    return make_piecewise_power(
+        [PowerPiece(0.0, 1.0, ((k, 0.0),)), PowerPiece(1.0, math.inf, ((k, rho),))]
+    )
+
+
+class TestLawHead:
+    """:meth:`SymmetricJumpLaw.masses` evaluates a law's head once, and only
+    for a series that sums it."""
+
+    @pytest.mark.parametrize("name", LATTICE_LAWS)
+    def test_reads_agree_with_mass(self, name):
+        law = replace(LATTICE_LAWS[name])  # a fresh copy: its head is not built yet
+        head = law.series_head
+        reads = list(product([0, 1, max(head - 1, 0), head, head + 5],
+                             [1, 2, max(head, 1), head + 3]))
+        for n_hi, n_lo in reads + reads:  # before the head is built, then from it
+            got = law.masses(n_hi, n_lo)
+            assert np.array_equal(got, law.mass(np.arange(n_lo, n_hi + 1)))
+        assert head == 0 or not law.masses(head).flags.writeable
+        with pytest.raises(DomainError, match="lags must be >= 1"):
+            law.masses(head, 0)
+
+    def test_series_evaluate_each_head_lag_once(self):
+        # a binned law with an inexact component sums a 1e6-lag head
+        binned = bin_density(_flat_core(1.5), 1.0)
+        head = binned.series_head
+        assert head == LATTICE_SERIES_CUTOFF
+        counts = np.zeros(head + 1, dtype=np.int64)
+
+        def counted(n, _mass_fn=binned.support.mass_fn):
+            lags = np.asarray(n).ravel()
+            np.add.at(counts, lags[lags <= head], 1)
+            return _mass_fn(n)
+
+        law = replace(binned, support=replace(binned.support, mass_fn=counted))
+        triplet = make_walk_triplet(law)
+        nu = triplet.nu  # the triplet's own law, which keeps its own head
+        classify(triplet)
+        char_exponent(triplet, np.array([1e-3, 0.5, 3.0]))
+        char_exponent(triplet, 0.25)
+        flow_energy(nu, 10)
+        dyadic_energy_bound(nu)
+        moment(nu, 2)
+        assert counts[1:].min() == counts[1:].max() == 1
+
+    def test_short_reads_build_no_head(self, monkeypatch):
+        # diagnostics on an inexact binned law read a few thousand lags at
+        # most, never its 1e6-lag head
+        sizes = []
+        mass = SymmetricJumpLaw.mass
+
+        def counted(self, n):
+            sizes.append(np.size(n))
+            return mass(self, n)
+
+        monkeypatch.setattr(SymmetricJumpLaw, "mass", counted)
+        law = _flat_core(2.5)
+        binned = bin_density(law, 1.0)
+        assert binned.series_head == LATTICE_SERIES_CUTOFF
+        jensen_gap(law)
+        characteristics(binned)
+        binned.lag_tail_sum(0.0, np.array([0, 5, 100]))
+        binned.one_sided_tail_mass(3.5)
+        assert sizes and sum(sizes) < LATTICE_SERIES_CUTOFF // 100
 
 
 class TestInverseTailIntegral:

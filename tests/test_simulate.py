@@ -26,7 +26,12 @@ from levycrit import (
 )
 from levycrit.measures import multi_index_total
 from levycrit.powerint import hurwitz_zeta
-from levycrit.simulate import MAX_SOJOURN_STEPS, _invert_hurwitz_tail, replica_rng
+from levycrit.simulate import (
+    MAX_SOJOURN_STEPS,
+    TABLE_SIZE,
+    _invert_hurwitz_tail,
+    replica_rng,
+)
 
 SEED = 20260809
 
@@ -674,6 +679,23 @@ class TestDrawCaps:
         with pytest.raises(DomainError if refused else _SamplerBuilt,
                            match="cap" if refused else None):
             call()
+
+    @pytest.mark.parametrize("table_size, refused", [
+        (TABLE_SIZE, False), (TABLE_SIZE + 1, True), (10 ** 15, True), (-1, True),
+    ])
+    def test_table_size_checked_before_allocating(self, half_law_prob, monkeypatch,
+                                                  table_size, refused):
+        # the lag masses are the sampler's first allocation; a table size
+        # outside [0, TABLE_SIZE] is refused before them
+        from levycrit.measures import SymmetricJumpLaw
+
+        def tripwire(*args, **kwargs):
+            raise _SamplerBuilt
+
+        monkeypatch.setattr(SymmetricJumpLaw, "masses", tripwire)
+        with pytest.raises(DomainError if refused else _SamplerBuilt,
+                           match="table_size" if refused else None):
+            LatticeSampler(half_law_prob, table_size=table_size)
 
     def test_even_chain_refuses_negative_count(self, unit_step_law, monkeypatch):
         from levycrit import simulate
