@@ -112,8 +112,8 @@ def inverse_cubic_lattice_criterion(law: SymmetricJumpLaw) -> ConvergenceVerdict
         raise HypothesisViolationError("masses vanish beyond the table; positivity hypothesis fails")
 
     n_head = law.series_head
-    lags = np.arange(1, n_head + 1)
     masses = law.masses(n_head)
+    lags = np.arange(1, n_head + 1)
     # zero summed masses, and one period of the classes past the table; a zero
     # where a power component (K > 0) applies is K n^-rho underflowing
     period = math.lcm(*(c.stride for c in comps))
@@ -220,8 +220,8 @@ def _lattice_cell_sum(law: SymmetricJumpLaw, cutoff: float) -> tuple[float, floa
     a = np.maximum(n * delta, 1.0)
     b = np.minimum((n + 1) * delta, cutoff)
     head = max(law.series_head, int(n[-1]))
-    lags = np.arange(1, head + 1)
     masses = law.masses(head)
+    lags = np.arange(1, head + 1)
     pos = lags * delta
     moment2 = np.concatenate([[0.0], np.cumsum(np.where(pos > 1.0, pos * pos * masses, 0.0))])
     c = 0.5 * moment2[n]
@@ -393,8 +393,8 @@ def _compare_lattice(nu1, nu2, cutoff):
         raise UnsupportedComparisonError("lattice laws must share a spacing")
     delta = nu1.spacing
     n_head = max(int(cutoff), nu1.support.top, nu2.support.top)
-    n = np.arange(1, n_head + 1)
     diff = np.abs(nu1.masses(n_head) - nu2.masses(n_head))
+    n = np.arange(1, n_head + 1)
     partial = float(np.sum((n * delta) ** 2 * diff))
 
     k1, k2 = ({(c.stride, c.offset): c for c in law.components} for law in (nu1, nu2))

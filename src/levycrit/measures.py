@@ -54,10 +54,11 @@ from .tails import require_cutoff, require_positive
 from .verdicts import ConvergenceVerdict, Status, verdict
 
 PROBABILITY_TOL = 1e-10
-#: least head of a lattice series on a law with an inexact component, and
-#: the largest lag a mass table may list: its dense table of float64 masses
-#: then holds at most 8 MB, and so does the head that an inexact law keeps
-#: for its lifetime once a series has read it
+#: least head of a lattice series on a law with an inexact component, the
+#: largest lag a mass table may list and the longest head a law builds (a
+#: longer one, as a finely binned heavy tail has, is refused before it is
+#: allocated): each dense array of float64 masses then holds at most 8 MB,
+#: as does the head that a law keeps for its lifetime once a series has read it
 LATTICE_SERIES_CUTOFF = 10 ** 6
 #: widest panel, in log y, of a generic-density moment and of the Sato-Shepp
 #: inner integral
@@ -217,7 +218,9 @@ class SymmetricJumpLaw:
         by the first read that reaches its end; later reads slice it. A read
         that stops short of it before then, or starts past it, evaluates only
         its own lags, so a law whose series never run keeps no head; a read
-        past its end evaluates only the lags beyond it.
+        past its end evaluates only the lags beyond it. A read that needs a
+        head longer than ``LATTICE_SERIES_CUTOFF`` is refused before any
+        allocation.
         """
         if not self.is_lattice:
             raise DomainError("masses() is only defined for lattice laws")
@@ -226,6 +229,10 @@ class SymmetricJumpLaw:
         head = self.series_head
         if n_lo > head or (n_hi < head and "_head" not in self.__dict__):
             return self.mass(np.arange(n_lo, n_hi + 1))
+        if head > LATTICE_SERIES_CUTOFF:
+            raise DomainError(
+                f"a series head of {head} lags exceeds the cap {LATTICE_SERIES_CUTOFF}"
+            )
         if n_hi <= head:
             return self._head[n_lo - 1 : n_hi]
         return np.concatenate((self._head[n_lo - 1 :], self.mass(np.arange(head + 1, n_hi + 1))))
@@ -287,8 +294,8 @@ class SymmetricJumpLaw:
         arr = np.asarray(n_from, dtype=np.int64)
         top = sup.top
         first = int(arr.min(initial=top)) + 1
-        lags = np.arange(first, top + 1)
         masses = self.masses(top, first)
+        lags = np.arange(first, top + 1)
         with np.errstate(divide="ignore"):
             terms = lags.astype(float) ** weight_power * (1.0 / masses if inverse else masses)
         suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
@@ -703,9 +710,10 @@ def _lattice_cos_sum(law: SymmetricJumpLaw, u: np.ndarray, n_hi: int) -> np.ndar
     and two matrix products for the whole grid. At small u every term but
     the O((n u)^4) ``-P Q`` is nonnegative, so nothing cancels.
     """
+    masses = law.masses(n_hi)
     width = math.isqrt(n_hi) + 1
     flat = np.zeros((n_hi // width + 1) * width)
-    flat[1 : n_hi + 1] = law.masses(n_hi)
+    flat[1 : n_hi + 1] = masses
     blocks = flat.reshape(-1, width)
     x = np.outer(u, width * np.arange(len(blocks)))
     y = np.outer(u, np.arange(width))
@@ -829,8 +837,9 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVer
         n_start = math.floor(1.0 / delta) + 1
         n_head = min(math.floor(cutoff / delta), law.series_head)
         n_stop = max(n_head, n_start - 1)
+        masses = law.masses(n_head, n_start)
         lags = np.arange(n_start, n_head + 1)
-        partial = 2.0 * float(np.sum((lags * delta) ** k * law.masses(n_head, n_start)))
+        partial = 2.0 * float(np.sum((lags * delta) ** k * masses))
         tail_lo, tail_hi = (2.0 * delta ** k * t for t in law.lag_tail_sum(float(k), n_stop))
         truncation = f"lattice sum over 1 < n*delta <= {n_stop * delta:g}"
     else:

@@ -14,12 +14,17 @@ dyadic, exactly conserved flow. Flow checks run once per block pair,
 where theta is constant, in integer arithmetic scaled by 4^I (exact
 dyadic rationals). Its energy is one inverse lag series with a closed-form
 weight ``297/640 <= w^3 g(w) <= 1.2731...``, split into head and tail like
-every lattice series. Resistances come from the even-folded Dirichlet system.
+every lattice series. Resistances come from the even-folded Dirichlet system,
+factored by one in-place LAPACK Cholesky (``dpotrf`` through scipy). With an
+exact boundary envelope a smaller slice's matrix is a leading block of a
+larger one's, so a profile factors only its largest slice and reads every
+radius from that factor.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -234,9 +239,9 @@ def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     if not 2 <= i_max <= FLOW_ENERGY_MAX_LEVEL:
         raise DomainError(f"i_max must lie in [2, {FLOW_ENERGY_MAX_LEVEL}], got {i_max}")
     head = max(law.series_head, (1 << i_max) - 1)
+    masses = law.masses(head)
     w = np.arange(1, head + 1)
     with np.errstate(divide="ignore", over="ignore"):  # a zero mass: an honest inf
-        masses = law.masses(head)
         # edges (0, +-1) carry theta = 1/2; a plain sum, as BLAS ddot wakes its threads
         partial = float(0.5 / masses[0] + np.sum(_lag_weight(w) / masses))
     tail_lo, tail_hi = law.lag_tail_sum(-3.0, head, inverse=True)
@@ -262,8 +267,8 @@ def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
     if not law.is_lattice:
         raise DomainError("energy bound is defined for lattice laws")
     w_max = max(law.series_head + 2, _ENERGY_HEAD_MIN)
-    w = np.arange(1, w_max + 1)
     masses = law.masses(w_max)
+    w = np.arange(1, w_max + 1)
     if np.any(masses == 0.0):
         return Interval(math.inf, math.inf)
     m1, m2, m3 = masses[:3].tolist()
@@ -283,7 +288,8 @@ def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
 
 
 #: largest slice radius of the dense folded solve, refused before any
-#: allocation: its (N-1)^2 float64 matrix then holds at most 134 MB
+#: allocation: its (N-1)^2 float64 matrix, factored in place and the only
+#: array of that size, then holds at most 134 MB
 RESISTANCE_MAX_RADIUS = 4096
 
 
@@ -296,13 +302,20 @@ class NetworkSlice:
     R_eff(N) = N/2 exactly. A conductance is fixed by its lag, so the lag
     masses m(0..2N-2) in ``conductance`` hold every interior one.
     ``boundary_lo/hi`` bracket the (infinitely many) lag sums
-    c(u, ext) = sum_{|v| >= N} m(|v - u|), u = -(N-1)..N-1.
+    c(u, ext) = sum_{|v| >= N} m(|v - u|), u = -(N-1)..N-1. All three must
+    be finite, checked in O(N) before any matrix is built.
     """
 
     radius: int
     conductance: np.ndarray  # m(0) = 0: self-loops carry no current
     boundary_lo: np.ndarray
     boundary_hi: np.ndarray
+
+    def __post_init__(self):
+        if not all(np.all(np.isfinite(a)) for a in (self.conductance, self.boundary_lo,
+                                                     self.boundary_hi)):
+            raise DomainError("slice conductances must be finite; "
+                              "boundary conductances require a usable tail model")
 
 
 def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
@@ -324,8 +337,6 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     t_lo, t_hi = law.one_sided_tail_mass((np.arange(2 * n - 1) + 0.5) * law.spacing)
     # u = -(N-1)..N-1 takes T(N-1-u) from the reversed row and T(N-1+u) from the row
     b_lo, b_hi = t_lo[::-1] + t_lo, t_hi[::-1] + t_hi
-    if not np.all(np.isfinite(b_hi)):
-        raise DomainError("boundary conductances require a usable tail model")
     return NetworkSlice(radius=n, conductance=lag_mass, boundary_lo=b_lo, boundary_hi=b_hi)
 
 
@@ -336,7 +347,10 @@ def _folded_system(slc: NetworkSlice, boundary: np.ndarray) -> tuple[np.ndarray,
     A[u, u] = S(N-1-u) + S(N-1+u) - m(2u) + b(u), with S(k) = sum_{j<=k}
     m(j), the lag sums of the degree; the source's neighbours give the
     right-hand side m(u). A is a symmetric Z-matrix with row sums
-    m(u) + b(u) > 0, hence positive definite.
+    m(u) + b(u) > 0, hence positive definite. With an exact boundary
+    envelope each vertex's degree is the law's total mass M, so A[u, u] =
+    M - m(2u) at every radius, and a smaller slice's matrix is the leading
+    block of this one.
     """
     m = slc.conductance
     k = slc.radius - 1
@@ -351,33 +365,57 @@ def _folded_system(slc: NetworkSlice, boundary: np.ndarray) -> tuple[np.ndarray,
     return a_mat, m[1:k + 1]
 
 
-def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
-    """Dirichlet solve: potential 1 at vertex 0, 0 at the super-node.
+def _net_source_sums(slc: NetworkSlice, boundary: np.ndarray) -> np.ndarray:
+    """``m_n . (1 - A_n^-1 m_n)`` for every leading block A_n, n = 2..N.
 
-    The current out of the source is 2 sum_u m(u) (1 - V(u)) + b(0).
+    One in-place Cholesky A = L L^T of the folded matrix and one forward
+    solve y = L^-1 m: the leading blocks of L factor the leading blocks of
+    A, so ``m_n . A_n^-1 m_n = sum_{u<n} y_u^2`` and entry n - 2 of the
+    returned cumulative sum of ``m(u) - y_u^2`` is the value at n. A
+    LinAlgWarning flags rcond(A) < eps; by eigenvalue interlacing no leading
+    block is conditioned worse than A.
     """
-    from scipy import linalg  # only solves pay its import
+    from scipy.linalg import LinAlgWarning, lapack  # only solves pay its import
 
-    current = float(boundary[slc.radius - 1])
-    if slc.radius > 1:
-        a_mat, rhs = _folded_system(slc, boundary)
-        try:
-            # A is symmetric; A.T is the Fortran-order view LAPACK factors in place
-            pot = linalg.solve(a_mat.T, rhs, assume_a="pos", overwrite_a=True)
-        except linalg.LinAlgError as exc:  # pragma: no cover - structural
-            raise DomainError(f"singular slice system (disconnected network): {exc}")
-        current += 2.0 * float(np.sum(rhs * (1.0 - pot)))
+    a_mat, rhs = _folded_system(slc, boundary)
+    # a symmetric Z-matrix's 1-norm: max over u of A[u, u] + (A[u, u] - row sum)
+    anorm = float(np.max(2.0 * np.diagonal(a_mat) - rhs - boundary[slc.radius:]))
+    # A is symmetric; A.T is the Fortran-order view LAPACK factors in place
+    chol, info = lapack.dpotrf(a_mat.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:  # pragma: no cover - structural
+        raise DomainError(f"singular slice system (disconnected network): dpotrf info {info}")
+    rcond, _ = lapack.dpocon(chol, anorm, uplo="L")
+    if not rcond >= lapack.dlamch("E"):
+        warnings.warn(f"ill-conditioned slice matrix (rcond={rcond:.3g}): "
+                      "R_eff may not be accurate", LinAlgWarning, stacklevel=2)
+    y, _ = lapack.dtrtrs(chol, rhs, lower=1)
+    return np.cumsum(rhs - y * y)
+
+
+def _resistance(current: float) -> float:
+    """R_eff = 1 / (current out of the source at unit potential)."""
     if current <= 0:
         raise DomainError("no current leaves the source; network disconnected")
     return 1.0 / current
 
 
+def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
+    """Dirichlet solve: potential 1 at vertex 0, 0 at the super-node.
+
+    The current out of the source is b(0) + 2 sum_u m(u) (1 - V(u)), with
+    V = A^-1 m, read from :func:`_net_source_sums` at the full radius.
+    """
+    current = float(boundary[slc.radius - 1])
+    if slc.radius > 1:
+        current += 2.0 * float(_net_source_sums(slc, boundary)[-1])
+    return _resistance(current)
+
+
 def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
     """Effective resistance from 0 to the shorted exterior |v| >= radius.
 
-    The midpoint of :func:`effective_resistance_bounds`, the value that
-    :func:`resistance_profile` and the CLI report; exact for the built-in
-    families, whose lag tails are Hurwitz-zeta values.
+    The midpoint of :func:`effective_resistance_bounds`, exact for the
+    built-in families, whose lag tails are Hurwitz-zeta values.
     """
     return effective_resistance_bounds(law, radius).midpoint
 
@@ -385,10 +423,11 @@ def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
 def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
     """Enclosure of R_eff from the boundary-conductance envelope.
 
-    Each end is a dense Cholesky solve of the even-folded Dirichlet
-    system (N - 1 unknowns V(1..N-1)). By Rayleigh monotonicity,
-    overstating conductance to ground can only lower the resistance, so
-    solving with the upper envelope gives the lower end and vice versa.
+    Each end is one dense in-place Cholesky factorization of the
+    even-folded Dirichlet system (N - 1 unknowns V(1..N-1)), and an exact
+    envelope needs only one. By Rayleigh monotonicity, overstating
+    conductance to ground can only lower the resistance, so solving with
+    the upper envelope gives the lower end and vice versa.
     """
     slc = build_slice(law, radius)
     lo = _solve_slice(slc, slc.boundary_hi)
@@ -396,6 +435,29 @@ def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
         return Interval(lo, lo)  # exact envelope: one solve serves both ends
     hi = _solve_slice(slc, slc.boundary_lo)
     return Interval(min(lo, hi), max(lo, hi))
+
+
+def _exact_profile(law: SymmetricJumpLaw, radii: tuple[int, ...]) -> Optional[list[Interval]]:
+    """R_eff at every radius from the largest slice's one factorization,
+    or None where that slice's boundary envelope is not exact.
+
+    An exact envelope makes each smaller slice's matrix a leading block of
+    the largest one's, so the radius-n current is b_n(0) + 2 (sum_{u<n}
+    m(u) - sum_{u<n} y_u^2) with b_n(0) = 2 T(n-1), all n from one tail-mass
+    array call.
+    """
+    if radii[0] < 1:
+        raise DomainError("radius must be >= 1")
+    slc = build_slice(law, radii[-1])
+    if not np.array_equal(slc.boundary_lo, slc.boundary_hi):
+        return None
+    r = np.array(radii)
+    tail, _ = law.one_sided_tail_mass((r - 0.5) * law.spacing)
+    net = np.zeros(slc.radius)
+    if slc.radius > 1:
+        net[1:] = _net_source_sums(slc, slc.boundary_hi)
+    values = [_resistance(c) for c in (2.0 * tail + 2.0 * net[r - 1]).tolist()]
+    return [Interval(v, v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -431,7 +493,9 @@ def resistance_profile(law: SymmetricJumpLaw, radii: Sequence[int]) -> Resistanc
     radii = tuple(int(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
-    bounds = [effective_resistance_bounds(law, r) for r in radii]
+    bounds = _exact_profile(law, radii) if radii else None
+    if bounds is None:  # an inexact envelope: both ends solved at each radius
+        bounds = [effective_resistance_bounds(law, r) for r in radii]
     values = [b.midpoint for b in bounds]
     hint = "inconclusive"
     if len(values) >= 3:

@@ -124,6 +124,12 @@ class LatticeSampler:
             a0 = off / stride
             self._tail_starts.append((j_start, a0, hurwitz_zeta(c.exponent, j_start + a0)))
         self.tail_total = tail_total
+        # which component a tail draw takes: the cumulative shares, as
+        # rng.choice(p=shares) builds them, so the draws are the same
+        if self.tail_comps:
+            masses = np.array([m for _, m in self.tail_comps])
+            self._tail_cdf = (masses / masses.sum()).cumsum()
+            self._tail_cdf /= self._tail_cdf[-1]
         self.table_mass = self.cum[-1] if n_top >= 1 else self.origin_mass
         total = self.table_mass + tail_total
         if abs(total - 1.0) > 1e-9:
@@ -145,8 +151,7 @@ class LatticeSampler:
 
     def _tail_magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty(count)
-        masses = np.array([m for _, m in self.tail_comps])
-        pick = rng.choice(len(self.tail_comps), size=count, p=masses / masses.sum())
+        pick = self._tail_cdf.searchsorted(rng.random(count), side="right")
         u = rng.random(count)
         for ci, ((comp, _), (j_start, a0, start_sum)) in enumerate(
                 zip(self.tail_comps, self._tail_starts)):
@@ -169,8 +174,11 @@ class LatticeSampler:
         # masses at or below u (the tail overwrites the draws past the table)
         unsure = np.flatnonzero(mag < 0.0)
         v = u[unsure]
-        mag[unsure] = np.where(v < self.origin_mass, 0.0,
-                               np.searchsorted(self.cum, v, side="right") + 1.0)
+        # searched in sorted order, where the binary search stays in cache
+        order = np.argsort(v)
+        found = np.empty(v.size)
+        found[order] = np.searchsorted(self.cum, v[order], side="right") + 1.0
+        mag[unsure] = np.where(v < self.origin_mass, 0.0, found)
         in_tail = unsure[v >= self.table_mass]
         if in_tail.size:
             mag[in_tail] = self._tail_magnitudes(rng, in_tail.size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -579,6 +580,32 @@ class TestLawHead:
         binned.lag_tail_sum(0.0, np.array([0, 5, 100]))
         binned.one_sided_tail_mass(3.5)
         assert sizes and sum(sizes) < LATTICE_SERIES_CUTOFF // 100
+
+    def test_long_head_refused_before_allocation(self):
+        # a finely binned heavy tail starts its power component near lag
+        # 1/delta, so at delta = 1e-9 its head would hold 1e9 masses (8 GB)
+        law = bin_density(_flat_core(1.5), 1e-9)
+        assert law.series_head == 1_000_000_001
+        reads = {
+            "masses": lambda: law.masses(law.series_head),
+            "past the head": lambda: law.masses(law.series_head + 5, 3),
+            "lag_tail_sum": lambda: law.lag_tail_sum(0.0, 5),
+            "flow_energy": lambda: flow_energy(law, 2),
+            "dyadic_energy_bound": lambda: dyadic_energy_bound(law),
+            "moment": lambda: moment(law, 2),
+        }
+        tracemalloc.start()
+        try:
+            for name, read in reads.items():
+                with pytest.raises(DomainError, match="exceeds the cap"):
+                    read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "_head" not in law.__dict__
+        # a read short of the head evaluates only its own lags
+        assert np.array_equal(law.masses(5), law.mass(np.arange(1, 6)))
 
 
 class TestInverseTailIntegral:

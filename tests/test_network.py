@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -412,6 +413,49 @@ def _two_sided_resistance(slc, boundary) -> float:
     return 1.0 / current
 
 
+def _mp_resistance(s: float, radius: int) -> float:
+    """R_eff of the raw masses w^-s at 40 digits: the two-sided dense
+    Laplacian of |u| < radius, Hurwitz-zeta boundary tails, LU solve."""
+    with mp.workdps(40):
+        idx = list(range(-(radius - 1), radius))
+        n = len(idx)
+
+        def m(w):
+            return mp.mpf(w) ** mp.mpf(-s)
+
+        def tail(k):  # sum_{w > k} w^-s
+            return mp.zeta(mp.mpf(s), mp.mpf(k + 1))
+
+        lap = mp.zeros(n, n)
+        bnd = [tail(radius - 1 - u) + tail(radius - 1 + u) for u in idx]
+        for a in range(n):
+            total = mp.mpf(0)
+            for b in range(n):
+                if a == b:
+                    continue
+                c = m(abs(idx[a] - idx[b]))
+                lap[a, b] = -c
+                total += c
+            lap[a, a] = total + bnd[a]
+        i0 = idx.index(0)
+        keep = [a for a in range(n) if a != i0]
+        a_mat = mp.matrix(len(keep), len(keep))
+        rhs = mp.matrix(len(keep), 1)
+        for ai, a in enumerate(keep):
+            rhs[ai] = -lap[a, i0]
+            for bi, b in enumerate(keep):
+                a_mat[ai, bi] = lap[a, b]
+        sol = mp.lu_solve(a_mat, rhs)
+        volt = {idx[a]: sol[keep.index(a)] for a in keep}
+        volt[0] = mp.mpf(1)
+        current = bnd[i0]
+        for a in range(n):
+            if a == i0:
+                continue
+            current += m(abs(idx[a])) * (1 - volt[idx[a]])
+        return float(1 / current)
+
+
 class TestEffectiveResistance:
     def test_nearest_neighbor_halves(self, nearest_neighbor):
         for radius in (4, 8, 16):
@@ -421,47 +465,14 @@ class TestEffectiveResistance:
     def test_extended_precision_oracle(self, power_half_raw):
         # independent dense solve at 40 digits with mpmath (Hurwitz-zeta
         # boundary tails), radius 32
-        radius = 32
-        got = effective_resistance(power_half_raw, radius)
-        with mp.workdps(40):
-            idx = list(range(-(radius - 1), radius))
-            n = len(idx)
+        got = effective_resistance(power_half_raw, 32)
+        assert got == pytest.approx(_mp_resistance(1.5, 32), rel=1e-10)
 
-            def m(w):
-                return mp.mpf(w) ** mp.mpf(-1.5)
-
-            def tail(k):  # sum_{w > k} w^-1.5
-                return mp.zeta(mp.mpf(1.5), mp.mpf(k + 1))
-
-            lap = mp.zeros(n, n)
-            bnd = [tail(radius - 1 - u) + tail(radius - 1 + u) for u in idx]
-            for a in range(n):
-                s = mp.mpf(0)
-                for b in range(n):
-                    if a == b:
-                        continue
-                    c = m(abs(idx[a] - idx[b]))
-                    lap[a, b] = -c
-                    s += c
-                lap[a, a] = s + bnd[a]
-            i0 = idx.index(0)
-            keep = [a for a in range(n) if a != i0]
-            a_mat = mp.matrix(len(keep), len(keep))
-            rhs = mp.matrix(len(keep), 1)
-            for ai, a in enumerate(keep):
-                rhs[ai] = -lap[a, i0]
-                for bi, b in enumerate(keep):
-                    a_mat[ai, bi] = lap[a, b]
-            sol = mp.lu_solve(a_mat, rhs)
-            volt = {idx[a]: sol[keep.index(a)] for a in keep}
-            volt[0] = mp.mpf(1)
-            current = bnd[i0]
-            for a in range(n):
-                if a == i0:
-                    continue
-                current += m(abs(idx[a])) * (1 - volt[idx[a]])
-            oracle = float(1 / current)
-        assert got == pytest.approx(oracle, rel=1e-10)
+    def test_recurrent_oracle_from_larger_factor(self):
+        # masses w^-2.5 (alpha = 1.5, recurrent): radius 24 read from the
+        # radius-48 factor, against the same 40-digit solve at radius 24
+        prof = resistance_profile(make_power_law_lattice(1.5), [24, 48])
+        assert prof.resistances[0] == pytest.approx(_mp_resistance(2.5, 24), rel=1e-10)
 
     def test_monotone_in_radius(self, power_half_raw, multi_default, nearest_neighbor):
         for law in (power_half_raw, multi_default, nearest_neighbor):
@@ -545,6 +556,85 @@ class TestEffectiveResistance:
                 assert _solve_slice(slc, boundary) == pytest.approx(
                     _two_sided_resistance(slc, boundary), rel=1e-10
                 )
+
+
+class TestFactorReuse:
+    """A profile factors only its largest slice and reads every radius from
+    that factor; the solve runs in place and keeps scipy's two checks."""
+
+    EXACT = sorted(name for name in _FOLD_LAWS if name != "inexact table")
+
+    @pytest.mark.parametrize("law_name", EXACT)
+    def test_smaller_slice_is_leading_block(self, law_name):
+        from levycrit.network import _folded_system
+
+        law = _FOLD_LAWS[law_name]()
+        big = build_slice(law, 256)
+        a_big, rhs_big = _folded_system(big, big.boundary_hi)
+        tol = 4e-15 * law.total_mass
+        u = np.arange(1, 256)
+        assert np.max(np.abs(np.diagonal(a_big) - (law.total_mass - law.mass(2 * u)))) <= tol
+        for n in (2, 3, 8, 64, 255):
+            slc = build_slice(law, n)
+            a_mat, rhs = _folded_system(slc, slc.boundary_hi)
+            assert np.max(np.abs(a_mat - a_big[: n - 1, : n - 1])) <= tol
+            assert np.array_equal(rhs, rhs_big[: n - 1])
+
+    def test_inexact_envelope_breaks_leading_block(self):
+        from levycrit.network import _folded_system
+
+        law = _inexact_table_law()
+        big = build_slice(law, 64)
+        a_big, _ = _folded_system(big, big.boundary_hi)
+        slc = build_slice(law, 8)
+        a_mat, _ = _folded_system(slc, slc.boundary_hi)
+        assert np.max(np.abs(a_mat - a_big[:7, :7])) > 1e-3 * law.total_mass
+
+    @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
+    def test_profile_matches_per_radius_solve(self, law_name):
+        law = _FOLD_LAWS[law_name]()
+        radii = (1, 2, 3, 8, 64, 256)
+        prof = resistance_profile(law, radii)
+        for radius, got in zip(radii, prof.bounds):
+            want = effective_resistance_bounds(law, radius)
+            assert got.lo == pytest.approx(want.lo, rel=1e-10)
+            assert got.hi == pytest.approx(want.hi, rel=1e-10)
+        # the largest radius is the same solve either way
+        assert prof.bounds[-1] == effective_resistance_bounds(law, radii[-1])
+
+    def test_solve_factors_in_place(self, power_half_raw):
+        effective_resistance(power_half_raw, 8)  # scipy's import happens here
+        tracemalloc.start()
+        try:
+            effective_resistance(power_half_raw, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * 1023 ** 2  # the one (N-1)^2 float64 matrix
+
+    @pytest.mark.parametrize("field", ["conductance", "boundary_lo", "boundary_hi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_slice_refused(self, field, bad):
+        from levycrit import DomainError
+        from levycrit.network import NetworkSlice
+
+        arrays = {"conductance": np.array([0.0, 1.0, 0.5]),
+                  "boundary_lo": np.full(3, 0.25), "boundary_hi": np.full(3, 0.5)}
+        arrays[field][1] = bad
+        with pytest.raises(DomainError, match="finite|usable tail model"):
+            NetworkSlice(radius=2, **arrays)
+
+    def test_ill_conditioned_slice_warns(self):
+        # vertex 1 hangs on couplings of 1e-30 while vertices 2 and 3 share
+        # unit ones, so cond_1(A) is about 1e30 and the factor still exists
+        from levycrit.network import NetworkSlice, _solve_slice
+
+        tiny = 1e-30
+        boundary = np.array([1.0, 1.0, tiny, 1.0, tiny, 1.0, 1.0])  # u = -3..3
+        slc = NetworkSlice(radius=4, conductance=np.array([0.0, tiny, tiny, tiny, tiny, 1.0, 1.0]),
+                           boundary_lo=boundary, boundary_hi=boundary)
+        with pytest.warns(linalg.LinAlgWarning, match="(?i)ill-conditioned"):
+            _solve_slice(slc, boundary)
 
 
 class TestResistanceProfile:
