@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import (
+    LATTICE_SERIES_CUTOFF,
     DomainError,
     LatticeSupport,
     Normalization,
@@ -37,7 +38,8 @@ from .measures import (
 )
 from .powerint import panel_integrals, power_range
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
-from .tails import PowerTailComponent, TailDescriptor, TailKind, require_positive
+from .tails import (PowerTailComponent, TailDescriptor, TailKind, require_integer,
+                    require_positive)
 from .verdicts import ConvergenceVerdict, Status, tail_status, verdict
 
 __all__ = [
@@ -481,11 +483,12 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     truncation (bins 1..N against the integral over [1/2, N+1/2]), where
     it holds term by term; for laws with power tails of exponent below 2
     both sides converge and the verdicts carry two-sided enclosures.
+    ``n_terms`` is an integer in [1, ``LATTICE_SERIES_CUTOFF``], checked
+    before any array is built.
     """
     if law.is_lattice:
         raise DomainError("jensen_gap expects a continuous law")
-    if not n_terms >= 1:
-        raise DomainError(f"n_terms must be at least 1, got {n_terms}")
+    n_terms = require_integer("n_terms", n_terms, 1, LATTICE_SERIES_CUTOFF)
     if not law.strictly_positive and law.tail.kind is TailKind.COMPACT_SUPPORT:
         raise DomainError("density must be positive on [1/2, inf)")
     binned = bin_density(law, 1.0)

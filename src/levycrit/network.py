@@ -15,10 +15,11 @@ where theta is constant, in integer arithmetic scaled by 4^I (exact
 dyadic rationals). Its energy is one inverse lag series with a closed-form
 weight ``297/640 <= w^3 g(w) <= 1.2731...``, split into head and tail like
 every lattice series. Resistances come from the even-folded Dirichlet system,
-factored by one in-place LAPACK Cholesky (``dpotrf`` through scipy). With an
-exact boundary envelope a smaller slice's matrix is a leading block of a
-larger one's, so a profile factors only its largest slice and reads every
-radius from that factor.
+factored by one in-place LAPACK Cholesky (``dpotrf`` through scipy), on one
+path for one radius or many: the largest slice is built once, and with an
+exact boundary envelope a smaller slice's matrix is a leading block of its
+matrix, so every radius is read from that one factor. An inexact envelope
+solves both of its ends at each radius.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import DomainError, SymmetricJumpLaw
+from .tails import require_integer
 from .verdicts import Interval, enclosure
 
 __all__ = [
@@ -166,8 +168,7 @@ def verify_flow(i_max: int) -> FlowReport:
     i_max). The residual of u is sum_J theta(block(u), J) |B_J|, the same
     for every vertex of a block.
     """
-    if not 2 <= i_max <= VERIFY_FLOW_MAX_LEVEL:
-        raise DomainError(f"i_max must lie in [2, {VERIFY_FLOW_MAX_LEVEL}], got {i_max}")
+    i_max = require_integer("i_max", i_max, 2, VERIFY_FLOW_MAX_LEVEL)
     blocks = range(-i_max, i_max + 1)
     grid = np.array(blocks, dtype=np.int64)
     theta = _flow_scaled(grid[:, None], grid[None, :], i_max).tolist()  # exact ints
@@ -236,8 +237,7 @@ def flow_energy(law: SymmetricJumpLaw, i_max: int) -> Interval:
     """
     if not law.is_lattice:
         raise DomainError("flow energy is defined for lattice laws")
-    if not 2 <= i_max <= FLOW_ENERGY_MAX_LEVEL:
-        raise DomainError(f"i_max must lie in [2, {FLOW_ENERGY_MAX_LEVEL}], got {i_max}")
+    i_max = require_integer("i_max", i_max, 2, FLOW_ENERGY_MAX_LEVEL)
     head = max(law.series_head, (1 << i_max) - 1)
     masses = law.masses(head)
     w = np.arange(1, head + 1)
@@ -318,6 +318,11 @@ class NetworkSlice:
                               "boundary conductances require a usable tail model")
 
 
+def _radius(value) -> int:
+    """A slice radius as an int: integral and in [1, ``RESISTANCE_MAX_RADIUS``]."""
+    return require_integer("radius", value, 1, RESISTANCE_MAX_RADIUS)
+
+
 def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     """Lag masses and boundary envelopes of a slice, all of length O(N).
 
@@ -327,11 +332,7 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     """
     if not law.is_lattice:
         raise DomainError("network slices are defined for lattice laws")
-    n = radius
-    if n < 1:
-        raise DomainError("radius must be >= 1")
-    if n > RESISTANCE_MAX_RADIUS:
-        raise DomainError(f"radius capped at {RESISTANCE_MAX_RADIUS} for the dense solver")
+    n = _radius(radius)
     lag_mass = np.append(0.0, law.masses(2 * n - 2))
 
     t_lo, t_hi = law.one_sided_tail_mass((np.arange(2 * n - 1) + 0.5) * law.spacing)
@@ -366,15 +367,17 @@ def _folded_system(slc: NetworkSlice, boundary: np.ndarray) -> tuple[np.ndarray,
 
 
 def _net_source_sums(slc: NetworkSlice, boundary: np.ndarray) -> np.ndarray:
-    """``m_n . (1 - A_n^-1 m_n)`` for every leading block A_n, n = 2..N.
+    """``m_n . (1 - A_n^-1 m_n)`` for every leading block A_n, n = 1..N.
 
     One in-place Cholesky A = L L^T of the folded matrix and one forward
     solve y = L^-1 m: the leading blocks of L factor the leading blocks of
-    A, so ``m_n . A_n^-1 m_n = sum_{u<n} y_u^2`` and entry n - 2 of the
-    returned cumulative sum of ``m(u) - y_u^2`` is the value at n. A
-    LinAlgWarning flags rcond(A) < eps; by eigenvalue interlacing no leading
-    block is conditioned worse than A.
+    A, so ``m_n . A_n^-1 m_n = sum_{u<n} y_u^2`` and entry n - 1 of the
+    returned cumulative sum of ``m(u) - y_u^2``, led by a 0 (radius 1 has no
+    unknowns), is the value at n. A LinAlgWarning flags rcond(A) < eps; by
+    eigenvalue interlacing no leading block is conditioned worse than A.
     """
+    if slc.radius == 1:  # scipy's LAPACK wrappers refuse a 0 x 0 system
+        return np.zeros(1)
     from scipy.linalg import LinAlgWarning, lapack  # only solves pay its import
 
     a_mat, rhs = _folded_system(slc, boundary)
@@ -389,7 +392,7 @@ def _net_source_sums(slc: NetworkSlice, boundary: np.ndarray) -> np.ndarray:
         warnings.warn(f"ill-conditioned slice matrix (rcond={rcond:.3g}): "
                       "R_eff may not be accurate", LinAlgWarning, stacklevel=2)
     y, _ = lapack.dtrtrs(chol, rhs, lower=1)
-    return np.cumsum(rhs - y * y)
+    return np.cumsum(np.append(0.0, rhs - y * y))
 
 
 def _resistance(current: float) -> float:
@@ -399,16 +402,35 @@ def _resistance(current: float) -> float:
     return 1.0 / current
 
 
-def _solve_slice(slc: NetworkSlice, boundary: np.ndarray) -> float:
-    """Dirichlet solve: potential 1 at vertex 0, 0 at the super-node.
+def _resistance_bounds(law: SymmetricJumpLaw, radii: Sequence[int]) -> list[Interval]:
+    """Enclosures of R_eff at strictly increasing radii, from the largest slice.
 
-    The current out of the source is b(0) + 2 sum_u m(u) (1 - V(u)), with
-    V = A^-1 m, read from :func:`_net_source_sums` at the full radius.
+    The current out of the source at unit potential is b(0) + 2 net(n),
+    with b(0) = 2 T(n-1) from one tail-mass array call at the radii and
+    net(n) from :func:`_net_source_sums`. An exact envelope makes each
+    smaller slice's matrix a leading block of the largest one's, so that
+    slice's one factorization serves every radius. An inexact envelope
+    solves both of its ends at each radius, the largest slice serving the
+    last: by Rayleigh monotonicity the upper boundary envelope gives the
+    lower end of R_eff and vice versa.
     """
-    current = float(boundary[slc.radius - 1])
-    if slc.radius > 1:
-        current += 2.0 * float(_net_source_sums(slc, boundary)[-1])
-    return _resistance(current)
+    radii = [_radius(r) for r in radii]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise DomainError("radii must be strictly increasing")
+    if not radii:
+        return []
+    slc = build_slice(law, radii[-1])
+    r = np.array(radii)
+    t_lo, t_hi = law.one_sided_tail_mass((r - 0.5) * law.spacing)
+    if np.array_equal(slc.boundary_lo, slc.boundary_hi):
+        ends = [(t_lo, _net_source_sums(slc, slc.boundary_hi)[r - 1])]
+    else:
+        slices = [build_slice(law, n) for n in radii[:-1]] + [slc]
+        ends = [(t_hi, np.array([_net_source_sums(s, s.boundary_hi)[-1] for s in slices])),
+                (t_lo, np.array([_net_source_sums(s, s.boundary_lo)[-1] for s in slices]))]
+    currents = [(2.0 * tail + 2.0 * net).tolist() for tail, net in ends]
+    resistances = [[_resistance(c) for c in end] for end in currents]
+    return [Interval(min(v), max(v)) for v in zip(*resistances)]
 
 
 def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
@@ -423,41 +445,14 @@ def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
 def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
     """Enclosure of R_eff from the boundary-conductance envelope.
 
-    Each end is one dense in-place Cholesky factorization of the
-    even-folded Dirichlet system (N - 1 unknowns V(1..N-1)), and an exact
-    envelope needs only one. By Rayleigh monotonicity, overstating
-    conductance to ground can only lower the resistance, so solving with
-    the upper envelope gives the lower end and vice versa.
+    A one-radius :func:`resistance_profile`: one dense in-place Cholesky
+    factorization of the even-folded Dirichlet system (N - 1 unknowns
+    V(1..N-1)) per end of the envelope, one for an exact envelope. By
+    Rayleigh monotonicity, overstating conductance to ground can only
+    lower the resistance, so the upper envelope gives the lower end. The
+    radius is an integral value in [1, ``RESISTANCE_MAX_RADIUS``].
     """
-    slc = build_slice(law, radius)
-    lo = _solve_slice(slc, slc.boundary_hi)
-    if np.array_equal(slc.boundary_lo, slc.boundary_hi):
-        return Interval(lo, lo)  # exact envelope: one solve serves both ends
-    hi = _solve_slice(slc, slc.boundary_lo)
-    return Interval(min(lo, hi), max(lo, hi))
-
-
-def _exact_profile(law: SymmetricJumpLaw, radii: tuple[int, ...]) -> Optional[list[Interval]]:
-    """R_eff at every radius from the largest slice's one factorization,
-    or None where that slice's boundary envelope is not exact.
-
-    An exact envelope makes each smaller slice's matrix a leading block of
-    the largest one's, so the radius-n current is b_n(0) + 2 (sum_{u<n}
-    m(u) - sum_{u<n} y_u^2) with b_n(0) = 2 T(n-1), all n from one tail-mass
-    array call.
-    """
-    if radii[0] < 1:
-        raise DomainError("radius must be >= 1")
-    slc = build_slice(law, radii[-1])
-    if not np.array_equal(slc.boundary_lo, slc.boundary_hi):
-        return None
-    r = np.array(radii)
-    tail, _ = law.one_sided_tail_mass((r - 0.5) * law.spacing)
-    net = np.zeros(slc.radius)
-    if slc.radius > 1:
-        net[1:] = _net_source_sums(slc, slc.boundary_hi)
-    values = [_resistance(c) for c in (2.0 * tail + 2.0 * net[r - 1]).tolist()]
-    return [Interval(v, v) for v in values]
+    return _resistance_bounds(law, (radius,))[0]
 
 
 @dataclass(frozen=True)
@@ -484,18 +479,17 @@ PROFILE_GROWTH_RATIO = 0.9
 
 
 def resistance_profile(law: SymmetricJumpLaw, radii: Sequence[int]) -> ResistanceProfile:
-    """Solve R_eff at each radius and hint at the monotone limit.
+    """R_eff enclosures at each radius and a hint at the monotone limit.
 
-    The hint is diagnostic only and never overrides analytic verdicts:
-    flattening gaps (Cauchy-flat) lean transient, non-shrinking gaps lean
-    recurrent. Radii must be strictly increasing.
+    The enclosures come from the same path as
+    :func:`effective_resistance_bounds`, whose one radius is a one-radius
+    profile. Radii must be strictly increasing integral values in [1,
+    ``RESISTANCE_MAX_RADIUS``]. The hint is diagnostic only and never
+    overrides analytic verdicts: flattening gaps (Cauchy-flat) lean
+    transient, non-shrinking gaps lean recurrent.
     """
-    radii = tuple(int(r) for r in radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError("radii must be strictly increasing")
-    bounds = _exact_profile(law, radii) if radii else None
-    if bounds is None:  # an inexact envelope: both ends solved at each radius
-        bounds = [effective_resistance_bounds(law, r) for r in radii]
+    radii = tuple(radii)
+    bounds = _resistance_bounds(law, radii)
     values = [b.midpoint for b in bounds]
     hint = "inconclusive"
     if len(values) >= 3:
@@ -505,4 +499,4 @@ def resistance_profile(law: SymmetricJumpLaw, radii: Sequence[int]) -> Resistanc
             hint = "recurrent-leaning"
         elif gaps[-1] <= PROFILE_FLAT_TOL * values[-1]:
             hint = "transient-leaning"
-    return ResistanceProfile(radii, tuple(values), tuple(bounds), hint)
+    return ResistanceProfile(tuple(map(int, radii)), tuple(values), tuple(bounds), hint)

@@ -44,6 +44,23 @@ def require_positive(name: str, value: float, *, allow_zero: bool = False) -> No
         raise DomainError(f"{name} must be finite and {kind}, got {value}")
 
 
+def require_integer(name: str, value, lo: int, hi: int) -> int:
+    """Return ``value`` as an int; raise DomainError unless it is integral
+    and lies in ``[lo, hi]``.
+
+    Integral floats (``8.0``) and numpy integers pass; ``2.5``, NaN,
+    infinities and strings fail, before any array sized by ``value`` is built.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or not lo <= n <= hi:
+        raise DomainError(f"{name} must be at least {lo}, at most {hi} and integral, "
+                          f"got {value!r}")
+    return n
+
+
 #: largest cutoff of a truncated sum or integral: cutoff**3 stays finite below it
 CUTOFF_MAX = 1e100
 

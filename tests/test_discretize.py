@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +356,21 @@ class TestBadSizes:
         # -5 used to end in a panel-cap NumericError and 0 in an empty comparison
         with pytest.raises(DomainError, match="n_terms must be at least 1"):
             jensen_gap(tripwire_gaussian, n_terms=n_terms)
+
+    @pytest.mark.parametrize("n_terms", [2.5, 10 ** 6 + 1, 10 ** 9, 10 ** 13])
+    def test_jensen_terms_refused_before_allocating(self, tripwire_gaussian, n_terms):
+        # 10**13 terms once asked numpy for 72.8 TiB and 2.5 reported bins 1..2.5
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="n_terms must be at least 1, at most 1000000 "
+                                                  "and integral"):
+                jensen_gap(tripwire_gaussian, n_terms=n_terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_jensen_integral_terms_accepted(self, gaussian_law):
+        want = jensen_gap(gaussian_law, 50).to_dict()
+        assert jensen_gap(gaussian_law, n_terms=np.int64(50)).to_dict() == want
+        assert jensen_gap(gaussian_law, n_terms=50.0).to_dict() == want

@@ -157,6 +157,16 @@ class TestVerifyFlow:
         with pytest.raises(DomainError):
             verify_flow(40)
 
+    def test_level_must_be_integral(self):
+        # 10.0 once ended in a TypeError from range(); 2.5 is refused, not truncated
+        from levycrit import DomainError
+
+        assert verify_flow(10.0) == verify_flow(np.int64(10)) == verify_flow(10)
+        for bad in (2.5, math.nan, math.inf, "10"):
+            with pytest.raises(DomainError, match="i_max must be at least 2, at most 30 "
+                                                  "and integral"):
+                verify_flow(bad)
+
 
 def _vertex_scan(i_max: int) -> FlowReport:
     """Every check of :func:`verify_flow` on every ordered vertex pair."""
@@ -317,6 +327,17 @@ class TestFlowEnergy:
 
         with pytest.raises(DomainError):
             flow_energy(power_half_raw, FLOW_ENERGY_MAX_LEVEL + 1)
+
+    def test_level_must_be_integral(self, power_half_raw):
+        # 10.0 once ended in a TypeError from 1 << i_max
+        from levycrit import DomainError
+
+        want = flow_energy(power_half_raw, 10)
+        assert flow_energy(power_half_raw, 10.0) == flow_energy(power_half_raw, np.int64(10)) == want
+        for bad in (2.5, math.nan, math.inf, "10"):
+            with pytest.raises(DomainError, match="i_max must be at least 2, at most 22 "
+                                                  "and integral"):
+                flow_energy(power_half_raw, bad)
 
 
 class TestDyadicEnergyBound:
@@ -514,6 +535,46 @@ class TestEffectiveResistance:
         with pytest.raises(DomainError):
             build_slice(power_half_raw, 5000)
 
+    # non-integral radii were once a 2.5-radius slice, an IndexError and a
+    # silent radius 2; integral floats and numpy integers read as ints
+    NON_INTEGRAL = (2.5, 8.5, math.nan, math.inf, "8")
+
+    def test_slice_radius_must_be_integral(self, power_half_raw):
+        from levycrit import DomainError
+
+        for bad in self.NON_INTEGRAL:
+            with pytest.raises(DomainError, match="radius must be at least 1, at most 4096 "
+                                                  "and integral"):
+                build_slice(power_half_raw, bad)
+        want = build_slice(power_half_raw, 8)
+        for good in (8.0, np.int64(8)):
+            slc = build_slice(power_half_raw, good)
+            assert type(slc.radius) is int and slc.radius == 8
+            assert np.array_equal(slc.boundary_hi, want.boundary_hi)
+
+    def test_bounds_radius_must_be_integral(self, power_half_raw):
+        from levycrit import DomainError
+
+        for bad in self.NON_INTEGRAL:
+            with pytest.raises(DomainError, match="radius must be at least 1"):
+                effective_resistance_bounds(power_half_raw, bad)
+        want = effective_resistance_bounds(power_half_raw, 8)
+        assert effective_resistance_bounds(power_half_raw, 8.0) == want
+        assert effective_resistance_bounds(power_half_raw, np.int64(8)) == want
+
+    def test_profile_radii_must_be_integral(self, power_half_raw):
+        from levycrit import DomainError
+
+        for bad in self.NON_INTEGRAL:
+            with pytest.raises(DomainError, match="radius must be at least 1"):
+                resistance_profile(power_half_raw, [bad, 16])
+            with pytest.raises(DomainError, match="radius must be at least 1"):
+                resistance_profile(power_half_raw, [4, bad])
+        want = resistance_profile(power_half_raw, [8, 16])
+        got = resistance_profile(power_half_raw, [8.0, np.int64(16)])
+        assert got == want
+        assert all(type(r) is int for r in got.radii)
+
     def test_slice_structure(self, power_half_raw):
         from levycrit.network import _folded_system
 
@@ -546,16 +607,14 @@ class TestEffectiveResistance:
     @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
     def test_fold_matches_two_sided_solve(self, law_name):
         # the folded N-1 unknown system against the two-sided (2N-1)^2
-        # Laplacian solve, at both ends of the boundary envelope
-        from levycrit.network import _solve_slice
-
+        # Laplacian solve, at both ends of the boundary envelope: the upper
+        # boundary envelope gives R_eff's lower end
         law = _FOLD_LAWS[law_name]()
         for radius in (1, 2, 3, 8, 64, 256):
             slc = build_slice(law, radius)
-            for boundary in (slc.boundary_lo, slc.boundary_hi):
-                assert _solve_slice(slc, boundary) == pytest.approx(
-                    _two_sided_resistance(slc, boundary), rel=1e-10
-                )
+            got = effective_resistance_bounds(law, radius)
+            assert got.lo == pytest.approx(_two_sided_resistance(slc, slc.boundary_hi), rel=1e-10)
+            assert got.hi == pytest.approx(_two_sided_resistance(slc, slc.boundary_lo), rel=1e-10)
 
 
 class TestFactorReuse:
@@ -627,14 +686,14 @@ class TestFactorReuse:
     def test_ill_conditioned_slice_warns(self):
         # vertex 1 hangs on couplings of 1e-30 while vertices 2 and 3 share
         # unit ones, so cond_1(A) is about 1e30 and the factor still exists
-        from levycrit.network import NetworkSlice, _solve_slice
+        from levycrit.network import NetworkSlice, _net_source_sums
 
         tiny = 1e-30
         boundary = np.array([1.0, 1.0, tiny, 1.0, tiny, 1.0, 1.0])  # u = -3..3
         slc = NetworkSlice(radius=4, conductance=np.array([0.0, tiny, tiny, tiny, tiny, 1.0, 1.0]),
                            boundary_lo=boundary, boundary_hi=boundary)
         with pytest.warns(linalg.LinAlgWarning, match="(?i)ill-conditioned"):
-            _solve_slice(slc, boundary)
+            _net_source_sums(slc, boundary)
 
 
 class TestResistanceProfile:
