@@ -34,14 +34,16 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple
 
-from . import __version__
+from . import __version__, criteria, discretize, measures, network, powerint, simulate, tails
 from .config import (
     ConfigError,
     Option,
     _read,
     boolean,
+    integer,
     law_from_config,
     load_config,
+    number,
     resolve_law_config,
     resolve_triplet_config,
     triplet_from_config,
@@ -71,6 +73,9 @@ EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
 EXIT_NUMERIC = 3
 
+#: the library modules whose public numeric constants every report records
+LIBRARY_MODULES = (powerint, tails, measures, criteria, network, discretize, simulate)
+
 
 def _clean(value):
     """JSON-safe copy: infinities become the strings 'inf' / '-inf'."""
@@ -87,60 +92,13 @@ def _clean(value):
 
 
 def numeric_defaults() -> dict:
-    """Library-level tolerances and truncations, recorded for provenance."""
-    from .criteria import CF_EPS
-    from .discretize import (
-        DRIFT_TOL,
-        MAX_BIN_QUADS,
-        MAX_EXPECTATION_LAGS,
-        POWER_TAIL_REACH_CAP,
-        REACH_MASS_BUDGET,
-    )
-    from .measures import (
-        LATTICE_SERIES_CUTOFF,
-        PANEL_LOG_STEP,
-        PROBABILITY_TOL,
-    )
-    from .network import (
-        FLOW_ENERGY_MAX_LEVEL,
-        PROFILE_FLAT_TOL,
-        PROFILE_GROWTH_RATIO,
-        RESISTANCE_MAX_RADIUS,
-        VERIFY_FLOW_MAX_LEVEL,
-    )
-    from .powerint import COS_TAIL_SWITCH, PANEL_CAP, PANEL_REL_TOL
-    from .simulate import (
-        GROWTH_FLAT,
-        GROWTH_STEEP,
-        MAX_SOJOURN_HORIZON,
-        MAX_SOJOURN_STEPS,
-        TABLE_SIZE,
-    )
-
-    return {
-        "probability_tol": PROBABILITY_TOL,
-        "cf_eps": CF_EPS,
-        "panel_rel_tol": PANEL_REL_TOL,
-        "panel_cap": PANEL_CAP,
-        "panel_log_step": PANEL_LOG_STEP,
-        "lattice_series_cutoff": LATTICE_SERIES_CUTOFF,
-        "cos_tail_switch": COS_TAIL_SWITCH,
-        "max_bin_quads": MAX_BIN_QUADS,
-        "drift_tol": DRIFT_TOL,
-        "reach_mass_budget": REACH_MASS_BUDGET,
-        "power_tail_reach_cap": POWER_TAIL_REACH_CAP,
-        "max_expectation_lags": MAX_EXPECTATION_LAGS,
-        "profile_flat_tol": PROFILE_FLAT_TOL,
-        "profile_growth_ratio": PROFILE_GROWTH_RATIO,
-        "resistance_max_radius": RESISTANCE_MAX_RADIUS,
-        "verify_flow_max_level": VERIFY_FLOW_MAX_LEVEL,
-        "flow_energy_max_level": FLOW_ENERGY_MAX_LEVEL,
-        "sampler_table_size": TABLE_SIZE,
-        "sojourn_growth_flat": GROWTH_FLAT,
-        "sojourn_growth_steep": GROWTH_STEEP,
-        "max_sojourn_horizon": MAX_SOJOURN_HORIZON,
-        "max_sojourn_steps": MAX_SOJOURN_STEPS,
-    }
+    """Every public numeric constant of ``LIBRARY_MODULES``, keyed by its name
+    in lower case: the truncations, tolerances and caps that bound a run,
+    read from the code so that a report records each one."""
+    return {name.lower(): value for module in LIBRARY_MODULES
+            for name, value in vars(module).items()
+            if name.isupper() and not name.startswith("_")
+            and isinstance(value, (int, float)) and not isinstance(value, bool)}
 
 
 def _emit(report: dict, args, text: str, csv_name: str | None):
@@ -169,14 +127,6 @@ def _csv(header: list, rows) -> str:
 # casts and resolution
 
 
-def _integer(value) -> int:
-    """int(value), refusing a value that is not integral (6.7, "6.7", inf)
-    rather than truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _numbers(cast):
     """Cast of a comma-separated string (a flag) or a sequence (a config)."""
     return lambda raw: [cast(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
@@ -184,7 +134,7 @@ def _numbers(cast):
 
 def _seed(value) -> int:
     """A seed: a nonnegative integer (numpy's generators refuse a negative one)."""
-    seed = _integer(value)
+    seed = integer(value)
     if seed < 0:
         raise ValueError(f"{seed} is negative")
     return seed
@@ -335,18 +285,18 @@ COMMANDS = {
     "analyze": Command("run all criteria and classify", "triplet",
                        (Option("unimodal_override", boolean, False, flag="unimodal"),), _analyze),
     "flow": Command("verify the dyadic flow and bound its energy", "law",
-                    (Option("i_max", _integer, 10), Option("energy_level", _integer, 14)), _flow),
+                    (Option("i_max", integer, 10), Option("energy_level", integer, 14)), _flow),
     "resistance": Command("effective-resistance profile", "law",
-                          (Option("radii", _numbers(_integer), "8,16,32,64,128,256"),),
+                          (Option("radii", _numbers(integer), "8,16,32,64,128,256"),),
                           _resistance),
     "discretize": Command("bin a density and report convergence", "law",
-                          (Option("deltas", _numbers(float), "1,0.5,0.25,0.125"),
-                           Option("h_radius", float, 1.0)), _discretize),
+                          (Option("deltas", _numbers(number), "1,0.5,0.25,0.125"),
+                           Option("h_radius", number, 1.0)), _discretize),
     "simulate": Command("Monte Carlo sojourn diagnostics", "law",
-                        (Option("window", float, 5.0), Option("horizon", _integer, 10 ** 4),
-                         Option("replicas", _integer, 200)), _simulate),
+                        (Option("window", number, 5.0), Option("horizon", integer, 10 ** 4),
+                         Option("replicas", integer, 200)), _simulate),
     "demo": Command("canned scenarios with pass/fail tables", None,
-                    (Option("alpha", float, 0.5), Option("beta", float, 1.5)), _demo),
+                    (Option("alpha", number, 0.5), Option("beta", number, 1.5)), _demo),
 }
 
 SEED = Option("seed", _seed, 0)

@@ -101,6 +101,21 @@ def boolean(value: Any) -> bool:
     return value
 
 
+def number(value: Any) -> float:
+    """float(value), refusing a YAML ``true``/``false``, which float reads as 1/0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def integer(value: Any) -> int:
+    """int(value), refusing a value that is not integral (6.7, "6.7", inf)
+    rather than truncating it, and a YAML ``true``/``false``."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _read(mapping: Any, what: str, options, over: Optional[dict] = None) -> dict:
     """Each option's value from ``over``, else ``mapping``, else its default,
     cast once; a null value counts as not given. ``what`` names the mapping
@@ -120,20 +135,20 @@ def _read(mapping: Any, what: str, options, over: Optional[dict] = None) -> dict
 
 
 def _masses(raw) -> dict:
-    masses = {_cast(k, "masses", int): _cast(v, f"masses[{k}]", float)
+    masses = {_cast(k, "masses", integer): _cast(v, f"masses[{k}]", number)
               for k, v in dict(raw).items()}
     return dict(sorted(masses.items()))
 
 
 TAIL = (
     Option("kind", lambda v: TailKind(str(v)).value, "power_law"),
-    *(Option(key, float, OMITTED)
+    *(Option(key, number, OMITTED)
       for key in ("exponent", "constant", "onset", "lower_factor", "upper_factor")),
 )
-TERM = (Option("k", float, REQUIRED), Option("rho", float, REQUIRED))
+TERM = (Option("k", number, REQUIRED), Option("rho", number, REQUIRED))
 PIECE = (
-    Option("lo", float, 0.0),
-    Option("hi", lambda v: math.inf if v == ".inf" else float(v), math.inf),
+    Option("lo", number, 0.0),
+    Option("hi", lambda v: math.inf if v == ".inf" else number(v), math.inf),
     Option("terms", lambda ts: [_read(t, "each entry of 'terms'", TERM) for t in ts], REQUIRED),
 )
 
@@ -141,15 +156,15 @@ PIECE = (
 #: family -> (its keys, its constructor); each build looks its ``make_*`` up
 #: when it runs, so that a wrapped constructor is the one called
 LAW_FAMILIES = {
-    "power_lattice": ((Option("alpha", float, REQUIRED), Option("normalize", boolean, False)),
+    "power_lattice": ((Option("alpha", number, REQUIRED), Option("normalize", boolean, False)),
                       lambda c: make_power_law_lattice(c["alpha"], normalize=c["normalize"])),
-    "multi_index": ((Option("alpha", float, REQUIRED), Option("beta", float, REQUIRED),
+    "multi_index": ((Option("alpha", number, REQUIRED), Option("beta", number, REQUIRED),
                      Option("normalize", boolean, False)),
                     lambda c: make_multi_index_lattice(c["alpha"], c["beta"],
                                                        normalize=c["normalize"])),
-    "gaussian": ((Option("sigma", float, 1.0),), lambda c: make_gaussian_density(c["sigma"])),
+    "gaussian": ((Option("sigma", number, 1.0),), lambda c: make_gaussian_density(c["sigma"])),
     "table": (
-        (Option("spacing", float, 1.0), Option("origin_mass", float, 0.0),
+        (Option("spacing", number, 1.0), Option("origin_mass", number, 0.0),
          Option("masses", _masses, REQUIRED),
          Option("tail", lambda tail: _read(tail, "'tail'", TAIL), None),
          Option("normalization", lambda v: Normalization(str(v)).value, OMITTED)),
@@ -167,9 +182,9 @@ LAW_FAMILIES = {
                   for p in c["pieces"]), unimodal=c["unimodal"]),
     ),
 }
-STABLE = (Option("alpha", float, REQUIRED), Option("gamma", float, 1.0),
+STABLE = (Option("alpha", number, REQUIRED), Option("gamma", number, 1.0),
           Option("unimodal", boolean, True))
-TRIPLET = (Option("gaussian_coefficient", float, 0.0),
+TRIPLET = (Option("gaussian_coefficient", number, 0.0),
            Option("law", lambda law: resolve_law_config(law), None))
 
 

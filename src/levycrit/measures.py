@@ -866,25 +866,3 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVer
     status = Status.CONVERGES if converges else Status.DIVERGES
     return verdict(status, partial, truncation, (tail_lo, tail_hi))
 
-
-# ---------------------------------------------------------------------------
-# normalization audit
-
-
-def total_mass_interval(law: SymmetricJumpLaw) -> tuple[float, float]:
-    """Envelope of the two-sided total mass (origin included)."""
-    if law.is_lattice:
-        lo, hi = law.one_sided_tail_mass(0.0)
-        m0 = law.support.origin_mass
-        return (m0 + 2.0 * lo, m0 + 2.0 * hi)
-    lo, hi = law.one_sided_tail_mass(0.0)
-    return (2.0 * lo, 2.0 * hi)
-
-
-def check_probability(law: SymmetricJumpLaw, tol: float = PROBABILITY_TOL) -> float:
-    """Verify total mass 1 within ``tol``; returns the midpoint estimate."""
-    lo, hi = total_mass_interval(law)
-    mid = 0.5 * (lo + hi)
-    if not (lo - tol <= 1.0 <= hi + tol):
-        raise DomainError(f"law is not a probability distribution: mass in [{lo}, {hi}]")
-    return mid

@@ -35,7 +35,7 @@ from .measures import (
     multi_index_total,
 )
 from .powerint import hurwitz_zeta, strided_power_sum
-from .tails import require_positive
+from .tails import require_integer, require_positive
 from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
 #: most lags the sampler tabulates by default, and the largest ``table_size``
 #: it takes (refused before any allocation): its cumulative float64 table
 #: then holds at most 8 MB
-TABLE_SIZE = 10 ** 6
+SAMPLER_TABLE_SIZE = 10 ** 6
 # tail bisection cap on the class index j; draws beyond it are clamped to it.
 # P(beyond) per draw is about 2 C 2^(-52 alpha) / alpha, i.e. 1e-8 at alpha=0.5
 _J_CAP = float(1 << 52)
@@ -68,8 +68,11 @@ class SimulationCapError(RuntimeError):
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """The documented stream-derivation rule for replica substreams."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(replica)]))
+    """The documented stream-derivation rule for replica substreams; the seed
+    and the replica are nonnegative integers."""
+    return np.random.default_rng(np.random.SeedSequence(
+        [require_integer("seed", seed, 0, math.inf),
+         require_integer("replica", replica, 0, math.inf)]))
 
 
 class LatticeSampler:
@@ -92,13 +95,15 @@ class LatticeSampler:
     law is symmetric).
     """
 
-    def __init__(self, law: SymmetricJumpLaw, table_size: int = TABLE_SIZE):
+    def __init__(self, law: SymmetricJumpLaw, table_size: int = SAMPLER_TABLE_SIZE):
         if not law.is_lattice:
             raise DomainError("sampler needs a lattice law")
         if law.normalization is not Normalization.PROBABILITY:
             raise DomainError("sampler needs a probability law")
-        if not 0 <= table_size <= TABLE_SIZE:
-            raise DomainError(f"table_size must lie in [0, {TABLE_SIZE}], got {table_size}")
+        if not 0 <= table_size <= SAMPLER_TABLE_SIZE:
+            raise DomainError(
+                f"table_size must lie in [0, {SAMPLER_TABLE_SIZE}], got {table_size}")
+        table_size = require_integer("table_size", table_size, 0, SAMPLER_TABLE_SIZE)
         sup = law.support
         if not all(c.exact for c in sup.components):
             raise DomainError("exact tail sampling needs exact power components")
@@ -275,8 +280,9 @@ def sample_walk(
         raise DomainError("steps must be nonnegative")
     require_positive("window", window)
     _check_draw_cap("steps", steps)
-    smp = sampler or LatticeSampler(law)
+    steps = require_integer("steps", steps, 0, MAX_SOJOURN_STEPS)
     rng = replica_rng(seed, replica)
+    smp = sampler or LatticeSampler(law)
     delta = law.spacing
     jumps = smp.sample_lags(rng, steps) * delta if steps else np.zeros(0)
     path = np.concatenate([[0.0], np.cumsum(jumps)])
@@ -330,8 +336,8 @@ def poissonize(
         raise DomainError("horizon must be nonnegative")
     require_positive("window", window)
     _check_draw_cap("rate * horizon", rate * horizon)
-    smp = sampler or LatticeSampler(law)
     rng = replica_rng(seed, replica)
+    smp = sampler or LatticeSampler(law)
     count = int(rng.poisson(rate * horizon))
     epochs = np.sort(rng.random(count)) * horizon
     jumps = smp.sample_lags(rng, count) * law.spacing
@@ -382,8 +388,8 @@ class TrajectoryStats:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "replica_rows"}
 
 
-GROWTH_FLAT = 1.15
-GROWTH_STEEP = 1.3
+SOJOURN_GROWTH_FLAT = 1.15
+SOJOURN_GROWTH_STEEP = 1.3
 #: largest sojourn horizon (each replica holds a few arrays of 2 * horizon)
 MAX_SOJOURN_HORIZON = 10 ** 6
 #: largest draw count of one call: horizon * replicas of a sojourn estimate,
@@ -422,6 +428,9 @@ def sojourn_estimate(
             f"horizon {horizon} x {replicas} replicas exceeds the caps: horizon <= "
             f"{MAX_SOJOURN_HORIZON}, horizon * replicas <= {MAX_SOJOURN_STEPS}"
         )
+    horizon = require_integer("horizon", horizon, 1, MAX_SOJOURN_HORIZON)
+    replicas = require_integer("replicas", replicas, 1, MAX_SOJOURN_STEPS)
+    seed = require_integer("seed", seed, 0, math.inf)
     smp = LatticeSampler(law)
     delta = law.spacing
     base = np.empty(replicas)
@@ -460,9 +469,9 @@ def sojourn_estimate(
         se = ratio * math.sqrt(max(var, 0.0) / replicas)
     else:
         se = math.inf
-    if ratio < GROWTH_FLAT:
+    if ratio < SOJOURN_GROWTH_FLAT:
         leaning = "transient-leaning"
-    elif ratio > GROWTH_STEEP:
+    elif ratio > SOJOURN_GROWTH_STEEP:
         leaning = "recurrent-leaning"
     else:
         leaning = "inconclusive"
@@ -506,8 +515,10 @@ def even_chain_batch(
     if n_samples < 0:
         raise DomainError(f"n_samples must be nonnegative, got {n_samples}")
     _check_draw_cap("n_samples", n_samples)
+    n_samples = require_integer("n_samples", n_samples, 0, MAX_SOJOURN_STEPS)
+    seed = require_integer("seed", seed, 0, math.inf)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     smp = LatticeSampler(law)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     out = np.zeros(n_samples, dtype=np.int64)
     # the chains still active: their indices into out (int32 under the
     # draw cap), and their positions

@@ -49,13 +49,14 @@ def require_integer(name: str, value, lo: int, hi: int) -> int:
     and lies in ``[lo, hi]``.
 
     Integral floats (``8.0``) and numpy integers pass; ``2.5``, NaN,
-    infinities and strings fail, before any array sized by ``value`` is built.
+    infinities, strings and ``True``/``False`` fail, before any array sized
+    by ``value`` is built.
     """
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or not lo <= n <= hi:
+    if n is None or isinstance(value, bool) or n != value or not lo <= n <= hi:
         raise DomainError(f"{name} must be at least {lo}, at most {hi} and integral, "
                           f"got {value!r}")
     return n
@@ -197,9 +198,6 @@ class PowerTailComponent:
     @property
     def exact(self) -> bool:
         return self.lower_factor == 1.0 == self.upper_factor
-
-    def model(self, n):
-        return self.constant * np.asarray(n, dtype=float) ** -self.exponent
 
     def weighted_tail_sum(self, weight_power: float, n_from, inverse: bool = False):
         """Envelope of ``sum_{n > n_from} n^weight_power * m(n)^(+-1)`` on this class.

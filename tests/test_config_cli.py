@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levycrit
-from levycrit.cli import COMMANDS, DEMOS, build_parser, main
+from levycrit.cli import COMMANDS, DEMOS, LIBRARY_MODULES, build_parser, main
 from levycrit.config import (
     ConfigError,
     dump_config,
@@ -265,6 +265,30 @@ class TestCliCommands:
                                    "pieces": [{"terms": [{"k": 1.0, "rho": 1.5}]}]}},
              "unimodal"),
             (["analyze"], {"options": {"unimodal_override": "false"}}, "unimodal_override"),
+            # float() and int() read a YAML true/false as 1/0: alpha true ran alpha = 1
+            (["analyze"], {"law": {"family": "power_lattice", "alpha": True}}, "alpha"),
+            (["analyze"], {"law": {"family": "gaussian", "sigma": True}}, "sigma"),
+            (["analyze"], {"triplet": {"family": "stable", "alpha": True}}, "alpha"),
+            (["analyze"], {"triplet": {"gaussian_coefficient": True, "law": None}},
+             "gaussian_coefficient"),
+            (["analyze"], {"law": {"family": "piecewise_power",
+                                   "pieces": [{"terms": [{"k": True, "rho": 1.5}]}]}}, "k"),
+            (["analyze"], {"law": {"family": "piecewise_power",
+                                   "pieces": [{"hi": True, "terms": [{"k": 1.0, "rho": 1.5}]}]}},
+             "hi"),
+            (["resistance"], {"law": {"family": "table", "masses": {1: True}}}, "masses[1]"),
+            (["resistance"], {"law": {"family": "table", "masses": {True: 0.5}}}, "masses"),
+            (["resistance"], {"law": {"family": "table", "masses": {1: 0.5},
+                                      "origin_mass": False}}, "origin_mass"),
+            (["resistance"], {"law": {"family": "table", "masses": {1: 0.5},
+                                      "tail": {"exponent": True}}}, "exponent"),
+            (["flow"], {"seed": True}, "seed"),
+            (["flow"], {"options": {"i_max": True}}, "i_max"),
+            (["simulate"], {"options": {"horizon": True}}, "horizon"),
+            (["simulate"], {"options": {"window": True}}, "window"),
+            (["resistance"], {"options": {"radii": [4, True]}}, "radii"),
+            (["discretize"], {"options": {"deltas": [1, False]}}, "deltas"),
+            (["demo", "multi-index"], {"options": {"alpha": True}}, "alpha"),
         ],
     )
     def test_bad_config_options_exit_one(self, command, doc, key, tmp_path, capsys):
@@ -469,6 +493,28 @@ class TestReproducibility:
         rep2 = json.loads((out2 / "report.json").read_text())
         rep1.pop("timestamp"), rep2.pop("timestamp")
         assert rep1 == rep2
+
+    def test_report_defaults_read_from_the_code(self, tmp_path, capsys):
+        # every public numeric constant of the library modules, and nothing else
+        assert main(["analyze", "--family", "stable", "--alpha", "1.5",
+                     "--out", str(tmp_path)]) == 0
+        defaults = json.loads((tmp_path / "report.json").read_text())["config"]["defaults"]
+        assert defaults == {
+            "probability_tol": 1e-10, "cf_eps": 1e-6, "panel_rel_tol": 1e-10,
+            "panel_cap": 1000, "panel_log_step": 0.005, "lattice_series_cutoff": 10 ** 6,
+            "cos_tail_switch": 200.0, "max_bin_quads": 10 ** 5, "drift_tol": 1e-12,
+            "reach_mass_budget": 1e-11, "power_tail_reach_cap": 256.0,
+            "max_expectation_lags": 10 ** 6, "profile_flat_tol": 0.05,
+            "profile_growth_ratio": 0.9, "resistance_max_radius": 4096,
+            "verify_flow_max_level": 30, "flow_energy_max_level": 22,
+            "sampler_table_size": 10 ** 6, "sojourn_growth_flat": 1.15,
+            "sojourn_growth_steep": 1.3, "max_sojourn_horizon": 10 ** 6,
+            "max_sojourn_steps": 10 ** 7, "cutoff_max": 1e100,
+        }
+        for key, value in defaults.items():
+            assert not key.startswith(("_", "exit_")), key
+            owners = [m for m in LIBRARY_MODULES if hasattr(m, key.upper())]
+            assert owners and all(getattr(m, key.upper()) == value for m in owners), key
 
     def test_reports_embed_version_and_seed(self, capsys):
         main(["analyze", "--family", "stable", "--alpha", "1.5"])

@@ -61,7 +61,8 @@ class TestBinDensity:
         # and the certified envelope brackets the exact bin integral
         comp = binned.components[0]
         exact = (1.0 / 6.0) * ((n - 0.5) ** -0.5 - (n + 0.5) ** -0.5) / 0.5
-        assert comp.lower_factor * comp.model(n) <= exact <= comp.upper_factor * comp.model(n)
+        model = comp.constant * n ** -comp.exponent  # K n^-rho
+        assert comp.lower_factor * model <= exact <= comp.upper_factor * model
 
     def test_symmetry_is_structural(self, gaussian_law):
         binned = bin_density(gaussian_law, 0.5)

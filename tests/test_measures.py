@@ -32,9 +32,7 @@ from levycrit.measures import (
     NumericError,
     SymmetricJumpLaw,
     _lattice_cos_sum,
-    check_probability,
     make_gaussian_density,
-    total_mass_interval,
 )
 from levycrit.tails import PowerTailComponent, TailDescriptor, TailKind
 from levycrit.powerint import (
@@ -97,7 +95,11 @@ class TestPowerLawLattice:
         partial = 2 * law.mass(1) * float(np.sum(n ** -1.5))
         lo_tail = 2 * law.mass(1) * (10 ** 7 + 1) ** -0.5 / 0.5
         assert partial + lo_tail == pytest.approx(1.0, abs=1e-7)
-        assert check_probability(law) == pytest.approx(1.0, abs=1e-10)
+        # the two-sided total mass m(0) + 2 nu((0, inf)) encloses 1, and its midpoint is 1
+        lo, hi = law.one_sided_tail_mass(0.0)
+        m0 = law.support.origin_mass
+        assert m0 + 2.0 * lo - 1e-10 <= 1.0 <= m0 + 2.0 * hi + 1e-10
+        assert m0 + lo + hi == pytest.approx(1.0, abs=1e-10)
         assert law.mass(1) == pytest.approx(1.0 / (2.0 * ZETA_15))
 
     def test_rejects_bad_alpha(self):
@@ -883,6 +885,7 @@ class TestLawAndTripletValidation:
 
     def test_total_mass_interval_table(self):
         law = make_lattice_table({1: 0.25, 2: 0.25})
-        lo, hi = total_mass_interval(law)
-        assert lo == hi == pytest.approx(1.0)
+        lo, hi = law.one_sided_tail_mass(0.0)
+        m0 = law.support.origin_mass
+        assert m0 + 2.0 * lo == m0 + 2.0 * hi == pytest.approx(1.0)
         assert law.normalization is Normalization.PROBABILITY

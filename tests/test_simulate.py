@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import signal
 from itertools import product
@@ -28,7 +29,7 @@ from levycrit.measures import multi_index_total
 from levycrit.powerint import hurwitz_zeta
 from levycrit.simulate import (
     MAX_SOJOURN_STEPS,
-    TABLE_SIZE,
+    SAMPLER_TABLE_SIZE,
     _invert_hurwitz_tail,
     replica_rng,
 )
@@ -556,6 +557,14 @@ class TestSojournEstimate:
         with pytest.raises(DomainError, match="caps"):
             sojourn_estimate(unit_step_law, 5.0, horizon, replicas, SEED)
 
+    def test_integral_floats_and_numpy_integers_read_as_ints(self, half_law_prob):
+        # a float horizon raised numpy's TypeError
+        want = json.dumps(sojourn_estimate(half_law_prob, 5.0, 10, 3, 1).to_dict())
+        for horizon, replicas, seed in [(10.0, 3.0, 1.0),
+                                        (np.int64(10), np.int64(3), np.int64(1))]:
+            got = sojourn_estimate(half_law_prob, 5.0, horizon, replicas, seed)
+            assert json.dumps(got.to_dict()) == want
+
     @pytest.mark.parametrize("law, window, horizon, replicas", [
         (make_power_law_lattice(0.5, normalize=True), 5.0, 1, 7),
         (make_power_law_lattice(0.5, normalize=True), 5.0, 300, 9),
@@ -681,12 +690,13 @@ class TestDrawCaps:
             call()
 
     @pytest.mark.parametrize("table_size, refused", [
-        (TABLE_SIZE, False), (TABLE_SIZE + 1, True), (10 ** 15, True), (-1, True),
+        (SAMPLER_TABLE_SIZE, False), (SAMPLER_TABLE_SIZE + 1, True), (10 ** 15, True),
+        (-1, True),
     ])
     def test_table_size_checked_before_allocating(self, half_law_prob, monkeypatch,
                                                   table_size, refused):
         # the lag masses are the sampler's first allocation; a table size
-        # outside [0, TABLE_SIZE] is refused before them
+        # outside [0, SAMPLER_TABLE_SIZE] is refused before them
         from levycrit.measures import SymmetricJumpLaw
 
         def tripwire(*args, **kwargs):
@@ -696,6 +706,47 @@ class TestDrawCaps:
         with pytest.raises(DomainError if refused else _SamplerBuilt,
                            match="table_size" if refused else None):
             LatticeSampler(half_law_prob, table_size=table_size)
+
+    @pytest.mark.parametrize("value", [2.5, 1.5, -1, True])
+    @pytest.mark.parametrize("entry", [
+        "sojourn horizon", "sojourn replicas", "sojourn seed", "walk steps", "walk seed",
+        "walk replica", "poissonize seed", "chain n_samples", "chain seed",
+    ])
+    def test_non_integral_or_negative_counts_refused_before_the_sampler(
+            self, unit_step_law, monkeypatch, entry, value):
+        # a seed of 1.5 drew from seed 1 and was reported as 1.5; -1 ended in
+        # numpy's ValueError, a float count in its TypeError; True ran as 1
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise _SamplerBuilt
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        call = {
+            "sojourn horizon": lambda: sojourn_estimate(unit_step_law, 5.0, value, 3, SEED),
+            "sojourn replicas": lambda: sojourn_estimate(unit_step_law, 5.0, 10, value, SEED),
+            "sojourn seed": lambda: sojourn_estimate(unit_step_law, 5.0, 10, 3, value),
+            "walk steps": lambda: sample_walk(unit_step_law, value, SEED),
+            "walk seed": lambda: sample_walk(unit_step_law, 10, value),
+            "walk replica": lambda: sample_walk(unit_step_law, 10, SEED, replica=value),
+            "poissonize seed": lambda: poissonize(unit_step_law, 1.0, 10.0, value),
+            "chain n_samples": lambda: even_chain_batch(unit_step_law, value, SEED),
+            "chain seed": lambda: even_chain_batch(unit_step_law, 10, value),
+        }[entry]
+        with pytest.raises(DomainError):
+            call()
+
+    def test_non_integral_table_size_refused_before_allocating(self, half_law_prob,
+                                                               monkeypatch):
+        # 2.5 failed with "sampler masses sum to 1.0737, not 1"
+        from levycrit.measures import SymmetricJumpLaw
+
+        def tripwire(*args, **kwargs):
+            raise _SamplerBuilt
+
+        monkeypatch.setattr(SymmetricJumpLaw, "masses", tripwire)
+        with pytest.raises(DomainError, match="table_size"):
+            LatticeSampler(half_law_prob, table_size=2.5)
 
     def test_even_chain_refuses_negative_count(self, unit_step_law, monkeypatch):
         from levycrit import simulate
