@@ -40,10 +40,8 @@ from .verdicts import (
 )
 from .criteria import (
     HypothesisViolationError,
-    UnsupportedComparisonError,
     chung_fuchs_criterion,
     classify,
-    compare_measures,
     inverse_cubic_density_criterion,
     inverse_cubic_lattice_criterion,
     sato_shepp_criterion,
@@ -75,15 +73,10 @@ from .discretize import (
 )
 from .simulate import (
     LatticeSampler,
-    PathSummary,
-    PoissonPathSummary,
     SimulationCapError,
     TrajectoryStats,
     even_chain_batch,
     even_chain_criterion,
-    even_chain_sample,
-    poissonize,
-    sample_walk,
     sojourn_estimate,
 )
 

@@ -1,6 +1,6 @@
 """Transience/recurrence criteria for symmetric laws and their combination.
 
-Four routes, each producing a :class:`ConvergenceVerdict`:
+Three routes, each producing a :class:`ConvergenceVerdict`:
 
 * the inverse-cubic criterion: convergence of ``sum 1/(n^3 p_n)`` (lattice)
   or ``int_1^inf dy/(y^3 f(y))`` (continuous) is sufficient for transience,
@@ -10,9 +10,7 @@ Four routes, each producing a :class:`ConvergenceVerdict`:
   and its convergence implies transience when the measure is unimodal;
 * the Chung-Fuchs criterion: ``int_{|xi|<a} d xi / psi(xi)`` converges iff
   the process is transient; by the Tauberian relation
-  ``psi(xi) ~ xi^min(rho-1, 2)`` the declared tail decides it too;
-* a total-variation comparison transferring transience between laws whose
-  difference has a finite second moment.
+  ``psi(xi) ~ xi^min(rho-1, 2)`` the declared tail decides it too.
 
 Every Converges/Diverges decision on a declared tail comes from one rule,
 :func:`levycrit.verdicts.tail_status`, and every verdict is built by
@@ -66,12 +64,10 @@ from .verdicts import (
 __all__ = [
     "HypothesisViolationError",
     "tail_status",
-    "UnsupportedComparisonError",
     "inverse_cubic_lattice_criterion",
     "inverse_cubic_density_criterion",
     "sato_shepp_criterion",
     "chung_fuchs_criterion",
-    "compare_measures",
     "classify",
     "ConvergenceVerdict",
     "TransienceVerdict",
@@ -83,10 +79,6 @@ __all__ = [
 
 class HypothesisViolationError(DomainError):
     """The law violates a positivity hypothesis required by a criterion."""
-
-
-class UnsupportedComparisonError(DomainError):
-    """The two measures cannot be compared on a common refinement."""
 
 
 # ---------------------------------------------------------------------------
@@ -373,143 +365,6 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     tail_hi = 2.0 * CF_EPS ** (2.0 - rho) / (_cf_lower_constant(nu) * (2.0 - rho))
     return verdict(status, partial, trunc + "; analytic power tail below", (0.0, tail_hi),
                    err=err, note=note)
-
-
-# ---------------------------------------------------------------------------
-# total-variation comparison
-
-
-def _compare_lattice(nu1, nu2, cutoff):
-    """Partial, status, remainder bound, truncation and error of a lattice comparison.
-
-    The head runs to max(cutoff, top of either law); past it only the power
-    components are known. A class on which both laws have one exact model
-    cancels. Every other class adds both laws' weighted envelopes to the
-    bound, and makes the remainder diverge when its difference provably
-    decays no faster than n^-3: the two exponents differ, the envelopes on
-    one exponent are disjoint, or the other law is finite.
-    """
-    if nu1.spacing != nu2.spacing:
-        raise UnsupportedComparisonError("lattice laws must share a spacing")
-    delta = nu1.spacing
-    n_head = max(int(cutoff), nu1.support.top, nu2.support.top)
-    diff = np.abs(nu1.masses(n_head) - nu2.masses(n_head))
-    n = np.arange(1, n_head + 1)
-    partial = float(np.sum((n * delta) ** 2 * diff))
-
-    k1, k2 = ({(c.stride, c.offset): c for c in law.components} for law in (nu1, nu2))
-    tail_hi, diverges = 0.0, False
-    for key in k1.keys() | k2.keys():
-        c1, c2 = k1.get(key), k2.get(key)
-        if c1 is None or c2 is None:
-            # the other law surely has no mass on this class only if it is finite
-            floor = math.inf if (k1 if c1 is None else k2) else (c1 or c2).exponent
-        elif c1.exponent != c2.exponent:
-            floor = min(c1.exponent, c2.exponent)
-        elif c1.exact and c2.exact and c1.constant == c2.constant:
-            continue
-        else:
-            disjoint = (
-                c1.constant * c1.lower_factor > c2.constant * c2.upper_factor
-                or c2.constant * c2.lower_factor > c1.constant * c1.upper_factor
-            )
-            floor = c1.exponent if disjoint else math.inf
-        diverges |= floor <= 3.0  # a class difference ~ n^-rho, weighted by n^2
-        tail_hi += sum(c.weighted_tail_sum(2.0, n_head)[1] for c in (c1, c2) if c) * delta ** 2
-    if math.isfinite(tail_hi):
-        status = Status.CONVERGES
-    else:
-        status = Status.DIVERGES if diverges else Status.INCONCLUSIVE
-    return partial, status, tail_hi, f"lattice sum to n={n_head}", 0.0
-
-
-def _net_terms(terms1, terms2):
-    """Signed net coefficients K1 - K2 grouped by exponent."""
-    net: dict[float, float] = {}
-    for k, rho in terms1:
-        net[rho] = net.get(rho, 0.0) + k
-    for k, rho in terms2:
-        net[rho] = net.get(rho, 0.0) - k
-    scale = max((abs(k) for k in net.values()), default=0.0)
-    return {
-        rho: k for rho, k in net.items() if abs(k) > 1e-14 * max(scale, 1.0)
-    }
-
-
-def _compare_continuous(nu1, nu2, cutoff):
-    """Partial, status, remainder bound, truncation and error of a density comparison."""
-    trunc = f"integral over [0, {cutoff:g}]"
-
-    def integrand(y):
-        return y * y * np.abs(nu1.density(y) - nu2.density(y))
-
-    p1, p2 = nu1.support.pieces, nu2.support.pieces
-    if p1 is None or p2 is None:
-        # the moment grid, so a narrow density is seen by the nodes; the error
-        # is the panels'. Against a piecewise side, whose y^2 f may be nearly
-        # y^-1 at 0, the grid runs down to 1/cutoff: below, that side's
-        # integral is closed-form and the generic side's own int y^2 f adds
-        # to the error, as ||a - b| - a| <= b
-        n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
-        edges = np.union1d([0.0, cutoff], np.geomspace(1.0, cutoff, n_panels + 1))
-        near = err = 0.0
-        if p1 or p2:
-            eps = 1.0 / cutoff
-            edges = np.union1d(np.geomspace(eps, 1.0, n_panels + 1), edges[1:])
-            near = sum(p.weighted_integral(0.0, eps, 2.0) for p in p1 or p2)
-            generic = nu2 if p1 else nu1
-            generic_near, err = panel_integrals(lambda y: y * y * generic.density(y), [0.0, eps])
-            err += float(np.sum(generic_near))
-        panels, panel_err = panel_integrals(integrand, edges[edges <= cutoff])
-        return near + float(np.sum(panels)), Status.INCONCLUSIVE, math.inf, trunc, err + panel_err
-    # beyond far_start each density is its final infinite-piece form (or zero)
-    finite_edges = [p.hi for p in p1 + p2 if p.hi != math.inf]
-    far_start = max([cutoff, p1[-1].lo, p2[-1].lo, *finite_edges])
-    breaks = sorted(
-        {p.lo for p in p1} | {p.lo for p in p2} | set(finite_edges) | {0.0, far_start}
-    )
-    panels, _ = panel_integrals(integrand, [b for b in breaks if b <= far_start])
-    partial = float(np.sum(panels))
-    last1 = p1[-1] if p1[-1].hi == math.inf else None
-    last2 = p2[-1] if p2[-1].hi == math.inf else None
-    net = _net_terms(
-        last1.terms if last1 else (), last2.terms if last2 else ()
-    )
-    if not net:
-        return partial, Status.CONVERGES, 0.0, trunc, 0.0  # exact cancellation (or both compact)
-    rho_min = min(net)
-    if rho_min <= 3.0:
-        return partial, Status.DIVERGES, math.inf, trunc, 0.0
-    tail_hi = sum(
-        abs(k) * far_start ** (3.0 - rho) / (rho - 3.0) for rho, k in net.items()
-    )
-    return partial, Status.CONVERGES, tail_hi, trunc, 0.0
-
-
-def compare_measures(
-    nu1: SymmetricJumpLaw, nu2: SymmetricJumpLaw, cutoff: float = 1e4
-) -> ConvergenceVerdict:
-    """Classify ``int_0^inf y^2 |nu1 - nu2|(dy)`` (one-sided; laws symmetric).
-
-    Convergence transfers transience: if the nu1-process is transient and
-    this integral is finite, the nu2-process is transient as well. The
-    comparison is symmetric in its arguments.
-    """
-    require_cutoff(cutoff)
-    if nu1.is_lattice != nu2.is_lattice:
-        raise UnsupportedComparisonError("cannot compare lattice with continuous support")
-    if nu1.is_lattice:
-        partial, status, tail_hi, trunc, err = _compare_lattice(
-            nu1, nu2, min(cutoff, LATTICE_SERIES_CUTOFF)
-        )
-    else:
-        partial, status, tail_hi, trunc, err = _compare_continuous(nu1, nu2, cutoff)
-    if status is Status.INCONCLUSIVE:
-        trunc += "; tails not analytically comparable"
-    if status is not Status.CONVERGES:
-        return verdict(status, partial, trunc, err=err)
-    return verdict(status, partial, trunc + "; analytic tail difference beyond", (0.0, tail_hi),
-                   err=err, note="transience of the first process transfers to the second")
 
 
 # ---------------------------------------------------------------------------

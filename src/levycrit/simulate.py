@@ -1,4 +1,4 @@
-"""Monte Carlo corroboration: walks, Poissonized paths, sojourn times.
+"""Monte Carlo corroboration: sojourn times and the even chain.
 
 Everything here is diagnostic. Sojourn growth rates and resistance-style
 hints never feed the analytic classification; they corroborate it.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -40,13 +39,8 @@ from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
 
 __all__ = [
     "LatticeSampler",
-    "PathSummary",
-    "sample_walk",
-    "PoissonPathSummary",
-    "poissonize",
     "TrajectoryStats",
     "sojourn_estimate",
-    "even_chain_sample",
     "even_chain_batch",
     "even_chain_criterion",
     "SimulationCapError",
@@ -100,9 +94,6 @@ class LatticeSampler:
             raise DomainError("sampler needs a lattice law")
         if law.normalization is not Normalization.PROBABILITY:
             raise DomainError("sampler needs a probability law")
-        if not 0 <= table_size <= SAMPLER_TABLE_SIZE:
-            raise DomainError(
-                f"table_size must lie in [0, {SAMPLER_TABLE_SIZE}], got {table_size}")
         table_size = require_integer("table_size", table_size, 0, SAMPLER_TABLE_SIZE)
         sup = law.support
         if not all(c.exact for c in sup.components):
@@ -236,128 +227,6 @@ def _invert_hurwitz_tail(rho: float, a0: float, j_start: int, target: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# path summaries
-
-
-@dataclass(frozen=True)
-class PathSummary:
-    """Streaming statistics of one sampled walk (no path retention)."""
-
-    steps: int
-    seed: int
-    replica: int
-    window: float
-    final_position: float
-    max_excursion: float
-    time_in_window: int
-    returns_to_window: int
-
-
-def _window_stats(positions_before: np.ndarray, window: float):
-    """Counts over the positions S_0 .. S_{n-1} (before each step lands)."""
-    inside = np.abs(positions_before) < window
-    time_in = int(np.count_nonzero(inside))
-    entered = inside[1:] & ~inside[:-1]
-    return time_in, int(np.count_nonzero(entered))
-
-
-def sample_walk(
-    law: SymmetricJumpLaw,
-    steps: int,
-    seed: int,
-    *,
-    window: float = 1.0,
-    replica: int = 0,
-    sampler: Optional[LatticeSampler] = None,
-) -> PathSummary:
-    """Simulate S_n = J_1 + ... + J_n and return streaming statistics.
-
-    ``time_in_window`` counts the positions S_0, ..., S_{steps-1} with
-    |S_k| < window (so a horizon of n contributes at most n time units and
-    S_0 = 0 always counts).
-    """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    require_positive("window", window)
-    _check_draw_cap("steps", steps)
-    steps = require_integer("steps", steps, 0, MAX_SOJOURN_STEPS)
-    rng = replica_rng(seed, replica)
-    smp = sampler or LatticeSampler(law)
-    delta = law.spacing
-    jumps = smp.sample_lags(rng, steps) * delta if steps else np.zeros(0)
-    path = np.concatenate([[0.0], np.cumsum(jumps)])
-    time_in, returns = _window_stats(path[:steps], window)  # S_0 .. S_{steps-1}
-    return PathSummary(
-        steps=steps,
-        seed=seed,
-        replica=replica,
-        window=window,
-        final_position=float(path[-1]),
-        max_excursion=float(np.max(np.abs(path))),
-        time_in_window=time_in,
-        returns_to_window=returns,
-    )
-
-
-@dataclass(frozen=True)
-class PoissonPathSummary:
-    """Time-weighted statistics of a Poissonized (compound Poisson) path."""
-
-    rate: float
-    horizon: float
-    seed: int
-    replica: int
-    window: float
-    jump_count: int
-    final_position: float
-    max_excursion: float
-    time_in_window: float
-
-
-def poissonize(
-    law: SymmetricJumpLaw,
-    rate: float,
-    horizon: float,
-    seed: int,
-    *,
-    window: float = 1.0,
-    replica: int = 0,
-    sampler: Optional[LatticeSampler] = None,
-) -> PoissonPathSummary:
-    """Run the walk at an independent Poisson clock of the given rate.
-
-    Jump epochs are order statistics of uniforms on [0, horizon] (one
-    Poisson count draw, one uniform batch, then the walk sampler), and the
-    sojourn statistic weights each holding interval by its duration.
-    """
-    if rate <= 0:
-        raise DomainError("rate must be positive")
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
-    require_positive("window", window)
-    _check_draw_cap("rate * horizon", rate * horizon)
-    rng = replica_rng(seed, replica)
-    smp = sampler or LatticeSampler(law)
-    count = int(rng.poisson(rate * horizon))
-    epochs = np.sort(rng.random(count)) * horizon
-    jumps = smp.sample_lags(rng, count) * law.spacing
-    positions = np.concatenate([[0.0], np.cumsum(jumps)])
-    durations = np.diff(np.concatenate([[0.0], epochs, [horizon]]))
-    inside = np.abs(positions) < window
-    return PoissonPathSummary(
-        rate=rate,
-        horizon=horizon,
-        seed=seed,
-        replica=replica,
-        window=window,
-        jump_count=count,
-        final_position=float(positions[-1]),
-        max_excursion=float(np.max(np.abs(positions))),
-        time_in_window=float(np.sum(durations[inside])),
-    )
-
-
-# ---------------------------------------------------------------------------
 # sojourn estimation
 
 
@@ -392,16 +261,9 @@ SOJOURN_GROWTH_FLAT = 1.15
 SOJOURN_GROWTH_STEEP = 1.3
 #: largest sojourn horizon (each replica holds a few arrays of 2 * horizon)
 MAX_SOJOURN_HORIZON = 10 ** 6
-#: largest draw count of one call: horizon * replicas of a sojourn estimate,
-#: the steps of :func:`sample_walk`, the mean jump count rate * horizon of
-#: :func:`poissonize` and the chains of :func:`even_chain_batch`
+#: largest draw count of one call: horizon * replicas of a sojourn estimate
+#: and the chains of :func:`even_chain_batch`
 MAX_SOJOURN_STEPS = 10 ** 7
-
-
-def _check_draw_cap(name: str, count: float) -> None:
-    """Refuse a draw count above MAX_SOJOURN_STEPS (or NaN) before any allocation."""
-    if not count <= MAX_SOJOURN_STEPS:
-        raise DomainError(f"{name} = {count} exceeds the draw cap {MAX_SOJOURN_STEPS}")
 
 
 def sojourn_estimate(
@@ -421,16 +283,14 @@ def sojourn_estimate(
     horizon leans recurrent.
     """
     require_positive("window", window)
-    if horizon < 1 or replicas < 1:
-        raise DomainError("horizon and replicas must be positive")
+    horizon = require_integer("horizon", horizon, 1, math.inf)
+    replicas = require_integer("replicas", replicas, 1, math.inf)
+    seed = require_integer("seed", seed, 0, math.inf)
     if horizon > MAX_SOJOURN_HORIZON or horizon * replicas > MAX_SOJOURN_STEPS:
         raise DomainError(
             f"horizon {horizon} x {replicas} replicas exceeds the caps: horizon <= "
             f"{MAX_SOJOURN_HORIZON}, horizon * replicas <= {MAX_SOJOURN_STEPS}"
         )
-    horizon = require_integer("horizon", horizon, 1, MAX_SOJOURN_HORIZON)
-    replicas = require_integer("replicas", replicas, 1, MAX_SOJOURN_STEPS)
-    seed = require_integer("seed", seed, 0, math.inf)
     smp = LatticeSampler(law)
     delta = law.spacing
     base = np.empty(replicas)
@@ -512,11 +372,11 @@ def even_chain_batch(
     """
     if not law.is_lattice:
         raise DomainError("even chain requires a lattice law")
-    if n_samples < 0:
-        raise DomainError(f"n_samples must be nonnegative, got {n_samples}")
-    _check_draw_cap("n_samples", n_samples)
-    n_samples = require_integer("n_samples", n_samples, 0, MAX_SOJOURN_STEPS)
+    n_samples = require_integer("n_samples", n_samples, 0, math.inf)
+    if n_samples > MAX_SOJOURN_STEPS:
+        raise DomainError(f"n_samples = {n_samples} exceeds the draw cap {MAX_SOJOURN_STEPS}")
     seed = require_integer("seed", seed, 0, math.inf)
+    step_cap = require_integer("step_cap", step_cap, 0, math.inf)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     smp = LatticeSampler(law)
     out = np.zeros(n_samples, dtype=np.int64)
@@ -535,11 +395,6 @@ def even_chain_batch(
         idx, pos = idx[odd], pos[odd]
         rounds += 1
     return out
-
-
-def even_chain_sample(law: SymmetricJumpLaw, seed: int, step_cap: int = 10 ** 9) -> int:
-    """One draw of the even chain's first state X_1 (an even integer)."""
-    return int(even_chain_batch(law, 1, seed, step_cap=step_cap)[0])
 
 
 def even_chain_criterion(alpha: float, beta: float) -> ConvergenceVerdict:

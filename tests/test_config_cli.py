@@ -734,3 +734,31 @@ class TestCliSurface:
         text = " ".join(capsys.readouterr().out.split())
         for opt in COMMANDS[command].options:
             assert f"run option '{opt.key}' (default: {opt.default})" in text
+
+
+# the package's exported names, pinned so that adding or removing a library
+# entry point shows up as a reviewed change; the submodules the package
+# imports are exported too
+LIBRARY_SURFACE = [
+    "Basis", "CharTriple", "Classification", "ConvergenceTable", "ConvergenceVerdict",
+    "CriterionEvidence", "DomainError", "FlowReport", "HypothesisViolationError", "Interval",
+    "JensenGap", "LatticeSampler", "LevyTriplet", "NetworkSlice", "Normalization",
+    "NumericError", "PowerPiece", "PowerTailComponent", "ResistanceProfile",
+    "SimulationCapError", "Status", "SymmetricJumpLaw", "TailDescriptor", "TailKind",
+    "TrajectoryStats", "TransienceVerdict", "as_finite_measure", "bin_density", "block_index",
+    "build_slice", "char_exponent", "characteristics", "chung_fuchs_criterion", "classify",
+    "convergence_report", "criteria", "default_test_functions", "discretize",
+    "dyadic_energy_bound", "dyadic_flow", "effective_resistance", "effective_resistance_bounds",
+    "even_chain_batch", "even_chain_criterion", "flow_energy",
+    "inverse_cubic_density_criterion", "inverse_cubic_lattice_criterion", "jensen_gap",
+    "make_gaussian_density", "make_lattice_table", "make_multi_index_lattice",
+    "make_piecewise_power", "make_power_law_lattice", "make_stable_triplet",
+    "make_walk_triplet", "measures", "moment", "network", "powerint", "resistance_profile",
+    "sato_shepp_criterion", "simulate", "sojourn_estimate", "tail_status", "tails", "verdicts",
+    "verify_flow",
+]
+
+
+class TestLibrarySurface:
+    def test_exports_are_pinned(self):
+        assert sorted(levycrit.__all__) == LIBRARY_SURFACE

@@ -16,11 +16,9 @@ from levycrit import (
     Status,
     TailDescriptor,
     TailKind,
-    UnsupportedComparisonError,
     chung_fuchs_criterion,
     char_exponent,
     classify,
-    compare_measures,
     inverse_cubic_density_criterion,
     inverse_cubic_lattice_criterion,
     make_lattice_table,
@@ -497,24 +495,27 @@ class TestWindowArguments:
             verdict = classify(stable_half, a=a)
         assert verdict.evidence[0].verdict.truncation == "criterion not evaluated"
 
-    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0])
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0, -1.0, 1e300])
     def test_sato_shepp_cutoff(self, stable_half, power_half_raw, cutoff):
         for law in (stable_half.nu, power_half_raw):
             with pytest.raises(DomainError, match="cutoff must be finite"):
                 sato_shepp_criterion(law, cutoff=cutoff)
 
-    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0])
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.5, 1.0, -1.0, 1e300])
     def test_inverse_cubic_density_cutoff(self, stable_half, cutoff):
         with pytest.raises(DomainError, match="cutoff must be finite"):
             inverse_cubic_density_criterion(stable_half.nu, cutoff=cutoff)
 
-    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -1.0, 0.5, 1.0, 1e300])
-    def test_compare_measures_cutoff(self, power_half_raw, power_half_prob, gaussian_law, cutoff):
-        # -1 used to return a Diverges verdict on an empty head
-        for pair in ((power_half_raw, power_half_prob),
-                     (gaussian_law, make_gaussian_density(2.0))):
-            with pytest.raises(DomainError, match="cutoff must be finite"):
-                compare_measures(*pair, cutoff=cutoff)
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, -1.0, 0.5, 1e300])
+    def test_moment_cutoff(self, power_half_raw, stable_half, gaussian_law, cutoff):
+        # a moment's window is [1, CUTOFF_MAX]: below 1 it would sum an
+        # empty head, past the bound y^3 overflows
+        from levycrit import moment
+
+        for law in (power_half_raw, stable_half.nu, gaussian_law):
+            for k in range(4):
+                with pytest.raises(DomainError, match="cutoff must be finite"):
+                    moment(law, k, cutoff=cutoff)
 
     def test_huge_cutoff_refused(self, stable_half, gaussian_law):
         # past the shared bound y^3 overflows: refused before any evaluation
@@ -526,7 +527,6 @@ class TestWindowArguments:
             lambda: inverse_cubic_density_criterion(stable_half.nu, cutoff=1e300),
             lambda: moment(gaussian_law, 3, cutoff=1e300),
             lambda: moment(gaussian_law, 3, cutoff=CUTOFF_MAX * 1.01),
-            lambda: compare_measures(gaussian_law, make_gaussian_density(2.0), cutoff=1e300),
         ):
             with pytest.raises(DomainError, match="cutoff must be finite"):
                 call()
@@ -540,8 +540,6 @@ class TestWindowArguments:
             for k in range(4):
                 assert moment(law, k, cutoff=CUTOFF_MAX).value.lo > 0.0
         assert not inverse_cubic_density_criterion(stable_half.nu, cutoff=CUTOFF_MAX).value.infinite
-        v = compare_measures(gaussian_law, make_gaussian_density(2.0), cutoff=CUTOFF_MAX)
-        assert math.isfinite(v.partial_value) and v.partial_value > 0.0
 
 
 class TestTailStatus:
@@ -563,170 +561,6 @@ class TestTailStatus:
         v = chung_fuchs_criterion(make_stable_triplet(2.0, 1.0))
         assert v.status is Status.DIVERGES
         assert "compact support tail" in v.note
-
-
-class TestCompareMeasures:
-    def test_identity_is_zero(self, stable_half):
-        v = compare_measures(stable_half.nu, stable_half.nu)
-        assert v.status is Status.CONVERGES
-        assert v.partial_value == 0.0
-        assert v.value == Interval(0.0, 0.0)
-
-    def test_compact_bump_converges(self):
-        k_const = stable_levy_density_constant(0.5, 1.0)
-        nu1 = make_stable_triplet(0.5, 1.0).nu
-        nu2 = make_piecewise_power(
-            [
-                PowerPiece(0.0, 2.0, ((k_const, 1.5),)),
-                PowerPiece(2.0, 3.0, ((k_const, 1.5), (0.05, 0.0))),
-                PowerPiece(3.0, math.inf, ((k_const, 1.5),)),
-            ]
-        )
-        v = compare_measures(nu1, nu2)
-        assert v.status is Status.CONVERGES
-        # oracle: int_2^3 y^2 * 0.05 dy = 0.05 * 19/3
-        assert v.estimate == pytest.approx(0.05 * 19.0 / 3.0, rel=1e-9)
-
-    def test_power_perturbation_converges(self):
-        k_const = stable_levy_density_constant(0.5, 1.0)
-        nu1 = make_stable_triplet(0.5, 1.0).nu
-        nu2 = make_piecewise_power(
-            [
-                PowerPiece(0.0, 1.0, ((k_const, 1.5),)),
-                PowerPiece(1.0, math.inf, ((k_const, 1.5), (k_const, 4.5))),
-            ]
-        )
-        v = compare_measures(nu1, nu2)
-        assert v.status is Status.CONVERGES
-        # oracle: int_1^inf y^2 K y^-4.5 dy = K / 1.5 by closed form
-        assert v.estimate == pytest.approx(k_const / 1.5, rel=1e-6)
-        w = compare_measures(nu2, nu1)
-        assert w.status == v.status
-        assert w.partial_value == pytest.approx(v.partial_value, rel=1e-12)
-
-    def test_perturbed_core_matches_closed_form(self):
-        # the difference is 0.1 K y^-2.5 on [0, 1): weighted by y^2 it has a
-        # y^-1/2 singularity at 0, and its integral is 0.2 K
-        k_const = stable_levy_density_constant(1.5, 1.0)
-        nu1 = make_stable_triplet(1.5, 1.0).nu
-        nu2 = make_piecewise_power(
-            [
-                PowerPiece(0.0, 1.0, ((1.1 * k_const, 2.5),)),
-                PowerPiece(1.0, math.inf, ((k_const, 2.5),)),
-            ]
-        )
-        v = compare_measures(nu1, nu2)
-        assert v.status is Status.CONVERGES
-        assert v.value_interval == pytest.approx((v.partial_value,) * 2, rel=1e-14)  # no remainder
-        assert v.partial_value == pytest.approx(0.2 * k_const, rel=1e-10)
-
-    def test_gaussians_match_closed_form(self, gaussian_upper_moment):
-        # two generic densities: the integrand is a narrow bump near the
-        # origin of [0, 1e4]; the densities cross where y^2 = 2 ln(s) s^2/(s^2-1)
-        s = 1.1
-        cross = math.sqrt(2.0 * math.log(s) * s * s / (s * s - 1.0))
-        exact = (
-            gaussian_upper_moment(1.0, 0.0, cross, 2)
-            - gaussian_upper_moment(s, 0.0, cross, 2)
-            + gaussian_upper_moment(s, cross, 1e4, 2)
-            - gaussian_upper_moment(1.0, cross, 1e4, 2)
-        )
-        v = compare_measures(make_gaussian_density(1.0), make_gaussian_density(s))
-        assert v.status is Status.INCONCLUSIVE
-        assert v.partial_value == pytest.approx(exact, rel=1e-10)
-
-    @pytest.mark.parametrize("alpha", [1.99, 1.9])
-    def test_piecewise_against_generic_density(self, alpha):
-        # y^2 |f1 - f2| is about y^(1 - alpha) at 0: at alpha = 1.99 half of
-        # its [0, 1] mass lies below 1e-30, where no panel reaches; 1.9 is the
-        # control. Reference: the stable density f1 = K y^-rho exceeds the
-        # gaussian f2 below y0 and above y1, so each stretch is K's power
-        # integral in closed form minus or plus mpmath's quadrature of y^2 f2
-        from levycrit.measures import stable_levy_density_constant
-
-        v = compare_measures(make_stable_triplet(alpha, 1.0).nu, make_gaussian_density())
-        assert v.status is Status.INCONCLUSIVE
-        with mp.workdps(30):
-            k, rho = mp.mpf(stable_levy_density_constant(alpha, 1.0)), mp.mpf(alpha) + 1
-
-            def log_ratio(y):
-                return mp.log(k) - rho * mp.log(y) + y * y / 2 + mp.log(mp.sqrt(2 * mp.pi))
-
-            y0 = mp.findroot(log_ratio, (mp.mpf("1e-3"), mp.mpf(1)), solver="anderson")
-            y1 = mp.findroot(log_ratio, (mp.mpf(1.5), mp.mpf(20)), solver="anderson")
-
-            def stable(a, b):
-                return k * (b ** (3 - rho) - a ** (3 - rho)) / (3 - rho)
-
-            def gauss(a, b):
-                return mp.quad(lambda y: y * y * mp.npdf(y), [a, b])
-
-            ref = float(stable(0, y0) - gauss(0, y0) + gauss(y0, y1) - stable(y0, y1)
-                        + stable(y1, 1e4) - gauss(y1, 1e4))
-        err = v.partial_value - v.value.lo
-        assert 0.0 < err < 1e-9 * ref
-        assert abs(v.partial_value - ref) <= err
-
-    def test_mixed_supports_rejected(self, stable_half, power_half_raw):
-        with pytest.raises(UnsupportedComparisonError):
-            compare_measures(stable_half.nu, power_half_raw)
-
-    def test_lattice_cutoff_below_the_tables(self):
-        # the tables differ on lags 1..10 and share their tail; a cutoff of 3
-        # still sums every tabulated lag: sum n^2 * 0.01 = 3.85
-        tail = TailDescriptor(TailKind.POWER_LAW, exponent=4.5, constant=0.01)
-        nu1 = make_lattice_table({k: 0.01 for k in range(1, 11)}, tail=tail)
-        nu2 = make_lattice_table({k: 0.02 for k in range(1, 11)}, tail=tail)
-        v = compare_measures(nu1, nu2, cutoff=3)
-        assert v.status is Status.CONVERGES
-        assert v.value_interval == pytest.approx((3.85, 3.85), rel=1e-14)
-        assert v.truncation.startswith("lattice sum to n=10;")
-
-    def test_lattice_identity(self, power_half_raw):
-        v = compare_measures(power_half_raw, power_half_raw)
-        assert v.status is Status.CONVERGES
-        assert v.partial_value == 0.0
-
-    def test_lattice_overlapping_envelopes_decide_nothing(self):
-        # one exponent, envelopes 0.9/1.1 that overlap: the difference past
-        # the table may vanish, so rho = 2.5 <= 3 shows no divergence
-        tail = TailDescriptor(
-            TailKind.POWER_LAW, exponent=2.5, constant=0.05, lower_factor=0.9, upper_factor=1.1
-        )
-        law = make_lattice_table({1: 0.2, 2: 0.1}, tail=tail)
-        v = compare_measures(law, law)
-        assert v.status is Status.INCONCLUSIVE
-        assert v.partial_value == 0.0
-
-    def test_lattice_finite_tables_converge(self):
-        # no mass past either table: the remainder is exactly 0
-        v = compare_measures(make_lattice_table({1: 0.5}), make_lattice_table({1: 0.4, 2: 0.05}))
-        assert v.status is Status.CONVERGES
-        assert v.value_interval == pytest.approx((0.3, 0.3), rel=1e-14)
-
-    def test_lattice_finite_against_power(self):
-        # the remainder is the power law's own sum n^2 n^-4.5, finite
-        v = compare_measures(make_lattice_table({1: 0.5}), make_power_law_lattice(3.5))
-        assert v.status is Status.CONVERGES
-        with mp.workdps(30):
-            ref = float(0.5 + mp.zeta(2.5) - 1)
-        assert v.value.lo <= ref <= v.value.hi
-
-    @pytest.mark.parametrize("other", ["finite", "disjoint", "steeper"])
-    def test_lattice_provable_divergence(self, other):
-        # a rho = 2.5 class whose difference from the other law decays like n^-2.5
-        law = make_lattice_table(
-            {1: 0.2}, tail=TailDescriptor(TailKind.POWER_LAW, exponent=2.5, constant=0.05)
-        )
-        tails = {
-            "finite": None,
-            "disjoint": TailDescriptor(
-                TailKind.POWER_LAW, exponent=2.5, constant=0.1, lower_factor=0.9
-            ),
-            "steeper": TailDescriptor(TailKind.POWER_LAW, exponent=3.5, constant=0.05),
-        }
-        v = compare_measures(law, make_lattice_table({1: 0.2}, tail=tails[other]))
-        assert v.status is Status.DIVERGES
 
 
 class TestClassify:

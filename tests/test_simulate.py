@@ -17,12 +17,9 @@ from levycrit import (
     TailKind,
     even_chain_batch,
     even_chain_criterion,
-    even_chain_sample,
     make_lattice_table,
     make_multi_index_lattice,
     make_power_law_lattice,
-    poissonize,
-    sample_walk,
     sojourn_estimate,
 )
 from levycrit.measures import multi_index_total
@@ -423,119 +420,6 @@ def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-class TestSampleWalk:
-    def test_parity_conservation(self, unit_step_law):
-        for replica in range(5):
-            s = sample_walk(unit_step_law, 11, SEED, replica=replica)
-            assert s.final_position % 2 == 1  # odd steps -> odd parity
-            s = sample_walk(unit_step_law, 10, SEED, replica=replica)
-            assert s.final_position % 2 == 0
-
-    def test_zero_steps(self, unit_step_law):
-        s = sample_walk(unit_step_law, 0, SEED)
-        assert s.final_position == 0.0
-        assert s.max_excursion == 0.0
-
-    def test_mean_symmetric_gate(self, half_law_prob):
-        smp = LatticeSampler(half_law_prob, table_size=10 ** 5)
-        finals = []
-        for r in range(200):
-            s = sample_walk(half_law_prob, 10 ** 5, SEED, replica=r, sampler=smp)
-            finals.append(s.final_position)
-        finals = np.asarray(finals)
-        # symmetric law: sign-flip invariance; use a sign-test gate (robust
-        # to the heavy tails, unlike a CLT band on the mean)
-        nonzero = finals[finals != 0]
-        pos = np.count_nonzero(nonzero > 0)
-        assert abs(pos - len(nonzero) / 2) <= 3.0 * math.sqrt(len(nonzero) / 4)
-
-    def test_sojourn_bounded_by_horizon(self, unit_step_law):
-        s = sample_walk(unit_step_law, 50, SEED, window=100.0)
-        assert s.time_in_window == 50
-
-
-class TestPoissonize:
-    def test_jump_count_gate(self, unit_step_law):
-        smp = LatticeSampler(unit_step_law)
-        n_rep = 10 ** 4
-        counts = [
-            poissonize(unit_step_law, 1.0, 10.0, SEED, replica=r, sampler=smp).jump_count
-            for r in range(n_rep)
-        ]
-        mean = float(np.mean(counts))
-        se = math.sqrt(10.0 / n_rep)
-        assert abs(mean - 10.0) <= 3.0 * se
-
-    def test_zero_horizon(self, unit_step_law):
-        p = poissonize(unit_step_law, 1.0, 0.0, SEED)
-        assert p.time_in_window == 0.0
-        assert p.jump_count == 0
-
-    def test_time_weighting_against_replayed_draws(self, unit_step_law):
-        # replay the documented draw order and rebuild the sojourn time by
-        # an explicit holding-interval loop
-        smp = LatticeSampler(unit_step_law)
-        got = poissonize(unit_step_law, 2.0, 7.0, SEED, window=1.5, replica=3, sampler=smp)
-        rng = replica_rng(SEED, 3)
-        count = int(rng.poisson(2.0 * 7.0))
-        epochs = np.sort(rng.random(count)) * 7.0
-        jumps = smp.sample_lags(rng, count) * unit_step_law.spacing
-        pos = 0.0
-        prev = 0.0
-        sojourn = 0.0
-        for epoch, jump in zip(epochs, jumps):
-            if abs(pos) < 1.5:
-                sojourn += epoch - prev
-            pos += jump
-            prev = epoch
-        if abs(pos) < 1.5:
-            sojourn += 7.0 - prev
-        assert got.jump_count == count
-        assert got.time_in_window == pytest.approx(sojourn, rel=1e-12)
-        assert got.final_position == pos
-
-    def test_heavy_tail_sojourn_stabilizes(self, half_law_prob):
-        # compound-Poisson view of the raw alpha=0.5 measure: rate is the
-        # total mass, jumps are the normalized law; a transient process has
-        # bounded sojourn, so doubling the horizon barely changes it
-        rate = 2.0 * zeta(1.5, 1)
-        smp = LatticeSampler(half_law_prob, table_size=10 ** 5)
-        short, long_ = [], []
-        for r in range(300):
-            short.append(
-                poissonize(half_law_prob, rate, 2000.0, SEED, window=5.0,
-                           replica=r, sampler=smp).time_in_window
-            )
-            long_.append(
-                poissonize(half_law_prob, rate, 4000.0, SEED + 1, window=5.0,
-                           replica=r, sampler=smp).time_in_window
-            )
-        m_short, m_long = float(np.mean(short)), float(np.mean(long_))
-        se = math.sqrt(np.var(long_, ddof=1) / len(long_) + np.var(short, ddof=1) / len(short))
-        assert m_long / m_short < 1.2 or m_long - m_short <= 3.0 * se
-
-    def test_subordination_consistency(self, half_law_prob):
-        # discrete sojourn at horizon n vs rate-1 Poissonized sojourn at
-        # time n, 3-sigma gate over >= 1e3 replicas
-        smp = LatticeSampler(half_law_prob, table_size=10 ** 5)
-        horizon = 400
-        disc = []
-        cont = []
-        for r in range(1200):
-            s = sample_walk(half_law_prob, horizon, SEED, window=5.0, replica=r, sampler=smp)
-            disc.append(s.time_in_window)
-            p = poissonize(
-                half_law_prob, 1.0, float(horizon), SEED + 1, window=5.0, replica=r,
-                sampler=smp,
-            )
-            cont.append(p.time_in_window)
-        disc = np.asarray(disc, dtype=float)
-        cont = np.asarray(cont, dtype=float)
-        diff = disc.mean() - cont.mean()
-        se = math.sqrt(disc.var(ddof=1) / len(disc) + cont.var(ddof=1) / len(cont))
-        assert abs(diff) <= 3.0 * se
-
-
 class TestSojournEstimate:
     def test_bitwise_determinism(self, half_law_prob):
         a = sojourn_estimate(half_law_prob, 5.0, 2000, 50, SEED)
@@ -572,7 +456,10 @@ class TestSojournEstimate:
          1.0, 1, 5),
         (make_lattice_table({1: 0.2, 2: 0.1, 3: 0.05}, spacing=0.5, origin_mass=0.3),
          1.0, 257, 6),
-    ], ids=["power h=1", "power", "origin h=1", "origin"])
+        (make_lattice_table({1: 0.5}), 1.0, 40, 5),
+        (make_multi_index_lattice(0.5, 1.5, normalize=True), 4.0, 120, 4),
+        (_table_with_tail(), 3.0, 100, 4),
+    ], ids=["power h=1", "power", "origin h=1", "origin", "unit step", "multi", "table + tail"])
     def test_path_statistics_match_a_reference_rebuild(self, law, window, horizon, replicas):
         # each replica's path rebuilt from the same draws as S_0 = 0 followed
         # by the running sums, its statistics counted position by position
@@ -613,24 +500,57 @@ class TestSojournEstimate:
             raise AssertionError("sampler built before the window was checked")
 
         monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
-        for call in (
-            lambda: sojourn_estimate(half_law_prob, window, 100, 4, SEED),
-            lambda: sample_walk(half_law_prob, 100, SEED, window=window),
-            lambda: poissonize(half_law_prob, 1.0, 100.0, SEED, window=window),
-            lambda: poissonize(half_law_prob, 1.0, 0.0, SEED, window=window),
-        ):
-            with pytest.raises(DomainError, match="window must be finite and positive"):
-                call()
+        with pytest.raises(DomainError, match="window must be finite and positive"):
+            sojourn_estimate(half_law_prob, window, 100, 4, SEED)
 
     def test_replica_rows_optional(self, half_law_prob):
         stats = sojourn_estimate(half_law_prob, 5.0, 200, 8, SEED, keep_replicas=True)
         assert len(stats.replica_rows) == 8
         assert all(r["sojourn"] <= 200 for r in stats.replica_rows)
 
+    @pytest.mark.parametrize("horizon, replicas", [(0, 3), (10, 0)])
+    def test_zero_horizon_or_replicas_refused(self, unit_step_law, monkeypatch,
+                                              horizon, replicas):
+        from levycrit import simulate
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("sampler built before the counts were checked")
+
+        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
+        with pytest.raises(DomainError, match="must be at least 1"):
+            sojourn_estimate(unit_step_law, 5.0, horizon, replicas, SEED)
+
+    @pytest.mark.parametrize("law_name", list(ORACLE_LAWS))
+    def test_replica_rows_do_not_depend_on_the_replica_count(self, law_name):
+        # replica r draws from its own stream, so a longer run only appends rows
+        law = ORACLE_LAWS[law_name]()
+        short = sojourn_estimate(law, 5.0, 200, 3, SEED, keep_replicas=True)
+        long_ = sojourn_estimate(law, 5.0, 200, 8, SEED, keep_replicas=True)
+        assert long_.replica_rows[:3] == short.replica_rows
+
+    @pytest.mark.parametrize("law_name", list(ORACLE_LAWS))
+    def test_walk_endpoints_are_sign_symmetric(self, law_name):
+        # each replica's walk, drawn as the sojourn loop draws it, ends on
+        # either side of 0 alike: a sign test, robust to the heavy tails
+        # where a CLT band on the mean is not
+        law = ORACLE_LAWS[law_name]()
+        smp = LatticeSampler(law)
+        ends = np.array([smp.sample_lags(replica_rng(SEED, r), 100).sum() for r in range(1000)])
+        nonzero = ends[ends != 0]
+        pos = np.count_nonzero(nonzero > 0)
+        assert abs(pos - len(nonzero) / 2) <= 3.0 * math.sqrt(len(nonzero) / 4)
+
 
 class TestEvenChain:
     def test_even_support(self, half_law_prob):
         xs = even_chain_batch(half_law_prob, 5000, SEED)
+        assert np.all(xs % 2 == 0)
+
+    @pytest.mark.parametrize("law_name", list(ORACLE_LAWS))
+    def test_even_support_across_laws(self, law_name):
+        law = ORACLE_LAWS[law_name]()
+        xs = even_chain_batch(law, 2000, SEED)
+        assert xs.shape == (2000,)
         assert np.all(xs % 2 == 0)
 
     def test_all_even_jumps_one_step(self):
@@ -650,10 +570,6 @@ class TestEvenChain:
             se = math.sqrt(p_true * (1 - p_true) / len(xs))
             assert abs(p_hat - p_true) <= 4.0 * se
 
-    def test_single_sample_api(self, unit_step_law):
-        x = even_chain_sample(unit_step_law, SEED)
-        assert x % 2 == 0
-
     def test_step_cap_raises(self, unit_step_law):
         from levycrit import SimulationCapError
 
@@ -667,11 +583,9 @@ class _SamplerBuilt(Exception):
 
 class TestDrawCaps:
     @pytest.mark.parametrize("count, refused", [
-        (MAX_SOJOURN_STEPS, False), (MAX_SOJOURN_STEPS + 1, True), (10 ** 15, True),
+        (0, False), (MAX_SOJOURN_STEPS, False), (MAX_SOJOURN_STEPS + 1, True), (10 ** 15, True),
     ])
-    @pytest.mark.parametrize("entry", ["sample_walk", "poissonize", "even_chain_batch"])
-    def test_caps_checked_before_allocating(self, unit_step_law, monkeypatch, entry,
-                                            count, refused):
+    def test_caps_checked_before_allocating(self, unit_step_law, monkeypatch, count, refused):
         # the sampler table is the first allocation; a count over the cap is
         # refused before it, and 10^15 draws could not be allocated at all
         from levycrit import simulate
@@ -680,18 +594,13 @@ class TestDrawCaps:
             raise _SamplerBuilt
 
         monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
-        call = {
-            "sample_walk": lambda: sample_walk(unit_step_law, count, SEED),
-            "poissonize": lambda: poissonize(unit_step_law, 2.0, count / 2.0, SEED),
-            "even_chain_batch": lambda: even_chain_batch(unit_step_law, count, SEED),
-        }[entry]
         with pytest.raises(DomainError if refused else _SamplerBuilt,
                            match="cap" if refused else None):
-            call()
+            even_chain_batch(unit_step_law, count, SEED)
 
     @pytest.mark.parametrize("table_size, refused", [
         (SAMPLER_TABLE_SIZE, False), (SAMPLER_TABLE_SIZE + 1, True), (10 ** 15, True),
-        (-1, True),
+        (-1, True), ("5", True), (0, False), (math.nan, True), (None, True),
     ])
     def test_table_size_checked_before_allocating(self, half_law_prob, monkeypatch,
                                                   table_size, refused):
@@ -707,15 +616,17 @@ class TestDrawCaps:
                            match="table_size" if refused else None):
             LatticeSampler(half_law_prob, table_size=table_size)
 
-    @pytest.mark.parametrize("value", [2.5, 1.5, -1, True])
+    @pytest.mark.parametrize("value", [2.5, 1.5, -1, True, "5", math.nan, math.inf, None])
     @pytest.mark.parametrize("entry", [
-        "sojourn horizon", "sojourn replicas", "sojourn seed", "walk steps", "walk seed",
-        "walk replica", "poissonize seed", "chain n_samples", "chain seed",
+        "sojourn horizon", "sojourn replicas", "sojourn seed", "chain n_samples", "chain seed",
+        "chain step_cap",
     ])
     def test_non_integral_or_negative_counts_refused_before_the_sampler(
             self, unit_step_law, monkeypatch, entry, value):
         # a seed of 1.5 drew from seed 1 and was reported as 1.5; -1 ended in
-        # numpy's ValueError, a float count in its TypeError; True ran as 1
+        # numpy's ValueError, a float count in its TypeError; True ran as 1;
+        # "5" failed a comparison with TypeError; NaN, inf and None are no
+        # counts at all
         from levycrit import simulate
 
         def tripwire(*args, **kwargs):
@@ -726,12 +637,9 @@ class TestDrawCaps:
             "sojourn horizon": lambda: sojourn_estimate(unit_step_law, 5.0, value, 3, SEED),
             "sojourn replicas": lambda: sojourn_estimate(unit_step_law, 5.0, 10, value, SEED),
             "sojourn seed": lambda: sojourn_estimate(unit_step_law, 5.0, 10, 3, value),
-            "walk steps": lambda: sample_walk(unit_step_law, value, SEED),
-            "walk seed": lambda: sample_walk(unit_step_law, 10, value),
-            "walk replica": lambda: sample_walk(unit_step_law, 10, SEED, replica=value),
-            "poissonize seed": lambda: poissonize(unit_step_law, 1.0, 10.0, value),
             "chain n_samples": lambda: even_chain_batch(unit_step_law, value, SEED),
             "chain seed": lambda: even_chain_batch(unit_step_law, 10, value),
+            "chain step_cap": lambda: even_chain_batch(unit_step_law, 10, SEED, step_cap=value),
         }[entry]
         with pytest.raises(DomainError):
             call()
@@ -755,22 +663,8 @@ class TestDrawCaps:
             raise AssertionError("sampler built before the count was checked")
 
         monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(DomainError, match="n_samples must be at least 0"):
             even_chain_batch(unit_step_law, -1, SEED)
-
-    @pytest.mark.parametrize("rate, horizon", [
-        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, 0.0),
-    ])
-    def test_poissonize_refuses_non_finite_counts(self, unit_step_law, monkeypatch,
-                                                  rate, horizon):
-        from levycrit import simulate
-
-        def tripwire(*args, **kwargs):
-            raise AssertionError("sampler built before the draw cap was checked")
-
-        monkeypatch.setattr(simulate, "LatticeSampler", tripwire)
-        with pytest.raises(DomainError, match="cap"):
-            poissonize(unit_step_law, rate, horizon, SEED)
 
 
 class TestEvenChainCriterion:
