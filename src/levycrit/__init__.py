@@ -80,4 +80,27 @@ from .simulate import (
     sojourn_estimate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # measures
+    "DomainError", "LevyTriplet", "Normalization", "NumericError", "PowerPiece",
+    "SymmetricJumpLaw", "as_finite_measure", "char_exponent", "make_gaussian_density",
+    "make_lattice_table", "make_multi_index_lattice", "make_piecewise_power",
+    "make_power_law_lattice", "make_stable_triplet", "make_walk_triplet", "moment",
+    # tails and verdicts
+    "PowerTailComponent", "TailDescriptor", "TailKind", "Basis", "Classification",
+    "ConvergenceVerdict", "CriterionEvidence", "Interval", "Status", "TransienceVerdict",
+    # criteria
+    "HypothesisViolationError", "chung_fuchs_criterion", "classify",
+    "inverse_cubic_density_criterion", "inverse_cubic_lattice_criterion",
+    "sato_shepp_criterion", "tail_status",
+    # network
+    "FlowReport", "NetworkSlice", "ResistanceProfile", "block_index", "build_slice",
+    "dyadic_energy_bound", "dyadic_flow", "effective_resistance",
+    "effective_resistance_bounds", "flow_energy", "resistance_profile", "verify_flow",
+    # discretize
+    "CharTriple", "ConvergenceTable", "JensenGap", "bin_density", "characteristics",
+    "convergence_report", "default_test_functions", "jensen_gap",
+    # simulate
+    "LatticeSampler", "SimulationCapError", "TrajectoryStats", "even_chain_batch",
+    "even_chain_criterion", "sojourn_estimate",
+]

@@ -29,7 +29,8 @@ integral of a generic density (the exponent's head, tail masses, moments,
 the Sato-Shepp inner integral) runs on
 :func:`levycrit.powerint.panel_integrals`: one fixed 15-point Gauss-Kronrod
 rule on every panel of a grid, with one array call to the density per
-pass, plus the declared tail model beyond the grid.
+pass, plus the declared tail model beyond the grid. The exponent's head
+takes every point of a call in one grouped pass, a row of panels per point.
 """
 
 from __future__ import annotations
@@ -768,7 +769,8 @@ def _lattice_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndarray
 
 
 def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndarray:
-    """One side of psi's jump part: pieces in closed form, a generic density per point."""
+    """One side of psi's jump part: pieces in closed form, a generic density in one
+    grouped panel pass with a row per point."""
     sup, tail = law.support, law.tail
     if sup.pieces is not None:
         return sum(
@@ -781,10 +783,11 @@ def _continuous_jump_exponent(law: SymmetricJumpLaw, axi: np.ndarray) -> np.ndar
     edges = [0.0, tail.onset]
     if tail.kind is TailKind.EXPONENTIAL:
         edges.append(tail.onset + 60.0 / tail.exponent)
-    head = np.array([
-        np.sum(panel_integrals(lambda y: 2.0 * np.sin(a * y / 2.0) ** 2 * law.density(y), edges)[0])
-        for a in axi.tolist()
-    ])
+    panels, _ = panel_integrals(  # one row of panels per point
+        lambda y, row: 2.0 * np.sin(axi[row] * y / 2.0) ** 2 * law.density(y),
+        np.tile(edges, (len(axi), 1)),
+    )
+    head = np.sum(panels, axis=1)
     if tail.kind is not TailKind.POWER_LAW:
         return head
     rho = tail.exponent
@@ -797,10 +800,13 @@ def char_exponent(triplet: LevyTriplet, xi: float | np.ndarray) -> float | np.nd
 
     A float for a scalar ``xi`` and an array of ``xi``'s shape for an array: a
     lattice law (:func:`_lattice_jump_exponent`) and a piecewise-power
-    density take the whole array at once, a generic density one panel pass
-    per point. Even and nonnegative by construction; psi(0) = 0 exactly.
+    density take the whole array at once, a generic density one grouped
+    panel pass with a row per point. Even and nonnegative by construction;
+    psi(0) = 0 exactly. A NaN or infinite ``xi`` raises :class:`DomainError`.
     """
     axi = np.abs(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(axi)):
+        raise DomainError("xi must be finite")
     flat = axi.reshape(-1)
     value = 0.5 * triplet.c * flat * flat
     nonzero = flat > 0.0

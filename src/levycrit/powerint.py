@@ -12,7 +12,8 @@ energy bounds, boundary conductances) reduces to three primitives:
   Bernoulli terms go subnormal and lose digits),
 * :func:`panel_integrals`, a fixed 15-point Gauss-Kronrod rule applied to
   every panel of a grid in one array pass, for every integral that has no
-  closed form.
+  closed form; a table of grids, one integral per row, shares each pass
+  while every row keeps its own error budget and bisection.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ GK15_KRONROD = _mirror(_GK_KRONROD)
 GK15_GAUSS = _mirror(_GK_GAUSS)
 
 
-def panel_integrals(fn, edges) -> tuple[np.ndarray, float]:
+def panel_integrals(fn, edges) -> tuple[np.ndarray, float | np.ndarray]:
     """``int fn`` over each panel ``[edges[i], edges[i+1]]``, and its error.
 
     ``fn`` maps an array of points to values. One array pass of the 15-point
@@ -76,39 +77,58 @@ def panel_integrals(fn, edges) -> tuple[np.ndarray, float]:
     left. Nodes never touch an endpoint, so a panel may start at an
     integrable singularity. Raises :class:`NumericError` when ``fn`` is not
     finite at a node, or before bisection would add more than ``PANEL_CAP``.
+
+    A 2-D ``edges`` groups integrals, one per row, into the same array
+    passes: ``fn(points, row)`` also receives the row index of each panel's
+    points, as a column. Each row keeps its own budget, bisection and
+    ``PANEL_CAP`` by the rules above, so it matches its own 1-D pass up to
+    the order of summation. The panels come back with one row per integral,
+    and the error as an array with one entry per row.
     """
     edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    n = len(lo)
-    owner = np.arange(n)  # the given panel each current panel belongs to
-    panels = np.zeros(n)
-    err_done = size_done = 0.0
-    added = 0
+    grouped = edges.ndim == 2
+    table = np.atleast_2d(edges)
+    n_rows, n = table.shape[0], table.shape[1] - 1
+    lo, hi = table[:, :-1].reshape(-1), table[:, 1:].reshape(-1)
+    owner = np.arange(n_rows * n)  # the given panel each current panel belongs to
+    row = np.repeat(np.arange(n_rows), n)
+
+    def row_sum(v, at):  # np.sum for one row, so that a 1-D pass keeps its rounding
+        return np.sum(v, keepdims=True) if n_rows == 1 else np.bincount(at, v, minlength=n_rows)
+
+    panels = np.zeros(n_rows * n)
+    err_done, size_done = np.zeros(n_rows), np.zeros(n_rows)
+    added = np.zeros(n_rows, dtype=np.int64)
     while True:
         center = 0.5 * (hi + lo)[:, None]
         half = 0.5 * (hi - lo)
-        values = fn(center + half[:, None] * GK15_NODES)
+        points = center + half[:, None] * GK15_NODES
+        values = fn(points, row[:, None]) if grouped else fn(points)
         kronrod = half * (values @ GK15_KRONROD)
         err = np.abs(kronrod - half * (values @ GK15_GAUSS))
         if not np.all(np.isfinite(err)):  # an inf or nan value reaches err
             raise NumericError("integrand is not finite on the panels")
         size = half * (np.abs(values) @ GK15_KRONROD)
-        budget = PANEL_REL_TOL * (np.sum(size) + size_done) - err_done
-        fail = err > budget / max(1, len(err))
-        if np.sum(err) <= budget or not np.any(fail):  # the latter by rounding only
+        budget = PANEL_REL_TOL * (row_sum(size, row) + size_done) - err_done
+        fail = err > (budget / np.maximum(1, np.bincount(row, minlength=n_rows)))[row]
+        # a row is done when within budget, or when no panel fails (by rounding only)
+        done = (row_sum(err, row) <= budget) | (np.bincount(row[fail], minlength=n_rows) == 0)
+        keep = ~fail | done[row]
+        panels += np.bincount(owner[keep], kronrod[keep], minlength=panels.size)
+        err_done += row_sum(err[keep], row[keep])
+        size_done += row_sum(size[keep], row[keep])
+        split = fail & ~done[row]
+        if not np.any(split):
             break
-        keep = ~fail
-        panels += np.bincount(owner[keep], kronrod[keep], minlength=n)
-        err_done += float(np.sum(err[keep]))
-        size_done += float(np.sum(size[keep]))
-        added += 2 * int(np.count_nonzero(fail))
-        if added > PANEL_CAP:
+        added += 2 * np.bincount(row[split], minlength=n_rows)
+        if np.any(added > PANEL_CAP):
             raise NumericError(f"panel quadrature needs more than {PANEL_CAP} added panels")
-        mid = 0.5 * (lo[fail] + hi[fail])
-        lo, hi = np.concatenate([lo[fail], mid]), np.concatenate([mid, hi[fail]])
-        owner = np.tile(owner[fail], 2)
-    panels += np.bincount(owner, kronrod, minlength=n)
-    return panels, err_done + float(np.sum(err))
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        owner, row = np.tile(owner[split], 2), np.tile(row[split], 2)
+    if grouped:
+        return panels.reshape(n_rows, n), err_done
+    return panels, float(err_done[0])
 
 
 # ---------------------------------------------------------------------------

@@ -747,14 +747,13 @@ LIBRARY_SURFACE = [
     "SimulationCapError", "Status", "SymmetricJumpLaw", "TailDescriptor", "TailKind",
     "TrajectoryStats", "TransienceVerdict", "as_finite_measure", "bin_density", "block_index",
     "build_slice", "char_exponent", "characteristics", "chung_fuchs_criterion", "classify",
-    "convergence_report", "criteria", "default_test_functions", "discretize",
-    "dyadic_energy_bound", "dyadic_flow", "effective_resistance", "effective_resistance_bounds",
-    "even_chain_batch", "even_chain_criterion", "flow_energy",
-    "inverse_cubic_density_criterion", "inverse_cubic_lattice_criterion", "jensen_gap",
-    "make_gaussian_density", "make_lattice_table", "make_multi_index_lattice",
-    "make_piecewise_power", "make_power_law_lattice", "make_stable_triplet",
-    "make_walk_triplet", "measures", "moment", "network", "powerint", "resistance_profile",
-    "sato_shepp_criterion", "simulate", "sojourn_estimate", "tail_status", "tails", "verdicts",
+    "convergence_report", "default_test_functions", "dyadic_energy_bound", "dyadic_flow",
+    "effective_resistance", "effective_resistance_bounds", "even_chain_batch",
+    "even_chain_criterion", "flow_energy", "inverse_cubic_density_criterion",
+    "inverse_cubic_lattice_criterion", "jensen_gap", "make_gaussian_density",
+    "make_lattice_table", "make_multi_index_lattice", "make_piecewise_power",
+    "make_power_law_lattice", "make_stable_triplet", "make_walk_triplet", "moment",
+    "resistance_profile", "sato_shepp_criterion", "sojourn_estimate", "tail_status",
     "verify_flow",
 ]
 

@@ -28,6 +28,7 @@ from levycrit.discretize import bin_density, characteristics, jensen_gap
 from levycrit.network import dyadic_energy_bound, flow_energy
 from levycrit.measures import (
     LATTICE_SERIES_CUTOFF,
+    ContinuousSupport,
     LatticeSupport,
     NumericError,
     SymmetricJumpLaw,
@@ -370,8 +371,8 @@ class TestCharExponentArray:
         assert isinstance(got, np.ndarray) and got.shape == self.XI.shape
         assert np.all(np.abs(got - want) <= 1e-14 * want)
         if not (t.nu is not None and t.nu.is_lattice):
-            # a generic density maps its points one by one; a stable law's
-            # one piece from 0 to inf gives every point the same integral
+            # a generic density gives every point its own row and bisection; a
+            # stable law's one piece from 0 to inf gives every point the same integral
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", TRIPLETS)
@@ -381,6 +382,23 @@ class TestCharExponentArray:
         assert got[0] == 0.0
         assert np.array_equal(got, char_exponent(t, -self.XI))
         assert isinstance(char_exponent(t, 0.5), float)
+
+    FAMILIES = {
+        "stable": make_stable_triplet(0.5, 1.0),
+        "piecewise_power": make_walk_triplet(make_piecewise_power(
+            [PowerPiece(0.0, 1.0, ((1.0 / 6.0, 0.0),)), PowerPiece(1.0, math.inf, ((1.0 / 6.0, 1.5),))]
+        )),
+        "power_lattice": make_walk_triplet(make_power_law_lattice(0.5)),
+        "table": make_walk_triplet(make_lattice_table({1: 0.2, 2: 0.1})),
+        "multi_index": make_walk_triplet(make_multi_index_lattice(0.5, 1.5)),
+        "gaussian": make_walk_triplet(make_gaussian_density(1.0)),
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
+    def test_non_finite_xi_is_refused(self, name, xi):
+        with pytest.raises(DomainError, match="finite"):
+            char_exponent(self.FAMILIES[name], xi)
 
     def test_shape_is_kept(self, multi_default):
         t = make_walk_triplet(multi_default)
@@ -782,6 +800,73 @@ class TestPanelIntegrals:
         assert abs(float(panels[0])) < 1e-14
         assert err <= 4e-10
         assert calls == [1, 2]
+
+
+def _sin2(xi, law):
+    """One side's integrand of psi's jump part, ``2 sin^2(xi y / 2) f(y)``, at one xi."""
+    return lambda y: 2.0 * np.sin(xi * y / 2.0) ** 2 * law.density(y)
+
+
+class TestGroupedPanelIntegrals:
+    """A 2-D ``edges``: one integral per row, each with its own budget, bisection and cap."""
+
+    XI = np.concatenate([[1e-6], np.geomspace(1e-5, 10.0, 30)])
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_rows_match_their_own_passes(self, sigma):
+        law = make_gaussian_density(sigma)
+        onset, decay = law.tail.onset, law.tail.exponent
+        edges = [0.0, onset, onset + 60.0 / decay]  # the head of psi's generic-density pass
+        xi = self.XI
+        panels, err = panel_integrals(
+            lambda y, row: 2.0 * np.sin(xi[row] * y / 2.0) ** 2 * law.density(y),
+            np.tile(edges, (len(xi), 1)),
+        )
+        assert panels.shape == (len(xi), 2) and err.shape == (len(xi),)
+        for x, got, got_err in zip(xi, panels, err):
+            want, _ = panel_integrals(_sin2(x, law), edges)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert got_err <= 1e-10 * np.sum(got)  # its own budget: the row's integral
+        # xi = 1e-6, with psi about 1e-12, keeps its relative accuracy beside xi = 10
+        closed = -math.expm1(-(sigma * 1e-6) ** 2 / 2.0)
+        assert 2.0 * np.sum(panels[0]) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    def test_power_tail_density_matches_per_point_passes(self):
+        # a generic density (no pieces) with an exact K y^-rho tail past the
+        # onset: psi's head is the grouped pass, the tail the closed form
+        k, rho, onset = 0.2, 2.5, 2.0
+        law = SymmetricJumpLaw(
+            support=ContinuousSupport(
+                density_fn=lambda y: np.where(y < onset, 0.3 * np.exp(-y), k * y ** -rho)
+            ),
+            normalization=Normalization.SIGMA_FINITE,
+            tail=TailDescriptor(TailKind.POWER_LAW, exponent=rho, constant=k, onset=onset),
+        )
+        got = char_exponent(LevyTriplet(c=0.0, nu=law), self.XI)
+        for x, psi in zip(self.XI, got):
+            head = np.sum(panel_integrals(_sin2(x, law), [0.0, onset])[0])
+            tail = k * x ** (rho - 1.0) * one_minus_cos_tail(rho, x * onset)
+            assert psi == pytest.approx(2.0 * (head + tail), rel=1e-14, abs=0.0)
+
+    def test_each_row_has_its_own_cap(self):
+        # y^-0.9 on [0, 1] needs about 600 added panels: two rows need more
+        # than PANEL_CAP together, but each stays under it
+        panels, err = panel_integrals(lambda y, row: y ** -0.9, [[0.0, 1.0], [0.0, 1.0]])
+        assert panels[:, 0] == pytest.approx([10.0, 10.0], rel=1e-9)
+        assert np.all(err <= 1e-9)
+
+    def test_row_past_the_cap_raises(self):
+        law = make_gaussian_density(1.0)
+        xi = np.array([1.0, 1e300])
+        with pytest.raises(NumericError, match=str(PANEL_CAP)):
+            panel_integrals(
+                lambda y, row: 2.0 * np.sin(xi[row] * y / 2.0) ** 2 * law.density(y),
+                [[0.0, 8.0], [0.0, 8.0]],
+            )
+
+    def test_row_not_finite_raises(self):
+        with pytest.raises(NumericError, match="not finite"):
+            panel_integrals(lambda y, row: np.where(row == 1, np.nan, y), [[0.0, 1.0], [0.0, 1.0]])
 
 
 class TestPiecewisePower:
