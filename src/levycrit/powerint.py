@@ -146,20 +146,28 @@ def one_minus_cos_integral(rho: float) -> float:
     return math.pi / (2.0 * math.gamma(rho) * math.sin(math.pi * (rho - 1.0) / 2.0))
 
 
-def _one_minus_cos_series(rho: float, lo, hi, max_terms: int = 80):
+#: the cosine series' indices j = 1..80 as a column, its signs and (2j)!
+_SERIES_J = np.arange(1.0, 81.0)[:, None]
+_SERIES_SIGN = np.where(_SERIES_J % 2.0 == 1.0, 1.0, -1.0)
+_SERIES_FACT = np.cumprod((2.0 * _SERIES_J - 1.0) * (2.0 * _SERIES_J), axis=0)
+#: series terms one array pass evaluates
+_SERIES_BLOCK = 16
+
+
+def _one_minus_cos_series(rho: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # int_lo^hi (1-cos u) u^-rho du = sum_j (-1)^{j+1} int_lo^hi u^(2j-rho) du / (2j)!,
-    # integrated term by term until every point has converged relative to
-    # itself (lo = 0 needs rho < 3)
-    total = 0.0
-    sign = 1.0
-    fact = 1.0
-    for j in range(1, max_terms + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        term = sign * power_range(rho - 2 * j, lo, hi) / fact
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-        sign = -sign
+    # integrated term by term, _SERIES_BLOCK terms to a pass, and summed in
+    # order until every point has converged relative to itself (lo = 0 needs rho < 3)
+    total = np.zeros(lo.shape)
+    for start in range(0, len(_SERIES_J), _SERIES_BLOCK):
+        block = slice(start, start + _SERIES_BLOCK)
+        terms = (_SERIES_SIGN[block] * power_range(rho - 2.0 * _SERIES_J[block], lo, hi)
+                 / _SERIES_FACT[block])
+        totals = np.cumsum(np.concatenate([total[None], terms]), axis=0)[1:]
+        converged = np.all(np.abs(terms) <= 1e-17 * np.abs(totals), axis=1)
+        if np.any(converged):
+            return totals[np.argmax(converged)]
+        total = totals[-1]
     return total
 
 
@@ -210,22 +218,34 @@ def one_minus_cos_range(rho: float, lo, hi):
     """``int_lo^hi (1 - cos u) u^-rho du`` elementwise, for 0 <= lo <= hi <= inf.
 
     A float for scalar bounds; inf where it diverges (at inf for rho <= 1,
-    at 0 for rho >= 3). Below 6 the cosine series is integrated term by term;
-    from 6 on it is the plain power integral minus the cosine integral, which
-    is smaller by a factor of order u. No near-equal large numbers cancel: a
-    tail taken as the full integral minus a partial loses 2e-11 at rho = 2.99.
+    at 0 for rho >= 3). The whole line [0, inf) with 1 < rho < 3 takes the
+    classical value of :func:`one_minus_cos_integral`, element by element.
+    Below 6 the cosine series is integrated term by term; from 6 on it is the
+    plain power integral minus the cosine integral, which is smaller by a
+    factor of order u, and that cosine pass runs only when some range reaches
+    past 6. No near-equal large numbers cancel: a tail taken as the full
+    integral minus a partial loses 2e-11 at rho = 2.99.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     a, b = lo.reshape(-1), hi.reshape(-1)
     if np.any(a < 0):
         raise ValueError("bounds must be nonnegative")
+    out = np.empty(a.shape)
+    whole = (a == 0.0) & (b == math.inf) & (1.0 < rho < 3.0)
+    if np.any(whole):
+        out[whole] = one_minus_cos_integral(rho)
+    a, b = a[~whole], b[~whole]
     origin = (a == 0.0) & (rho >= 3.0)  # divergent: evaluated on an empty range, then inf
     a = np.where(origin, b, a)
     near = _one_minus_cos_series(rho, np.minimum(a, 6.0), np.minimum(b, 6.0))
     a, b = np.maximum(a, 6.0), np.maximum(b, 6.0)
-    cos_a, cos_b = np.split(_cos_from(rho, np.concatenate([a, b])), 2)
-    out = np.maximum(0.0, near + power_range(rho, a, b) - (cos_a - cos_b))
-    out[origin] = math.inf
+    cos_diff = 0.0  # no range reaches past 6, so none has a cosine part
+    if np.any(b > 6.0):
+        cos_a, cos_b = np.split(_cos_from(rho, np.concatenate([a, b])), 2)
+        cos_diff = cos_a - cos_b
+    part = np.maximum(0.0, near + power_range(rho, a, b) - cos_diff)
+    part[origin] = math.inf
+    out[~whole] = part
     return float(out[0]) if lo.ndim == 0 else out.reshape(lo.shape)
 
 
@@ -234,22 +254,26 @@ def one_minus_cos_tail(rho: float, s):
     return one_minus_cos_range(rho, s, math.inf)
 
 
-def power_range(rho: float, a, b):
+def power_range(rho, a, b):
     """``int_a^b u^-rho du`` elementwise, for 0 <= a <= b <= inf; a = 0 needs rho < 1.
 
-    A float for scalar bounds. With q = 1 - rho, a narrow range
-    (|q log(b/a)| < 1) takes ``a^q expm1(q log1p((b - a) / a)) / q``:
-    ``b - a`` is exact for b <= 2a, so a range [a, b] far out keeps every
-    digit where ``b^q - a^q`` would lose about log10(a / (b - a)) of them. A
-    wider range takes that difference, which cancels by less than a factor e.
+    ``rho``, ``a`` and ``b`` broadcast; a float for scalar arguments. With
+    q = 1 - rho, a narrow range (|q log(b/a)| < 1) takes
+    ``a^q expm1(q log1p((b - a) / a)) / q``: ``b - a`` is exact for b <= 2a,
+    so a range [a, b] far out keeps every digit where ``b^q - a^q`` would
+    lose about log10(a / (b - a)) of them. A wider range takes that
+    difference, which cancels by less than a factor e.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     q = 1.0 - rho
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 or b = inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0, b = inf or q = 0
         log_ratio = np.log1p((b - a) / a)
-        narrow = np.abs(q * log_ratio) < 1.0
-        out = log_ratio if q == 0.0 else np.where(
-            narrow, a ** q * np.expm1(q * log_ratio) / q, (b ** q - a ** q) / q)
+        x, aq = q * log_ratio, a ** q
+        with np.errstate(over="ignore"):  # expm1 overflows only where the range is wide
+            short = aq * np.expm1(x) / q
+        out = np.where(np.abs(x) < 1.0, short, (b ** q - aq) / q)
+        if np.any(q == 0.0):
+            out = np.where(q == 0.0, log_ratio, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -30,7 +30,7 @@ from levycrit import (
     sato_shepp_criterion,
     tail_status,
 )
-from levycrit.criteria import CF_EPS, _cf_lower_constant
+from levycrit.criteria import CF_EPS, _cf_lower_constant, _density_floor_cutoff
 from levycrit.measures import (
     LATTICE_SERIES_CUTOFF,
     LatticeSupport,
@@ -40,6 +40,7 @@ from levycrit.measures import (
     stable_levy_density_constant,
 )
 from levycrit.tails import CUTOFF_MAX, PowerTailComponent
+from levycrit.verdicts import enclosure
 from test_measures import LATTICE_LAWS
 
 ZETA_15 = 2.612375348685488
@@ -177,6 +178,42 @@ class TestInverseCubicDensity:
         v = inverse_cubic_density_criterion(flat_core_heavy)
         assert v.status is Status.CONVERGES
         assert v.estimate == pytest.approx(12.0, rel=1e-6)
+
+    @pytest.mark.parametrize("cutoff", [10.0, 1e4, CUTOFF_MAX])
+    @pytest.mark.parametrize("law", [
+        *(make_stable_triplet(a, 1.0).nu for a in (0.3, 0.9995, 1.5, 1.9)),
+        *(make_piecewise_power([PowerPiece(0.0, 1.0, ((0.2, 0.0),)),
+                                PowerPiece(1.0, math.inf, ((0.2, rho),))])
+          for rho in (1.2, 2.5, 2.9)),
+    ], ids=["stable0.3", "stable0.9995", "stable1.5", "stable1.9",
+            "flat1.2", "flat2.5", "flat2.9"])
+    def test_partial_matches_power_closed_form(self, law, cutoff):
+        # f = K y^-rho on [1, inf): int_1^top y^(rho-3)/K dy = (top^(rho-2) - 1)/((rho-2) K),
+        # in 30 digits; top is where the density falls to the floor, if before the cutoff
+        v = inverse_cubic_density_criterion(law, cutoff)
+        top = _density_floor_cutoff(law, cutoff)
+        rho, k = law.tail.exponent, law.tail.constant
+        with mp.workdps(30):
+            q = mp.mpf(rho) - 2
+            exact = float(mp.expm1(q * mp.log(top)) / (q * mp.mpf(k)))
+        assert v.partial_value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_panel_error_widens_the_enclosure(self, gaussian_law):
+        # 1/f of a gaussian explodes, so the pass's |K15 - G7| stands well above
+        # rounding; it moves the lower end out
+        v = inverse_cubic_density_criterion(gaussian_law)
+        assert v.status is Status.DIVERGES
+        err = enclosure(v.partial_value, 0.0, math.inf).lo - v.value.lo
+        assert 0.0 < err < math.inf
+        assert err <= 1e-9 * v.partial_value
+
+    def test_largest_cutoff_finds_the_gaussian_floor(self, gaussian_law):
+        # the density falls to the floor near y = 35.9; an arithmetic bisection
+        # of [1, 1e100] stopped at 1 and reported an empty integral
+        at_default = inverse_cubic_density_criterion(gaussian_law)
+        at_max = inverse_cubic_density_criterion(gaussian_law, CUTOFF_MAX)
+        assert at_max.truncation == at_default.truncation == "integral over [1, 35.8833]"
+        assert at_max.partial_value == at_default.partial_value > 1e273
 
     def test_compact_support_violates_hypothesis(self):
         law = make_piecewise_power([PowerPiece(0.0, 1.0, ((0.5, 0.0),))])

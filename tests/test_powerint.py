@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from levycrit import powerint
 from levycrit.powerint import (
     hurwitz_zeta,
     one_minus_cos_integral,
@@ -68,6 +69,65 @@ def test_range_is_difference_of_partials():
     assert one_minus_cos_range(1.5, 2.0, math.inf) == pytest.approx(
         one_minus_cos_tail(1.5, 2.0)
     )
+
+
+@pytest.mark.parametrize("rho", [1.2, 1.5, 2.0, 2.5, 2.99])
+def test_whole_line_takes_the_classical_value(rho):
+    # element by element, alone or next to other ranges
+    exact = one_minus_cos_integral(rho)
+    assert one_minus_cos_range(rho, 0.0, math.inf) == exact
+    assert one_minus_cos_tail(rho, 0.0) == exact
+    lo = np.array([0.0, 0.0, 2.0, 0.0, 7.0])
+    hi = np.array([math.inf, 3.0, math.inf, math.inf, 250.0])
+    got = one_minus_cos_range(rho, lo, hi)
+    assert got[[0, 3]].tolist() == [exact, exact]
+    others = [one_minus_cos_range(rho, a, b) for a, b in zip(lo[[1, 2, 4]], hi[[1, 2, 4]])]
+    assert got[[1, 2, 4]] == pytest.approx(others, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 3.0, 3.5])
+def test_whole_line_outside_the_classical_range_diverges(rho):
+    assert one_minus_cos_range(rho, 0.0, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.5, 2.5, 2.9, 3.5])
+def test_ranges_below_six_skip_the_cosine_pass(rho, monkeypatch):
+    def tripwire(rho, x):
+        raise AssertionError("_cos_from ran for ranges that end by 6")
+
+    monkeypatch.setattr(powerint, "_cos_from", tripwire)
+    lo = np.array([0.3, 1e-3, 5.5, 6.0, 2.0])
+    hi = np.array([4.2, 6.0, 6.0, 6.0, 2.0])
+    got = one_minus_cos_range(rho, lo, hi)
+    assert np.all(np.isfinite(got))
+    assert one_minus_cos_range(rho, 0.5, 5.0) > 0.0
+    if 1.0 < rho < 3.0:
+        assert one_minus_cos_range(rho, np.zeros(2), [math.inf, 5.0])[0] == (
+            one_minus_cos_integral(rho))
+
+
+def _series_range_oracle(rho, a, b):
+    # 30-digit int_a^b 2 sin^2(u/2) u^-rho du (1 - cos u loses every digit
+    # near 0): the leading u^2/2 in closed form, quadrature on the rest,
+    # which stays bounded at 0
+    with mp.workdps(30):
+        rho, a, b = mp.mpf(rho), mp.mpf(a), mp.mpf(b)
+        lead = (b ** (3 - rho) - a ** (3 - rho)) / (2 * (3 - rho))
+        rest = mp.quad(lambda u: (2 * mp.sin(u / 2) ** 2 - u ** 2 / 2) * u ** -rho, [a, b])
+        return float(lead + rest)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.5, 2.5, 2.9, 3.5])
+def test_series_ranges_match_mpmath(rho):
+    # ranges ending in (4, 6], where the alternating series cancels most, in
+    # one array call and one by one
+    starts = ([0.0] if rho < 3.0 else []) + [1e-3, 0.3, 2.0, 3.9]
+    ranges = [(a, b) for a in starts for b in (4.2, 5.0, 5.9, 6.0)]
+    exact = [_series_range_oracle(rho, a, b) for a, b in ranges]
+    lo, hi = np.array(ranges).T
+    assert one_minus_cos_range(rho, lo, hi) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert [one_minus_cos_range(rho, a, b) for a, b in ranges] == pytest.approx(
+        exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rho,s", [(3.0, 0.5), (3.5, 0.5), (3.5, 10.0), (4.5, 1.0)])
