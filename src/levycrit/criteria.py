@@ -16,8 +16,9 @@ Every Converges/Diverges decision on a declared tail comes from one rule,
 :func:`levycrit.verdicts.tail_status`, and every verdict is built by
 :func:`levycrit.verdicts.verdict`; the criteria differ only in their
 truncated partials and the certified remainders they attach to a
-convergent verdict. Every partial is an exact sum or a
-:func:`panel_integrals` pass, whose error estimate widens the enclosure.
+convergent verdict. Every partial is an exact sum or one log-y
+:func:`levycrit.powerint.log_panel_integrals` pass, whose error estimate
+widens the enclosure.
 
 ``classify`` runs a table of routes, each a criterion with the implication
 of its Converges and of its Diverges, and folds the implications into a
@@ -39,14 +40,13 @@ import numpy as np
 
 from .measures import (
     LATTICE_SERIES_CUTOFF,
-    PANEL_LOG_STEP,
     DomainError,
     LevyTriplet,
     NumericError,
     SymmetricJumpLaw,
     char_exponent,
 )
-from .powerint import panel_integrals
+from .powerint import log_panel_integrals
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
 from .tails import TailDescriptor, TailKind, require_cutoff
 from .verdicts import (
@@ -153,8 +153,7 @@ def inverse_cubic_density_criterion(
     ``y^(rho-3)/K``: convergent iff rho < 2. Super-polynomial (e.g.
     exponential-envelope) decay makes the integrand explode, so those
     laws diverge. The partial runs to the cutoff, or to where the density
-    falls to 1e-280 if sooner, as ``int e^(-2t) / f(e^t) dt`` over t = log y
-    on one Gauss-Kronrod panel per decade (:func:`panel_integrals`); its
+    falls to 1e-280 if sooner, in one :func:`log_panel_integrals` pass; its
     ``|K15 - G7|`` widens the enclosure.
     """
     if law.is_lattice:
@@ -165,9 +164,8 @@ def inverse_cubic_density_criterion(
         raise HypothesisViolationError("density must be strictly positive on [1, inf)")
 
     y_top = _density_floor_cutoff(law, cutoff)
-    edges = np.linspace(0.0, math.log(y_top), math.ceil(math.log10(y_top)) + 1)
-    panels, err = panel_integrals(lambda t: np.exp(-2.0 * t) / law.density(np.exp(t)), edges)
-    partial = float(np.sum(panels))
+    ranges, err = log_panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), [1.0, y_top])
+    partial = float(ranges[0])
     trunc = f"integral over [1, {y_top:g}]"
 
     status, note = tail_status(tail)
@@ -187,19 +185,17 @@ def _inner_integral(law: SymmetricJumpLaw, ys: np.ndarray) -> np.ndarray:
     By Fubini ``I(y) = (y^2 nu((y, inf)) + int_1^y z^2 f) / 2``, with the
     tail mass at the midpoint of the law's envelope. Piecewise-power
     densities integrate their pieces in closed form; a generic density takes
-    one Gauss-Kronrod pass (:func:`panel_integrals`) on panels no wider than
-    ``PANEL_LOG_STEP`` in log y, with the tail onset and every y as
-    breakpoints, and prefix sums of ``int z^2 f``.
+    one :func:`log_panel_integrals` pass with 1, the tail onset and every y
+    as edges, and prefix sums of ``int z^2 f``.
     """
     lo, hi = law.one_sided_tail_mass(ys)
     nbar = 0.5 * (lo + hi)
     if law.support.pieces is not None:
         m2 = sum(p.weighted_integral(1.0, ys, 2.0) for p in law.support.pieces)
     else:
-        grid = np.exp(np.arange(0.0, math.log(np.max(ys)), PANEL_LOG_STEP))
-        edges = np.union1d(np.append(grid, max(law.tail.onset, 1.0)), ys)
-        panels, _ = panel_integrals(lambda y: y ** 2 * law.density(y), edges)
-        m2 = np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(edges, ys)]
+        edges = np.union1d([1.0, max(law.tail.onset, 1.0)], ys)
+        ranges, _ = log_panel_integrals(lambda y: y ** 2 * law.density(y), edges)
+        m2 = np.concatenate([[0.0], np.cumsum(ranges)])[np.searchsorted(edges, ys)]
     return 0.5 * (ys * ys * nbar + m2)
 
 
@@ -249,8 +245,8 @@ def sato_shepp_criterion(
     iff rho < 2; any law with finite second moment makes I(y) bounded and
     the integral divergent. The partial over [1, cutoff] is exact per lattice
     cell (:func:`_lattice_cell_sum`; more lags than ``LATTICE_SERIES_CUTOFF``
-    are refused first), or one Gauss-Kronrod panel per decade in log y with
-    a density's I(y) at the nodes (:func:`_inner_integral`); its error widens
+    are refused first), or one :func:`log_panel_integrals` pass with a
+    density's I(y) at the nodes (:func:`_inner_integral`); its error widens
     the enclosure.
     """
     require_cutoff(cutoff)
@@ -266,9 +262,8 @@ def sato_shepp_criterion(
     if law.is_lattice:
         partial, err = _lattice_cell_sum(law, cutoff)
     else:
-        edges = np.linspace(0.0, math.log(cutoff), math.ceil(math.log10(cutoff)) + 1)
-        panels, err = panel_integrals(lambda t: np.exp(t) / _inner_integral(law, np.exp(t)), edges)
-        partial = float(np.sum(panels))
+        ranges, err = log_panel_integrals(lambda y: 1.0 / _inner_integral(law, y), [1.0, cutoff])
+        partial = float(ranges[0])
     trunc = f"outer integral over [1, {cutoff:g}]"
 
     tail = law.tail
@@ -340,27 +335,23 @@ def chung_fuchs_criterion(triplet: LevyTriplet, a: float = 1.0) -> ConvergenceVe
     By the Tauberian relation ``psi(xi) ~ xi^min(rho-1, 2)`` the integral
     converges iff the jump tail is a power tail with rho < 2, which is the
     rule of :func:`tail_status`; a triplet without jumps counts as a compact
-    tail. The partial is ``2 int xi / psi dt`` over t = log xi in
-    [log CF_EPS, log a], on one Gauss-Kronrod panel per decade
-    (:func:`panel_integrals`), each round's psi values from one array call
-    of :func:`char_exponent`; the enclosure is widened by twice the summed
-    ``|K15 - G7|``. A convergent verdict bounds the rest by
+    tail. The partial is ``2 int d xi / psi`` over [CF_EPS, a], one
+    :func:`log_panel_integrals` pass in log xi, each round's psi values from
+    one array call of :func:`char_exponent`; the enclosure is widened by
+    twice the summed ``|K15 - G7|``. A convergent verdict bounds the rest by
     ``psi >= C xi^(rho-1)`` (:func:`_cf_lower_constant`).
     """
     if not (math.isfinite(a) and a > CF_EPS):
         raise DomainError(f"a must be finite and exceed {CF_EPS:g}, got {a}")
 
-    def integrand(t):
-        xi = np.exp(t)
+    def inverse_psi(xi):
         psi = char_exponent(triplet, xi)
         if np.any(psi < 1e-300):
             raise NumericError("psi underflow near 0")
-        return xi / psi
+        return 1.0 / psi
 
-    n_panels = math.ceil(math.log10(a) - math.log10(CF_EPS))  # one per decade
-    edges = np.linspace(math.log(CF_EPS), math.log(a), n_panels + 1)
-    panels, err = panel_integrals(integrand, edges)
-    partial, err = 2.0 * float(np.sum(panels)), 2.0 * err
+    ranges, err = log_panel_integrals(inverse_psi, [CF_EPS, a])
+    partial, err = 2.0 * float(ranges[0]), 2.0 * err
     trunc = f"integral over {CF_EPS:g} <= |xi| <= {a:g}"
 
     nu = triplet.nu

@@ -36,7 +36,7 @@ from .measures import (
     PowerPiece,
     SymmetricJumpLaw,
 )
-from .powerint import panel_integrals, power_range
+from .powerint import log_panel_integrals, panel_integrals
 from .powerint import strided_power_sum  # noqa: F401  (bench/tracer.py patches this name)
 from .tails import (PowerTailComponent, TailDescriptor, TailKind, require_integer,
                     require_positive)
@@ -141,14 +141,7 @@ def _last_bin(law: SymmetricJumpLaw, delta: float) -> Optional[int]:
 def _piece_bin_masses(pieces: tuple[PowerPiece, ...], delta: float, n) -> np.ndarray:
     """Centered-bin integrals of a piecewise-power density at lags n >= 1."""
     n = np.asarray(n, dtype=float)
-    lo, hi = delta * (n - 0.5), delta * (n + 0.5)
-    out = np.zeros(n.shape)
-    for piece in pieces:
-        a = np.clip(lo, piece.lo, piece.hi)
-        b = np.clip(hi, piece.lo, piece.hi)  # a == b off the piece, which adds 0
-        for k, rho in piece.terms:
-            out += k * power_range(rho, a, b)
-    return out
+    return sum(p.weighted_integral(delta * (n - 0.5), delta * (n + 0.5)) for p in pieces)
 
 
 def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
@@ -206,14 +199,7 @@ def bin_density(law: SymmetricJumpLaw, delta: float) -> SymmetricJumpLaw:
                 upper_factor=max(upper, 1.0),
             ),
         )
-        tail = TailDescriptor(
-            TailKind.POWER_LAW,
-            exponent=rho_dom,
-            constant=k_eff,
-            onset=float(n0),
-            lower_factor=lower,
-            upper_factor=max(upper, 1.0),
-        )
+        tail = TailDescriptor.of_components(components)
         strictly_positive = True
     else:
         src = law.tail
@@ -511,8 +497,8 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
     breaks = {p.lo for p in law.support.pieces or ()}
     edges = sorted({0.5, y_hi} | {b for b in breaks if 0.5 < b < y_hi})
     with np.errstate(all="ignore"):  # where f underflows, the panels raise a NumericError
-        panels, _ = panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), edges)
-    rhs_partial = float(np.sum(panels))
+        ranges, rhs_err = log_panel_integrals(lambda y: 1.0 / (y ** 3 * law.density(y)), edges)
+    rhs_partial = float(np.sum(ranges))
 
     status, note = tail_status(law.tail)
     lhs_tail = rhs_tail = (0.0, math.inf)
@@ -524,6 +510,7 @@ def jensen_gap(law: SymmetricJumpLaw, n_terms: int = 2000) -> JensenGap:
         rhs_tail = law.tail.inverse_tail_integral(-3.0, y_hi)
 
     lhs = verdict(status, lhs_partial, f"bins 1..{n_top}", lhs_tail, note=note)
-    rhs = verdict(status, rhs_partial, f"integral over [1/2, {y_hi:g}]", rhs_tail, note=note)
+    rhs = verdict(status, rhs_partial, f"integral over [1/2, {y_hi:g}]", rhs_tail, err=rhs_err,
+                  note=note)
     holds = lhs_partial <= rhs_partial + 1e-12 * max(1.0, rhs_partial)
     return JensenGap(lhs=lhs, rhs=rhs, inequality_holds=holds)

@@ -24,13 +24,13 @@ it by the Euler-Maclaurin formula, exact to rounding for an exact
 component. The head runs over all points at once, with the lags laid out
 as a sqrt(N) x sqrt(N) block matrix and cos(n u) split by angle addition,
 so each point costs about 2 sqrt(N) sines instead of N. Piecewise-power
-densities use closed-form power integrals over the array. Every
-integral of a generic density (the exponent's head, tail masses, moments,
-the Sato-Shepp inner integral) runs on
-:func:`levycrit.powerint.panel_integrals`: one fixed 15-point Gauss-Kronrod
-rule on every panel of a grid, with one array call to the density per
-pass, plus the declared tail model beyond the grid. The exponent's head
-takes every point of a call in one grouped pass, a row of panels per point.
+densities sum :func:`levycrit.powerint.power_range` over the array. Every
+integral of a generic density runs on :func:`levycrit.powerint.panel_integrals`:
+one fixed 15-point Gauss-Kronrod rule on every panel of a grid, with one
+array call to the density per pass, plus the declared tail model beyond
+the grid; moments and the Sato-Shepp inner integral take a grid in log y
+(:func:`levycrit.powerint.log_panel_integrals`). The exponent's head takes
+every point of a call in one grouped pass, a row of panels per point.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ import numpy as np
 from .powerint import (
     NumericError,
     hurwitz_zeta,
+    log_panel_integrals,
     one_minus_cos_range,
     one_minus_cos_tail,
     panel_integrals,
+    power_range,
 )
 from .tails import DomainError, PowerTailComponent, TailDescriptor, TailKind
 from .tails import require_cutoff, require_positive
@@ -61,9 +63,6 @@ PROBABILITY_TOL = 1e-10
 #: allocated): each dense array of float64 masses then holds at most 8 MB,
 #: as does the head that a law keeps for its lifetime once a series has read it
 LATTICE_SERIES_CUTOFF = 10 ** 6
-#: widest panel, in log y, of a generic-density moment and of the Sato-Shepp
-#: inner integral
-PANEL_LOG_STEP = 0.005
 
 
 class Normalization(Enum):
@@ -124,18 +123,14 @@ class PowerPiece:
     def weighted_integral(self, a, b, weight: float = 0.0):
         """``int_a^b y^weight * density(y) dy`` over [a,b] clipped to the piece.
 
-        Elementwise for array bounds (a float for scalar ones): 0 where the
-        clipped range is empty, inf where the integral diverges.
+        A sum of :func:`power_range` over the terms, elementwise for array
+        bounds (a float for scalar ones): 0 where the clipped range is
+        empty, inf where the integral diverges.
         """
         b = np.minimum(b, self.hi)
-        a = np.minimum(np.maximum(a, self.lo), b)  # an empty range raises no power of a far end
-        total = 0.0
-        # an end at 0 or inf enters as an inf or 0 power: a divergence, or a vanishing term
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k, rho in self.terms:
-                q = weight - rho + 1.0
-                total = total + (k * np.log(b / a) if q == 0.0 else k * (b ** q - a ** q) / q)
-            total = np.where(b > a, total, 0.0)
+        a = np.minimum(np.maximum(a, self.lo), b)
+        total = sum(k * power_range(rho - weight, a, b) for k, rho in self.terms)
+        total = np.where(b > a, total, 0.0)  # power_range is nan on [0, 0] and [inf, inf]
         return float(total) if total.ndim == 0 else total
 
 
@@ -393,7 +388,7 @@ def make_power_law_lattice(alpha: float, normalize: bool = False) -> SymmetricJu
     return SymmetricJumpLaw(
         support=support,
         normalization=Normalization.PROBABILITY if normalize else Normalization.FINITE,
-        tail=TailDescriptor(TailKind.POWER_LAW, exponent=s, constant=c_coef, onset=1.0),
+        tail=TailDescriptor.of_components(support.components),
         total_mass=total,
         strictly_positive=True,
         label=f"power_lattice(alpha={alpha:g}{', normalized' if normalize else ', raw'})",
@@ -436,11 +431,10 @@ def make_multi_index_lattice(
             PowerTailComponent(constant=c_coef, exponent=t, stride=2, offset=1, start=1),
         ),
     )
-    rho_dom = min(s, t)
     return SymmetricJumpLaw(
         support=support,
         normalization=Normalization.PROBABILITY if normalize else Normalization.FINITE,
-        tail=TailDescriptor(TailKind.POWER_LAW, exponent=rho_dom, constant=c_coef, onset=1.0),
+        tail=TailDescriptor.of_components(support.components),
         total_mass=1.0 if normalize else raw_total,
         strictly_positive=True,
         label=f"multi_index(alpha={alpha:g}, beta={beta:g}"
@@ -831,13 +825,17 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVer
     and the verdict's ``value`` adds the model's remainder. A lattice law's
     head stops at :attr:`SymmetricJumpLaw.series_head` (at least at lag
     ``floor(1/delta)``), before any lag is allocated, and
-    :meth:`SymmetricJumpLaw.lag_tail_sum` gives the rest.
+    :meth:`SymmetricJumpLaw.lag_tail_sum` gives the rest. A generic
+    density's partial is one :func:`log_panel_integrals` pass, whose error
+    widens the enclosure; the same pass integrates the stretch from a cutoff
+    below the tail onset to the onset, which both ends of the remainder add.
     """
     if k not in (0, 1, 2, 3):
         raise DomainError("moment order k must be in {0, 1, 2, 3}")
     require_cutoff(cutoff, allow_one=True)
 
     converges = law.tail.weighted_tail_converges(float(k))
+    err = 0.0  # a sum or closed form is exact; a panel pass sets its error
     if law.is_lattice:
         delta = law.spacing
         n_start = math.floor(1.0 / delta) + 1
@@ -858,17 +856,15 @@ def moment(law: SymmetricJumpLaw, k: int, cutoff: float = 1e6) -> ConvergenceVer
             )
             tail_lo = tail_hi = tail_mid
         else:
-            n_panels = max(1, math.ceil(math.log(cutoff) / PANEL_LOG_STEP))
-            panels, _ = panel_integrals(
-                lambda y: y ** k * law.density(y), np.geomspace(1.0, cutoff, n_panels + 1)
-            )
-            partial = 2.0 * float(np.sum(panels))
-            tail_hi = 2.0 * law.tail.weighted_tail_upper(float(k), cutoff)
-            tail_lo = 0.0
+            # the model holds from the onset: a cutoff below it integrates the gap
+            edges = [1.0, cutoff, max(cutoff, law.tail.onset)]
+            ranges, err = log_panel_integrals(lambda y: y ** k * law.density(y), edges)
+            partial, tail_lo, err = 2.0 * float(ranges[0]), 2.0 * float(ranges[1]), 2.0 * err
+            tail_hi = tail_lo + 2.0 * law.tail.weighted_tail_upper(float(k), edges[2])
         truncation = f"integral over 1 < |y| <= {cutoff:g}"
 
     if converges is None:
-        return verdict(Status.INCONCLUSIVE, partial, truncation + "; unknown tail")
+        return verdict(Status.INCONCLUSIVE, partial, truncation + "; unknown tail", err=err)
     status = Status.CONVERGES if converges else Status.DIVERGES
-    return verdict(status, partial, truncation, (tail_lo, tail_hi))
+    return verdict(status, partial, truncation, (tail_lo, tail_hi), err=err)
 

@@ -1,8 +1,9 @@
 """Closed forms, tail sums and the package's one quadrature rule.
 
 Everything downstream (characteristic exponents, convergence criteria,
-energy bounds, boundary conductances) reduces to three primitives:
+energy bounds, boundary conductances) reduces to four primitives:
 
+* :func:`power_range`, the one closed form of ``int_a^b y^-p dy``,
 * cosine integrals ``int_lo^hi (1 - cos u) u^-rho du``, over arrays of ranges,
 * tail sums ``sum_{n > N} n^-rho`` over an arithmetic progression,
   which are Hurwitz zeta values. :func:`hurwitz_zeta` computes them here,
@@ -13,7 +14,8 @@ energy bounds, boundary conductances) reduces to three primitives:
 * :func:`panel_integrals`, a fixed 15-point Gauss-Kronrod rule applied to
   every panel of a grid in one array pass, for every integral that has no
   closed form; a table of grids, one integral per row, shares each pass
-  while every row keeps its own error budget and bisection.
+  while every row keeps its own error budget and bisection. An integral
+  over decades is one :func:`log_panel_integrals` pass in log y.
 """
 
 from __future__ import annotations
@@ -129,6 +131,32 @@ def panel_integrals(fn, edges) -> tuple[np.ndarray, float | np.ndarray]:
     if grouped:
         return panels.reshape(n_rows, n), err_done
     return panels, float(err_done[0])
+
+
+def log_panel_integrals(fn, y_edges) -> tuple[np.ndarray, float]:
+    """``int fn(y) dy`` over each range ``[y_edges[i], y_edges[i+1]]``, and its error.
+
+    ``y_edges`` are positive and nondecreasing; an empty range gives 0. One
+    :func:`panel_integrals` pass of ``fn(e^t) e^t`` in t = log y splits each
+    range into ``ceil(log10(b/a))`` equal panels, none wider than a decade,
+    so every given edge is a breakpoint. The error is the pass's.
+    """
+    t = np.log(y_edges)
+    counts = np.maximum(1, np.ceil(np.diff(np.log10(y_edges)))).astype(np.int64)
+
+    def integrand(s):
+        y = np.exp(s)
+        return y * fn(y)
+
+    if len(counts) == 1:  # one range: the grid alone, with no sum to split
+        panels, err = panel_integrals(integrand, np.linspace(t[0], t[1], counts[0] + 1))
+        return np.sum(panels, keepdims=True), err
+    first = np.cumsum(counts) - counts  # each range's first panel
+    owner = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(counts.sum()) - first[owner]
+    edges = np.append(t[owner] + (t[owner + 1] - t[owner]) * step / counts[owner], t[-1])
+    panels, err = panel_integrals(integrand, edges)
+    return np.add.reduceat(panels, first), err
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +292,16 @@ def power_range(rho, a, b):
     lose about log10(a / (b - a)) of them. A wider range takes that
     difference, which cancels by less than a factor e.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    q = 1.0 - rho
+    a, b, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float), 1.0 - np.asarray(rho)
     with np.errstate(divide="ignore", invalid="ignore"):  # a = 0, b = inf or q = 0
         log_ratio = np.log1p((b - a) / a)
         x, aq = q * log_ratio, a ** q
         with np.errstate(over="ignore"):  # expm1 overflows only where the range is wide
             short = aq * np.expm1(x) / q
         out = np.where(np.abs(x) < 1.0, short, (b ** q - aq) / q)
-        if np.any(q == 0.0):
+        if (q == 0.0).any():
             out = np.where(q == 0.0, log_ratio, out)
     return float(out) if out.ndim == 0 else out
-
-
-def power_integral_tail(constant: float, p: float, y_from: float) -> float:
-    """``int_{y_from}^inf K y^-p dy``; +inf when p <= 1."""
-    if p <= 1.0:
-        return math.inf
-    return constant * y_from ** (1.0 - p) / (p - 1.0)
 
 
 # Euler-Maclaurin denominators (2k)!/B_2k, k = 1..12, of Cephes zeta.c

@@ -35,7 +35,7 @@ from .measures import (
 )
 from .powerint import hurwitz_zeta, strided_power_sum
 from .tails import require_integer, require_positive
-from .verdicts import Basis, ConvergenceVerdict, Status, enclosure
+from .verdicts import ConvergenceVerdict, Status, verdict
 
 __all__ = [
     "LatticeSampler",
@@ -405,22 +405,18 @@ def even_chain_criterion(alpha: float, beta: float) -> ConvergenceVerdict:
     dominated by ``c sum (2n)^(alpha-2) = c 2^(alpha-2) zeta(2-alpha)``:
     summable iff alpha < 1, in which case the even chain (hence the
     original walk, which shares its return-to-zero behaviour) is
-    transient. The bound is one-sided, so alpha >= 1 yields Inconclusive.
-    The verdict's value is the bound series' exact value (inf for
-    alpha >= 1), with no truncated head.
+    transient. The bound is one-sided, so alpha >= 1 yields Inconclusive,
+    on numerics alone, with value [0, inf]. A convergent verdict's value is
+    the bound series' exact value, with no truncated head.
     """
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive")
+    truncation = "bound series c 2^(alpha-2) zeta(2-alpha)"
+    if alpha >= 1.0:
+        return verdict(Status.INCONCLUSIVE, 0.0, truncation,
+                       note="lower bound on P(X_1) is one-sided; no conclusion for alpha >= 1")
     bound = multi_index_total(alpha, beta) * 2.0 ** (alpha - 2.0) * strided_power_sum(
         2.0 - alpha, 1, 0, 1
     )
-    converges = alpha < 1.0
-    return ConvergenceVerdict(
-        status=Status.CONVERGES if converges else Status.INCONCLUSIVE,
-        partial_value=0.0,
-        value=enclosure(0.0, bound, bound),
-        truncation="bound series c 2^(alpha-2) zeta(2-alpha)",
-        basis=Basis.ANALYTIC_TAIL,
-        note="even-chain series converges; walk transient" if converges else
-        "lower bound on P(X_1) is one-sided; no conclusion for alpha >= 1",
-    )
+    return verdict(Status.CONVERGES, 0.0, truncation, (bound, bound),
+                   note="even-chain series converges; walk transient")

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .powerint import power_integral_tail, strided_power_sum
+from .powerint import power_range, strided_power_sum
 
 
 class DomainError(ValueError):
@@ -111,6 +111,15 @@ class TailDescriptor:
             if self.kind is TailKind.POWER_LAW and self.exponent <= 1.0:
                 raise DomainError("power tail needs rho > 1: infinite mass away from 0")
 
+    @classmethod
+    def of_components(cls, components) -> "TailDescriptor":
+        """The power tail of a lattice law: its dominant (least-exponent)
+        component's model, from that component's first lag."""
+        dom = min(components, key=lambda c: c.exponent)
+        return cls(TailKind.POWER_LAW, exponent=dom.exponent, constant=dom.constant,
+                   onset=float(dom.start), lower_factor=dom.lower_factor,
+                   upper_factor=dom.upper_factor)
+
     @property
     def exact(self) -> bool:
         return self.lower_factor == 1.0 == self.upper_factor
@@ -135,9 +144,8 @@ class TailDescriptor:
         if self.kind is TailKind.COMPACT_SUPPORT:
             return 0.0
         if self.kind is TailKind.POWER_LAW:
-            return self.upper_factor * power_integral_tail(
-                self.constant, self.exponent - weight_power, y_from
-            )
+            k_hi = self.upper_factor * self.constant
+            return k_hi * power_range(self.exponent - weight_power, y_from, math.inf)
         if self.kind is TailKind.EXPONENTIAL:
             lam = self.exponent
             # for integer 0 <= k <= 3, with y = y_from and u = 1/(lam y):
@@ -158,11 +166,9 @@ class TailDescriptor:
         with ``inverse``: the power model brackets the integrand by
         ``y^(weight_power + rho) / (K * factor)``; inf where it diverges.
         """
-        e = self.exponent + (weight_power + 1.0)
-        if e >= 0.0:
-            return math.inf, math.inf
+        base = power_range(-(self.exponent + weight_power), y_from, math.inf)
         k_lo, k_hi = self.constant * self.lower_factor, self.constant * self.upper_factor
-        return y_from ** e / (k_hi * -e), y_from ** e / (k_lo * -e)
+        return base / k_hi, base / k_lo
 
 
 @dataclass(frozen=True)

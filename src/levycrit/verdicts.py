@@ -13,9 +13,8 @@ verdicts have ``hi = inf``.
 Two rules live here. :func:`tail_status` turns a declared tail into
 Converges/Diverges/Inconclusive, and :func:`verdict` turns a status, a
 partial, a remainder envelope and a numeric error into a verdict. Every
-criterion, moment and bridging sum builds its verdicts through it; the
-even-chain bound of :mod:`levycrit.simulate`, Inconclusive on an analytic
-basis, is the one verdict built by hand.
+criterion, moment, bridging sum and the even-chain bound of
+:mod:`levycrit.simulate` builds its verdicts through it.
 """
 
 from __future__ import annotations

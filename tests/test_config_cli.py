@@ -501,7 +501,7 @@ class TestReproducibility:
         defaults = json.loads((tmp_path / "report.json").read_text())["config"]["defaults"]
         assert defaults == {
             "probability_tol": 1e-10, "cf_eps": 1e-6, "panel_rel_tol": 1e-10,
-            "panel_cap": 1000, "panel_log_step": 0.005, "lattice_series_cutoff": 10 ** 6,
+            "panel_cap": 1000, "lattice_series_cutoff": 10 ** 6,
             "cos_tail_switch": 200.0, "max_bin_quads": 10 ** 5, "drift_tol": 1e-12,
             "reach_mass_budget": 1e-11, "power_tail_reach_cap": 256.0,
             "max_expectation_lags": 10 ** 6, "profile_flat_tol": 0.05,

@@ -22,6 +22,7 @@ from levycrit import (
     make_walk_triplet,
 )
 from levycrit.discretize import truncation_function
+from levycrit.powerint import log_panel_integrals
 
 
 class TestBinDensity:
@@ -92,19 +93,29 @@ class TestBinDensity:
 
     def test_piece_starting_far_out(self):
         # flat to L = 4500.3, then a y^-1.5 tail: bin 4500 straddles the
-        # break, and the closed form must agree with the per-piece integrals
-        # on each lag around it
+        # break, and each lag around it must match the 40-digit integral of
+        # the flat part and of the tail part
+        import mpmath as mp
+
         edge = 4500.3
         c = 1.0 / (6.0 * edge)
+        k = c * edge ** 1.5
         pieces = [
             PowerPiece(0.0, edge, ((c, 0.0),)),
-            PowerPiece(edge, math.inf, ((c * edge ** 1.5, 1.5),)),
+            PowerPiece(edge, math.inf, ((k, 1.5),)),
         ]
         law = make_piecewise_power(pieces)
         lags = np.arange(4095, 5002)
         got = bin_density(law, 1.0).mass(lags)
-        ref = [sum(p.weighted_integral(n - 0.5, n + 0.5) for p in pieces) for n in lags.tolist()]
-        assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
+        with mp.workdps(40):
+            e = mp.mpf(edge)
+            ref = []
+            for n in lags.tolist():
+                a, b = mp.mpf(n) - mp.mpf(1) / 2, mp.mpf(n) + mp.mpf(1) / 2
+                flat = mp.mpf(c) * max(min(b, e) - a, 0)
+                power = 2 * mp.mpf(k) * (max(a, e) ** -0.5 - b ** -0.5) if b > e else 0
+                ref.append(float(flat + power))
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_compact_piecewise_support_ends(self):
         # uniform on [-1.3, 1.3]: bins past 1.3 / delta + 1/2 carry nothing,
@@ -316,6 +327,24 @@ class TestJensenGap:
         assert gap.lhs.status is Status.DIVERGES
         assert gap.rhs.status is Status.DIVERGES
         assert gap.inequality_holds
+
+    def test_rhs_carries_its_error(self, gaussian_law, monkeypatch):
+        # the log-y pass's |K15 - G7| estimate widens the right-hand side
+        from levycrit import discretize
+        from levycrit.verdicts import enclosure
+
+        errs = []
+
+        def spy(fn, y_edges):
+            out = log_panel_integrals(fn, y_edges)
+            errs.append(out[1])
+            return out
+
+        monkeypatch.setattr(discretize, "log_panel_integrals", spy)
+        rhs = jensen_gap(gaussian_law, 20).rhs
+        (err,) = errs
+        assert 0.0 < err < math.inf
+        assert rhs.value.lo == enclosure(rhs.partial_value, -err, 0.0).lo < rhs.partial_value
 
     def test_rejects_lattice(self, power_half_raw):
         with pytest.raises(DomainError):

@@ -41,6 +41,7 @@ from levycrit.powerint import (
     GK15_KRONROD,
     GK15_NODES,
     PANEL_CAP,
+    log_panel_integrals,
     one_minus_cos_tail,
     panel_integrals,
 )
@@ -138,6 +139,15 @@ class TestMultiIndex:
 
     def test_dominant_tail_exponent(self, multi_default):
         assert multi_default.tail.exponent == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("alpha, beta, onset", [(0.5, 1.5, 2.0), (1.5, 0.5, 1.0)])
+    def test_tail_is_the_dominant_component(self, alpha, beta, onset):
+        # one source for the power tail: the least-exponent class, from its first lag
+        for normalize in (False, True):
+            law = make_multi_index_lattice(alpha, beta, normalize=normalize)
+            dom = min(law.components, key=lambda c: c.exponent)
+            assert law.tail == TailDescriptor(
+                TailKind.POWER_LAW, exponent=dom.exponent, constant=dom.constant, onset=onset)
 
 
 class TestStableTriplet:
@@ -744,6 +754,37 @@ class TestMoment:
         assert v.status.value == "converges"
         assert v.partial_value == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("cutoff", [1.0, 3.0, 1e6])
+    def test_gaussian_enclosure_contains_erfc(self, sigma, k, cutoff, gaussian_upper_moment):
+        # the whole moment over |y| > 1 (past 100 sigma nothing is a float),
+        # also for a cutoff below the tail onset 8 sigma, where the
+        # exponential model does not yet hold
+        v = moment(make_gaussian_density(sigma), k, cutoff=cutoff)
+        exact = 2.0 * gaussian_upper_moment(sigma, 1.0, 100.0 * sigma, k)
+        assert v.value.lo <= exact <= v.value.hi
+        assert v.value.hi - v.value.lo < 1e-9 * exact
+
+    def test_generic_density_carries_its_error(self, monkeypatch):
+        # the log-y pass's |K15 - G7| estimate widens both ends, twice over
+        # for the two sides
+        from levycrit import measures
+        from levycrit.verdicts import enclosure
+
+        errs = []
+
+        def spy(fn, y_edges):
+            out = log_panel_integrals(fn, y_edges)
+            errs.append(out[1])
+            return out
+
+        monkeypatch.setattr(measures, "log_panel_integrals", spy)
+        v = moment(make_gaussian_density(1.0), 2)
+        (err,) = errs
+        assert 0.0 < err < math.inf
+        assert v.value.lo == enclosure(v.partial_value, -2.0 * err, 0.0).lo < v.partial_value
+
 
 class TestPanelIntegrals:
     def test_rules_integrate_polynomials_exactly(self):
@@ -883,6 +924,25 @@ class TestPiecewisePower:
             make_piecewise_power([PowerPiece(0.0, math.inf, ((1.0, 3.5),))])
         with pytest.raises(DomainError):  # infinite mass at infinity
             make_piecewise_power([PowerPiece(0.0, math.inf, ((1.0, 0.5),))])
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 2.0])
+    def test_weighted_integral_far_out(self, weight):
+        # unit ranges [a, a + 1] far out, against 40-digit closed forms:
+        # b^q - a^q loses about log10(a) digits there
+        import mpmath as mp
+
+        terms = ((0.7, 1.5), (0.2, 2.5))
+        piece = PowerPiece(0.0, math.inf, terms)
+        a = np.array([1e6, 1e9, 1e12])
+        got = piece.weighted_integral(a, a + 1.0, weight)
+        with mp.workdps(40):
+            exact = []
+            for x in a.tolist():
+                lo, hi = mp.mpf(x), mp.mpf(x) + 1
+                exact.append(float(sum(
+                    mp.mpf(k) * (hi ** (weight + 1 - rho) - lo ** (weight + 1 - rho))
+                    / (weight + 1 - rho) for k, rho in terms)))
+        assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_pieces_must_tile(self):
         with pytest.raises(DomainError):

@@ -9,13 +9,15 @@ from scipy import integrate, special
 from levycrit import powerint
 from levycrit.powerint import (
     hurwitz_zeta,
+    log_panel_integrals,
     one_minus_cos_integral,
     one_minus_cos_range,
     one_minus_cos_tail,
-    power_integral_tail,
     power_range,
     strided_power_sum,
 )
+from levycrit.powerint import panel_integrals as powerint_panel_integrals
+from levycrit.tails import TailDescriptor, TailKind
 
 
 @pytest.mark.parametrize("rho", [1.1, 1.5, 2.0, 2.5, 2.9])
@@ -42,17 +44,28 @@ def test_integral_matches_classical_value():
     assert one_minus_cos_integral(2.0) == pytest.approx(math.pi / 2, rel=1e-14)
 
 
+def _partial_series_oracle(rho, s):
+    # int_0^s (1 - cos u) u^-rho du = sum_j (-1)^(j+1) s^(2j+1-rho) / ((2j)! (2j+1-rho)),
+    # term by term to 30 digits, with the s / ln 10 digits its cancellation
+    # costs on top; quadrature of 1 - cos u loses every digit near 0
+    with mp.workdps(30 + int(s / math.log(10))):
+        s, rho = mp.mpf(s), mp.mpf(rho)
+        total, j = mp.mpf(0), 1
+        while True:
+            term = s ** (2 * j + 1 - rho) / (mp.factorial(2 * j) * (2 * j + 1 - rho))
+            total += term if j % 2 else -term
+            if 2 * j > s and term < mp.mpf(10) ** -30 * abs(total):
+                return float(total)
+            j += 1
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 1.5, 2.5])
 @pytest.mark.parametrize("s", [0.3, 2.0, 6.0, 30.0, 500.0])
 def test_partial_against_quadrature(rho, s):
-    # mpmath handles the u^(2-rho) endpoint singularity cleanly
-    import mpmath as mp
-
-    with mp.workdps(30):
-        oracle = float(
-            mp.quad(lambda u: (1 - mp.cos(u)) * u ** -rho, [0, min(s, 6), s])
-        )
-    assert one_minus_cos_range(rho, 0.0, s) == pytest.approx(oracle, rel=1e-9, abs=1e-13)
+    # against the term-by-term series, not quadrature: 30-digit mp.quad is
+    # 7e-10 off at rho = 2.5, s = 0.3
+    oracle = _partial_series_oracle(rho, s)
+    assert one_minus_cos_range(rho, 0.0, s) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_partial_plus_tail_is_total():
@@ -195,9 +208,66 @@ def test_power_range_keeps_narrow_ranges(rho):
     assert power_range(1.0, a, a + 1.0) == pytest.approx(np.log1p(1.0 / a), rel=1e-15, abs=0.0)
 
 
-def test_power_integral_tail():
-    assert power_integral_tail(2.0, 3.0, 4.0) == pytest.approx(2.0 * 4.0 ** -2 / 2)
-    assert power_integral_tail(1.0, 1.0, 4.0) == math.inf
+def test_power_range_tail():
+    # a tail to inf: K 4^-2 / 2 for p = 3, and inf for p <= 1
+    assert 2.0 * power_range(3.0, 4.0, math.inf) == pytest.approx(2.0 * 4.0 ** -2 / 2)
+    assert power_range(1.0, 4.0, math.inf) == math.inf
+    assert power_range(0.5, 4.0, math.inf) == math.inf
+    tail = TailDescriptor(TailKind.POWER_LAW, exponent=3.0, constant=2.0, upper_factor=1.5)
+    assert tail.weighted_tail_upper(0.0, 4.0) == pytest.approx(1.5 * 2.0 * 4.0 ** -2 / 2)
+    assert tail.weighted_tail_upper(2.0, 4.0) == math.inf
+
+
+def _gaussian_second_moment(y):
+    return y * y * np.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
+
+
+def test_log_panel_ranges_add_up(gaussian_upper_moment):
+    # each range matches its erfc closed form, to the pass's tolerance of the
+    # whole, and the ranges sum to the one-range value
+    edges = [1.0, 2.0, 8.0, 40.0, 1e4]
+    ranges, _ = log_panel_integrals(_gaussian_second_moment, edges)
+    (whole,), _ = log_panel_integrals(_gaussian_second_moment, [1.0, 1e4])
+    exact = [gaussian_upper_moment(1.0, a, b, 2) for a, b in zip(edges, edges[1:])]
+    assert ranges.shape == (4,)
+    assert ranges == pytest.approx(exact, rel=0.0, abs=1e-13 * whole)
+    assert np.sum(ranges) == pytest.approx(whole, rel=1e-14)
+    assert whole == pytest.approx(gaussian_upper_moment(1.0, 1.0, 1e4, 2), rel=1e-13)
+
+
+def test_log_panel_grid_keeps_the_edges(monkeypatch):
+    # every given edge is a breakpoint, and no panel is wider than a decade
+    seen = []
+
+    def spy(fn, edges):
+        seen.append(np.array(edges))
+        return powerint_panel_integrals(fn, edges)
+
+    monkeypatch.setattr(powerint, "panel_integrals", spy)
+    y_edges = np.array([1e-6, 3e-6, 1.0, 7.0, 1e4])
+    log_panel_integrals(lambda y: 1.0 / y, y_edges)
+    log_panel_integrals(lambda y: 1.0 / y, [1.0, 1e4])
+    many, one = seen
+    assert np.all(np.isin(np.log(y_edges), many))
+    assert np.max(np.diff(many)) <= math.log(10.0) * (1.0 + 1e-15)
+    assert len(many) == 1 + (1 + 6 + 1 + 4)  # ceil(log10(b / a)) panels a range
+    assert np.array_equal(one, np.linspace(0.0, math.log(1e4), 5))
+
+
+def test_log_panel_error_comes_back(monkeypatch):
+    # the pass's own |K15 - G7| estimate, positive and finite on a gaussian
+    errs = []
+
+    def spy(fn, edges):
+        out = powerint_panel_integrals(fn, edges)
+        errs.append(out[1])
+        return out
+
+    monkeypatch.setattr(powerint, "panel_integrals", spy)
+    for edges in ([1.0, 1e4], [1.0, 3.0, 1e4]):
+        _, err = log_panel_integrals(_gaussian_second_moment, edges)
+        assert err == errs[-1]
+        assert 0.0 < err < math.inf
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import zeta
 
 from levycrit import (
+    Basis,
     DomainError,
     LatticeSampler,
     Status,
@@ -674,6 +675,13 @@ class TestEvenChainCriterion:
 
     def test_boundary_inconclusive(self):
         assert even_chain_criterion(1.0, 1.5).status is Status.INCONCLUSIVE
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_inconclusive_rests_on_numerics(self, alpha):
+        # no bound series to sum: the value is [0, inf] on a numeric basis
+        v = even_chain_criterion(alpha, 1.5)
+        assert v.value_interval == (0.0, math.inf)
+        assert v.basis is Basis.NUMERIC_ONLY
 
     def test_partial_matches_direct_summation(self):
         v = even_chain_criterion(0.25, 3.0)
