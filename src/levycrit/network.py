@@ -14,26 +14,24 @@ dyadic, exactly conserved flow. Flow checks run once per block pair,
 where theta is constant, in integer arithmetic scaled by 4^I (exact
 dyadic rationals). Its energy is one inverse lag series with a closed-form
 weight ``297/640 <= w^3 g(w) <= 1.2731...``, split into head and tail like
-every lattice series. Resistances come from the even-folded Dirichlet system,
-factored by one in-place LAPACK Cholesky (``dpotrf`` through scipy), on one
-path for one radius or many: the largest slice is built once, and with an
-exact boundary envelope a smaller slice's matrix is a leading block of its
-matrix, so every radius is read from that one factor. An inexact envelope
-solves both of its ends at each radius.
+every lattice series. Resistances come from the even-folded Dirichlet system
+in deficit form, without a matrix: CG on FFT products, preconditioned by a
+Strang circulant, refined with long double residuals and widened by a
+certificate that an M-matrix bound makes rigorous. Each radius, and each end
+of an inexact boundary envelope, is one O(N)-memory solve.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import DomainError, SymmetricJumpLaw
+from .powerint import NumericError
 from .tails import require_integer
 from .verdicts import Interval, enclosure
 
@@ -287,10 +285,11 @@ def dyadic_energy_bound(law: SymmetricJumpLaw) -> Interval:
 # effective resistance on exterior-shorted truncations
 
 
-#: largest slice radius of the dense folded solve, refused before any
-#: allocation: its (N-1)^2 float64 matrix, factored in place and the only
-#: array of that size, then holds at most 134 MB
-RESISTANCE_MAX_RADIUS = 4096
+#: largest slice radius, refused before any allocation. A solve holds only
+#: arrays of O(N) entries, about 70 float64 words per unknown at its peak
+#: (long double spectra of length 2N among them): 18 MB at this cap, where
+#: the slowest law measured (power_lattice alpha = 1.9) takes about 1 s
+RESISTANCE_MAX_RADIUS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,7 @@ class NetworkSlice:
     masses m(0..2N-2) in ``conductance`` hold every interior one.
     ``boundary_lo/hi`` bracket the (infinitely many) lag sums
     c(u, ext) = sum_{|v| >= N} m(|v - u|), u = -(N-1)..N-1. All three must
-    be finite, checked in O(N) before any matrix is built.
+    be finite, checked in O(N) before any solve.
     """
 
     radius: int
@@ -341,103 +340,206 @@ def build_slice(law: SymmetricJumpLaw, radius: int) -> NetworkSlice:
     return NetworkSlice(radius=n, conductance=lag_mass, boundary_lo=b_lo, boundary_hi=b_hi)
 
 
-def _folded_system(slc: NetworkSlice, boundary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even-folded Dirichlet matrix and right-hand side on u, w = 1..N-1.
+#: unit roundoff of the long double that residuals are formed in (2^-64 on
+#: x86-64; where it is a plain double the same bounds hold, only looser)
+_UNIT = float(np.finfo(np.longdouble).eps) / 2
+#: relative residuals that CG stops at: the first float64 pass and each of
+#: the long double refinement steps after it; the 2-norm of 1 - A z for the
+#: rough z ~ A^-1 1 that certifies the result, which bounds every entry, so
+#: that A z >= 0.9 and z >= 0.9 A^-1 1 > 0; and CG's iteration cap
+_PCG_RTOL = 1e-8
+_REFINE_RTOL = 1e-5
+_REFINE_STEPS = 2
+_CERTIFY_RESIDUAL = 0.1
+_PCG_MAX_ITER = 500
 
-    Folding V(-w) = V(w) onto w gives A[u, w] = -(m|u-w| + m(u+w)) and
-    A[u, u] = S(N-1-u) + S(N-1+u) - m(2u) + b(u), with S(k) = sum_{j<=k}
-    m(j), the lag sums of the degree; the source's neighbours give the
-    right-hand side m(u). A is a symmetric Z-matrix with row sums
-    m(u) + b(u) > 0, hence positive definite. With an exact boundary
-    envelope each vertex's degree is the law's total mass M, so A[u, u] =
-    M - m(2u) at every radius, and a smaller slice's matrix is the leading
-    block of this one.
+
+class _FoldedOperator:
+    """The even-folded Dirichlet matrix of one slice end, applied by FFT.
+
+    Folding V(-w) = V(w) onto the unknowns u, w = 1..k, k = N - 1, gives
+    A = D - T - H: T[u, w] = m|u-w| (Toeplitz), H[u, w] = m(u+w) (Hankel)
+    and D[u] = S(k-u) + S(k+u) + b(u), with S the lag prefix sums, so that
+    A 1 = m + b. A is a symmetric Z-matrix. With x at 0..k-1 of a row of
+    length L >= 2k - 1, (T + H) x is ``irfft(T^ X + H^ conj X)`` at 0..k-1,
+    T^ the spectrum of the mirrored lag row, H^ that of lags 2..2k; no index
+    read wraps around. CG is preconditioned by the Strang circulant C of
+    dI - T, d the mean diagonal of A, at the least power-of-two size M >= k:
+    r is zero-padded to M and ``C^-1 r`` read at 0..k-1, an SPD operator.
+    C's eigenvalues are floored at sqrt(eps) d, as the nearest-neighbour
+    law's vanish at frequency 0.
     """
-    m = slc.conductance
+
+    def __init__(self, lag_mass: np.ndarray, boundary: np.ndarray):
+        m = lag_mass
+        k = len(boundary)
+        self.k = k
+        self.length = 1 << (2 * k - 2).bit_length()
+        row = np.zeros(self.length, dtype=np.longdouble)
+        row[:k] = m[:k]
+        row[self.length - k + 1:] = m[k - 1:0:-1]  # m(|j|), j = -(k-1)..k-1
+        self.t_hat = np.fft.rfft(row).real  # an even row has a real spectrum
+        row[:] = 0.0
+        row[:2 * k - 1] = m[2:2 * k + 1]
+        self.h_hat = np.fft.rfft(row)
+        prefix = np.cumsum(m, dtype=np.longdouble)
+        u = np.arange(1, k + 1)
+        self.diag = prefix[k - u] + prefix[k + u] + boundary
+        self.spectra = self.t_hat.astype(float), self.h_hat.astype(complex)
+        self.diag64 = self.diag.astype(float)
+        # 1- and 2-norms of the two kernels, for the rounding bounds
+        kernels = np.concatenate((m[1:k], m[1:k], m[2:2 * k + 1]))
+        self.kernel_1 = float(np.sum(kernels))
+        self.kernel_2 = 2.0 * math.sqrt(float(np.sum(kernels * kernels)))
+
+        mean = float(np.mean(self.diag64 - m[2 * u]))
+        self.size = 1 << (k - 1).bit_length()
+        j = np.arange(1, min(self.size // 2, k - 1) + 1)
+        column = np.zeros(self.size)
+        column[j] = m[j]
+        column[self.size - j] = m[j]
+        self.eig = np.maximum(mean - np.fft.rfft(column).real, math.sqrt(_UNIT) * mean)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x in float64."""
+        t_hat, h_hat = self.spectra
+        xh = np.fft.rfft(x, self.length)
+        conv = np.fft.irfft(t_hat * xh + h_hat * xh.conj(), self.length)[:self.k]
+        return self.diag64 * x - conv
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(r, self.size) / self.eig, self.size)[:self.k]
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """``rhs - A x`` in long double, and the bounds of its rounding.
+
+        The error is ``e + f`` with ``|e| <= beta`` entrywise and
+        ``||f||_2 <= phi``. ``beta`` covers the prefix sums of D and the
+        entrywise steps; ``phi`` the three FFTs, with Higham's radix-2 bound
+        (Accuracy and Stability of Numerical Algorithms, Thm 24.2): a length-L
+        transform errs by at most 8 u log2(L) of its 2-norm.
+        """
+        xh = np.fft.rfft(x.astype(np.longdouble), self.length)
+        conv = np.fft.irfft(self.t_hat * xh + self.h_hat * xh.conj(), self.length)[:self.k]
+        ax = self.diag * x - conv
+        r = rhs - ax
+        beta = _UNIT * ((2 * self.k + 4) * np.abs(self.diag * x) + 2.0 * np.abs(conv)
+                        + np.abs(rhs) + np.abs(ax)).astype(float)
+        xa = np.abs(x).astype(float)
+        fft = 8.0 * _UNIT * math.log2(self.length)
+        phi = (fft * self.kernel_2 * float(np.sum(xa))
+               + (2.0 * fft + 5.0 * _UNIT) * self.kernel_1 * math.sqrt(float(np.sum(xa * xa))))
+        return r, beta, phi
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # not BLAS ddot: it wakes its threads past 10^4 entries, 14x slower here
+    return float(np.einsum("i,i", a, b))
+
+
+def _pcg(op: _FoldedOperator, rhs: np.ndarray, rtol: float) -> np.ndarray:
+    """Preconditioned CG in float64 to a relative residual ``rtol``;
+    NumericError if it stalls."""
+    x = np.zeros(op.k)
+    r = rhs.astype(float)
+    target = rtol ** 2 * _dot(r, r)
+    z = op.precondition(r)
+    p, rz = z, _dot(r, z)
+    for _ in range(_PCG_MAX_ITER):
+        if _dot(r, r) <= target:
+            return x
+        q = op.apply(p)
+        pq = _dot(p, q)
+        if not pq > 0.0:
+            break
+        x += (rz / pq) * p
+        r -= (rz / pq) * q
+        z = op.precondition(r)
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    raise NumericError(f"slice solve: CG did not reach a relative residual of {rtol:g} "
+                       f"in {_PCG_MAX_ITER} iterations")
+
+
+def _net_source_sum(slc: NetworkSlice, boundary: np.ndarray) -> tuple[float, float]:
+    """``net = sum_u m(u) y_u`` of the deficit y = 1 - V, and its certificate.
+
+    A y = b (as A 1 = m + b) has a nonnegative right-hand side, so every
+    term of ``net`` is positive and nothing cancels. CG in float64, then
+    ``_REFINE_STEPS`` corrections from long double residuals r = b - A y.
+    With V* = A^-1 m the exact potential, ``net* - net = V* . r``. A rough
+    z ~ A^-1 1 with z > 0 and A z >= c > 0 (rounding included) proves A a
+    nonsingular M-matrix, so 0 <= V* <= 1 and ``sum V* <= m . z / c``;
+    hence ``|V* . r| <= sqrt(m . z / c) ||r||_2``. Twice that bound, plus
+    the rounding of ``net`` itself, is the certificate. NumericError when CG
+    stalls or z certifies nothing.
+    """
     k = slc.radius - 1
-    u = np.arange(1, k + 1)
-    # Toeplitz m|u-w| from the mirrored lag row, Hankel m(u+w) from lags 2..2k,
-    # both as strided views so the only (N-1)^2 array is A itself
-    mirrored = np.concatenate((m[k - 1:0:-1], m[:k]))  # m(|j|), j = -(k-1)..k-1
-    a_mat = np.add(sliding_window_view(mirrored, k)[::-1], sliding_window_view(m[2:], k))
-    np.negative(a_mat, out=a_mat)
-    prefix = np.cumsum(m)
-    a_mat[u - 1, u - 1] = prefix[k - u] + prefix[k + u] - m[2 * u] + boundary[k + u]
-    return a_mat, m[1:k + 1]
+    if k == 0:
+        return 0.0, 0.0
+    b = boundary[slc.radius:]
+    m = slc.conductance[1:slc.radius]
+    op = _FoldedOperator(slc.conductance, b)
+    y = _pcg(op, b, _PCG_RTOL).astype(np.longdouble)
+    for _ in range(_REFINE_STEPS):
+        y = y + _pcg(op, op.residual(y, b)[0], _REFINE_RTOL)
+    r, beta, phi = op.residual(y, b)
+
+    z = _pcg(op, np.ones(k), _CERTIFY_RESIDUAL / math.sqrt(k))
+    az, beta_z, phi_z = op.residual(z, np.zeros(k))  # -A z
+    c = float(np.min(-az.astype(float) - beta_z)) - phi_z
+    if not (np.min(z) > 0.0 and c > 0.0):
+        raise NumericError("slice solve: no certificate (A z > 0 fails for z ~ A^-1 1)")
+    weight = min(_dot(m, z) / c, k)  # bounds sum V*
+    r_norm = math.sqrt(float(np.sum((np.abs(r).astype(float) + beta) ** 2))) + phi
+    terms = m * y
+    net = float(np.sum(terms))
+    cert = 2.0 * (math.sqrt(weight) * r_norm + k * _UNIT * float(np.sum(np.abs(terms))))
+    return net, cert
 
 
-def _net_source_sums(slc: NetworkSlice, boundary: np.ndarray) -> np.ndarray:
-    """``m_n . (1 - A_n^-1 m_n)`` for every leading block A_n, n = 1..N.
-
-    One in-place Cholesky A = L L^T of the folded matrix and one forward
-    solve y = L^-1 m: the leading blocks of L factor the leading blocks of
-    A, so ``m_n . A_n^-1 m_n = sum_{u<n} y_u^2`` and entry n - 1 of the
-    returned cumulative sum of ``m(u) - y_u^2``, led by a 0 (radius 1 has no
-    unknowns), is the value at n. A LinAlgWarning flags rcond(A) < eps; by
-    eigenvalue interlacing no leading block is conditioned worse than A.
-    """
-    if slc.radius == 1:  # scipy's LAPACK wrappers refuse a 0 x 0 system
-        return np.zeros(1)
-    from scipy.linalg import LinAlgWarning, lapack  # only solves pay its import
-
-    a_mat, rhs = _folded_system(slc, boundary)
-    # a symmetric Z-matrix's 1-norm: max over u of A[u, u] + (A[u, u] - row sum)
-    anorm = float(np.max(2.0 * np.diagonal(a_mat) - rhs - boundary[slc.radius:]))
-    # A is symmetric; A.T is the Fortran-order view LAPACK factors in place
-    chol, info = lapack.dpotrf(a_mat.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:  # pragma: no cover - structural
-        raise DomainError(f"singular slice system (disconnected network): dpotrf info {info}")
-    rcond, _ = lapack.dpocon(chol, anorm, uplo="L")
-    if not rcond >= lapack.dlamch("E"):
-        warnings.warn(f"ill-conditioned slice matrix (rcond={rcond:.3g}): "
-                      "R_eff may not be accurate", LinAlgWarning, stacklevel=2)
-    y, _ = lapack.dtrtrs(chol, rhs, lower=1)
-    return np.cumsum(np.append(0.0, rhs - y * y))
+def _current(slc: NetworkSlice, boundary: np.ndarray) -> Interval:
+    """Current out of the source at unit potential: b(0) + 2 net, enclosed."""
+    net, cert = _net_source_sum(slc, boundary)
+    return enclosure(float(boundary[slc.radius - 1]) + 2.0 * net, -2.0 * cert, 2.0 * cert)
 
 
-def _resistance(current: float) -> float:
-    """R_eff = 1 / (current out of the source at unit potential)."""
-    if current <= 0:
+def _resistance(current: Interval) -> tuple[float, float]:
+    """R_eff = 1 / current, both ends."""
+    if current.hi <= 0:
         raise DomainError("no current leaves the source; network disconnected")
-    return 1.0 / current
+    if current.lo <= 0:
+        raise NumericError("slice solve: the certificate exceeds the current")
+    return 1.0 / current.hi, 1.0 / current.lo
 
 
 def _resistance_bounds(law: SymmetricJumpLaw, radii: Sequence[int]) -> list[Interval]:
-    """Enclosures of R_eff at strictly increasing radii, from the largest slice.
+    """Enclosures of R_eff at strictly increasing radii, one slice each.
 
-    The current out of the source at unit potential is b(0) + 2 net(n),
-    with b(0) = 2 T(n-1) from one tail-mass array call at the radii and
-    net(n) from :func:`_net_source_sums`. An exact envelope makes each
-    smaller slice's matrix a leading block of the largest one's, so that
-    slice's one factorization serves every radius. An inexact envelope
-    solves both of its ends at each radius, the largest slice serving the
-    last: by Rayleigh monotonicity the upper boundary envelope gives the
-    lower end of R_eff and vice versa.
+    An exact envelope takes one solve per radius, an inexact one a solve
+    at each of its ends: by Rayleigh monotonicity the upper boundary
+    envelope gives the lower end of R_eff and vice versa.
     """
     radii = [_radius(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
-    if not radii:
-        return []
-    slc = build_slice(law, radii[-1])
-    r = np.array(radii)
-    t_lo, t_hi = law.one_sided_tail_mass((r - 0.5) * law.spacing)
-    if np.array_equal(slc.boundary_lo, slc.boundary_hi):
-        ends = [(t_lo, _net_source_sums(slc, slc.boundary_hi)[r - 1])]
-    else:
-        slices = [build_slice(law, n) for n in radii[:-1]] + [slc]
-        ends = [(t_hi, np.array([_net_source_sums(s, s.boundary_hi)[-1] for s in slices])),
-                (t_lo, np.array([_net_source_sums(s, s.boundary_lo)[-1] for s in slices]))]
-    currents = [(2.0 * tail + 2.0 * net).tolist() for tail, net in ends]
-    resistances = [[_resistance(c) for c in end] for end in currents]
-    return [Interval(min(v), max(v)) for v in zip(*resistances)]
+    bounds = []
+    for n in radii:
+        slc = build_slice(law, n)
+        ends = [slc.boundary_hi]
+        if not np.array_equal(slc.boundary_lo, slc.boundary_hi):
+            ends.append(slc.boundary_lo)
+        values = [v for end in ends for v in _resistance(_current(slc, end))]
+        bounds.append(Interval(min(values), max(values)))
+    return bounds
 
 
 def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
     """Effective resistance from 0 to the shorted exterior |v| >= radius.
 
-    The midpoint of :func:`effective_resistance_bounds`, exact for the
-    built-in families, whose lag tails are Hurwitz-zeta values.
+    The midpoint of :func:`effective_resistance_bounds`. For the built-in
+    families, whose lag tails are exact Hurwitz-zeta values, only the
+    solve's certificate and the inputs' rounding lie between its ends.
     """
     return effective_resistance_bounds(law, radius).midpoint
 
@@ -445,10 +547,10 @@ def effective_resistance(law: SymmetricJumpLaw, radius: int) -> float:
 def effective_resistance_bounds(law: SymmetricJumpLaw, radius: int) -> Interval:
     """Enclosure of R_eff from the boundary-conductance envelope.
 
-    A one-radius :func:`resistance_profile`: one dense in-place Cholesky
-    factorization of the even-folded Dirichlet system (N - 1 unknowns
-    V(1..N-1)) per end of the envelope, one for an exact envelope. By
-    Rayleigh monotonicity, overstating conductance to ground can only
+    A one-radius :func:`resistance_profile`: one matrix-free solve of the
+    even-folded Dirichlet system (N - 1 unknowns V(1..N-1)) per end of the
+    envelope, one for an exact envelope, each widened by its certificate.
+    By Rayleigh monotonicity, overstating conductance to ground can only
     lower the resistance, so the upper envelope gives the lower end. The
     radius is an integral value in [1, ``RESISTANCE_MAX_RADIUS``].
     """

@@ -134,7 +134,7 @@ class TestProcess:
     import scipy.integrate and would turn a RuntimeWarning into an error."""
 
     def test_cli_import_and_analyze_leave_out_scipy_and_mpmath(self):
-        # only a resistance solve imports scipy (scipy.linalg)
+        # nor does a resistance solve import either
         probe = (
             "import io, sys, contextlib, levycrit.cli\n"
             "def loaded():\n"
@@ -144,10 +144,14 @@ class TestProcess:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = levycrit.cli.main(['analyze', '--family', 'power_lattice', '--alpha', '0.5'])\n"
             "print(code, loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = levycrit.cli.main(['resistance', '--family', 'power_lattice',\n"
+            "                              '--alpha', '0.5', '--radii', '8,16,256'])\n"
+            "print(code, loaded())\n"
         )
         run = _run_python("-c", probe)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == ["[]", "0 []"]
+        assert run.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
     def test_subnormal_sato_shepp_is_silent(self):
         run = _run_python(
@@ -505,7 +509,7 @@ class TestReproducibility:
             "cos_tail_switch": 200.0, "max_bin_quads": 10 ** 5, "drift_tol": 1e-12,
             "reach_mass_budget": 1e-11, "power_tail_reach_cap": 256.0,
             "max_expectation_lags": 10 ** 6, "profile_flat_tol": 0.05,
-            "profile_growth_ratio": 0.9, "resistance_max_radius": 4096,
+            "profile_growth_ratio": 0.9, "resistance_max_radius": 32768,
             "verify_flow_max_level": 30, "flow_energy_max_level": 22,
             "sampler_table_size": 10 ** 6, "sojourn_growth_flat": 1.15,
             "sojourn_growth_steep": 1.3, "max_sojourn_horizon": 10 ** 6,

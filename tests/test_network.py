@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg
 
 from levycrit import (
@@ -420,6 +421,79 @@ _FOLD_LAWS = {
 }
 
 
+def _folded_system(slc, boundary):
+    """Even-folded Dirichlet matrix and right-hand side on u, w = 1..N-1.
+
+    A[u, w] = -(m|u-w| + m(u+w)), A[u, u] = S(N-1-u) + S(N-1+u) - m(2u) +
+    b(u), S(k) = sum_{j<=k} m(j); the source's neighbours give the
+    right-hand side m(u). With an exact boundary envelope A[u, u] = M -
+    m(2u) at every radius, so a smaller slice's matrix is a leading block.
+    """
+    m = slc.conductance
+    k = slc.radius - 1
+    u = np.arange(1, k + 1)
+    mirrored = np.concatenate((m[k - 1:0:-1], m[:k]))  # m(|j|), j = -(k-1)..k-1
+    a_mat = np.add(sliding_window_view(mirrored, k)[::-1], sliding_window_view(m[2:], k))
+    np.negative(a_mat, out=a_mat)
+    prefix = np.cumsum(m)
+    a_mat[u - 1, u - 1] = prefix[k - u] + prefix[k + u] - m[2 * u] + boundary[k + u]
+    return a_mat, m[1:k + 1]
+
+
+def _dense_net_source_sums(slc, boundary) -> np.ndarray:
+    """The dense oracle: ``m_n . (1 - A_n^-1 m_n)`` for every leading block.
+
+    One in-place LAPACK Cholesky A = L L^T and one forward solve y = L^-1 m:
+    the leading blocks of L factor those of A, so entry n - 1 of the
+    cumulative sum of m(u) - y_u^2 is the value at radius n (exact envelope).
+    """
+    if slc.radius == 1:
+        return np.zeros(1)
+    a_mat, rhs = _folded_system(slc, boundary)
+    chol, info = linalg.lapack.dpotrf(a_mat.T, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    y, _ = linalg.lapack.dtrtrs(chol, rhs, lower=1)
+    return np.cumsum(np.append(0.0, rhs - y * y))
+
+
+def _dense_resistance(law, radii) -> list:
+    """R_eff at each radius from the largest slice's dense factor (exact envelope)."""
+    slc = build_slice(law, radii[-1])
+    nets = _dense_net_source_sums(slc, slc.boundary_hi)
+    tails = law.one_sided_tail_mass((np.array(radii) - 0.5) * law.spacing)[1]
+    return [1.0 / (2.0 * t + 2.0 * nets[r - 1]) for t, r in zip(tails, radii)]
+
+
+def _refined_resistance(law, radius: int) -> float:
+    """R_eff of one slice from a dense Cholesky solve of the deficit system
+    A y = b, corrected six times by long double residuals of a long double
+    A formed row block by row block."""
+    slc = build_slice(law, radius)
+    k = radius - 1
+    m = slc.conductance.astype(np.longdouble)
+    b = slc.boundary_hi[radius:]
+    a_mat, _ = _folded_system(slc, slc.boundary_hi)
+    factor = linalg.cho_factor(a_mat, lower=True)
+    del a_mat
+    prefix = np.cumsum(m)
+    u = np.arange(1, k + 1)
+    diag = prefix[k - u] + prefix[k + u] - m[2 * u] + b
+
+    def residual(y):
+        r = np.empty(k, dtype=np.longdouble)
+        for lo in range(0, k, 256):
+            rows = u[lo:lo + 256, None]
+            block = -(m[np.abs(rows - u)] + m[rows + u])
+            block[np.arange(len(rows)), rows[:, 0] - 1] = diag[lo:lo + 256]
+            r[lo:lo + 256] = b[lo:lo + 256] - block @ y
+        return r
+
+    y = linalg.cho_solve(factor, b).astype(np.longdouble)
+    for _ in range(6):
+        y += linalg.cho_solve(factor, residual(y).astype(float))
+    return float(1.0 / (slc.boundary_hi[k] + 2 * np.sum(m[1:radius] * y)))
+
+
 def _two_sided_resistance(slc, boundary) -> float:
     """Dirichlet solve on the full (2N-1)^2 Laplacian of vertices |u| < N."""
     n = slc.radius
@@ -485,15 +559,34 @@ class TestEffectiveResistance:
 
     def test_extended_precision_oracle(self, power_half_raw):
         # independent dense solve at 40 digits with mpmath (Hurwitz-zeta
-        # boundary tails), radius 32
-        got = effective_resistance(power_half_raw, 32)
-        assert got == pytest.approx(_mp_resistance(1.5, 32), rel=1e-10)
+        # boundary tails), radius 32: inside the certified enclosure
+        want = _mp_resistance(1.5, 32)
+        got = effective_resistance_bounds(power_half_raw, 32)
+        assert got.lo <= want <= got.hi
+        assert got.midpoint == pytest.approx(want, rel=1e-13)
 
-    def test_recurrent_oracle_from_larger_factor(self):
-        # masses w^-2.5 (alpha = 1.5, recurrent): radius 24 read from the
-        # radius-48 factor, against the same 40-digit solve at radius 24
-        prof = resistance_profile(make_power_law_lattice(1.5), [24, 48])
-        assert prof.resistances[0] == pytest.approx(_mp_resistance(2.5, 24), rel=1e-10)
+    def test_recurrent_oracle_in_profile(self):
+        # masses w^-2.5 (alpha = 1.5, recurrent): radius 24 of a profile,
+        # against the same 40-digit solve at radius 24
+        want = _mp_resistance(2.5, 24)
+        got = resistance_profile(make_power_law_lattice(1.5), [24, 48]).bounds[0]
+        assert got.lo <= want <= got.hi
+        assert got.midpoint == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1.777947, 1.858262])
+    def test_refined_dense_oracle_at_2048(self, alpha):
+        # the float64 dense solve misses the exact slice value by 2.4e-10 and
+        # 5.1e-10 here; refined with long double residuals it lies inside
+        want = _refined_resistance(make_power_law_lattice(alpha), 2048)
+        got = effective_resistance_bounds(make_power_law_lattice(alpha), 2048)
+        assert got.lo <= want <= got.hi
+        assert got.midpoint == pytest.approx(want, rel=1e-12)
+
+    def test_nearest_neighbour_is_half_n_to_4096(self, nearest_neighbor):
+        for radius in (64, 100, 127, 128, 255, 500, 512, 1000, 1024, 2047, 2048, 3000, 4096):
+            got = effective_resistance_bounds(nearest_neighbor, radius)
+            assert abs(got.midpoint - radius / 2.0) <= 1e-12 * radius
+            assert got.lo <= radius / 2.0 <= got.hi
 
     def test_monotone_in_radius(self, power_half_raw, multi_default, nearest_neighbor):
         for law in (power_half_raw, multi_default, nearest_neighbor):
@@ -516,9 +609,24 @@ class TestEffectiveResistance:
         r = effective_resistance(power_half_raw, 16)
         assert b.lo - 1e-12 <= r <= b.hi + 1e-12
 
-    def test_exact_envelope_bounds_collapse(self, power_half_raw):
+    def test_exact_envelope_bounds_are_certificate_wide(self, power_half_raw):
+        # an exact envelope leaves only the solve's certificate and the
+        # inputs' rounding between the ends
         b = effective_resistance_bounds(power_half_raw, 16)
-        assert b.lo == b.hi == effective_resistance(power_half_raw, 16)
+        assert b.lo < effective_resistance(power_half_raw, 16) == b.midpoint < b.hi
+        assert b.hi - b.lo <= 1e-13 * b.midpoint
+
+    @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
+    def test_certificates_nonzero_and_finite(self, law_name):
+        from levycrit.network import _net_source_sum
+
+        law = _FOLD_LAWS[law_name]()
+        for radius in (2, 3, 8, 64, 256):
+            slc = build_slice(law, radius)
+            for boundary in (slc.boundary_lo, slc.boundary_hi):
+                net, cert = _net_source_sum(slc, boundary)
+                assert 0.0 < cert < math.inf
+                assert cert <= 1e-9 * (net + boundary[radius - 1])
 
     def test_inexact_envelope_bounds_open(self):
         law = _inexact_table_law()
@@ -529,11 +637,12 @@ class TestEffectiveResistance:
 
     def test_radius_validation(self, power_half_raw):
         from levycrit import DomainError
+        from levycrit.network import RESISTANCE_MAX_RADIUS
 
         with pytest.raises(DomainError):
             build_slice(power_half_raw, 0)
         with pytest.raises(DomainError):
-            build_slice(power_half_raw, 5000)
+            build_slice(power_half_raw, RESISTANCE_MAX_RADIUS + 1)
 
     # non-integral radii were once a 2.5-radius slice, an IndexError and a
     # silent radius 2; integral floats and numpy integers read as ints
@@ -543,7 +652,7 @@ class TestEffectiveResistance:
         from levycrit import DomainError
 
         for bad in self.NON_INTEGRAL:
-            with pytest.raises(DomainError, match="radius must be at least 1, at most 4096 "
+            with pytest.raises(DomainError, match="radius must be at least 1, at most 32768 "
                                                   "and integral"):
                 build_slice(power_half_raw, bad)
         want = build_slice(power_half_raw, 8)
@@ -576,8 +685,6 @@ class TestEffectiveResistance:
         assert all(type(r) is int for r in got.radii)
 
     def test_slice_structure(self, power_half_raw):
-        from levycrit.network import _folded_system
-
         slc = build_slice(power_half_raw, 8)
         assert len(slc.conductance) == 15  # lags 0 .. 14
         a_mat, rhs = _folded_system(slc, slc.boundary_hi)
@@ -605,6 +712,25 @@ class TestEffectiveResistance:
         assert all(a.ndim == 1 and len(a) <= 2 * n for a in arrays)
 
     @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
+    @pytest.mark.parametrize("radius", [2, 3, 8, 64, 257])
+    def test_products_match_dense_matrix(self, law_name, radius):
+        # the FFT products of the folded matrix against the dense oracle's
+        # matrix, in long double inside their rounding bounds
+        from levycrit.network import _FoldedOperator
+
+        law = _FOLD_LAWS[law_name]()
+        slc = build_slice(law, radius)
+        for boundary in (slc.boundary_lo, slc.boundary_hi):
+            a_mat, _ = _folded_system(slc, boundary)
+            op = _FoldedOperator(slc.conductance, boundary[radius:])
+            x = np.random.default_rng(radius).random(radius - 1)
+            want = a_mat @ x
+            assert np.allclose(op.apply(x), want, rtol=1e-12, atol=1e-13 * law.total_mass)
+            r, beta, phi = op.residual(x, want)  # want - A x, A formed exactly
+            slack = 64 * np.finfo(float).eps * np.abs(a_mat) @ x  # want's own rounding
+            assert np.all(np.abs(r.astype(float)) <= beta + phi + slack)
+
+    @pytest.mark.parametrize("law_name", sorted(_FOLD_LAWS))
     def test_fold_matches_two_sided_solve(self, law_name):
         # the folded N-1 unknown system against the two-sided (2N-1)^2
         # Laplacian solve, at both ends of the boundary envelope: the upper
@@ -618,15 +744,14 @@ class TestEffectiveResistance:
 
 
 class TestFactorReuse:
-    """A profile factors only its largest slice and reads every radius from
-    that factor; the solve runs in place and keeps scipy's two checks."""
+    """A profile solves each radius matrix-free. The dense oracle factors
+    only its largest slice and reads every radius from that factor, as an
+    exact envelope makes a smaller slice's matrix a leading block."""
 
     EXACT = sorted(name for name in _FOLD_LAWS if name != "inexact table")
 
     @pytest.mark.parametrize("law_name", EXACT)
     def test_smaller_slice_is_leading_block(self, law_name):
-        from levycrit.network import _folded_system
-
         law = _FOLD_LAWS[law_name]()
         big = build_slice(law, 256)
         a_big, rhs_big = _folded_system(big, big.boundary_hi)
@@ -640,8 +765,6 @@ class TestFactorReuse:
             assert np.array_equal(rhs, rhs_big[: n - 1])
 
     def test_inexact_envelope_breaks_leading_block(self):
-        from levycrit.network import _folded_system
-
         law = _inexact_table_law()
         big = build_slice(law, 64)
         a_big, _ = _folded_system(big, big.boundary_hi)
@@ -661,15 +784,23 @@ class TestFactorReuse:
         # the largest radius is the same solve either way
         assert prof.bounds[-1] == effective_resistance_bounds(law, radii[-1])
 
-    def test_solve_factors_in_place(self, power_half_raw):
-        effective_resistance(power_half_raw, 8)  # scipy's import happens here
+    @pytest.mark.parametrize("law_name", EXACT)
+    def test_profile_matches_dense_factor(self, law_name):
+        # radii up to 1024 read from the dense oracle's one factor
+        law = _FOLD_LAWS[law_name]()
+        radii = [1, 2, 3, 8, 64, 256, 1024]
+        got = resistance_profile(law, radii).resistances
+        assert got == pytest.approx(_dense_resistance(law, radii), rel=1e-10)
+
+    def test_solve_memory_is_linear(self, power_half_raw):
+        effective_resistance(power_half_raw, 8)  # numpy.fft's import happens here
         tracemalloc.start()
         try:
-            effective_resistance(power_half_raw, 1024)
+            effective_resistance(power_half_raw, 4096)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 8 * 1023 ** 2  # the one (N-1)^2 float64 matrix
+        assert peak < 100 * 8 * 4096  # O(N) arrays; the dense matrix took 134 MB
 
     @pytest.mark.parametrize("field", ["conductance", "boundary_lo", "boundary_hi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -683,17 +814,26 @@ class TestFactorReuse:
         with pytest.raises(DomainError, match="finite|usable tail model"):
             NetworkSlice(radius=2, **arrays)
 
-    def test_ill_conditioned_slice_warns(self):
+    def test_ill_conditioned_slice_raises_or_contains(self):
         # vertex 1 hangs on couplings of 1e-30 while vertices 2 and 3 share
-        # unit ones, so cond_1(A) is about 1e30 and the factor still exists
-        from levycrit.network import NetworkSlice, _net_source_sums
+        # unit ones, so cond_1(A) is about 1e30: the solve either gives up
+        # with a NumericError or encloses the 40-digit current
+        from levycrit import NumericError
+        from levycrit.network import NetworkSlice, _current
 
         tiny = 1e-30
         boundary = np.array([1.0, 1.0, tiny, 1.0, tiny, 1.0, 1.0])  # u = -3..3
         slc = NetworkSlice(radius=4, conductance=np.array([0.0, tiny, tiny, tiny, tiny, 1.0, 1.0]),
                            boundary_lo=boundary, boundary_hi=boundary)
-        with pytest.warns(linalg.LinAlgWarning, match="(?i)ill-conditioned"):
-            _net_source_sums(slc, boundary)
+        with mp.workdps(40):
+            a_mat, _ = _folded_system(slc, boundary)
+            deficit = mp.lu_solve(mp.matrix(a_mat.tolist()), mp.matrix(boundary[4:].tolist()))
+            want = float(1 + 2 * sum(mp.mpf(tiny) * d for d in deficit))
+        try:
+            got = _current(slc, boundary)
+        except NumericError:
+            return
+        assert got.lo <= want <= got.hi
 
 
 class TestResistanceProfile:
