@@ -421,9 +421,10 @@ class _FoldedOperator:
         """
         xh = np.fft.rfft(x.astype(np.longdouble), self.length)
         conv = np.fft.irfft(self.t_hat * xh + self.h_hat * xh.conj(), self.length)[:self.k]
-        ax = self.diag * x - conv
+        dx = self.diag * x
+        ax = dx - conv
         r = rhs - ax
-        beta = _UNIT * ((2 * self.k + 4) * np.abs(self.diag * x) + 2.0 * np.abs(conv)
+        beta = _UNIT * ((2 * self.k + 4) * np.abs(dx) + 2.0 * np.abs(conv)
                         + np.abs(rhs) + np.abs(ax)).astype(float)
         xa = np.abs(x).astype(float)
         fft = 8.0 * _UNIT * math.log2(self.length)
@@ -452,8 +453,9 @@ def _pcg(op: _FoldedOperator, rhs: np.ndarray, rtol: float) -> np.ndarray:
         pq = _dot(p, q)
         if not pq > 0.0:
             break
-        x += (rz / pq) * p
-        r -= (rz / pq) * q
+        step = rz / pq
+        x += step * p
+        r -= step * q
         z = op.precondition(r)
         rz, rz_old = _dot(r, z), rz
         p = z + (rz / rz_old) * p
@@ -486,8 +488,8 @@ def _net_source_sum(slc: NetworkSlice, boundary: np.ndarray) -> tuple[float, flo
     r, beta, phi = op.residual(y, b)
 
     z = _pcg(op, np.ones(k), _CERTIFY_RESIDUAL / math.sqrt(k))
-    az, beta_z, phi_z = op.residual(z, np.zeros(k))  # -A z
-    c = float(np.min(-az.astype(float) - beta_z)) - phi_z
+    minus_az, beta_z, phi_z = op.residual(z, np.zeros(k))
+    c = float(np.min(-minus_az.astype(float) - beta_z)) - phi_z
     if not (np.min(z) > 0.0 and c > 0.0):
         raise NumericError("slice solve: no certificate (A z > 0 fails for z ~ A^-1 1)")
     weight = min(_dot(m, z) / c, k)  # bounds sum V*
