@@ -10,6 +10,15 @@ replicas, seed) inputs reproduce identical statistics bit for bit on one
 platform. Within a replica the draw order is fixed and documented in each
 sampler.
 
+A sojourn estimate runs its replicas in blocks of about 2^18 draws, one
+sampler pass per block, possibly on worker threads (as many as the usable
+CPUs, at most two). Each replica still draws from its own stream in the
+documented order and writes its counts into its own slot, so the results
+are the same whatever the block size or the worker count. The blocks'
+scratch is allocated once per worker and reused: about 18 bytes per draw
+of a block, so at most two blocks (under 10 MB), or one replica's
+2 * horizon draws when that is longer than a block.
+
 Heavy tails are sampled exactly: magnitudes up to a table cutoff by a
 guide-table lookup over the cumulative masses (a binary search settles
 the draws its bucket leaves open), and beyond it by inverse-CDF search on
@@ -23,6 +32,7 @@ allocation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,6 +65,8 @@ SAMPLER_TABLE_SIZE = 10 ** 6
 _J_CAP = float(1 << 52)
 # buckets of the guide table over the cumulative masses
 _GUIDE_BUCKETS = 1 << 14
+# draws per chunk of the guide-table lookup
+_LOOKUP_CHUNK = 1 << 14
 
 
 class SimulationCapError(RuntimeError):
@@ -145,10 +157,17 @@ class LatticeSampler:
         lo, hi = mag[np.maximum(g - 1, 0)], mag[np.minimum(g + 2, _GUIDE_BUCKETS)]
         self._sure = np.where((lo == hi) & (g < _GUIDE_BUCKETS - 1) & (top > 0.0), lo, -1.0)
 
-    def _tail_magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty(count)
-        pick = self._tail_cdf.searchsorted(rng.random(count), side="right")
-        u = rng.random(count)
+    def _tail_magnitudes(self, rngs, rows: np.ndarray) -> np.ndarray:
+        """Magnitudes for tail draws in the given rows (ascending, one entry
+        per draw): each row's stream gives its picks, then its uniforms."""
+        pick_u, u = np.empty(rows.size), np.empty(rows.size)
+        ends = np.searchsorted(rows, np.arange(len(rngs) + 1))
+        for rng, a, b in zip(rngs, ends[:-1], ends[1:]):
+            if a < b:
+                rng.random(out=pick_u[a:b])
+                rng.random(out=u[a:b])
+        out = np.empty(rows.size)
+        pick = self._tail_cdf.searchsorted(pick_u, side="right")
         for ci, ((comp, _), (j_start, a0, start_sum)) in enumerate(
                 zip(self.tail_comps, self._tail_starts)):
             sel = pick == ci
@@ -159,27 +178,60 @@ class LatticeSampler:
         return out
 
     def sample_lags(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Signed jump lags (index units) as float64 integers.
+        """Signed jump lags (index units) as float64 integers: the one row
+        of :meth:`sample_rows` over the stream ``rng``."""
+        return self.sample_rows([rng], size)[0]
 
-        Draw order per call: one uniform batch for magnitudes (plus tail
-        inversions where needed), then one uniform batch for signs.
+    def sample_rows(self, rngs, size: int, scratch=None) -> np.ndarray:
+        """One row of ``size`` signed lags per stream of ``rngs``, shape
+        ``(len(rngs), size)``.
+
+        Draw order per stream: one uniform batch for its row's magnitudes;
+        where the row reaches past the table, one batch of component picks
+        and one of tail uniforms, as long as its tail draws; then one
+        uniform batch for signs. The table lookup and each component's tail
+        inversion run once over all rows, elementwise, so a row is the one
+        its stream gives alone. ``scratch``, a pair of float64 buffers of at
+        least ``len(rngs)`` rows of ``size``, holds the lags and the
+        uniforms (magnitudes, then signs); the result is a view of the lags.
         """
-        u = rng.random(size) * self.total
-        mag = self._sure[np.minimum(u * self._bucket_scale, _GUIDE_BUCKETS - 1).astype(np.intp)]
+        n = len(rngs)
+        lags, u = scratch if scratch is not None else (np.empty((n, size)), np.empty((n, size)))
+        lags, u = lags[:n], u[:n]
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        # the guide-table lookup, a chunk of draws at a time (in cache)
+        # through one small index buffer
+        flat, u_flat = lags.reshape(-1), u.reshape(-1)
+        index = np.empty(min(flat.size, _LOOKUP_CHUNK), dtype=np.intp)
+        for a in range(0, flat.size, _LOOKUP_CHUNK):
+            uc, out, idx = (u_flat[a:a + _LOOKUP_CHUNK], flat[a:a + _LOOKUP_CHUNK],
+                            index[: flat.size - a])
+            uc *= self.total
+            np.multiply(uc, self._bucket_scale, out=out)
+            # the float index truncated on the cast, as astype does
+            np.minimum(out, _GUIDE_BUCKETS - 1, out=idx, casting="unsafe")
+            # mode="clip" writes into out directly; the default mode
+            # buffers the whole output (every index is in range)
+            np.take(self._sure, idx, out=out, mode="clip")
         # the rest: 0 under the origin mass, else 1 + the count of cumulative
         # masses at or below u (the tail overwrites the draws past the table)
-        unsure = np.flatnonzero(mag < 0.0)
-        v = u[unsure]
+        unsure = np.flatnonzero(flat < 0.0)
+        v = u_flat[unsure]
         # searched in sorted order, where the binary search stays in cache
         order = np.argsort(v)
         found = np.empty(v.size)
         found[order] = np.searchsorted(self.cum, v[order], side="right") + 1.0
-        mag[unsure] = np.where(v < self.origin_mass, 0.0, found)
+        flat[unsure] = np.where(v < self.origin_mass, 0.0, found)
         in_tail = unsure[v >= self.table_mass]
         if in_tail.size:
-            mag[in_tail] = self._tail_magnitudes(rng, in_tail.size)
-        # the sign of r - 0.5 is negative exactly when r < 0.5
-        return np.copysign(mag, rng.random(size) - 0.5, out=mag)
+            flat[in_tail] = self._tail_magnitudes(rngs, in_tail // size)
+        # the sign uniforms take the magnitudes' buffer; the sign of r - 0.5
+        # is negative exactly when r < 0.5
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        u -= 0.5
+        return np.copysign(lags, u, out=lags)
 
 
 def _invert_hurwitz_tail(rho: float, a0: float, j_start: int, target: np.ndarray) -> np.ndarray:
@@ -264,6 +316,56 @@ MAX_SOJOURN_HORIZON = 10 ** 6
 #: largest draw count of one call: horizon * replicas of a sojourn estimate
 #: and the chains of :func:`even_chain_batch`
 MAX_SOJOURN_STEPS = 10 ** 7
+# draws per block of sojourn replicas; a replica longer than that is a
+# block of its own
+_BLOCK_DRAWS = 1 << 18
+# most worker threads a sojourn estimate runs its blocks on
+_MAX_WORKERS = 2
+
+
+def _worker_count(blocks: int, block_draws: int) -> int:
+    """Threads for ``blocks`` blocks of ``block_draws`` draws each: the
+    usable CPUs, capped by the block count and ``_MAX_WORKERS``. Blocks
+    longer than ``_BLOCK_DRAWS`` (one long replica each) run on one
+    thread, so that the scratch holds one such replica, not one per
+    worker."""
+    if block_draws > _BLOCK_DRAWS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks, _MAX_WORKERS))
+
+
+def _run_on_threads(run_block, blocks: list, scratches: list) -> None:
+    """``run_block(block, scratch)`` over ``blocks``, worker w taking blocks
+    w, w + W, ... with ``scratches[w]``: worker 0 is the calling thread, the
+    others are pool threads. The first exception reaches the caller once
+    every worker has stopped; the others stop at their next block."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    stop = threading.Event()
+
+    def work(w: int) -> None:
+        try:
+            for block in blocks[w::len(scratches)]:
+                if stop.is_set():
+                    return
+                run_block(block, scratches[w])
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(len(scratches) - 1) as pool:
+        futures = [pool.submit(work, w) for w in range(1, len(scratches))]
+        try:
+            work(0)
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
 
 
 def sojourn_estimate(
@@ -280,7 +382,9 @@ def sojourn_estimate(
     Each replica simulates 2*horizon steps once; the base-horizon count
     uses the first half, the doubling diagnostic the whole path. Bounded
     growth (ratio near 1) leans transient, growth like a power of the
-    horizon leans recurrent.
+    horizon leans recurrent. Replicas run in blocks, possibly on worker
+    threads (see the module docstring); the result does not depend on
+    either.
     """
     require_positive("window", window)
     horizon = require_integer("horizon", horizon, 1, math.inf)
@@ -292,32 +396,47 @@ def sojourn_estimate(
             f"{MAX_SOJOURN_HORIZON}, horizon * replicas <= {MAX_SOJOURN_STEPS}"
         )
     smp = LatticeSampler(law)
-    delta = law.spacing
-    base = np.empty(replicas)
-    doubled = np.empty(replicas)
-    max_exc = 0.0
-    returns_total = 0
-    rows = []
-    # inside[k] is |S_k| < window for the positions S_0 .. S_{2 horizon - 1}
-    inside = np.empty(2 * horizon, dtype=bool)
-    inside[0] = True
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        path = smp.sample_lags(rng, 2 * horizon)
-        path *= delta
-        np.cumsum(path, out=path)
-        np.abs(path, out=path)  # |S_1| .. |S_{2 horizon}|
-        np.less(path[:-1], window, out=inside[1:])
-        base[r] = np.count_nonzero(inside[:horizon])
-        doubled[r] = base[r] + np.count_nonzero(inside[horizon:])
-        exc = float(np.max(path[:horizon]))
-        max_exc = max(max_exc, exc)
-        rets = int(np.count_nonzero(inside[1:horizon] > inside[: horizon - 1]))  # entries
-        returns_total += rets
-        if keep_replicas:
-            rows.append(
-                {"replica": r, "sojourn": int(base[r]), "max_excursion": exc, "returns": rets}
-            )
+    steps = 2 * horizon
+    rows_per_block = max(1, _BLOCK_DRAWS // steps)
+    blocks = [range(r, min(r + rows_per_block, replicas))
+              for r in range(0, replicas, rows_per_block)]
+    workers = _worker_count(len(blocks), rows_per_block * steps)
+    # each replica's statistics in its own slot, reduced in replica order
+    base, doubled, exc = np.empty(replicas), np.empty(replicas), np.empty(replicas)
+    rets = np.empty(replicas, dtype=np.int64)
+
+    def run_block(block: range, scratch: tuple) -> None:
+        sampler_scratch, inside, entered = scratch
+        n = len(block)
+        path = smp.sample_rows([replica_rng(seed, r) for r in block], steps, sampler_scratch)
+        if law.spacing != 1.0:
+            path *= law.spacing
+        np.cumsum(path, axis=1, out=path)
+        np.abs(path, out=path)  # |S_1| .. |S_{2 horizon}| per row
+        # inside[:, k] is |S_k| < window for the positions S_0 .. S_{2 horizon - 1}
+        inside, entered = inside[:n], entered[:n]
+        inside[:, 0] = True
+        np.less(path[:, :-1], window, out=inside[:, 1:])
+        at = slice(block.start, block.stop)
+        base[at] = np.count_nonzero(inside[:, :horizon], axis=1)
+        doubled[at] = base[at] + np.count_nonzero(inside[:, horizon:], axis=1)
+        np.max(path[:, :horizon], axis=1, out=exc[at])
+        np.greater(inside[:, 1:horizon], inside[:, : horizon - 1], out=entered)
+        rets[at] = np.count_nonzero(entered, axis=1)
+
+    # every worker's scratch is allocated here, once, and reused block by block
+    shape = (len(blocks[0]), steps)
+    scratches = [((np.empty(shape), np.empty(shape)), np.empty(shape, dtype=bool),
+                  np.empty((shape[0], horizon - 1), dtype=bool)) for _ in range(workers)]
+    if workers == 1:
+        for block in blocks:
+            run_block(block, scratches[0])
+    else:
+        _run_on_threads(run_block, blocks, scratches)
+    max_exc = float(exc.max())
+    returns_total = int(rets.sum())
+    rows = [{"replica": r, "sojourn": int(base[r]), "max_excursion": float(exc[r]),
+             "returns": int(rets[r])} for r in range(replicas)] if keep_replicas else []
 
     m1, m2 = float(base.mean()), float(doubled.mean())
     ratio = m2 / m1

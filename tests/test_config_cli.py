@@ -153,6 +153,14 @@ class TestProcess:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
+    def test_import_leaves_out_the_thread_pool(self):
+        # the sojourn's worker threads import concurrent.futures on first
+        # use, so the import (every command's setup) does not pay for it
+        probe = "import sys, levycrit\nprint('concurrent.futures' in sys.modules)\n"
+        run = _run_python("-c", probe)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
+
     def test_subnormal_sato_shepp_is_silent(self):
         run = _run_python(
             "-m", "levycrit.cli", "analyze", "--family", "power_lattice", "--alpha", "1015"

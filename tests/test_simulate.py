@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import signal
+import sys
+import threading
+import tracemalloc
 from itertools import product
 
 import mpmath as mp
@@ -21,11 +24,13 @@ from levycrit import (
     make_lattice_table,
     make_multi_index_lattice,
     make_power_law_lattice,
+    simulate,
     sojourn_estimate,
 )
 from levycrit.measures import multi_index_total
 from levycrit.powerint import hurwitz_zeta
 from levycrit.simulate import (
+    MAX_SOJOURN_HORIZON,
     MAX_SOJOURN_STEPS,
     SAMPLER_TABLE_SIZE,
     _invert_hurwitz_tail,
@@ -234,12 +239,16 @@ class _PresetRng:
         self._first = first
         self._rng = replica_rng(SEED, 5)
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         if self._first is None:
-            return self._rng.random(size)
+            return self._rng.random(size, out=out)
         first, self._first = self._first, None
-        assert len(first) == size
-        return first
+        if out is None:
+            assert len(first) == size
+            return first
+        assert len(first) == out.size
+        out[...] = first
+        return out
 
     def choice(self, *args, **kwargs):
         return self._rng.choice(*args, **kwargs)
@@ -356,10 +365,35 @@ class TestSamplerOracle:
         assert sum(evaluated) <= 2.1 * len(target)
 
     def test_sojourn_matches_its_reference_rebuild(self, half_law_prob, monkeypatch):
+        # the block sampler's rows replaced by the reference sampler, stream by stream
         got = sojourn_estimate(half_law_prob, 5.0, 500, 20, SEED, keep_replicas=True)
-        monkeypatch.setattr(LatticeSampler, "sample_lags", _reference_sample_lags)
+        streams = []
+
+        def reference_rows(smp, rngs, size, scratch=None):
+            streams.extend(rngs)
+            return np.array([_reference_sample_lags(smp, rng, size) for rng in rngs])
+
+        monkeypatch.setattr(LatticeSampler, "sample_rows", reference_rows)
         want = sojourn_estimate(half_law_prob, 5.0, 500, 20, SEED, keep_replicas=True)
+        assert len(streams) == 20
         assert got == want
+
+    @pytest.mark.parametrize("law_name, size, mixed", [
+        ("power 0.5", 8, True), ("multi 0.5/1.5", 8, True), ("table + tail", 3000, True),
+        ("power 0.5", 20000, False),
+    ])
+    def test_rows_match_their_streams_alone(self, law_name, size, mixed):
+        # a block's rows are the lags each stream gives in a call of its
+        # own: rows with and without tail draws side by side (mixed), and
+        # rows that all reach the tail, one of them past the 2^52 cap
+        smp = LatticeSampler(ORACLE_LAWS[law_name](), table_size=1000)
+        streams = [(12345, 730)] + [(7, r) for r in range(15)]
+        rows = smp.sample_rows([replica_rng(*s) for s in streams], size)
+        hits = np.count_nonzero(np.abs(rows) > smp.n_top, axis=1)
+        assert hits.max() > 0 and (hits.min() == 0) == mixed
+        for row, stream in zip(rows, streams):
+            want = _reference_sample_lags(smp, replica_rng(*stream), size)
+            assert np.array_equal(_bits(row), _bits(want)), stream
 
     @pytest.mark.parametrize("law_name, n", [
         ("unit", 20_000), ("unit", 0), ("even", 2000), ("power 0.5", 5000),
@@ -540,6 +574,135 @@ class TestSojournEstimate:
         nonzero = ends[ends != 0]
         pos = np.count_nonzero(nonzero > 0)
         assert abs(pos - len(nonzero) / 2) <= 3.0 * math.sqrt(len(nonzero) / 4)
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+class TestSojournBlocks:
+    """Replicas run in blocks of rows, possibly on worker threads; each
+    replica draws from its own stream into its own slot, so neither the
+    block size nor the worker count moves a result."""
+
+    LAWS = {
+        "power 0.5": (lambda: make_power_law_lattice(0.5, normalize=True), 5.0),
+        "table + tail": (_table_with_tail, 3.0),
+        "origin spacing 0.5": (lambda: make_lattice_table(
+            {1: 0.2, 2: 0.1, 3: 0.05}, spacing=0.5, origin_mass=0.3), 1.0),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows_per_block, blocks", [(1, 7), (3, 3), (7, 1)],
+                             ids=["one replica per block", "short last block", "one block"])
+    @pytest.mark.parametrize("law_name", list(LAWS))
+    def test_results_do_not_depend_on_blocks_or_workers(
+            self, monkeypatch, law_name, rows_per_block, blocks, workers):
+        make, window = self.LAWS[law_name]
+        law, horizon, replicas = make(), 150, 7
+        want = sojourn_estimate(law, window, horizon, replicas, SEED, keep_replicas=True)
+        asked = []
+
+        def fixed_workers(n_blocks, block_draws):
+            asked.append(n_blocks)
+            return workers
+
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", rows_per_block * 2 * horizon)
+        monkeypatch.setattr(simulate, "_worker_count", fixed_workers)
+        got = sojourn_estimate(law, window, horizon, replicas, SEED, keep_replicas=True)
+        assert asked == [blocks]
+        assert got.to_dict() == want.to_dict()
+        assert got.replica_rows == want.replica_rows
+
+    def test_workers_running_at_once_agree_with_one(self, half_law_prob, monkeypatch):
+        # more workers than cores, switching often, on blocks long enough
+        # that they are inside numpy at the same time: scratch shared
+        # between them, or a lost write to a replica's slot, shows here
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1 << 16)
+        monkeypatch.setattr(simulate, "_worker_count", lambda blocks, block_draws: 1)
+        want = sojourn_estimate(half_law_prob, 5.0, 10 ** 4, 40, SEED, keep_replicas=True)
+        monkeypatch.setattr(simulate, "_worker_count", lambda blocks, block_draws: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                got = sojourn_estimate(half_law_prob, 5.0, 10 ** 4, 40, SEED, keep_replicas=True)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("blocks, block_draws, cpus, want", [
+        (31, 260_000, 64, 2), (31, 260_000, 1, 1), (1, 260_000, 64, 1),
+        (3, 2 * MAX_SOJOURN_HORIZON, 64, 1),
+    ])
+    def test_worker_count(self, monkeypatch, blocks, block_draws, cpus, want):
+        # the usable CPUs, capped by the blocks and the fixed cap; a replica
+        # longer than a block runs on one thread
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        assert simulate._worker_count(blocks, block_draws) == want
+
+    def test_an_exception_in_a_block_reaches_the_caller(self, half_law_prob, monkeypatch):
+        # one replica per block on two workers, the calling thread and one
+        # pool thread; the third block raises, and the pool's thread is gone
+        # when the call ends
+        real = LatticeSampler.sample_rows
+        threads = []
+
+        def failing(smp, rngs, size, scratch=None):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise _BlockFailed
+            return real(smp, rngs, size, scratch)
+
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 200)
+        monkeypatch.setattr(simulate, "_worker_count", lambda blocks, block_draws: 2)
+        monkeypatch.setattr(LatticeSampler, "sample_rows", failing)
+        baseline = threading.active_count()
+        with pytest.raises(_BlockFailed):
+            sojourn_estimate(half_law_prob, 5.0, 100, 8, SEED)
+        assert threading.active_count() == baseline
+        assert {threading.main_thread()} < set(threads)
+        assert len(threads) < 8
+
+    def test_threads_end_with_the_call(self, half_law_prob, monkeypatch):
+        monkeypatch.setattr(simulate, "_worker_count", lambda blocks, block_draws: 2)
+        baseline = threading.active_count()
+        sojourn_estimate(half_law_prob, 5.0, 10 ** 4, 40, SEED)
+        assert threading.active_count() == baseline
+
+
+class TestSimulationMemory:
+    """Traced peaks (numpy reports its buffers to tracemalloc) against the
+    per-replica loop that preceded the blocks: 76.9, 22.9 and 51.4 MiB for
+    the three calls below. None may exceed its old peak by more than 5 %.
+    The sojourn runs as on a machine with many CPUs, so at the worker cap."""
+
+    @pytest.mark.parametrize("call, old_mib", [
+        ("sojourn at the horizon cap", 76.9),
+        ("sojourn 400 x 10^4", 22.9),
+        ("even chain 10^6", 51.4),
+    ])
+    def test_traced_peak(self, monkeypatch, call, old_mib):
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+        half = make_power_law_lattice(0.5, normalize=True)
+        run = {
+            "sojourn at the horizon cap":
+                lambda: sojourn_estimate(half, 5.0, MAX_SOJOURN_HORIZON, 3, SEED),
+            "sojourn 400 x 10^4": lambda: sojourn_estimate(half, 5.0, 10 ** 4, 400, SEED),
+            "even chain 10^6": lambda: even_chain_batch(
+                make_multi_index_lattice(0.5, 1.5, normalize=True), 10 ** 6, SEED),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * old_mib * 2 ** 20
 
 
 class TestEvenChain:
